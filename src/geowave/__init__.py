@@ -23,7 +23,6 @@ from .function_spaces import (
     State,
     extend,
     l2_inner,
-    light_cone_norm,
     sobolev_norm,
     sobolev_sq,
     state_norm,
@@ -89,7 +88,6 @@ __all__ = [
     "State",
     "extend",
     "l2_inner",
-    "light_cone_norm",
     "sobolev_norm",
     "sobolev_sq",
     "state_norm",

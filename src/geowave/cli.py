@@ -19,14 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .energy import perpendicularity_defect, verify_energy_inequality
-from .errors import ConfigInvalid, GeowaveError
-from .function_spaces import (
-    GridFunction,
-    LightCone,
-    extend,
-    sobolev_sq,
-)
+from .energy import verify_energy_inequality
+from .errors import ConfigInvalid, GeowaveError, NonLatticeTime
+from .function_spaces import LightCone, State
 from .geometry import DiffusionField, ManifoldModel
 from .ldp import (
     RateOptions,
@@ -35,34 +30,27 @@ from .ldp import (
     statement2_probe,
     tail_estimate,
 )
-from .noise import (
-    SpectralMeasure,
-    build_basis,
-    covariance_kernel,
-    hs_embedding_norm,
-    sample_increment,
-)
+from .noise import NoiseBasis, SpectralMeasure, build_basis
 from .rng import stream
+from .selfcheck import verify_suite
 from .solver import (
     Control,
     LocalizationParams,
-    mild_residual,
+    cone_section_weights,
+    run_trials,
+    section_energy,
     solve_batch,
     solve_skeleton,
-    solve_stochastic,
-    window_norm,
 )
 from .states import (
+    GridGeometry,
     bump_state,
     constant_state,
     make_grid,
     random_state,
     rotating_state,
-    twin_pair,
-    ROTATING_OMEGA,
-    ROTATING_THETA0,
 )
-from .wave_group import apply_group
+from .wave_group import GroupStep
 
 __all__ = ["ExperimentConfig", "load_config", "run_command", "main"]
 
@@ -165,11 +153,29 @@ class ExperimentConfig:
             )
         if command in _STOCHASTIC_COMMANDS and not self.atoms:
             raise ConfigInvalid(f"key 'noise.atoms' must be nonempty for command '{command}'")
+        try:
+            steps = GroupStep.from_time(self.horizon, self.grid().spacing).shift_count
+        except NonLatticeTime:
+            raise ConfigInvalid(
+                f"key 'time.horizon' must be a whole number of lattice steps of "
+                f"grid.domain_radius / grid.points, got {self.horizon}"
+            ) from None
         allowed = _EXPERIMENT_KEYS[command]
         for key in self.experiment:
             if key not in allowed:
                 raise ConfigInvalid(
                     f"unknown config key 'experiment.{key}' for command '{command}'"
+                )
+        if command == "rate":
+            raw = self.experiment.get("blocks", RateOptions.blocks)
+            try:
+                blocks = int(raw)
+            except (TypeError, ValueError):
+                blocks = 0
+            if blocks < 1 or steps % blocks:
+                raise ConfigInvalid(
+                    f"key 'experiment.blocks' must be a positive divisor of the {steps} time steps, "
+                    f"got {raw!r}"
                 )
 
     def manifold(self) -> ManifoldModel:
@@ -286,376 +292,31 @@ def _initial_state(cfg: ExperimentConfig, geom, manifold, default: str = "random
     raise ConfigInvalid(f"key 'experiment.initial' has unknown value {kind!r}")
 
 
-def _chunk_ids(trials: int, threads: int) -> list:
-    ids = list(range(trials))
-    size = (trials + threads - 1) // threads
-    return [ids[i:i + size] for i in range(0, trials, size)]
+@dataclass(frozen=True)
+class _Setup:
+    """The lattice, target, noise and initial data every experiment starts from."""
+
+    geom: GridGeometry
+    manifold: ManifoldModel
+    basis: NoiseBasis
+    diffusion: DiffusionField
+    loc: LocalizationParams
+    z0: State
+
+    @property
+    def fields(self) -> dict:
+        """The manifold, basis and diffusion keywords every solver and probe takes."""
+        return {"manifold": self.manifold, "basis": self.basis, "diffusion": self.diffusion}
 
 
-# ---------------------------------------------------------------------------
-# the verify suite: named invariant groups over every module
-# ---------------------------------------------------------------------------
-
-def _tube_samples(manifold: ManifoldModel, rng, count: int = 64):
-    base = rng.standard_normal((count, manifold.ambient_dim))
-    p = manifold.nearest_point(base + np.array([2.0] + [0.0] * (manifold.ambient_dim - 1)))
-    normal = p  # for the unit circle and sphere the outward normal is the point itself
-    s = rng.uniform(-0.5, 0.5, (count, 1)) * manifold.tubular_radius
-    return p, p + s * normal
-
-
-def _tangent_probe(manifold, p, rng):
-    raw = rng.standard_normal(p.shape)
-    return manifold.tangent_project_at(p, raw)
-
-
-def _geometry_groups(checks: list, rng) -> None:
-    for name in ("circle", "sphere"):
-        man = getattr(ManifoldModel, name)()
-        p, q = _tube_samples(man, rng)
-        err_inv = float(np.abs(man.involution(man.involution(q)) - q).max())
-        checks.append((f"geometry.{name}.involution_involutive", err_inv < 1e-10,
-                       f"max |R(R(q)) - q| = {_fmt(err_inv)}"))
-        err_fix = float(np.abs(man.involution(p) - p).max())
-        checks.append((f"geometry.{name}.involution_fixed_points", err_fix < 1e-12,
-                       f"max |R(p) - p| on the manifold = {_fmt(err_fix)}"))
-        tan = _tangent_probe(man, p, rng)
-        jt = man.involution_jacobian(p, tan)
-        jn = man.involution_jacobian(p, p)
-        err_jac = max(float(np.abs(jt - tan).max()), float(np.abs(jn + p).max()))
-        checks.append((f"geometry.{name}.involution_jacobian_signs", err_jac < 1e-10,
-                       f"tangent +1 / normal -1 eigenvector defect = {_fmt(err_jac)}"))
-        xi = _tangent_probe(man, p, rng)
-        eta = _tangent_probe(man, p, rng)
-        sff = man.extended_sff_perp(p, xi, eta)
-        oracle = -(xi * eta).sum(axis=1, keepdims=True) * p
-        err_sff = float(np.abs(sff - oracle).max())
-        checks.append((f"geometry.{name}.second_fundamental_form", err_sff < 1e-10,
-                       f"max |A(xi,eta) + <xi,eta> p| = {_fmt(err_sff)}"))
-        a = rng.standard_normal(q.shape)
-        b = rng.standard_normal(q.shape)
-        err_even = float(np.abs(man.extended_sff_perp(q, a, b)
-                                - man.extended_sff_perp(man.involution(q), a, b)).max())
-        checks.append((f"geometry.{name}.extension_reflection_even", err_even < 1e-10,
-                       f"max |A~(q) - A~(R(q))| = {_fmt(err_even)}"))
-        proj = man.tangent_project_at(p, a)
-        err_proj = max(float(np.abs(man.tangent_project_at(p, proj) - proj).max()),
-                       float(np.abs((proj * p).sum(axis=1)).max()))
-        checks.append((f"geometry.{name}.tangent_projection", err_proj < 1e-12,
-                       f"idempotency / orthogonality defect = {_fmt(err_proj)}"))
-        yfield = DiffusionField.for_manifold(man)
-        err_tan = float(np.abs((yfield(p) * p).sum(axis=1)).max())
-        checks.append((f"geometry.{name}.diffusion_tangency", err_tan < 1e-12,
-                       f"max |<Y(p), p>| = {_fmt(err_tan)}"))
-
-
-def _space_groups(checks: list) -> None:
-    n = 2048
-    dx = 2.0 * math.pi / n
-    x = dx * np.arange(n + 1)
-    f = GridFunction(0.0, dx, np.sin(x))
-    got = math.sqrt(sobolev_sq(f, (0.0, 2.0 * math.pi), 1))
-    want = math.sqrt(2.0 * math.pi)
-    rel = abs(got - want) / want
-    checks.append(("spaces.sobolev_sine_oracle", rel < 1e-4,
-                   f"H1 norm of sine vs closed form, rel err = {_fmt(rel)}"))
-    xs = -2.0 + 0.1 * np.arange(41)
-    poly = GridFunction(-2.0, 0.1, 1.0 + 2.0 * xs - 3.0 * xs ** 2)
-    ext = extend(poly, 1.0, order=2)
-    xe = ext.x
-    mask = np.abs(xe) <= 1.24  # inside the pre-cutoff band the reflection is exact
-    err = float(np.abs(ext.values[mask, 0] - (1.0 + 2.0 * xe[mask] - 3.0 * xe[mask] ** 2)).max())
-    checks.append(("spaces.reflection_extension_quadratic", err < 1e-9,
-                   f"order-2 extension on a quadratic, max err = {_fmt(err)}"))
-
-
-def _noise_groups(checks: list, measure: SpectralMeasure, seed: int) -> None:
-    basis = build_basis(measure)
-    x = np.linspace(-3.0, 3.0, 7)
-    modes = basis.evaluate(x)
-    gram = modes.T @ modes
-    want = covariance_kernel(measure, x[:, None] - x[None, :])
-    err = float(np.abs(gram - want).max())
-    checks.append(("noise.kernel_reproduction", err < 1e-12,
-                   f"mode Gram matrix vs covariance kernel, max err = {_fmt(err)}"))
-
-    rng = stream(seed, 101)
-    nsamp, dt = 20000, 0.1
-    coeffs = np.stack([sample_increment(basis, dt, rng).coeffs for _ in range(nsamp)])
-    var = coeffs.var(axis=0, ddof=1)
-    sigma = dt * math.sqrt(2.0 / (nsamp - 1))
-    dev = float(np.abs(var - dt).max() / sigma)
-    checks.append(("noise.increment_variance", dev < 5.0,
-                   f"worst per-mode variance deviation = {_fmt(dev)} sigma"))
-
-    fields = coeffs @ modes
-    fvar = fields.var(axis=0, ddof=1)
-    k0 = float(covariance_kernel(measure, np.zeros(1))[0]) * dt
-    fsigma = k0 * math.sqrt(2.0 / (nsamp - 1))
-    fdev = float(np.abs(fvar - k0).max() / fsigma)
-    checks.append(("noise.field_stationarity", fdev < 5.0,
-                   f"worst pointwise field variance deviation = {_fmt(fdev)} sigma"))
-
-    coarse = hs_embedding_norm(measure, samples=2048)
-    fine = hs_embedding_norm(measure, samples=4096)
-    rel = abs(fine - coarse) / fine
-    checks.append(("noise.hs_norm_quadrature_stable", rel < 1e-2,
-                   f"embedding HS norm at two quadrature levels, rel diff = {_fmt(rel)}"))
-
-
-def _wave_groups(checks: list, rng) -> None:
-    geom = make_grid(6.0, 192, 1.0)
-    man = ManifoldModel.circle()
-    z = random_state(geom, man, rng)
-    once = apply_group(apply_group(z, 0.25), 0.5)
-    whole = apply_group(z, 0.75)
-    err = max(float(np.abs(once.u.values - whole.u.values).max()),
-              float(np.abs(once.v.values - whole.v.values).max()))
-    checks.append(("wave.group_law", err < 1e-12,
-                   f"S_a S_b vs S_(a+b), max err = {_fmt(err)}"))
-    back = apply_group(apply_group(z, 0.5), -0.5)
-    err = max(float(np.abs(back.u.values - z.u.values).max()),
-              float(np.abs(back.v.values - z.v.values).max()))
-    checks.append(("wave.time_reversibility", err < 1e-12,
-                   f"S_(-t) S_t vs identity, max err = {_fmt(err)}"))
-
-    def free_energy(state):
-        du = np.gradient(state.u.values, geom.spacing, axis=0)
-        return float(((du ** 2 + state.v.values ** 2).sum()) * geom.spacing)
-
-    e0, e1 = free_energy(z), free_energy(apply_group(z, 0.5))
-    rel = abs(e1 - e0) / e0
-    checks.append(("wave.free_energy_conservation", rel < 1e-10,
-                   f"free energy drift after transport, rel = {_fmt(rel)}"))
-
-    u = np.zeros((geom.npoints, 1))
-    inside = np.abs(geom.x) < 1.0
-    u[inside, 0] = np.cos(geom.x[inside] * math.pi / 2.0) ** 2
-    zc = geom.state(u, np.zeros_like(u))
-    moved = apply_group(zc, 0.5)
-    outside = np.abs(geom.x) > 1.5 + geom.spacing / 2
-    leak = max(float(np.abs(moved.u.values[outside]).max()),
-               float(np.abs(moved.v.values[outside]).max()))
-    checks.append(("wave.finite_propagation_speed", leak == 0.0,
-                   f"amplitude beyond the light cone = {_fmt(leak)}"))
-
-
-def _solver_groups(checks: list, basis, seed: int) -> None:
-    man_c = ManifoldModel.circle()
-    y_c = DiffusionField.circle_rotation()
-
-    geom = make_grid(6.0, 192, 1.0)
-    loc = LocalizationParams(radius=geom.half_width)
-    zc = constant_state(geom, man_c)
-    traj = solve_skeleton(zc, None, 0.5, loc, manifold=man_c, basis=basis, diffusion=y_c)
-    zf = traj.final_state()
-    err = max(float(np.abs(zf.u.values - zc.u.values).max()), float(np.abs(zf.v.values).max()))
-    checks.append(("solver.rest_state_exact", err < 1e-12,
-                   f"drift of the rest state over T=0.5, max err = {_fmt(err)}"))
-
-    sups = []
-    for pts in (96, 192, 384):
-        g = make_grid(6.0, pts, 1.0)
-        lc = LocalizationParams(radius=g.half_width)
-        z0 = rotating_state(g, man_c)
-        tr = solve_skeleton(z0, None, 1.0, lc, manifold=man_c, basis=basis,
-                            diffusion=y_c, keep_states=True)
-        worst = 0.0
-        for m, state in enumerate(tr.states):
-            ang = ROTATING_THETA0 + ROTATING_OMEGA * tr.times[m]
-            exact = np.stack([np.cos(ang) * np.ones(g.npoints), np.sin(ang) * np.ones(g.npoints)], axis=1)
-            box = np.abs(g.x) <= g.domain_radius
-            worst = max(worst, float(np.abs(state.u.values[box] - exact[box]).max()))
-        sups.append(worst)
-    checks.append(("solver.rotating_geodesic_closed_form", sups[-1] < 1e-3,
-                   f"sup error vs the closed-form rotating state = {_fmt(sups[-1])}"))
-    order = math.log2(sups[0] / sups[1])
-    order2 = math.log2(sups[1] / sups[2])
-    checks.append(("solver.self_convergence_order", min(order, order2) > 1.5,
-                   f"observed orders across refinements = {_fmt(order)}, {_fmt(order2)}"))
-
-    g384 = make_grid(6.0, 384, 1.0)
-    loc384 = LocalizationParams(radius=g384.half_width)
-    za, zb = twin_pair(g384, man_c, stream(seed, 202))
-    cone = LightCone(0.0, 2.0)
-    ta = solve_skeleton(za, None, 1.0, loc384, manifold=man_c, basis=basis,
-                        diffusion=y_c, keep_states=True)
-    tb = solve_skeleton(zb, None, 1.0, loc384, manifold=man_c, basis=basis,
-                        diffusion=y_c, keep_states=True)
-    worst = 0.0
-    for m in range(len(ta.times)):
-        t = ta.times[m]
-        rad = cone.horizon - t
-        box = np.abs(g384.x - cone.center) <= rad - g384.spacing / 2
-        worst = max(worst, float(np.abs(ta.states[m].u.values[box] - tb.states[m].u.values[box]).max()),
-                    float(np.abs(ta.states[m].v.values[box] - tb.states[m].v.values[box]).max()))
-    checks.append(("solver.twin_cone_agreement", worst < 1e-10,
-                   f"max in-cone disagreement of twin data = {_fmt(worst)}"))
-
-    z0 = random_state(geom, man_c, stream(seed, 203))
-    det = solve_skeleton(z0, None, 0.5, loc, manifold=man_c, basis=basis, diffusion=y_c)
-    sto = solve_stochastic(z0, 0.0, None, 0.5, loc, manifold=man_c, basis=basis,
-                           diffusion=y_c, master_seed=seed)
-    same = (np.array_equal(det.final_state().u.values, sto.final_state().u.values)
-            and np.array_equal(det.final_state().v.values, sto.final_state().v.values))
-    checks.append(("solver.zero_noise_reduction", same,
-                   "eps = 0 stochastic path reproduces the skeleton bitwise"
-                   if same else "eps = 0 path deviates from the skeleton"))
-
-    man_s = ManifoldModel.sphere()
-    y_s = DiffusionField.sphere_axis_rotation()
-    zs = random_state(geom, man_s, stream(seed, 204))
-    finals = {}
-
-    def grab(store):
-        def obs(m, t, u, v):
-            store[m] = (u.copy(), v.copy())
-        return obs
-
-    batch_store = {}
-    solve_batch(zs, 1e-2, 0.5, loc, manifold=man_s, basis=basis, diffusion=y_s,
-                master_seed=seed, trial_ids=list(range(5)), keep_states=False,
-                observer=grab(batch_store))
-    mlast = max(batch_store)
-    pure = True
-    for tid in range(5):
-        single_store = {}
-        solve_batch(zs, 1e-2, 0.5, loc, manifold=man_s, basis=basis, diffusion=y_s,
-                    master_seed=seed, trial_ids=[tid], keep_states=False,
-                    observer=grab(single_store))
-        pure = pure and np.array_equal(batch_store[mlast][0][:, tid], single_store[mlast][0][:, 0])
-        pure = pure and np.array_equal(batch_store[mlast][1][:, tid], single_store[mlast][1][:, 0])
-    checks.append(("solver.batch_lane_purity", pure,
-                   "every batched trial column matches its standalone run bitwise"
-                   if pure else "a batched trial column deviates from its standalone run"))
-
-    rates = np.zeros((round(1.0 / g384.spacing), basis.dim))
-    rates[:, 0] = 0.8
-    ctl = Control(rates, g384.spacing)
-    ztr = solve_skeleton(random_state(g384, man_s, stream(seed, 205)), ctl, 1.0, loc384,
-                         manifold=man_s, basis=basis, diffusion=y_s)
-    res = float(man_s.constraint_residual(ztr.final_state().u.values).max())
-    checks.append(("solver.renormalized_constraint", res < 1e-9,
-                   f"final constraint residual of a controlled run = {_fmt(res)}"))
-
-    resids = []
-    for pts in (96, 192):
-        g = make_grid(6.0, pts, 1.0)
-        lc = LocalizationParams(radius=g.half_width)
-        zb0 = bump_state(g, man_c)
-        tr = solve_skeleton(zb0, None, 1.0, lc, manifold=man_c, basis=basis,
-                            diffusion=y_c, keep_states=True)
-        resids.append(mild_residual(tr, lc, manifold=man_c, basis=basis, diffusion=y_c))
-    ratio = resids[1] / resids[0]
-    checks.append(("solver.mild_form_residual_decay", ratio < 0.75,
-                   f"mild-form residual ratio across dt halving = {_fmt(ratio)}"))
-
-    geod = rotating_state(geom, man_c)
-    trg = solve_skeleton(geod, None, 0.5, loc, manifold=man_c, basis=basis,
-                         diffusion=y_c, keep_states=True)
-    recomputed = window_norm(trg.states[3], geom.half_width - 3 * geom.spacing)
-    logged = float(trg.energy_trace["taper_norm"][3])
-    drift = abs(recomputed - logged) / (1.0 + logged)
-    checks.append(("solver.taper_trace_consistency", drift < 1e-12,
-                   f"stored vs recomputed window norm, rel err = {_fmt(drift)}"))
-
-
-def _energy_groups(checks: list, basis, seed: int) -> None:
-    man = ManifoldModel.sphere()
-    yf = DiffusionField.sphere_axis_rotation()
-    cone = LightCone(0.0, 2.0)
-
-    geom = make_grid(6.0, 192, 1.0)
-    loc = LocalizationParams(radius=geom.half_width)
-    z0 = random_state(geom, man, stream(seed, 301))
-
-    worst = {"identity": 0, "log1p": 0}
-    for transform in worst:
-        tr = solve_skeleton(z0, None, 1.0, loc, manifold=man, basis=basis,
-                            diffusion=yf, keep_states=True)
-        rep = verify_energy_inequality(tr, cone=cone, manifold=man, basis=basis,
-                                       diffusion=yf, transform=transform)
-        worst[transform] = len(rep.violations)
-    ok = worst["identity"] == 0 and worst["log1p"] == 0
-    checks.append(("energy.skeleton_inequality", ok,
-                   f"violations (identity, log1p) = {worst['identity']}, {worst['log1p']}"))
-
-    bad = 0
-    for tid in range(3):
-        tr = solve_stochastic(z0, 1e-2, None, 1.0, loc, manifold=man, basis=basis,
-                              diffusion=yf, master_seed=seed, trial_id=tid)
-        for transform in ("identity", "log1p"):
-            rep = verify_energy_inequality(tr, cone=cone, manifold=man, basis=basis,
-                                           diffusion=yf, transform=transform)
-            bad += len(rep.violations)
-    checks.append(("energy.stochastic_inequality", bad == 0,
-                   f"violations over noisy paths and both transforms = {bad}"))
-
-    tols = []
-    for pts in (192, 384):
-        g = make_grid(6.0, pts, 1.0)
-        lc = LocalizationParams(radius=g.half_width)
-        zz = random_state(g, man, stream(seed, 302))
-        tr = solve_skeleton(zz, None, 1.0, lc, manifold=man, basis=basis,
-                            diffusion=yf, keep_states=True)
-        tols.append(verify_energy_inequality(tr, cone=cone, manifold=man, basis=basis,
-                                             diffusion=yf).tol)
-    ratio = tols[1] / tols[0]
-    checks.append(("energy.tolerance_scales_with_dt", 0.4 < ratio < 0.6,
-                   f"slack ratio across dt halving = {_fmt(ratio)}"))
-
-    defect = perpendicularity_defect(z0, 0.25, cone, man)
-    checks.append(("energy.curvature_force_perpendicular", defect < 1e-10,
-                   f"<v, A(u)(v,v) - A(u)(ux,ux)> cone integral = {_fmt(defect)}"))
-
-
-def _ldp_groups(checks: list, basis, seed: int, threads: int) -> None:
-    man = ManifoldModel.circle()
-    yf = DiffusionField.circle_rotation()
-    geom = make_grid(6.0, 192, 1.0)
-    loc = LocalizationParams(radius=geom.half_width)
-    cone = LightCone(0.0, 2.0)
-    z0 = random_state(geom, man, stream(seed, 401))
-
-    rep = statement1_probe(None, [2, 4, 8], z0, cone, horizon=1.0, loc=loc,
-                           manifold=man, basis=basis, diffusion=yf, tol=1e-1)
-    decayed = bool(rep.metrics[-1] < 0.5 * rep.metrics[0])
-    checks.append(("ldp.weak_perturbation_decay", decayed,
-                   f"sup distance falls {_fmt(rep.metrics[0])} -> {_fmt(rep.metrics[-1])}"))
-
-    man_s = ManifoldModel.sphere()
-    y_s = DiffusionField.sphere_axis_rotation()
-    zs = random_state(geom, man_s, stream(seed, 402))
-    rep2 = statement2_probe([1e-2, 1e-3], None, 30, 10.0, zs, cone, seed,
-                            horizon=1.0, loc=loc, manifold=man_s, basis=basis,
-                            diffusion=y_s, threads=threads)
-    ratio = rep2.metrics[0] / rep2.metrics[1]
-    ok = 5.0 < ratio < 20.0
-    checks.append(("ldp.noise_energy_linear_in_eps", ok,
-                   f"mean peak cone energy ratio across a decade = {_fmt(ratio)}"))
-
-    target = solve_skeleton(z0, None, 1.0, loc, manifold=man, basis=basis,
-                            diffusion=yf).final_state()
-    res = rate_function(target, z0, 10.0, RateOptions(blocks=4), cone=cone, horizon=1.0,
-                        loc=loc, manifold=man, basis=basis, diffusion=yf)
-    ok = res.converged and res.value < 1e-6
-    checks.append(("ldp.reachable_target_zero_rate", ok,
-                   f"rate of the uncontrolled terminal state = {_fmt(res.value)}"))
-
-
-def _verify_suite(cfg: ExperimentConfig, threads: int) -> list:
-    """Run every invariant group; returns (name, passed, detail) triples."""
-    checks: list = []
-    rng = stream(cfg.seed, 1)
-    basis = build_basis(cfg.measure())
-    _geometry_groups(checks, rng)
-    _space_groups(checks)
-    _noise_groups(checks, cfg.measure(), cfg.seed)
-    _wave_groups(checks, stream(cfg.seed, 2))
-    _solver_groups(checks, basis, cfg.seed)
-    _energy_groups(checks, basis, cfg.seed)
-    _ldp_groups(checks, basis, cfg.seed, threads)
-    return checks
+def _setup(cfg: ExperimentConfig, default_initial: str = "random") -> _Setup:
+    geom = cfg.grid()
+    man = cfg.manifold()
+    return _Setup(
+        geom, man, build_basis(cfg.measure()), DiffusionField.for_manifold(man),
+        LocalizationParams(radius=geom.half_width, k_max=cfg.k_max),
+        _initial_state(cfg, geom, man, default_initial),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +324,7 @@ def _verify_suite(cfg: ExperimentConfig, threads: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
-    checks = _verify_suite(cfg, threads)
+    checks = verify_suite(cfg.seed, cfg.measure(), threads)
     for name, passed, detail in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
     n_pass = sum(1 for _, ok, _ in checks if ok)
@@ -677,14 +338,10 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, li
 
 
 def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
-    geom = cfg.grid()
-    man = cfg.manifold()
-    basis = build_basis(cfg.measure())
-    yf = DiffusionField.for_manifold(man)
-    loc = LocalizationParams(radius=geom.half_width, k_max=cfg.k_max)
-    z0 = _initial_state(cfg, geom, man, default="rotating_geodesic")
-    traj = solve_skeleton(z0, None, cfg.horizon, loc, manifold=man, basis=basis,
-                          diffusion=yf, renormalize=cfg.renormalize, keep_states=True)
+    run = _setup(cfg, default_initial="rotating_geodesic")
+    geom, man = run.geom, run.manifold
+    traj = solve_skeleton(run.z0, None, cfg.horizon, run.loc, **run.fields,
+                          renormalize=cfg.renormalize, keep_states=True)
 
     stride = int(cfg.experiment.get("output_stride", max(1, traj.steps // 32)))
     rows = []
@@ -700,8 +357,7 @@ def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
     _write_csv(out / "trajectory.csv", header, rows)
 
     transform = str(cfg.experiment.get("energy_transform", "identity"))
-    rep = verify_energy_inequality(traj, cone=cfg.cone(), manifold=man, basis=basis,
-                                   diffusion=yf, transform=transform)
+    rep = verify_energy_inequality(traj, cone=cfg.cone(), **run.fields, transform=transform)
     _write_csv(out / "energy_report.csv", ["t", "e", "bound", "gap"],
                zip(rep.times, rep.e_values, rep.bound_values, rep.gaps))
     worst_res = max(float(man.constraint_residual(s.u.values).max()) for s in traj.states)
@@ -719,57 +375,29 @@ def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
-    geom = cfg.grid()
-    man = cfg.manifold()
-    basis = build_basis(cfg.measure())
-    yf = DiffusionField.for_manifold(man)
-    loc = LocalizationParams(radius=geom.half_width, k_max=cfg.k_max)
+    run = _setup(cfg)
+    geom, man = run.geom, run.manifold
     cone = cfg.cone()
-    z0 = _initial_state(cfg, geom, man)
     eps = float(cfg.experiment.get("eps", 1e-2))
     trials = int(cfg.experiment.get("trials", 8))
-
     steps = round(cfg.horizon / geom.spacing)
-    weights = {}
-    from .solver import _cone_energy, _trapezoid_weights, _window_indices
-    for m in range(steps + 1):
-        t = m * geom.spacing
-        a, b = cone.interval(t)
-        i_lo, i_hi = _window_indices(z0.origin - cone.center, geom.spacing,
-                                     geom.npoints, 0.5 * (b - a))
-        weights[m] = _trapezoid_weights(i_lo, i_hi, geom.npoints, geom.spacing)
-
-    sup_e = np.zeros(trials)
-    final_res = np.zeros(trials)
+    weights = {m: cone_section_weights(cone, geom.origin, geom.spacing, geom.npoints, m)
+               for m in range(steps + 1)}
 
     def run_chunk(ids):
         local = np.zeros(len(ids))
         final = {}
 
         def obs(m, t, u, v):
-            np.maximum(local, _cone_energy(u, v, weights[m], geom.spacing), out=local)
+            np.maximum(local, section_energy(u, v, weights[m], geom.spacing), out=local)
             final["u"] = u
 
-        solve_batch(z0, eps, cfg.horizon, loc, manifold=man, basis=basis, diffusion=yf,
-                    master_seed=cfg.seed, trial_ids=ids, renormalize=cfg.renormalize,
-                    keep_states=False, observer=obs)
+        solve_batch(run.z0, eps, cfg.horizon, run.loc, **run.fields, master_seed=cfg.seed,
+                    trial_ids=ids, renormalize=cfg.renormalize, keep_states=False, observer=obs)
         res = man.constraint_residual(final["u"].reshape(-1, man.ambient_dim))
         return local, res.reshape(geom.npoints, len(ids)).max(axis=0)
 
-    chunks = _chunk_ids(trials, threads)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for grp, (le, lr) in zip(chunks, pool.map(run_chunk, chunks)):
-                sup_e[grp] = le
-                final_res[grp] = lr
-    else:
-        for grp in chunks:
-            le, lr = run_chunk(grp)
-            sup_e[grp] = le
-            final_res[grp] = lr
-
+    sup_e, final_res = run_trials(range(trials), run_chunk, threads)
     _write_csv(out / "trials.csv", ["trial", "sup_cone_energy", "final_constraint_residual"],
                ([tid, sup_e[tid], final_res[tid]] for tid in range(trials)))
     _write_json(out / "simulate.json", {
@@ -784,13 +412,9 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
 
 
 def _cmd_rate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
-    geom = cfg.grid()
-    man = cfg.manifold()
-    basis = build_basis(cfg.measure())
-    yf = DiffusionField.for_manifold(man)
-    loc = LocalizationParams(radius=geom.half_width, k_max=cfg.k_max)
-    z0 = _initial_state(cfg, geom, man)
-    blocks = int(cfg.experiment.get("blocks", 8))
+    run = _setup(cfg)
+    geom, basis = run.geom, run.basis
+    blocks = int(cfg.experiment.get("blocks", RateOptions.blocks))
     opts = RateOptions(blocks=blocks, gap_tol=float(cfg.experiment.get("gap_tol", 1e-2)))
     budget = float(cfg.experiment.get("budget", 50.0))
     steps = round(cfg.horizon / geom.spacing)
@@ -804,16 +428,14 @@ def _cmd_rate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list
         rates[:, mode] = amp
         hstar = Control(rates, geom.spacing)
         planted_cost = 0.5 * hstar.squared_norm()
-        target = solve_skeleton(z0, hstar, cfg.horizon, loc, manifold=man, basis=basis,
-                                diffusion=yf).final_state()
+        target = solve_skeleton(run.z0, hstar, cfg.horizon, run.loc, **run.fields).final_state()
     elif kind == "uncontrolled":
-        target = solve_skeleton(z0, None, cfg.horizon, loc, manifold=man, basis=basis,
-                                diffusion=yf).final_state()
+        target = solve_skeleton(run.z0, None, cfg.horizon, run.loc, **run.fields).final_state()
     else:
         raise ConfigInvalid(f"key 'experiment.target' has unknown value {kind!r}")
 
-    res = rate_function(target, z0, budget, opts, cone=cfg.cone(), horizon=cfg.horizon,
-                        loc=loc, manifold=man, basis=basis, diffusion=yf)
+    res = rate_function(target, run.z0, budget, opts, cone=cfg.cone(), horizon=cfg.horizon,
+                        loc=run.loc, **run.fields)
     coeffs = res.argmin.coeffs[:: steps // blocks]
     _write_csv(out / "control_blocks.csv",
                ["block"] + [f"mode_{j}" for j in range(basis.dim)],
@@ -845,15 +467,10 @@ def _report_artifacts(out: Path, stem: str, rep, extra_json: dict) -> list:
 
 
 def _cmd_probe_s1(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
-    geom = cfg.grid()
-    man = cfg.manifold()
-    basis = build_basis(cfg.measure())
-    yf = DiffusionField.for_manifold(man)
-    loc = LocalizationParams(radius=geom.half_width, k_max=cfg.k_max)
-    z0 = _initial_state(cfg, geom, man)
+    run = _setup(cfg)
     rep = statement1_probe(
-        None, list(cfg.experiment.get("n_list", (4, 8, 16, 32, 64))), z0, cfg.cone(),
-        horizon=cfg.horizon, loc=loc, manifold=man, basis=basis, diffusion=yf,
+        None, list(cfg.experiment.get("n_list", (4, 8, 16, 32, 64))), run.z0, cfg.cone(),
+        horizon=cfg.horizon, loc=run.loc, **run.fields,
         amplitude=float(cfg.experiment.get("amplitude", 0.3)),
         mode_index=int(cfg.experiment.get("mode", 0)),
         tol=float(cfg.experiment.get("tol", 1e-2)),
@@ -866,47 +483,33 @@ def _cmd_probe_s1(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
 
 
 def _cmd_probe_s2(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
-    geom = cfg.grid()
-    man = cfg.manifold()
-    basis = build_basis(cfg.measure())
-    yf = DiffusionField.for_manifold(man)
-    loc = LocalizationParams(radius=geom.half_width, k_max=cfg.k_max)
-    z0 = _initial_state(cfg, geom, man)
+    run = _setup(cfg)
     rep = statement2_probe(
         list(cfg.experiment.get("eps_list", (1e-2, 1e-3, 1e-4))), None,
         int(cfg.experiment.get("trials", 50)),
         float(cfg.experiment.get("threshold", 10.0)),
-        z0, cfg.cone(), cfg.seed, horizon=cfg.horizon, loc=loc,
-        manifold=man, basis=basis, diffusion=yf, threads=threads,
+        run.z0, cfg.cone(), cfg.seed, horizon=cfg.horizon, loc=run.loc, **run.fields,
+        threads=threads,
     )
     arts = _report_artifacts(out, "probe_s2", rep,
                              {"tau_fraction": rep.extra["tau_fraction"],
                               "trials": rep.extra["trials"]})
-    print(f"probe-s2: log-log slope {_fmt(rep.slope)}, passed {rep.passed}")
+    slope = "none" if rep.slope is None else _fmt(rep.slope)  # fewer than three usable points
+    print(f"probe-s2: log-log slope {slope}, passed {rep.passed}")
     return (0 if rep.passed else 4), arts
 
 
 def _cmd_tail(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
-    geom = cfg.grid()
-    man = cfg.manifold()
-    basis = build_basis(cfg.measure())
-    yf = DiffusionField.for_manifold(man)
-    loc = LocalizationParams(radius=geom.half_width, k_max=cfg.k_max)
-    z0 = _initial_state(cfg, geom, man)
+    run = _setup(cfg)
     rate_value = cfg.experiment.get("rate_value")
     rep = tail_estimate(
         float(cfg.experiment.get("delta", 0.05)),
         list(cfg.experiment.get("eps_list", (3e-2, 1e-2, 3e-3))),
         int(cfg.experiment.get("trials", 64)),
-        z0, cfg.cone(), cfg.seed, horizon=cfg.horizon, loc=loc,
-        manifold=man, basis=basis, diffusion=yf,
+        run.z0, cfg.cone(), cfg.seed, horizon=cfg.horizon, loc=run.loc, **run.fields,
         rate_value=None if rate_value is None else float(rate_value), threads=threads,
     )
-    extra = {"delta": rep.extra["delta"], "eps_log_p": rep.extra["eps_log_p"],
-             "trials": rep.extra["trials"]}
-    if "gap_to_rate" in rep.extra:
-        extra["gap_to_rate"] = rep.extra["gap_to_rate"]
-    arts = _report_artifacts(out, "tail", rep, extra)
+    arts = _report_artifacts(out, "tail", rep, rep.extra)
     print(f"tail: exceedance probabilities {[_fmt(p) for p in rep.metrics]}")
     return 0, arts
 

@@ -30,7 +30,7 @@ from .function_spaces import (
 )
 from .geometry import DiffusionField, ManifoldModel
 from .noise import NoiseBasis
-from .solver import Trajectory, curvature_force
+from .solver import Trajectory, curvature_force, drift_force
 
 __all__ = [
     "EnergyReport",
@@ -123,7 +123,6 @@ def verify_energy_inequality(
         raise ValueError("noise or control verification needs the basis and diffusion field")
 
     z0 = traj.states[0]
-    n = z0.u.npoints
     dx = z0.spacing
     x = z0.u.x
     origin = z0.origin
@@ -144,13 +143,8 @@ def verify_energy_inequality(
         e_vals[m] = e
         th = float(taper[m])
 
-        f = np.zeros_like(v)
-        if manifold is not None:
-            f = curvature_force(manifold, u, v, derivative1(u, dx))
-        if traj.control is not None:
-            rate = traj.control.rate_at(t)
-            f = f + diffusion(u) * (rate @ modes)[:, None]
-        f *= th
+        cfield = None if traj.control is None else traj.control.rate_at(t) @ modes
+        f = drift_force(manifold, u, v, dx, th, diffusion=diffusion, control_field=cfield)
 
         v_ladder = _derivative_ladder(v, dx, k)
         f_ladder = _derivative_ladder(f, dx, k)

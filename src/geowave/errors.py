@@ -7,14 +7,6 @@ class GeowaveError(Exception):
 
 # -- geometry ---------------------------------------------------------------
 
-class PointOffManifold(GeowaveError):
-    """A point expected to lie on the manifold has too large a constraint residual."""
-
-
-class VectorNotTangent(GeowaveError):
-    """A vector expected to be tangent has a non-negligible normal component."""
-
-
 class OutsideTubularNeighborhood(GeowaveError):
     """A point lies outside the tubular neighborhood where the reflection is an involution."""
 

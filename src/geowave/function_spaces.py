@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -20,9 +19,9 @@ __all__ = [
     "LightCone",
     "InterpolationReport",
     "sobolev_norm",
-    "light_cone_norm",
     "state_norm",
     "extend",
+    "window_indices",
     "interpolation_check",
     "derivative1",
     "derivative2",
@@ -71,10 +70,6 @@ class GridFunction:
     def right(self) -> float:
         return self.origin + self.spacing * (self.npoints - 1)
 
-    def validate(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid function contains non-finite samples")
-
     def same_lattice(self, other: "GridFunction") -> bool:
         return (
             self.npoints == other.npoints
@@ -84,18 +79,6 @@ class GridFunction:
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.origin, self.spacing, values)
-
-    @classmethod
-    def from_callable(
-        cls, fn: Callable[[np.ndarray], np.ndarray], origin: float, spacing: float, npoints: int
-    ) -> "GridFunction":
-        x = origin + spacing * np.arange(npoints)
-        vals = np.asarray(fn(x), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        if vals.shape[0] != npoints:  # callable returned (ncomp, m)
-            vals = vals.T
-        return cls(origin, spacing, vals)
 
     # -- arithmetic (new objects, shared lattice assumed) --------------------
 
@@ -109,30 +92,6 @@ class GridFunction:
         return self.with_values(self.values * c)
 
     __rmul__ = __mul__
-
-    # -- serialization --------------------------------------------------------
-
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            cols = ", ".join(f"f_{i+1}" for i in range(self.ncomp))
-            fh.write(f"# x, {cols}\n")
-            for xi, row in zip(self.x, self.values):
-                cells = ", ".join(f"{c:.17g}" for c in row)
-                fh.write(f"{xi:.17g}, {cells}\n")
-
-    @classmethod
-    def load_csv(cls, path) -> "GridFunction":
-        rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                rows.append([float(c) for c in line.split(",")])
-        arr = np.asarray(rows, dtype=float)
-        x = arr[:, 0]
-        spacing = float(x[1] - x[0])
-        return cls(float(x[0]), spacing, arr[:, 1:])
 
 
 @dataclass(frozen=True)
@@ -162,14 +121,6 @@ class State:
             self.u.with_values(self.u.values.copy()),
             self.v.with_values(self.v.values.copy()),
         )
-
-    def save(self, prefix) -> None:
-        self.u.save_csv(f"{prefix}.u.csv")
-        self.v.save_csv(f"{prefix}.v.csv")
-
-    @classmethod
-    def load(cls, prefix) -> "State":
-        return cls(GridFunction.load_csv(f"{prefix}.u.csv"), GridFunction.load_csv(f"{prefix}.v.csv"))
 
 
 @dataclass(frozen=True)
@@ -285,12 +236,6 @@ def l2_inner(f: GridFunction, g: GridFunction, interval: tuple[float, float]) ->
     return integrate_samples(integrand, f.origin, f.spacing, a, b)
 
 
-def light_cone_norm(z: State, cone: LightCone, t: float) -> float:
-    """Halved squared cone norm: (|u|_{H^2(B)}^2 + |v|_{H^1(B)}^2) / 2 on B(center, horizon - t)."""
-    interval = cone.interval(t)
-    return 0.5 * (sobolev_sq(z.u, interval, 2) + sobolev_sq(z.v, interval, 1))
-
-
 def state_norm(z: State, interval: tuple[float, float], orders: tuple[int, int] = (2, 1)) -> float:
     """Plain product norm sqrt(|u|_{H^a}^2 + |v|_{H^b}^2) over an interval."""
     return math.sqrt(sobolev_sq(z.u, interval, orders[0]) + sobolev_sq(z.v, interval, orders[1]))
@@ -364,6 +309,18 @@ def extend_array(values: np.ndarray, i_lo: int, i_hi: int, order: int) -> None:
         values[i_lo - 1::-1] = block
 
 
+def window_indices(origin: float, spacing: float, npoints: int, s: float) -> tuple[int, int]:
+    """Lattice indices of -s and +s; both must be lattice points at least 4 cells apart."""
+    lo = (-s - origin) / spacing
+    hi = (s - origin) / spacing
+    i_lo, i_hi = round(lo), round(hi)
+    if abs(lo - i_lo) > 1e-6 or abs(hi - i_hi) > 1e-6:
+        raise IntervalOutsideGrid(f"window (+-{s}) is not lattice-aligned")
+    if i_lo < 0 or i_hi > npoints - 1 or i_hi - i_lo < 4:
+        raise IntervalOutsideGrid(f"window (+-{s}) does not fit the lattice")
+    return i_lo, i_hi
+
+
 def extend(f: GridFunction, r: float, order: int) -> GridFunction:
     """Extension from (-r, r) to the line: equals f on the core, 0 outside (-2r, 2r).
 
@@ -374,21 +331,7 @@ def extend(f: GridFunction, r: float, order: int) -> GridFunction:
     if order not in _REFLECTION:
         raise UnsupportedOrder(f"extension order must be 0, 1 or 2, got {order}")
     dx = f.spacing
-    pos_lo = (-r - f.origin) / dx
-    pos_hi = (r - f.origin) / dx
-    i_lo = int(round(pos_lo))
-    i_hi = int(round(pos_hi))
-    if (
-        abs(pos_lo - i_lo) > 1e-6
-        or abs(pos_hi - i_hi) > 1e-6
-        or i_lo < 0
-        or i_hi > f.npoints - 1
-        or i_hi - i_lo < 4
-    ):
-        raise IntervalOutsideGrid(
-            f"core (-{r}, {r}) must be lattice-aligned and inside [{f.origin}, {f.right}]"
-        )
-
+    i_lo, i_hi = window_indices(f.origin, dx, f.npoints, r)
     core = f.values[i_lo:i_hi + 1]
     pad = int(math.ceil(r / dx - 1e-9))  # reaches at least -2r on the left
     m_out = (i_hi - i_lo) + 2 * pad + 1

@@ -13,12 +13,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import OutsideTubularNeighborhood, PointOffManifold, VectorNotTangent
+from .errors import OutsideTubularNeighborhood
 from .function_spaces import smoothstep
 
 __all__ = ["ManifoldModel", "DiffusionField"]
-
-ON_MANIFOLD_TOL = 1e-8
 
 # Radial profile shared by the involution blend, the perpendicular extension
 # and the shipped diffusion fields: 1 for d <= 0.75, C^2 down to 0 at d = 0.9.
@@ -101,34 +99,6 @@ class ManifoldModel:
             n_hat = self.nearest_point(p)
             return a - _dot(a, n_hat) * n_hat
         return self.tangent_cb(self.nearest_point(p), a)
-
-    # -- checked operations -----------------------------------------------------
-
-    def project_tangent(self, p: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of a onto T_p M; p must lie on M."""
-        p = np.asarray(p, dtype=float)
-        a = np.asarray(a, dtype=float)
-        res = self.constraint_residual(p)
-        if np.any(res >= ON_MANIFOLD_TOL):
-            raise PointOffManifold(f"constraint residual {float(np.max(res)):.3e} >= {ON_MANIFOLD_TOL}")
-        return self.tangent_project_at(p, a)
-
-    def second_fundamental_form(self, p: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """A_p(xi, eta) for p on M and tangent xi, eta (normal-valued)."""
-        p = np.asarray(p, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        res = self.constraint_residual(p)
-        if np.any(res >= ON_MANIFOLD_TOL):
-            raise PointOffManifold(f"constraint residual {float(np.max(res)):.3e} >= {ON_MANIFOLD_TOL}")
-        for name, vec in (("xi", xi), ("eta", eta)):
-            defect = np.abs(_dot(vec, self.nearest_point(p)))[..., 0] if self._round else np.sqrt(
-                ((vec - self.tangent_cb(self.nearest_point(p), vec)) ** 2).sum(axis=-1)
-            )
-            scale = 1.0 + np.sqrt((vec * vec).sum(axis=-1))
-            if np.any(defect >= ON_MANIFOLD_TOL * scale):
-                raise VectorNotTangent(f"{name} has a normal component beyond tolerance")
-        return self._sff_raw(self.nearest_point(p), xi, eta)
 
     def _sff_raw(self, p: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
         if self._round:
@@ -248,6 +218,20 @@ def _bump_derivative(dist: np.ndarray) -> np.ndarray:
 # diffusion fields
 # ---------------------------------------------------------------------------
 
+def _quarter_turn(q: np.ndarray) -> np.ndarray:
+    """(-q_2, q_1, 0, ..), faded to zero off the unit circle or sphere.
+
+    On the circle this is p turned by 90 degrees; on the sphere it is the
+    rotation about the third axis, e x p.
+    """
+    d = np.abs(np.sqrt((q * q).sum(axis=-1)) - 1.0)
+    psi = _bump(d)[..., None]
+    out = np.zeros_like(q)
+    out[..., 0] = -q[..., 1]
+    out[..., 1] = q[..., 0]
+    return psi * out
+
+
 @dataclass(frozen=True)
 class DiffusionField:
     """State-dependent noise coefficient q -> Y(q), tangent along M.
@@ -266,31 +250,12 @@ class DiffusionField:
     @classmethod
     def sphere_axis_rotation(cls) -> "DiffusionField":
         """Rotation field about the third axis on the unit sphere: Y(p) = e x p."""
-
-        def evaluator(q: np.ndarray) -> np.ndarray:
-            d = np.abs(np.sqrt((q * q).sum(axis=-1)) - 1.0)
-            psi = _bump(d)[..., None]
-            out = np.empty_like(q)
-            out[..., 0] = -q[..., 1]
-            out[..., 1] = q[..., 0]
-            out[..., 2] = 0.0
-            return psi * out
-
-        return cls(evaluator, cutoff_radius=1.0 + _BLEND_HI, bound_constant=1.0)
+        return cls(_quarter_turn, cutoff_radius=1.0 + _BLEND_HI, bound_constant=1.0)
 
     @classmethod
     def circle_rotation(cls) -> "DiffusionField":
         """Quarter-turn field on the unit circle: Y(p) = p rotated by 90 degrees."""
-
-        def evaluator(q: np.ndarray) -> np.ndarray:
-            d = np.abs(np.sqrt((q * q).sum(axis=-1)) - 1.0)
-            psi = _bump(d)[..., None]
-            out = np.empty_like(q)
-            out[..., 0] = -q[..., 1]
-            out[..., 1] = q[..., 0]
-            return psi * out
-
-        return cls(evaluator, cutoff_radius=1.0 + _BLEND_HI, bound_constant=1.0)
+        return cls(_quarter_turn, cutoff_radius=1.0 + _BLEND_HI, bound_constant=1.0)
 
     @classmethod
     def for_manifold(cls, manifold: ManifoldModel) -> "DiffusionField":

@@ -28,12 +28,12 @@ from .solver import (
     Control,
     LocalizationParams,
     Trajectory,
-    _cone_energy,
-    _trapezoid_weights,
-    _window_indices,
-    _window_norm,
+    cone_section_weights,
+    run_trials,
+    section_energy,
     solve_batch,
     solve_skeleton,
+    state_defect,
 )
 from .wave_group import GroupStep
 
@@ -149,12 +149,9 @@ class _TerminalObjective:
         else:
             self.section_steps = [self.steps]
             self.targets = {self.steps: (target.u.values, target.v.values)}
-        self.weights = {}
-        for m in self.section_steps:
-            t = m * self.dx
-            a, b = cone.interval(t)
-            i_lo, i_hi = _window_indices(z0.origin - cone.center, self.dx, n, 0.5 * (b - a))
-            self.weights[m] = _trapezoid_weights(i_lo, i_hi, n, self.dx)
+        self.weights = {
+            m: cone_section_weights(cone, z0.origin, self.dx, n, m) for m in self.section_steps
+        }
 
     def residuals(self, params: np.ndarray) -> np.ndarray:
         """params (P, B) -> residual matrix (R, B); |col|^2 = sum 2*e_cone(diff)."""
@@ -168,12 +165,7 @@ class _TerminalObjective:
             if m in self.targets:
                 collected[m] = (u.copy(), v.copy())
 
-        solve_batch(
-            self.z0, 0.0, self.horizon, self.loc,
-            manifold=self.manifold, basis=self.basis, diffusion=self.diffusion,
-            control_rates=rates, keep_states=False, observer=observer,
-        )
-        self.solves += nbatch
+        self._solve(rates, observer)
         rows = []
         for m in self.section_steps:
             u, v = collected[m]
@@ -190,7 +182,6 @@ class _TerminalObjective:
         return float(np.sqrt(self._section_sq(params).max()))
 
     def _section_sq(self, params: np.ndarray) -> np.ndarray:
-        nbatch = 1
         rates = _expand_rows(params.reshape(self.blocks, self.dim), self.steps, self.blocks)[:, None, :]
         out = {}
 
@@ -198,25 +189,24 @@ class _TerminalObjective:
             if m in self.targets:
                 du = u - self.targets[m][0][:, None, :]
                 dv = v - self.targets[m][1][:, None, :]
-                out[m] = 2.0 * _cone_energy(du, dv, self.weights[m], self.dx)[0]
+                out[m] = 2.0 * section_energy(du, dv, self.weights[m], self.dx)[0]
 
+        self._solve(rates, observer)
+        return np.array([out[m] for m in self.section_steps])
+
+    def _solve(self, rates: np.ndarray, observer) -> None:
+        """Zero-noise solves, one column per column of rates (steps, B, dim)."""
         solve_batch(
             self.z0, 0.0, self.horizon, self.loc,
             manifold=self.manifold, basis=self.basis, diffusion=self.diffusion,
             control_rates=rates, keep_states=False, observer=observer,
         )
-        self.solves += nbatch
-        return np.array([out[m] for m in self.section_steps])
+        self.solves += rates.shape[1]
 
 
 def _is_reachable_target(target, manifold: ManifoldModel) -> bool:
     z = target.final_state() if isinstance(target, Trajectory) else target
-    res = float(manifold.constraint_residual(z.u.values).max())
-    if res > 1e-8:
-        return False
-    proj = manifold.tangent_project_at(manifold.nearest_point(z.u.values), z.v.values)
-    defect = float(np.abs(z.v.values - proj).max())
-    return defect <= 1e-8 * (1.0 + float(np.abs(z.v.values).max()))
+    return state_defect(manifold, z.u.values, z.v.values) is None
 
 
 def rate_function(
@@ -273,12 +263,13 @@ def rate_function(
                 if gap <= opts.gap_tol:
                     break
                 iterations += 1
-                if optimizer == "gn":
+                if optimizer in ("gn", "gd"):  # forward-difference Jacobian of the residuals
                     base = obj.residuals(theta[:, None])[:, 0]
                     probes = np.tile(theta[:, None], (1, P))
                     probes[np.arange(P), np.arange(P)] += opts.fd_step
                     jac = (obj.residuals(probes) - base[:, None]) / opts.fd_step
                     grad = q_diag * theta + 2.0 * lam * (jac.T @ base)
+                if optimizer == "gn":
                     hess = np.diag(q_diag) + 2.0 * lam * (jac.T @ jac)
                     hess[np.diag_indices_from(hess)] += 1e-12 * (1.0 + np.trace(hess) / P)
                     step = np.linalg.solve(hess, grad)
@@ -286,11 +277,6 @@ def rate_function(
                         raise OptimizerDiverged("non-finite step in the normal equations")
                     theta = theta - step
                 elif optimizer == "gd":
-                    base = obj.residuals(theta[:, None])[:, 0]
-                    probes = np.tile(theta[:, None], (1, P))
-                    probes[np.arange(P), np.arange(P)] += opts.fd_step
-                    jac = (obj.residuals(probes) - base[:, None]) / opts.fd_step
-                    grad = q_diag * theta + 2.0 * lam * (jac.T @ base)
                     phi0, _ = total_objective(theta, lam)
                     step = opts.gd_step / (1.0 + lam)
                     for _ in range(20):
@@ -343,10 +329,6 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float | None:
     return float(np.polyfit(np.log(np.asarray(x)[good]), np.log(np.asarray(y)[good]), 1)[0])
 
 
-def _zero_control(steps: int, dim: int, dx: float) -> Control:
-    return Control.zeros(steps, dim, dx)
-
-
 def statement1_probe(
     h: Control | None,
     n_list,
@@ -396,15 +378,13 @@ def statement1_probe(
         z0, Control(base, dx) if np.any(base) else None, horizon, loc,
         manifold=manifold, basis=basis, diffusion=diffusion, keep_states=True,
     )
-    n_pts = z0.u.npoints
-    i_lo, i_hi = _window_indices(z0.origin - cone.center, dx, n_pts, cone.horizon)
-    wball = _trapezoid_weights(i_lo, i_hi, n_pts, dx)
+    wball = cone_section_weights(cone, z0.origin, dx, z0.u.npoints, 0)  # B(center, horizon)
     sup_d = np.zeros(nbatch)
 
     def observer(m, t, u, v):
         du = u - base_traj.states[m].u.values[:, None, :]
         dv = v - base_traj.states[m].v.values[:, None, :]
-        np.maximum(sup_d, _window_norm(du, dv, wball, dx), out=sup_d)
+        np.maximum(sup_d, np.sqrt(2.0 * section_energy(du, dv, wball, dx)), out=sup_d)
 
     solve_batch(
         z0, 0.0, horizon, loc,
@@ -421,11 +401,6 @@ def statement1_probe(
         passed=passed,
         extra={"tol": tol, "amplitude": amplitude, "perturbation": perturbation},
     )
-
-
-def _chunks(ids: list, nthreads: int) -> list:
-    size = (len(ids) + nthreads - 1) // nthreads
-    return [ids[i:i + size] for i in range(0, len(ids), size)]
 
 
 def statement2_probe(
@@ -461,22 +436,13 @@ def statement2_probe(
         z0, h, t_half, loc,
         manifold=manifold, basis=basis, diffusion=diffusion, keep_states=True,
     )
-    n_pts = z0.u.npoints
-    cw = {}
-    for m in range(steps_half + 1):
-        t = m * dx
-        a, b = cone.interval(t)
-        i_lo, i_hi = _window_indices(z0.origin - cone.center, dx, n_pts, 0.5 * (b - a))
-        cw[m] = _trapezoid_weights(i_lo, i_hi, n_pts, dx)
+    cw = {m: cone_section_weights(cone, z0.origin, dx, z0.u.npoints, m) for m in range(steps_half + 1)}
 
     means = np.zeros(len(eps_list))
     errs = np.zeros(len(eps_list))
     tau_fraction = np.zeros(len(eps_list))
     per_trial = {}
     for i, eps in enumerate(eps_list):
-        sup_e = np.full(trials, 0.0)
-        hit = np.zeros(trials, dtype=bool)
-
         def run_chunk(ids):
             local_sup = np.zeros(len(ids))
             local_hit = np.zeros(len(ids), dtype=bool)
@@ -485,8 +451,8 @@ def statement2_probe(
                 zb = base_traj.states[m]
                 du = u - zb.u.values[:, None, :]
                 dv = v - zb.v.values[:, None, :]
-                e_diff = _cone_energy(du, dv, cw[m], dx)
-                e_self = _cone_energy(u, v, cw[m], dx)
+                e_diff = section_energy(du, dv, cw[m], dx)
+                e_self = section_energy(u, v, cw[m], dx)
                 live = ~local_hit
                 np.maximum(local_sup, np.where(live, e_diff, -np.inf), out=local_sup)
                 np.logical_or(local_hit, np.sqrt(2.0 * e_self) >= threshold, out=local_hit)
@@ -498,21 +464,8 @@ def statement2_probe(
             )
             return local_sup, local_hit
 
-        ids = list(range(trials))
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            groups = _chunks(ids, threads)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for grp, (ls, lh) in zip(groups, pool.map(run_chunk, groups)):
-                    sup_e[grp] = ls
-                    hit[grp] = lh
-        else:
-            ls, lh = run_chunk(ids)
-            sup_e[:] = ls
-            hit[:] = lh
-
-        per_trial[eps] = sup_e.copy()
+        sup_e, hit = run_trials(range(trials), run_chunk, threads)
+        per_trial[eps] = sup_e
         means[i] = float(sup_e.mean())
         errs[i] = float(sup_e.std(ddof=1) / math.sqrt(trials))
         tau_fraction[i] = float(hit.mean())
@@ -563,20 +516,12 @@ def tail_estimate(
         z0, None, horizon, loc,
         manifold=manifold, basis=basis, diffusion=diffusion, keep_states=True,
     )
-    n_pts = z0.u.npoints
-    cw = {}
-    for m in range(steps + 1):
-        t = m * dx
-        a, b = cone.interval(t)
-        i_lo, i_hi = _window_indices(z0.origin - cone.center, dx, n_pts, 0.5 * (b - a))
-        cw[m] = _trapezoid_weights(i_lo, i_hi, n_pts, dx)
+    cw = {m: cone_section_weights(cone, z0.origin, dx, z0.u.npoints, m) for m in range(steps + 1)}
 
     p_hat = np.zeros(len(eps_list))
     errs = np.zeros(len(eps_list))
     eps_log_p = np.zeros(len(eps_list))
     for i, eps in enumerate(eps_list):
-        sup_d = np.zeros(trials)
-
         def run_chunk(ids):
             local = np.zeros(len(ids))
 
@@ -584,25 +529,16 @@ def tail_estimate(
                 zb = base_traj.states[m]
                 du = u - zb.u.values[:, None, :]
                 dv = v - zb.v.values[:, None, :]
-                np.maximum(local, np.sqrt(2.0 * _cone_energy(du, dv, cw[m], dx)), out=local)
+                np.maximum(local, np.sqrt(2.0 * section_energy(du, dv, cw[m], dx)), out=local)
 
             solve_batch(
                 z0, eps, horizon, loc, manifold=manifold, basis=basis,
                 diffusion=diffusion, master_seed=master_seed, trial_ids=ids,
                 keep_states=False, observer=observer,
             )
-            return local
+            return (local,)
 
-        ids = list(range(trials))
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            groups = _chunks(ids, threads)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for grp, local in zip(groups, pool.map(run_chunk, groups)):
-                    sup_d[grp] = local
-        else:
-            sup_d[:] = run_chunk(ids)
+        (sup_d,) = run_trials(range(trials), run_chunk, threads)
 
         count = int((sup_d > delta).sum())
         p = count / trials

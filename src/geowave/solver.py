@@ -28,11 +28,10 @@ from .errors import (
     BlowupDetected,
     ConeExhausted,
     DimensionMismatch,
-    IntervalOutsideGrid,
     NonLatticeTime,
     OffManifoldInitialData,
 )
-from .function_spaces import GridFunction, LightCone, State, derivative1, derivative2, extend_array, smoothstep
+from .function_spaces import LightCone, State, derivative1, derivative2, extend_array, smoothstep, window_indices
 from .geometry import DiffusionField, ManifoldModel
 from .noise import NoiseBasis
 from .rng import stream
@@ -46,12 +45,16 @@ __all__ = [
     "window_norm",
     "curvature_force",
     "localized_drift",
-    "localized_diffusion",
+    "drift_force",
+    "state_defect",
+    "cone_section_weights",
+    "section_energy",
     "q_transform",
     "q_transform_derivative",
     "solve_skeleton",
     "solve_stochastic",
     "solve_batch",
+    "run_trials",
     "blowup_times",
     "threshold_time",
     "mild_residual",
@@ -157,17 +160,6 @@ def curvature_force(manifold: ManifoldModel, u: np.ndarray, v: np.ndarray, ux: n
     return out.reshape(u.shape)
 
 
-def _window_indices(origin: float, spacing: float, npoints: int, s: float) -> tuple[int, int]:
-    lo = (-s - origin) / spacing
-    hi = (s - origin) / spacing
-    i_lo, i_hi = round(lo), round(hi)
-    if abs(lo - i_lo) > 1e-6 or abs(hi - i_hi) > 1e-6:
-        raise IntervalOutsideGrid(f"window (+-{s}) is not lattice-aligned")
-    if i_lo < 0 or i_hi > npoints - 1 or i_hi - i_lo < 4:
-        raise IntervalOutsideGrid(f"window (+-{s}) does not fit the lattice")
-    return i_lo, i_hi
-
-
 def _trapezoid_weights(i_lo: int, i_hi: int, npoints: int, spacing: float) -> np.ndarray:
     w = np.zeros(npoints)
     w[i_lo:i_hi + 1] = spacing
@@ -175,19 +167,15 @@ def _trapezoid_weights(i_lo: int, i_hi: int, npoints: int, spacing: float) -> np
     return w
 
 
-def _window_norm(u, v, weights, spacing):
-    """H^2 x H^1 window norm of batched arrays, one value per batch column."""
-    du = derivative1(u, spacing)
-    d2u = derivative2(u, spacing)
-    dv = derivative1(v, spacing)
-    total = np.zeros(u.shape[1])
-    for arr in (u, du, d2u, v, dv):
-        total += np.einsum("i,ibc->b", weights, arr * arr)
-    return np.sqrt(total)
+def cone_section_weights(cone: LightCone, origin: float, spacing: float, npoints: int, m: int) -> np.ndarray:
+    """Trapezoid weights of the cone section B(center, T - t) at t = m * spacing."""
+    a, b = cone.interval(m * spacing)
+    i_lo, i_hi = window_indices(origin - cone.center, spacing, npoints, 0.5 * (b - a))
+    return _trapezoid_weights(i_lo, i_hi, npoints, spacing)
 
 
-def _cone_energy(u, v, weights, spacing):
-    """Light-cone energy (half the squared H^2 x H^1 norm) per batch column."""
+def section_energy(u: np.ndarray, v: np.ndarray, weights: np.ndarray, spacing: float) -> np.ndarray:
+    """Half the squared H^2 x H^1 norm of batched (u, v) under `weights`, per column."""
     du = derivative1(u, spacing)
     d2u = derivative2(u, spacing)
     dv = derivative1(v, spacing)
@@ -203,18 +191,21 @@ def _extended(values: np.ndarray, i_lo: int, i_hi: int, order: int = 1) -> np.nd
     return out
 
 
-def _window_fields(u: np.ndarray, v: np.ndarray, i_lo: int, i_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reflection-extended copies of (u, v) built from window values only.
+def _window(u: np.ndarray, v: np.ndarray, origin: float, spacing: float, s: float):
+    """The window (-s, s): its index pair, extended copies of (u, v), and their norm.
 
+    The copies are order-2 reflections built from window values only, and the
+    norm is their H^2 x H^1 norm over the window, one value per batch column.
     Derivative stencils at the window boundary must not read cells outside the
     window: those carry lattice-edge junk of size O(1/dx) in the second
     derivative.  Order-2 reflection keeps the one-sided derivatives accurate.
     """
-    ue = u.copy()
-    ve = v.copy()
-    extend_array(ue, i_lo, i_hi, 2)
-    extend_array(ve, i_lo, i_hi, 2)
-    return ue, ve
+    n = u.shape[0]
+    i_lo, i_hi = window_indices(origin, spacing, n, s)
+    ue = _extended(u, i_lo, i_hi, 2)
+    ve = _extended(v, i_lo, i_hi, 2)
+    energy = section_energy(ue, ve, _trapezoid_weights(i_lo, i_hi, n, spacing), spacing)
+    return (i_lo, i_hi), ue, ve, np.sqrt(2.0 * energy)
 
 
 def window_norm(z: State, s: float) -> float:
@@ -223,12 +214,41 @@ def window_norm(z: State, s: float) -> float:
     This is the norm driving the taper; it matches the per-step values the
     integrator records in ``energy_trace["taper_norm"]``.
     """
-    dx = z.spacing
-    n = z.u.npoints
-    i_lo, i_hi = _window_indices(z.origin, dx, n, s)
-    weights = _trapezoid_weights(i_lo, i_hi, n, dx)
-    ue, ve = _window_fields(z.u.values[:, None, :], z.v.values[:, None, :], i_lo, i_hi)
-    return float(_window_norm(ue, ve, weights, dx)[0])
+    return float(_window(z.u.values[:, None, :], z.v.values[:, None, :], z.origin, z.spacing, s)[3][0])
+
+
+def drift_force(
+    manifold: ManifoldModel | None,
+    u: np.ndarray,
+    v: np.ndarray,
+    spacing: float,
+    theta,
+    *,
+    diffusion: DiffusionField | None = None,
+    control_field: np.ndarray | None = None,
+    window: tuple[int, int] | None = None,
+) -> np.ndarray:
+    """The localized drift F = theta * (A_u(v,v) - A_u(u_x,u_x) + Y(u) * control_field).
+
+    u and v have shape (npoints, ..., ncomp) and theta (the taper) broadcasts
+    against them.  control_field is the control rate in physical space, shaped
+    like u without its component axis.  With a window (i_lo, i_hi) both terms
+    are reflection-extended outside it; without one they are local.  No
+    manifold means no curvature term.
+    """
+    if manifold is None:
+        force = np.zeros_like(v)
+    else:
+        force = curvature_force(manifold, u, v, derivative1(u, spacing))
+    if window is not None:
+        force = _extended(force, *window)
+    if control_field is not None:
+        y = diffusion(u.reshape(-1, u.shape[-1])).reshape(u.shape)
+        if window is not None:
+            y = _extended(y, *window)
+        force = force + y * control_field[..., None]
+    force *= theta
+    return force
 
 
 def localized_drift(t: float, z: State, loc: LocalizationParams, manifold: ManifoldModel, k: int | None = None) -> State:
@@ -236,51 +256,13 @@ def localized_drift(t: float, z: State, loc: LocalizationParams, manifold: Manif
     r = loc.radius
     if t >= r:
         raise ConeExhausted(f"time {t} has exhausted the localization radius {r}")
-    dx = z.spacing
     u, v = z.u.values, z.v.values
-    i_lo, i_hi = _window_indices(z.origin, dx, z.u.npoints, r - t)
-    weights = _trapezoid_weights(i_lo, i_hi, z.u.npoints, dx)
-    ue, ve = _window_fields(u[:, None, :], v[:, None, :], i_lo, i_hi)
-    norm = _window_norm(ue, ve, weights, dx)[0]
+    window, ue, ve, norm = _window(u[:, None, :], v[:, None, :], z.origin, z.spacing, r - t)
+    norm = norm[0]
     k_eff = k if k is not None else (loc.k if loc.k is not None else max(1, math.ceil(2 * norm)))
     theta = float(taper_factor(norm, k_eff))
-    if theta == 0.0:
-        force = np.zeros_like(u)
-    else:
-        ue2, ve2 = ue[:, 0, :], ve[:, 0, :]
-        ux = derivative1(ue2, dx)
-        force = theta * _extended(curvature_force(manifold, ue2, ve2, ux), i_lo, i_hi)
+    force = drift_force(manifold, ue[:, 0, :], ve[:, 0, :], z.spacing, theta, window=window)
     return State(z.u.with_values(np.zeros_like(u)), z.v.with_values(force))
-
-
-def localized_diffusion(
-    t: float,
-    z: State,
-    loc: LocalizationParams,
-    basis: NoiseBasis,
-    manifold: ManifoldModel,
-    diffusion: DiffusionField,
-    k: int | None = None,
-) -> np.ndarray:
-    """Per-mode second components of the localized noise operator.
-
-    Returns an array of shape (basis.dim, npoints, ncomp): mode_j times the
-    window-extended diffusion field, under the same taper as the drift.
-    """
-    r = loc.radius
-    if t >= r:
-        raise ConeExhausted(f"time {t} has exhausted the localization radius {r}")
-    dx = z.spacing
-    u, v = z.u.values, z.v.values
-    i_lo, i_hi = _window_indices(z.origin, dx, z.u.npoints, r - t)
-    weights = _trapezoid_weights(i_lo, i_hi, z.u.npoints, dx)
-    ue, ve = _window_fields(u[:, None, :], v[:, None, :], i_lo, i_hi)
-    norm = _window_norm(ue, ve, weights, dx)[0]
-    k_eff = k if k is not None else (loc.k if loc.k is not None else max(1, math.ceil(2 * norm)))
-    theta = float(taper_factor(norm, k_eff))
-    y_ext = theta * _extended(diffusion(u), i_lo, i_hi)
-    modes = basis.evaluate(z.u.x)  # (dim, npoints)
-    return modes[:, :, None] * y_ext[None, :, :]
 
 
 def _radial_cutoff(x: np.ndarray, r: float) -> np.ndarray:
@@ -333,16 +315,20 @@ def _upsample(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_initial_data(manifold: ManifoldModel, u0: np.ndarray, v0: np.ndarray) -> None:
-    res = float(manifold.constraint_residual(u0.reshape(-1, u0.shape[-1])).max())
+def state_defect(manifold: ManifoldModel, u: np.ndarray, v: np.ndarray) -> str | None:
+    """Why (u, v) is not a finite on-manifold position with tangent velocity, else None."""
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        return "data contain non-finite samples"  # NaN fails no tolerance test below
+    flat_u = u.reshape(-1, u.shape[-1])
+    flat_v = v.reshape(-1, v.shape[-1])
+    res = float(manifold.constraint_residual(flat_u).max())
     if res > 1e-8:
-        raise OffManifoldInitialData(f"initial position is off-manifold (residual {res:.3e})")
-    flat_u = u0.reshape(-1, u0.shape[-1])
-    flat_v = v0.reshape(-1, v0.shape[-1])
+        return f"position is off-manifold (residual {res:.3e})"
     proj = manifold.tangent_project_at(manifold.nearest_point(flat_u), flat_v)
     defect = float(np.abs(flat_v - proj).max())
     if defect > 1e-8 * (1.0 + float(np.abs(flat_v).max())):
-        raise OffManifoldInitialData(f"initial velocity is not tangent (defect {defect:.3e})")
+        return f"velocity is not tangent (defect {defect:.3e})"
+    return None
 
 
 def _integrate(
@@ -374,7 +360,9 @@ def _integrate(
         raise ValueError(f"horizon {horizon} must cover at least one step of {dx}")
     if horizon >= r:
         raise ConeExhausted(f"horizon {horizon} reaches the localization radius {r}")
-    _check_initial_data(manifold, u0, v0)
+    defect = state_defect(manifold, u0, v0)
+    if defect is not None:
+        raise OffManifoldInitialData(f"initial {defect}")
 
     needs_noise = eps > 0.0
     if needs_noise and (basis is None or diffusion is None):
@@ -409,13 +397,10 @@ def _integrate(
     v = v0.astype(float, copy=True)
 
     # taper levels per batch column
-    f_lo, f_hi = _window_indices(origin, dx, n, r)
-    w_full = _trapezoid_weights(f_lo, f_hi, n, dx)
-    norm0 = _window_norm(*_window_fields(u, v, f_lo, f_hi), w_full, dx)
     if loc.k is not None:
         k = np.full(nbatch, int(loc.k))
     else:
-        k = np.maximum(1, np.ceil(2.0 * norm0)).astype(int)
+        k = np.maximum(1, np.ceil(2.0 * _window(u, v, origin, dx, r)[3])).astype(int)
     k_init = k.copy()
 
     times = dx * np.arange(steps + 1)
@@ -431,9 +416,7 @@ def _integrate(
     for m in range(steps + 1):
         t = m * dx
         s = r - t
-        i_lo, i_hi = _window_indices(origin, dx, n, s)
-        weights = _trapezoid_weights(i_lo, i_hi, n, dx)
-        norm_m = _window_norm(*_window_fields(u, v, i_lo, i_hi), weights, dx)
+        window, _, _, norm_m = _window(u, v, origin, dx, s)
 
         crossing = norm_m >= k
         while np.any(crossing):
@@ -452,10 +435,8 @@ def _integrate(
         trace_taper[m] = theta
         trace_k[m] = k
         if stop_cone is not None:
-            a, b_ = stop_cone.interval(t)
-            ci_lo, ci_hi = _window_indices(origin - stop_cone.center, dx, n, 0.5 * (b_ - a))
-            cw = _trapezoid_weights(ci_lo, ci_hi, n, dx)
-            energy_m = _cone_energy(u, v, cw, dx)
+            cw = cone_section_weights(stop_cone, origin, dx, n, m)
+            energy_m = section_energy(u, v, cw, dx)
             trace_cone[m] = energy_m
             if stop_threshold is not None:
                 hit = np.isnan(tau_n) & (np.sqrt(2.0 * energy_m) >= stop_threshold)
@@ -474,29 +455,18 @@ def _integrate(
                 dw[b] = stream(master_seed, trial_ids[b], m).normal(0.0, math.sqrt(dx), basis.dim)
             noise_log[m] = dw
             wfield = _mode_field(dw, modes_coarse)  # (B, n)
-            y_ext = _extended(diffusion(u.reshape(-1, ncomp)).reshape(u.shape), i_lo, i_hi)
+            y_ext = _extended(diffusion(u.reshape(-1, ncomp)).reshape(u.shape), *window)
             v_star = v + (math.sqrt(eps) * theta)[None, :, None] * y_ext * wfield.T[:, :, None]
         else:
             v_star = v
 
         # midpoint drift + control on the refined lattice
-        uf = _upsample(u)
-        vf = _upsample(v)
-        uf, vf = apply_arrays(uf, vf, dxf, 1)
-        s_mid = s - dxf
-        fi_lo, fi_hi = _window_indices(origin, dxf, 2 * n - 1, s_mid)
-        fweights = _trapezoid_weights(fi_lo, fi_hi, 2 * n - 1, dxf)
-        ufe, vfe = _window_fields(uf, vf, fi_lo, fi_hi)
-        norm_mid = _window_norm(ufe, vfe, fweights, dxf)
+        uf, vf = apply_arrays(_upsample(u), _upsample(v), dxf, 1)
+        window_f, ufe, vfe, norm_mid = _window(uf, vf, origin, dxf, s - dxf)
         theta_mid = taper_factor(norm_mid, k)
-
-        uxf = derivative1(ufe, dxf)
-        force = _extended(curvature_force(manifold, ufe, vfe, uxf), fi_lo, fi_hi)
-        if control_rates is not None:
-            yf = _extended(diffusion(ufe.reshape(-1, ncomp)).reshape(ufe.shape), fi_lo, fi_hi)
-            cfield = _mode_field(control_rates[m], modes_fine)  # (B, nf)
-            force = force + yf * cfield.T[:, :, None]
-        force *= theta_mid[None, :, None]
+        cfield = None if control_rates is None else _mode_field(control_rates[m], modes_fine).T
+        force = drift_force(manifold, ufe, vfe, dxf, theta_mid[None, :, None], diffusion=diffusion,
+                            control_field=cfield, window=window_f)
         fu, fv = apply_arrays(np.zeros_like(force), force, dxf, 1)
 
         u, v = apply_arrays(u, v_star, dx, 1)
@@ -531,8 +501,15 @@ def _as_batch(z0: State) -> tuple[np.ndarray, np.ndarray]:
     return z0.u.values[:, None, :], z0.v.values[:, None, :]
 
 
-def _single_trajectory(z0: State, result, control, metadata) -> Trajectory:
-    times, raw_states, stopping, trace, noise_log, k_init, k_final = result
+def _single_trajectory(z0: State, control, horizon: float, loc: LocalizationParams, metadata: dict,
+                       **kwargs) -> Trajectory:
+    """One trajectory, solved as a batch of width one; kwargs go to _integrate."""
+    steps = GroupStep.from_time(horizon, z0.spacing).shift_count
+    u0, v0 = _as_batch(z0)
+    times, raw_states, stopping, trace, noise_log, k_init, k_final = _integrate(
+        u0, v0, origin=z0.origin, spacing=z0.spacing, loc=loc, horizon=horizon,
+        control_rates=_control_rates(control, steps, z0.spacing, 1), **kwargs,
+    )
     states = None
     if raw_states is not None:
         states = [
@@ -545,7 +522,8 @@ def _single_trajectory(z0: State, result, control, metadata) -> Trajectory:
         "tau_threshold": None if tau_thr is None or np.isnan(tau_thr[0]) else float(tau_thr[0]),
     }
     energy_trace = {key: arr[:, 0] for key, arr in trace.items()}
-    metadata = dict(metadata, k_init=int(k_init[0]), k_final=int(k_final[0]))
+    metadata = dict(metadata, dt=z0.spacing, radius=loc.radius, renormalize=kwargs["renormalize"],
+                    k_init=int(k_init[0]), k_final=int(k_final[0]))
     increments = None if noise_log is None else noise_log[:, 0, :]
     return Trajectory(times, states, stopping_times, energy_trace, increments, control, metadata)
 
@@ -577,19 +555,12 @@ def solve_skeleton(
     stop_threshold: float | None = None,
 ) -> Trajectory:
     """Deterministic controlled trajectory (the zero-noise solution map)."""
-    u0, v0 = _as_batch(z0)
-    steps = GroupStep.from_time(horizon, z0.spacing).shift_count
-    rates = _control_rates(control, steps, z0.spacing, 1)
-    result = _integrate(
-        u0, v0,
-        origin=z0.origin, spacing=z0.spacing, manifold=manifold, loc=loc,
-        horizon=horizon, basis=basis, diffusion=diffusion, eps=0.0,
-        control_rates=rates, renormalize=renormalize, keep_states=keep_states,
-        observer=observer, stop_cone=stop_cone, stop_threshold=stop_threshold,
+    return _single_trajectory(
+        z0, control, horizon, loc, {"eps": 0.0, "seed": None, "trial_id": None},
+        manifold=manifold, basis=basis, diffusion=diffusion, eps=0.0,
+        renormalize=renormalize, keep_states=keep_states, observer=observer,
+        stop_cone=stop_cone, stop_threshold=stop_threshold,
     )
-    meta = {"eps": 0.0, "seed": None, "trial_id": None, "dt": z0.spacing,
-            "radius": loc.radius, "renormalize": renormalize}
-    return _single_trajectory(z0, result, control, meta)
 
 
 def solve_stochastic(
@@ -613,20 +584,13 @@ def solve_stochastic(
     """One noisy trajectory; eps = 0 reproduces solve_skeleton bitwise."""
     if eps < 0:
         raise ValueError(f"noise level must be nonnegative, got {eps}")
-    u0, v0 = _as_batch(z0)
-    steps = GroupStep.from_time(horizon, z0.spacing).shift_count
-    rates = _control_rates(control, steps, z0.spacing, 1)
-    result = _integrate(
-        u0, v0,
-        origin=z0.origin, spacing=z0.spacing, manifold=manifold, loc=loc,
-        horizon=horizon, basis=basis, diffusion=diffusion, eps=eps,
-        control_rates=rates, master_seed=master_seed, trial_ids=[trial_id],
-        renormalize=renormalize, keep_states=keep_states, observer=observer,
-        stop_cone=stop_cone, stop_threshold=stop_threshold,
+    return _single_trajectory(
+        z0, control, horizon, loc,
+        {"eps": float(eps), "seed": int(master_seed), "trial_id": int(trial_id)},
+        manifold=manifold, basis=basis, diffusion=diffusion, eps=eps,
+        master_seed=master_seed, trial_ids=[trial_id], renormalize=renormalize,
+        keep_states=keep_states, observer=observer, stop_cone=stop_cone, stop_threshold=stop_threshold,
     )
-    meta = {"eps": float(eps), "seed": int(master_seed), "trial_id": int(trial_id),
-            "dt": z0.spacing, "radius": loc.radius, "renormalize": renormalize}
-    return _single_trajectory(z0, result, control, meta)
 
 
 def solve_batch(
@@ -684,6 +648,27 @@ def solve_batch(
             "dt": z0.spacing, "radius": loc.radius, "renormalize": renormalize,
             "k_init": k_init, "k_final": k_final, "nbatch": nbatch}
     return Trajectory(times, states, stopping, trace, noise_log, control, meta)
+
+
+def run_trials(ids, fn, threads: int) -> tuple:
+    """Run fn over contiguous chunks of trial ids, up to `threads` chunks at once.
+
+    fn(chunk) returns a tuple of arrays with one row per id of the chunk; the
+    chunks' rows are concatenated in id order.  Batch columns are bitwise
+    independent, so a solve_batch-based fn gives the serial result for any
+    thread count.
+    """
+    ids = list(ids)
+    size = max(1, -(-len(ids) // threads))
+    chunks = [ids[i:i + size] for i in range(0, len(ids), size)]
+    if len(chunks) <= 1:
+        parts = [fn(ids)]
+    else:
+        import concurrent.futures  # imported here, so only threaded runs pay for it
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(fn, chunks))
+    return tuple(np.concatenate(rows) for rows in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -747,43 +732,26 @@ def mild_residual(
     acc_u = np.zeros_like(z0.u.values)
     acc_v = np.zeros_like(z0.v.values)
     uu, vv = z0.u.values, z0.v.values
-    for m in range(steps):
+    for m in range(steps + 1):
         t = m * dx
-        zm = traj.states[m]
-        i_lo, i_hi = _window_indices(z0.origin, dx, n, r - t)
+        um, vm = traj.states[m].u.values, traj.states[m].v.values
+        window = window_indices(z0.origin, dx, n, r - t)
         theta = float(traj.energy_trace["taper"][m])
-        um, vm = zm.u.values, zm.v.values
-        ume, vme = _window_fields(um[:, None, :], vm[:, None, :], i_lo, i_hi)
-        ume, vme = ume[:, 0, :], vme[:, 0, :]
-        ux = derivative1(ume, dx)
-        force = theta * _extended(curvature_force(manifold, ume, vme, ux), i_lo, i_hi)
-        if traj.control is not None:
-            yext = theta * _extended(diffusion(um), i_lo, i_hi)
-            force = force + yext * (traj.control.rate_at(t) @ modes)[:, None]
-        weight = 0.5 if m == 0 else 1.0
-        kick = dx * weight * force
+        cfield = None if traj.control is None else traj.control.rate_at(t) @ modes
+        force = drift_force(manifold, _extended(um, *window, 2), _extended(vm, *window, 2), dx, theta,
+                            diffusion=diffusion, control_field=cfield, window=window)
+        kick = dx * (0.5 if m in (0, steps) else 1.0) * force  # trapezoid weights in time
+        if m == steps:
+            acc_v = acc_v + kick  # the final-time field is not transported
+            break
         if eps > 0:
-            yext = theta * _extended(diffusion(um), i_lo, i_hi)
+            yext = theta * _extended(diffusion(um), *window)
             wfield = traj.noise_increments[m] @ modes
             kick = kick + math.sqrt(eps) * yext * wfield[:, None]
         acc_u, acc_v = apply_arrays(acc_u, acc_v + kick, dx, 1)
         uu, vv = apply_arrays(uu, vv, dx, 1)
 
-    # closing trapezoid weight: the final-time field is not transported
-    zl = traj.states[steps]
-    il, ih = _window_indices(z0.origin, dx, n, r - steps * dx)
-    th = float(traj.energy_trace["taper"][steps])
-    ule, vle = _window_fields(zl.u.values[:, None, :], zl.v.values[:, None, :], il, ih)
-    ule, vle = ule[:, 0, :], vle[:, 0, :]
-    fl = th * _extended(curvature_force(manifold, ule, vle, derivative1(ule, dx)), il, ih)
-    if traj.control is not None:
-        yl = th * _extended(diffusion(zl.u.values), il, ih)
-        fl = fl + yl * (traj.control.rate_at(steps * dx) @ modes)[:, None]
-    acc_v = acc_v + 0.5 * dx * fl
-
     zt = traj.states[steps]
     du = zt.u.values - (uu + acc_u)
     dv = zt.v.values - (vv + acc_v)
-    w = _trapezoid_weights(il, ih, n, dx)
-    due, dve = _window_fields(du[:, None, :], dv[:, None, :], il, ih)
-    return float(_window_norm(due, dve, w, dx)[0])
+    return float(_window(du[:, None, :], dv[:, None, :], z0.origin, dx, r - steps * dx)[3][0])

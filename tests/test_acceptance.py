@@ -64,11 +64,11 @@ def _loc(geom):
 
 
 def test_criterion_01_geometry_invariants():
-    from geowave.cli import _geometry_groups
+    from geowave.selfcheck import geometry_groups
 
     start = time.perf_counter()
     checks = []
-    _geometry_groups(checks, stream(_SEED, 1))
+    geometry_groups(checks, stream(_SEED, 1))
     bad = [name for name, ok, _ in checks if not ok]
     _line("acceptance-01 geometry invariants", not bad,
           f"{len(checks)} invariant groups, failures: {bad or 'none'}",

@@ -35,6 +35,7 @@ def test_values_comments_and_booleans(tmp_path):
     body = """
     manifold.kind = "circle"   # inline comment
     grid.points = 128
+    time.horizon = 0.75        # 16 steps of 6/128
     noise.atoms = ((0.0, 1.0),)
     solver.renormalize = FALSE
     experiment.eps = 1e-3
@@ -76,6 +77,33 @@ def test_invariants_rejected_at_load(tmp_path):
         load_config(_config(tmp_path, "noise.atoms = ()\n"), "simulate")
     with pytest.raises(ConfigInvalid, match="noise.atoms"):
         load_config(_config(tmp_path, "noise.atoms = 5\n"), "verify")
+
+
+def test_non_lattice_horizon_is_a_config_error(tmp_path, capsys):
+    cfg = _config(tmp_path, 'manifold.kind = "circle"\ngrid.points = 96\ntime.horizon = 0.3\n')
+    with pytest.raises(ConfigInvalid, match="time.horizon"):
+        load_config(cfg, "simulate")
+    assert run_command(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: key 'time.horizon'" in capsys.readouterr().out
+
+
+def test_rate_blocks_must_divide_the_steps(tmp_path, capsys):
+    cfg = _config(tmp_path, 'manifold.kind = "circle"\ngrid.points = 96\nexperiment.blocks = 5\n')
+    with pytest.raises(ConfigInvalid, match="experiment.blocks"):
+        load_config(cfg, "rate")
+    assert run_command(["rate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: key 'experiment.blocks'" in capsys.readouterr().out
+    for ok in (1, 4, 16):
+        load_config(_config(tmp_path, f"grid.points = 96\nexperiment.blocks = {ok}\n"), "rate")
+
+
+def test_probe_s2_with_two_eps_values_reports_no_slope(tmp_path, capsys):
+    cfg = _config(tmp_path, _SMALL + "experiment.trials = 30\nexperiment.eps_list = (1e-2, 1e-3)\n")
+    out = tmp_path / "s2"
+    assert run_command(["probe-s2", "--config", str(cfg), "--out", str(out)]) == 4
+    assert "probe-s2: log-log slope none, passed false" in capsys.readouterr().out.lower()
+    report = json.loads((out / "probe_s2.json").read_text())
+    assert report["slope"] is None and report["passed"] is False
 
 
 def test_seed_override(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from geowave.energy import energy
 from geowave.errors import HorizonExceeded, IntervalOutsideGrid, UnsupportedOrder
 from geowave.function_spaces import (
     GridFunction,
@@ -15,7 +16,6 @@ from geowave.function_spaces import (
     integrate_samples,
     interpolation_check,
     l2_inner,
-    light_cone_norm,
     smoothstep,
     sobolev_norm,
     sobolev_sq,
@@ -113,7 +113,7 @@ def test_light_cone_norm_definition():
     f, dx = _sine(1024)
     z = State(f, GridFunction(f.origin, dx, np.cos(f.x)))
     cone = LightCone(math.pi, 2.0)
-    got = light_cone_norm(z, cone, 0.5)
+    got = energy(0.5, z, cone, k=1)
     iv = cone.interval(0.5)
     want = 0.5 * (sobolev_sq(z.u, iv, 2) + sobolev_sq(z.v, iv, 1))
     assert got == want

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geowave.errors import (
     BlowupDetected,
@@ -24,6 +25,7 @@ from geowave.solver import (
     mild_residual,
     q_transform,
     q_transform_derivative,
+    run_trials,
     solve_batch,
     solve_skeleton,
     solve_stochastic,
@@ -209,6 +211,39 @@ def test_off_manifold_data_rejected():
     bad_v = State(z.u, z.v.with_values(z.u.values.copy()))
     with pytest.raises(OffManifoldInitialData):
         solve_skeleton(bad_v, None, 0.25, _loc(geom), manifold=_CIRCLE)
+
+
+def test_non_finite_initial_data_rejected():
+    geom = make_grid(6.0, 96, 1.0)
+    z = bump_state(geom, _CIRCLE)
+    u = z.u.values.copy()
+    u[40, 0] = np.nan  # NaN > 1e-8 is False, so the residual test alone lets this through
+    with pytest.raises(OffManifoldInitialData, match="non-finite"):
+        solve_skeleton(State(z.u.with_values(u), z.v), None, 0.25, _loc(geom), manifold=_CIRCLE)
+    v = z.v.values.copy()
+    v[40, 1] = np.inf
+    with pytest.raises(OffManifoldInitialData, match="non-finite"):
+        solve_skeleton(State(z.u, z.v.with_values(v)), None, 0.25, _loc(geom), manifold=_CIRCLE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trials=st.integers(1, 12), threads=st.integers(1, 4), first=st.integers(0, 50))
+def test_run_trials_keeps_id_order_for_any_thread_count(trials, threads, first):
+    chunks = []
+
+    def fn(ids):
+        chunks.append(list(ids))
+        ids = np.asarray(ids)
+        return 10.0 * ids, ids % 3 == 0
+
+    ids = list(range(first, first + trials))
+    got = run_trials(ids, fn, threads)
+    assert len(chunks) <= threads
+    assert sorted(i for chunk in chunks for i in chunk) == ids
+    want = fn(ids)  # the serial run
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_horizon_must_be_lattice_and_inside_cone():
