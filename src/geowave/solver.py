@@ -192,10 +192,10 @@ def _extended(values: np.ndarray, i_lo: int, i_hi: int, order: int = 1) -> np.nd
 
 
 def _window(u: np.ndarray, v: np.ndarray, origin: float, spacing: float, s: float):
-    """The window (-s, s): its index pair, extended copies of (u, v), and their norm.
+    """The window (-s, s): its index pair, the norm of (u, v) on it, and the copies.
 
-    The copies are order-2 reflections built from window values only, and the
-    norm is their H^2 x H^1 norm over the window, one value per batch column.
+    The copies are order-2 reflections of (u, v) built from window values only,
+    and the norm is their H^2 x H^1 norm over the window, one value per column.
     Derivative stencils at the window boundary must not read cells outside the
     window: those carry lattice-edge junk of size O(1/dx) in the second
     derivative.  Order-2 reflection keeps the one-sided derivatives accurate.
@@ -205,7 +205,7 @@ def _window(u: np.ndarray, v: np.ndarray, origin: float, spacing: float, s: floa
     ue = _extended(u, i_lo, i_hi, 2)
     ve = _extended(v, i_lo, i_hi, 2)
     energy = section_energy(ue, ve, _trapezoid_weights(i_lo, i_hi, n, spacing), spacing)
-    return (i_lo, i_hi), ue, ve, np.sqrt(2.0 * energy)
+    return (i_lo, i_hi), np.sqrt(2.0 * energy), ue, ve
 
 
 def window_norm(z: State, s: float) -> float:
@@ -214,7 +214,7 @@ def window_norm(z: State, s: float) -> float:
     This is the norm driving the taper; it matches the per-step values the
     integrator records in ``energy_trace["taper_norm"]``.
     """
-    return float(_window(z.u.values[:, None, :], z.v.values[:, None, :], z.origin, z.spacing, s)[3][0])
+    return float(_window(z.u.values[:, None, :], z.v.values[:, None, :], z.origin, z.spacing, s)[1][0])
 
 
 def drift_force(
@@ -257,7 +257,7 @@ def localized_drift(t: float, z: State, loc: LocalizationParams, manifold: Manif
     if t >= r:
         raise ConeExhausted(f"time {t} has exhausted the localization radius {r}")
     u, v = z.u.values, z.v.values
-    window, ue, ve, norm = _window(u[:, None, :], v[:, None, :], z.origin, z.spacing, r - t)
+    window, norm, ue, ve = _window(u[:, None, :], v[:, None, :], z.origin, z.spacing, r - t)
     norm = norm[0]
     k_eff = k if k is not None else (loc.k if loc.k is not None else max(1, math.ceil(2 * norm)))
     theta = float(taper_factor(norm, k_eff))
@@ -400,7 +400,7 @@ def _integrate(
     if loc.k is not None:
         k = np.full(nbatch, int(loc.k))
     else:
-        k = np.maximum(1, np.ceil(2.0 * _window(u, v, origin, dx, r)[3])).astype(int)
+        k = np.maximum(1, np.ceil(2.0 * _window(u, v, origin, dx, r)[1])).astype(int)
     k_init = k.copy()
 
     times = dx * np.arange(steps + 1)
@@ -416,7 +416,7 @@ def _integrate(
     for m in range(steps + 1):
         t = m * dx
         s = r - t
-        window, _, _, norm_m = _window(u, v, origin, dx, s)
+        window, norm_m = _window(u, v, origin, dx, s)[:2]  # drop the copies: peak memory
 
         crossing = norm_m >= k
         while np.any(crossing):
@@ -462,7 +462,7 @@ def _integrate(
 
         # midpoint drift + control on the refined lattice
         uf, vf = apply_arrays(_upsample(u), _upsample(v), dxf, 1)
-        window_f, ufe, vfe, norm_mid = _window(uf, vf, origin, dxf, s - dxf)
+        window_f, norm_mid, ufe, vfe = _window(uf, vf, origin, dxf, s - dxf)
         theta_mid = taper_factor(norm_mid, k)
         cfield = None if control_rates is None else _mode_field(control_rates[m], modes_fine).T
         force = drift_force(manifold, ufe, vfe, dxf, theta_mid[None, :, None], diffusion=diffusion,
@@ -754,4 +754,4 @@ def mild_residual(
     zt = traj.states[steps]
     du = zt.u.values - (uu + acc_u)
     dv = zt.v.values - (vv + acc_v)
-    return float(_window(du[:, None, :], dv[:, None, :], z0.origin, dx, r - steps * dx)[3][0])
+    return float(_window(du[:, None, :], dv[:, None, :], z0.origin, dx, r - steps * dx)[1][0])
