@@ -205,7 +205,7 @@ def _window(u: np.ndarray, v: np.ndarray, origin: float, spacing: float, s: floa
     ue = _extended(u, i_lo, i_hi, 2)
     ve = _extended(v, i_lo, i_hi, 2)
     energy = section_energy(ue, ve, _trapezoid_weights(i_lo, i_hi, n, spacing), spacing)
-    return (i_lo, i_hi), np.sqrt(2.0 * energy), ue, ve
+    return (i_lo, i_hi), np.sqrt(2.0 * energy), ue, ve  # 2 * (0.5 * x) == x: the bare weighted norm
 
 
 def window_norm(z: State, s: float) -> float:
@@ -416,7 +416,7 @@ def _integrate(
     for m in range(steps + 1):
         t = m * dx
         s = r - t
-        window, norm_m = _window(u, v, origin, dx, s)[:2]  # drop the copies: peak memory
+        window, norm_m = _window(u, v, origin, dx, s)[:2]  # holding the copies raises peak memory
 
         crossing = norm_m >= k
         while np.any(crossing):
