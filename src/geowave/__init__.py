@@ -40,11 +40,9 @@ from .ldp import (
 )
 from .noise import (
     NoiseBasis,
-    NoiseIncrement,
     SpectralMeasure,
     build_basis,
     covariance_kernel,
-    evaluate_field,
     hs_embedding_norm,
     multiplication_hs_norm,
     sample_increment,
@@ -59,7 +57,6 @@ from .solver import (
     solve_batch,
     solve_skeleton,
     solve_stochastic,
-    threshold_time,
     window_norm,
 )
 from .states import (
@@ -102,11 +99,9 @@ __all__ = [
     "statement2_probe",
     "tail_estimate",
     "NoiseBasis",
-    "NoiseIncrement",
     "SpectralMeasure",
     "build_basis",
     "covariance_kernel",
-    "evaluate_field",
     "hs_embedding_norm",
     "multiplication_hs_norm",
     "sample_increment",
@@ -119,7 +114,6 @@ __all__ = [
     "solve_batch",
     "solve_skeleton",
     "solve_stochastic",
-    "threshold_time",
     "window_norm",
     "GridGeometry",
     "bump_state",

@@ -108,6 +108,14 @@ def _parse_value(raw: str, key: str, lineno: int):
         ) from None
 
 
+def _as_int(raw) -> int:
+    """int(raw), or 0 when raw is no number, so a positivity check rejects it."""
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        return 0
+
+
 def _parse_config_text(text: str) -> dict:
     entries = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -168,15 +176,20 @@ class ExperimentConfig:
                 )
         if command == "rate":
             raw = self.experiment.get("blocks", RateOptions.blocks)
-            try:
-                blocks = int(raw)
-            except (TypeError, ValueError):
-                blocks = 0
+            blocks = _as_int(raw)
             if blocks < 1 or steps % blocks:
                 raise ConfigInvalid(
                     f"key 'experiment.blocks' must be a positive divisor of the {steps} time steps, "
                     f"got {raw!r}"
                 )
+        trials = self.experiment.get("trials")
+        if command in ("simulate", "tail") and trials is not None and _as_int(trials) < 1:
+            # probe-s2 asks for at least 30 trials when it runs
+            raise ConfigInvalid(f"key 'experiment.trials' must be a positive integer, got {trials!r}")
+        eps_list = self.experiment.get("eps_list")
+        if eps_list is not None and (not isinstance(eps_list, (list, tuple)) or not eps_list):
+            raise ConfigInvalid(f"key 'experiment.eps_list' must be a nonempty sequence of noise levels, "
+                                f"got {eps_list!r}")
 
     def manifold(self) -> ManifoldModel:
         return ManifoldModel.circle() if self.manifold_kind == "circle" else ManifoldModel.sphere()

@@ -1,15 +1,14 @@
 """Target-manifold geometry.
 
-Unit circle in R^2 and unit sphere in R^3 with closed forms, plus a callback
-slot for custom compact targets.  The central object is the radial reflection
-through the manifold, a smooth involution of the tubular neighborhood whose
-first and second derivatives generate both extensions of the second
-fundamental form used by the dynamics.
+Unit circle in R^2 and unit sphere in R^3, in closed form.  The central
+object is the radial reflection through the manifold, a smooth involution of
+the tubular neighborhood whose first and second derivatives generate both
+extensions of the second fundamental form used by the dynamics.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -38,19 +37,19 @@ def _norm(q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ManifoldModel:
-    """Compact target manifold embedded in R^n.
+    """The unit circle in R^2 ("circle") or the unit sphere in R^3 ("sphere").
 
-    kind is one of "circle", "sphere", "custom".  Custom targets supply
-    nearest_point / tangent_project / sff callbacks (all vectorized over
-    leading axes); spheres use closed forms throughout.
+    Every primitive is a closed form vectorized over leading axes.
     """
 
     kind: str
     ambient_dim: int
     tubular_radius: float = 0.75
-    nearest_cb: Optional[Callable] = None
-    tangent_cb: Optional[Callable] = None
-    sff_cb: Optional[Callable] = None
+
+    def __post_init__(self):
+        if (self.kind, self.ambient_dim) not in (("circle", 2), ("sphere", 3)):
+            raise ValueError(f"targets are the circle in R^2 and the sphere in R^3, not {self.kind!r} "
+                             f"in R^{self.ambient_dim}")
 
     # -- constructors ---------------------------------------------------------
 
@@ -62,64 +61,34 @@ class ManifoldModel:
     def sphere(cls, tubular_radius: float = 0.75) -> "ManifoldModel":
         return cls("sphere", 3, tubular_radius)
 
-    @classmethod
-    def custom(
-        cls,
-        ambient_dim: int,
-        nearest_point: Callable,
-        tangent_project: Callable,
-        sff: Callable,
-        tubular_radius: float = 0.75,
-    ) -> "ManifoldModel":
-        return cls("custom", ambient_dim, tubular_radius, nearest_point, tangent_project, sff)
-
-    @property
-    def _round(self) -> bool:
-        return self.kind in ("circle", "sphere")
-
     # -- pointwise primitives (vectorized over leading axes) -------------------
 
     def nearest_point(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        if self._round:
-            rho = _norm(q)
-            return q / np.where(rho > 1e-300, rho, 1.0)
-        return self.nearest_cb(q)
+        rho = _norm(q)
+        return q / np.where(rho > 1e-300, rho, 1.0)
 
     def constraint_residual(self, q: np.ndarray) -> np.ndarray:
         """Distance to the manifold (unsigned)."""
-        q = np.asarray(q, dtype=float)
-        if self._round:
-            return np.abs(_norm(q)[..., 0] - 1.0)
-        return np.sqrt(((q - self.nearest_cb(q)) ** 2).sum(axis=-1))
+        return np.abs(_norm(np.asarray(q, dtype=float))[..., 0] - 1.0)
 
     def tangent_project_at(self, p: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Tangent projection at the nearest manifold point of p (no checks)."""
-        if self._round:
-            n_hat = self.nearest_point(p)
-            return a - _dot(a, n_hat) * n_hat
-        return self.tangent_cb(self.nearest_point(p), a)
-
-    def _sff_raw(self, p: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        if self._round:
-            return -_dot(xi, eta) * p
-        return self.sff_cb(p, xi, eta)
+        n_hat = self.nearest_point(p)
+        return a - _dot(a, n_hat) * n_hat
 
     # -- involution -------------------------------------------------------------
 
     def involution(self, q: np.ndarray) -> np.ndarray:
         """Reflection through M, blended to the identity far away.
 
-        For round targets: q |-> (2 - |q|) q/|q| on the shell 0.25 <= |q| <= 1.75,
-        glued to the identity by the radial C^2 profile.
+        q |-> (2 - |q|) q/|q| on the shell 0.25 <= |q| <= 1.75, glued to the
+        identity by the radial C^2 profile.
         """
         q = np.asarray(q, dtype=float)
-        if self._round:
-            rho = _norm(q)
-            safe = np.where(rho > 1e-300, rho, 1.0)
-            refl = (2.0 - rho) * q / safe
-        else:
-            refl = 2.0 * self.nearest_cb(q) - q
+        rho = _norm(q)
+        safe = np.where(rho > 1e-300, rho, 1.0)
+        refl = (2.0 - rho) * q / safe
         psi = _bump(self.constraint_residual(q))[..., None]
         return q + psi * (refl - q)
 
@@ -134,42 +103,33 @@ class ManifoldModel:
         return self._jacobian_raw(q, np.asarray(a, dtype=float))
 
     def _jacobian_raw(self, q: np.ndarray, a: np.ndarray) -> np.ndarray:
-        if self._round:
-            rho = _norm(q)
-            safe = np.where(rho > 1e-300, rho, 1.0)
-            q_hat = q / safe
-            alpha = _dot(q_hat, a)
-            jac0 = (2.0 / safe - 1.0) * a - (2.0 / safe) * alpha * q_hat
-            d = np.abs(rho - 1.0)
-            psi = _bump(d[..., 0])[..., None]
-            dpsi = _bump_derivative(d[..., 0])[..., None] * np.sign(rho - 1.0)
-            refl = (2.0 - rho) * q_hat
-            return a + dpsi * alpha * (refl - q) + psi * (jac0 - a)
-        # custom targets: centered difference of the blended involution
-        delta = 1e-6
-        amp = np.sqrt((a * a).sum(axis=-1, keepdims=True))
-        unit = a / np.where(amp > 0, amp, 1.0)
-        out = (self.involution(q + delta * unit) - self.involution(q - delta * unit)) / (2.0 * delta)
-        return out * amp
+        rho = _norm(q)
+        safe = np.where(rho > 1e-300, rho, 1.0)
+        q_hat = q / safe
+        alpha = _dot(q_hat, a)
+        jac0 = (2.0 / safe - 1.0) * a - (2.0 / safe) * alpha * q_hat
+        d = np.abs(rho - 1.0)
+        psi = _bump(d[..., 0])[..., None]
+        dpsi = _bump_derivative(d[..., 0])[..., None] * np.sign(rho - 1.0)
+        refl = (2.0 - rho) * q_hat
+        return a + dpsi * alpha * (refl - q) + psi * (jac0 - a)
 
     def involution_hessian(self, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Bilinear second derivative of the involution at q in directions (a, b)."""
         q = np.asarray(q, dtype=float)
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
+        if np.all(self.constraint_residual(q) <= _BLEND_LO - 0.01):
+            # pure radial shell: closed form
+            rho = _norm(q)
+            q_hat = q / rho
+            alpha = _dot(q_hat, a)
+            beta = _dot(q_hat, b)
+            ab = _dot(a, b)
+            return -(2.0 / rho ** 2) * (beta * a + alpha * b + (ab - 3.0 * alpha * beta) * q_hat)
+        # blend zone: central second differences, step 1e-4
         na = np.sqrt((a * a).sum(axis=-1, keepdims=True))
         nb = np.sqrt((b * b).sum(axis=-1, keepdims=True))
-        if self._round:
-            d = self.constraint_residual(q)
-            if np.all(d <= _BLEND_LO - 0.01):
-                # pure radial shell: closed form
-                rho = _norm(q)
-                q_hat = q / rho
-                alpha = _dot(q_hat, a)
-                beta = _dot(q_hat, b)
-                ab = _dot(a, b)
-                return -(2.0 / rho ** 2) * (beta * a + alpha * b + (ab - 3.0 * alpha * beta) * q_hat)
-        # blend zone or custom target: central second differences, step 1e-4
         ua = a / np.where(na > 0, na, 1.0)
         ub = b / np.where(nb > 0, nb, 1.0)
         h = 1e-4
@@ -203,7 +163,7 @@ class ManifoldModel:
         pa = self.tangent_project_at(q, a)
         pb = self.tangent_project_at(q, b)
         psi = _bump(self.constraint_residual(q))[..., None]
-        return psi * self._sff_raw(p, pa, pb)
+        return psi * (-_dot(pa, pb) * p)
 
 
 def _bump_derivative(dist: np.ndarray) -> np.ndarray:
@@ -259,15 +219,4 @@ class DiffusionField:
 
     @classmethod
     def for_manifold(cls, manifold: ManifoldModel) -> "DiffusionField":
-        if manifold.kind == "circle":
-            return cls.circle_rotation()
-        if manifold.kind == "sphere":
-            return cls.sphere_axis_rotation()
-        raise ValueError("no default diffusion field for custom manifolds")
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "DiffusionField":
-        def evaluator(q: np.ndarray) -> np.ndarray:
-            return np.zeros_like(np.asarray(q, dtype=float))
-
-        return cls(evaluator, cutoff_radius=1.0, bound_constant=1.0)
+        return cls.circle_rotation() if manifold.kind == "circle" else cls.sphere_axis_rotation()

@@ -63,9 +63,8 @@ class RateOptions:
     lambdas: tuple = (1e1, 1e2, 1e3, 1e4)  # penalty continuation schedule
     fd_step: float = 1e-5                # forward-difference step
     max_iter: int = 8                    # inner iterations per penalty stage
-    optimizer: str = "gn"                # "gn" | "gd" | "spsa"
-    gd_step: float = 0.5                 # initial gradient-descent step
-    spsa_dim_threshold: int = 500        # switch to SPSA above this many params
+    gd_step: float = 0.5                 # SPSA base step, divided by (1 + iter) * (1 + lam)
+    spsa_dim_threshold: int = 500        # SPSA instead of Gauss-Newton above this many params
     spsa_seed: int = 0
     sections: int = 4                    # time sections matched for path targets
 
@@ -225,9 +224,10 @@ def rate_function(
     """Half the squared norm of the cheapest control reaching the target.
 
     Minimizes 0.5*control_norm(h) + lam*gap(h)^2 over piecewise-constant
-    controls, continuing lam upward until the terminal gap passes opts.gap_tol;
-    returns the +inf sentinel (converged=False) for unreachable targets or
-    when every control within the budget misses the tolerance.
+    controls by Gauss-Newton (SPSA above opts.spsa_dim_threshold parameters),
+    continuing lam upward until the terminal gap passes opts.gap_tol; returns
+    the +inf sentinel (converged=False) for unreachable targets or when every
+    control within the budget misses the tolerance.
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
@@ -245,16 +245,13 @@ def rate_function(
     P = obj.nparams
     q_diag = np.full(P, dt_block)  # 0.5*control_norm = 0.5 * theta^T diag(dt_block) theta
     theta = np.zeros(P)
-    optimizer = opts.optimizer
-    if optimizer == "gn" and P > opts.spsa_dim_threshold:
-        optimizer = "spsa"
+    optimizer = "spsa" if P > opts.spsa_dim_threshold else "gn"
 
     iterations = 0
     rng = np.random.default_rng(opts.spsa_seed)
 
     def total_objective(th, lam):
-        sq = obj._section_sq(th)
-        return 0.5 * float(q_diag @ (th * th)) + lam * float(sq.sum()), float(np.sqrt(sq.max()))
+        return 0.5 * float(q_diag @ (th * th)) + lam * float(obj._section_sq(th).sum())
 
     gap = obj.gap(theta)
     try:
@@ -263,39 +260,26 @@ def rate_function(
                 if gap <= opts.gap_tol:
                     break
                 iterations += 1
-                if optimizer in ("gn", "gd"):  # forward-difference Jacobian of the residuals
+                if optimizer == "gn":  # Gauss-Newton on a forward-difference Jacobian of the residuals
                     base = obj.residuals(theta[:, None])[:, 0]
                     probes = np.tile(theta[:, None], (1, P))
                     probes[np.arange(P), np.arange(P)] += opts.fd_step
                     jac = (obj.residuals(probes) - base[:, None]) / opts.fd_step
                     grad = q_diag * theta + 2.0 * lam * (jac.T @ base)
-                if optimizer == "gn":
                     hess = np.diag(q_diag) + 2.0 * lam * (jac.T @ jac)
                     hess[np.diag_indices_from(hess)] += 1e-12 * (1.0 + np.trace(hess) / P)
                     step = np.linalg.solve(hess, grad)
                     if not np.all(np.isfinite(step)):
                         raise OptimizerDiverged("non-finite step in the normal equations")
                     theta = theta - step
-                elif optimizer == "gd":
-                    phi0, _ = total_objective(theta, lam)
-                    step = opts.gd_step / (1.0 + lam)
-                    for _ in range(20):
-                        cand = theta - step * grad
-                        phi, _ = total_objective(cand, lam)
-                        if phi < phi0:
-                            theta = cand
-                            break
-                        step *= 0.5
-                elif optimizer == "spsa":
+                else:
                     delta = rng.choice([-1.0, 1.0], size=P)
                     c = 10 * opts.fd_step
-                    plus, _ = total_objective(theta + c * delta, lam)
-                    minus, _ = total_objective(theta - c * delta, lam)
+                    plus = total_objective(theta + c * delta, lam)
+                    minus = total_objective(theta - c * delta, lam)
                     ghat = (plus - minus) / (2.0 * c) * delta
                     step = opts.gd_step / ((1.0 + iterations) * (1.0 + lam))
                     theta = theta - step * ghat
-                else:
-                    raise ValueError(f"unknown optimizer {opts.optimizer!r}")
                 if not np.all(np.isfinite(theta)):
                     raise OptimizerDiverged("control parameters became non-finite")
                 gap = obj.gap(theta)

@@ -12,17 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMeasure, NonpositiveDt, QuadratureNotConverged
+from .errors import EmptyMeasure, NonpositiveDt, QuadratureNotConverged
 from .function_spaces import GridFunction, sobolev_sq
 
 __all__ = [
     "SpectralMeasure",
     "NoiseBasis",
-    "NoiseIncrement",
     "build_basis",
     "covariance_kernel",
     "sample_increment",
-    "evaluate_field",
     "hs_embedding_norm",
     "multiplication_hs_norm",
 ]
@@ -81,12 +79,6 @@ class NoiseBasis:
         return out
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    coeffs: np.ndarray
-    dt: float
-
-
 def build_basis(measure: SpectralMeasure) -> NoiseBasis:
     if not measure.atoms:
         raise EmptyMeasure("spectral measure has no atoms")
@@ -113,21 +105,11 @@ def covariance_kernel(measure: SpectralMeasure, lag: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_increment(basis: NoiseBasis, dt: float, rng: np.random.Generator) -> NoiseIncrement:
-    """Cylindrical increment over a step of length dt: i.i.d. N(0, dt) coefficients."""
+def sample_increment(basis: NoiseBasis, dt: float, rng: np.random.Generator) -> np.ndarray:
+    """Cylindrical increment over a step of length dt: i.i.d. N(0, dt) mode coefficients."""
     if dt <= 0:
         raise NonpositiveDt(f"dt must be positive, got {dt}")
-    coeffs = rng.normal(0.0, math.sqrt(dt), size=basis.dim)
-    return NoiseIncrement(coeffs, float(dt))
-
-
-def evaluate_field(inc: NoiseIncrement, basis: NoiseBasis, grid: GridFunction) -> GridFunction:
-    """Realize the increment as a scalar grid function sum_k coeffs_k mode_k."""
-    coeffs = np.asarray(inc.coeffs, dtype=float)
-    if coeffs.shape != (basis.dim,):
-        raise DimensionMismatch(f"got {coeffs.shape[0] if coeffs.ndim else 0} coefficients for dim {basis.dim}")
-    values = coeffs @ basis.evaluate(grid.x)
-    return GridFunction(grid.origin, grid.spacing, values[:, None])
+    return rng.normal(0.0, math.sqrt(dt), size=basis.dim)
 
 
 # ---------------------------------------------------------------------------

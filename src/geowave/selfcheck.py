@@ -141,7 +141,7 @@ def noise_groups(checks: list, measure: SpectralMeasure, seed: int) -> None:
 
     rng = stream(seed, 101)
     nsamp, dt = 20000, 0.1
-    coeffs = np.stack([sample_increment(basis, dt, rng).coeffs for _ in range(nsamp)])
+    coeffs = np.stack([sample_increment(basis, dt, rng) for _ in range(nsamp)])
     var = coeffs.var(axis=0, ddof=1)
     sigma = dt * math.sqrt(2.0 / (nsamp - 1))
     dev = float(np.abs(var - dt).max() / sigma)

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .function_spaces import LightCone, State, derivative1, derivative2, extend_array, smoothstep, window_indices
 from .geometry import DiffusionField, ManifoldModel
-from .noise import NoiseBasis
+from .noise import NoiseBasis, sample_increment
 from .rng import stream
 from .wave_group import GroupStep, apply_arrays
 
@@ -56,7 +56,6 @@ __all__ = [
     "solve_batch",
     "run_trials",
     "blowup_times",
-    "threshold_time",
     "mild_residual",
 ]
 
@@ -119,15 +118,13 @@ class Trajectory:
     """A solved path: states on lattice times plus the per-step bookkeeping.
 
     energy_trace carries per-step arrays: "taper_norm" (window norm driving
-    the taper), "taper", "k_level", and "cone_energy" when a stopping cone was
-    supplied.  noise_increments holds the raw Wiener coefficient rows (not
-    scaled by sqrt(eps)).  For batched runs the arrays keep their batch axis
-    and states is None unless requested.
+    the taper), "taper" and "k_level".  noise_increments holds the raw Wiener
+    coefficient rows (not scaled by sqrt(eps)).  For batched runs the arrays
+    keep their batch axis and states is None unless requested.
     """
 
     times: np.ndarray
     states: list | None
-    stopping_times: dict
     energy_trace: dict
     noise_increments: np.ndarray | None
     control: Control | None
@@ -349,8 +346,6 @@ def _integrate(
     renormalize: bool = True,
     keep_states: bool = True,
     observer=None,
-    stop_cone: LightCone | None = None,
-    stop_threshold: float | None = None,
 ):
     n, nbatch, ncomp = u0.shape
     dx = spacing
@@ -387,12 +382,6 @@ def _integrate(
     modes_coarse = basis.evaluate(x) if needs_noise else None
     modes_fine = basis.evaluate(xf) if control_rates is not None else None
 
-    if stop_cone is not None:
-        GroupStep.from_time(stop_cone.center - origin, dx)  # center must sit on the lattice
-        horizon_cells = GroupStep.from_time(stop_cone.horizon, dx).shift_count
-        if horizon_cells <= steps:
-            raise ConeExhausted("stopping cone closes before the simulation horizon")
-
     u = u0.astype(float, copy=True)
     v = v0.astype(float, copy=True)
 
@@ -407,9 +396,6 @@ def _integrate(
     trace_norm = np.zeros((steps + 1, nbatch))
     trace_taper = np.zeros((steps + 1, nbatch))
     trace_k = np.zeros((steps + 1, nbatch), dtype=int)
-    trace_cone = np.full((steps + 1, nbatch), np.nan) if stop_cone is not None else None
-    tau_k_hits = [[] for _ in range(nbatch)]
-    tau_n = np.full(nbatch, np.nan)
     states = [] if keep_states else None
     noise_log = np.zeros((steps, nbatch, basis.dim)) if needs_noise else None
 
@@ -420,8 +406,6 @@ def _integrate(
 
         crossing = norm_m >= k
         while np.any(crossing):
-            for b in np.nonzero(crossing)[0]:
-                tau_k_hits[b].append((int(k[b]), float(t)))
             k = np.where(crossing, 2 * k, k)
             if np.any(k > loc.k_max):
                 b = int(np.nonzero(k > loc.k_max)[0][0])
@@ -434,13 +418,6 @@ def _integrate(
         trace_norm[m] = norm_m
         trace_taper[m] = theta
         trace_k[m] = k
-        if stop_cone is not None:
-            cw = cone_section_weights(stop_cone, origin, dx, n, m)
-            energy_m = section_energy(u, v, cw, dx)
-            trace_cone[m] = energy_m
-            if stop_threshold is not None:
-                hit = np.isnan(tau_n) & (np.sqrt(2.0 * energy_m) >= stop_threshold)
-                tau_n[hit] = t
         if observer is not None:
             observer(m, t, u, v)
         if keep_states:
@@ -450,11 +427,9 @@ def _integrate(
 
         # noise increment, left-point evaluation
         if needs_noise:
-            dw = np.empty((nbatch, basis.dim))
             for b in range(nbatch):
-                dw[b] = stream(master_seed, trial_ids[b], m).normal(0.0, math.sqrt(dx), basis.dim)
-            noise_log[m] = dw
-            wfield = _mode_field(dw, modes_coarse)  # (B, n)
+                noise_log[m, b] = sample_increment(basis, dx, stream(master_seed, trial_ids[b], m))
+            wfield = _mode_field(noise_log[m], modes_coarse)  # (B, n)
             y_ext = _extended(diffusion(u.reshape(-1, ncomp)).reshape(u.shape), *window)
             v_star = v + (math.sqrt(eps) * theta)[None, :, None] * y_ext * wfield.T[:, :, None]
         else:
@@ -484,13 +459,7 @@ def _integrate(
                 v[:, b, :] = manifold.tangent_project_at(ub, v[:, b, :])
 
     energy_trace = {"taper_norm": trace_norm, "taper": trace_taper, "k_level": trace_k}
-    if trace_cone is not None:
-        energy_trace["cone_energy"] = trace_cone
-    stopping = {
-        "tau_k": tau_k_hits,
-        "tau_threshold": tau_n if stop_cone is not None and stop_threshold is not None else None,
-    }
-    return times, states, stopping, energy_trace, noise_log, k_init, k
+    return times, states, energy_trace, noise_log, k_init, k
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +475,7 @@ def _single_trajectory(z0: State, control, horizon: float, loc: LocalizationPara
     """One trajectory, solved as a batch of width one; kwargs go to _integrate."""
     steps = GroupStep.from_time(horizon, z0.spacing).shift_count
     u0, v0 = _as_batch(z0)
-    times, raw_states, stopping, trace, noise_log, k_init, k_final = _integrate(
+    times, raw_states, trace, noise_log, k_init, k_final = _integrate(
         u0, v0, origin=z0.origin, spacing=z0.spacing, loc=loc, horizon=horizon,
         control_rates=_control_rates(control, steps, z0.spacing, 1), **kwargs,
     )
@@ -516,16 +485,11 @@ def _single_trajectory(z0: State, control, horizon: float, loc: LocalizationPara
             State(z0.u.with_values(us[:, 0, :]), z0.v.with_values(vs[:, 0, :]))
             for us, vs in raw_states
         ]
-    tau_thr = stopping["tau_threshold"]
-    stopping_times = {
-        "tau_k": stopping["tau_k"][0],
-        "tau_threshold": None if tau_thr is None or np.isnan(tau_thr[0]) else float(tau_thr[0]),
-    }
     energy_trace = {key: arr[:, 0] for key, arr in trace.items()}
     metadata = dict(metadata, dt=z0.spacing, radius=loc.radius, renormalize=kwargs["renormalize"],
                     k_init=int(k_init[0]), k_final=int(k_final[0]))
     increments = None if noise_log is None else noise_log[:, 0, :]
-    return Trajectory(times, states, stopping_times, energy_trace, increments, control, metadata)
+    return Trajectory(times, states, energy_trace, increments, control, metadata)
 
 
 def _control_rates(control: Control | None, steps: int, spacing: float, nbatch: int):
@@ -551,15 +515,12 @@ def solve_skeleton(
     renormalize: bool = True,
     keep_states: bool = True,
     observer=None,
-    stop_cone: LightCone | None = None,
-    stop_threshold: float | None = None,
 ) -> Trajectory:
     """Deterministic controlled trajectory (the zero-noise solution map)."""
     return _single_trajectory(
         z0, control, horizon, loc, {"eps": 0.0, "seed": None, "trial_id": None},
         manifold=manifold, basis=basis, diffusion=diffusion, eps=0.0,
         renormalize=renormalize, keep_states=keep_states, observer=observer,
-        stop_cone=stop_cone, stop_threshold=stop_threshold,
     )
 
 
@@ -578,8 +539,6 @@ def solve_stochastic(
     renormalize: bool = True,
     keep_states: bool = True,
     observer=None,
-    stop_cone: LightCone | None = None,
-    stop_threshold: float | None = None,
 ) -> Trajectory:
     """One noisy trajectory; eps = 0 reproduces solve_skeleton bitwise."""
     if eps < 0:
@@ -589,7 +548,7 @@ def solve_stochastic(
         {"eps": float(eps), "seed": int(master_seed), "trial_id": int(trial_id)},
         manifold=manifold, basis=basis, diffusion=diffusion, eps=eps,
         master_seed=master_seed, trial_ids=[trial_id], renormalize=renormalize,
-        keep_states=keep_states, observer=observer, stop_cone=stop_cone, stop_threshold=stop_threshold,
+        keep_states=keep_states, observer=observer,
     )
 
 
@@ -610,8 +569,6 @@ def solve_batch(
     renormalize: bool = True,
     keep_states: bool = False,
     observer=None,
-    stop_cone: LightCone | None = None,
-    stop_threshold: float | None = None,
 ) -> Trajectory:
     """Evolve a family of trajectories in lock-step from shared initial data.
 
@@ -636,18 +593,17 @@ def solve_batch(
     u0, v0 = _as_batch(z0)
     u0 = np.broadcast_to(u0, (u0.shape[0], nbatch, u0.shape[2]))
     v0 = np.broadcast_to(v0, (v0.shape[0], nbatch, v0.shape[2]))
-    times, states, stopping, trace, noise_log, k_init, k_final = _integrate(
+    times, states, trace, noise_log, k_init, k_final = _integrate(
         u0, v0,
         origin=z0.origin, spacing=z0.spacing, manifold=manifold, loc=loc,
         horizon=horizon, basis=basis, diffusion=diffusion, eps=eps,
         control_rates=rates, master_seed=master_seed, trial_ids=trial_ids,
         renormalize=renormalize, keep_states=keep_states, observer=observer,
-        stop_cone=stop_cone, stop_threshold=stop_threshold,
     )
     meta = {"eps": float(eps), "seed": int(master_seed), "trial_ids": trial_ids,
             "dt": z0.spacing, "radius": loc.radius, "renormalize": renormalize,
             "k_init": k_init, "k_final": k_final, "nbatch": nbatch}
-    return Trajectory(times, states, stopping, trace, noise_log, control, meta)
+    return Trajectory(times, states, trace, noise_log, control, meta)
 
 
 def run_trials(ids, fn, threads: int) -> tuple:
@@ -689,16 +645,6 @@ def blowup_times(traj: Trajectory, loc: LocalizationParams, thresholds=None) -> 
         hits = np.nonzero(norms >= k)[0]
         out.append((int(k), float(traj.times[hits[0]]) if len(hits) else horizon))
     return out
-
-
-def threshold_time(traj: Trajectory, threshold: float) -> float:
-    """First time the recorded cone norm reaches the threshold, horizon if never."""
-    cone = traj.energy_trace.get("cone_energy")
-    if cone is None:
-        raise ValueError("trajectory was run without a stopping cone")
-    norms = np.sqrt(2.0 * np.asarray(cone))
-    hits = np.nonzero(norms >= threshold)[0]
-    return float(traj.times[hits[0]]) if len(hits) else float(traj.times[-1])
 
 
 def mild_residual(

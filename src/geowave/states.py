@@ -92,19 +92,15 @@ def _angles_to_state(geom: GridGeometry, manifold: ManifoldModel, theta, phi, dt
     latitude phi.  Velocities are pushed forward through the chart, so they
     are tangent to round-off.
     """
-    if manifold.ambient_dim == 2:
+    if manifold.kind == "circle":
         u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         v = dtheta[:, None] * np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-    elif manifold.ambient_dim == 3:
+    else:
         cos_p, sin_p = np.cos(phi), np.sin(phi)
         u = np.stack([np.cos(theta) * cos_p, np.sin(theta) * cos_p, sin_p], axis=1)
         e_theta = np.stack([-np.sin(theta) * cos_p, np.cos(theta) * cos_p, np.zeros_like(theta)], axis=1)
         e_phi = np.stack([-np.cos(theta) * sin_p, -np.sin(theta) * sin_p, cos_p], axis=1)
         v = dtheta[:, None] * e_theta + dphi[:, None] * e_phi
-    else:
-        raise DimensionMismatch(
-            f"angle charts cover ambient dimension 2 or 3, not {manifold.ambient_dim}"
-        )
     return geom.state(u, v)
 
 

@@ -280,7 +280,7 @@ def test_criterion_09_noise_statistics():
     start = time.perf_counter()
     rng = stream(_SEED, 90)
     nsamp, dt = 100_000, 0.1
-    coeffs = np.stack([sample_increment(_BASIS, dt, rng).coeffs for _ in range(nsamp)])
+    coeffs = np.stack([sample_increment(_BASIS, dt, rng) for _ in range(nsamp)])
     var = coeffs.var(axis=0, ddof=1)
     sigma = dt * math.sqrt(2.0 / (nsamp - 1))
     var_dev = float(np.abs(var - dt).max() / sigma)

@@ -2,9 +2,11 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geowave.cli import ExperimentConfig, load_config, run_command
 from geowave.errors import ConfigInvalid
@@ -55,15 +57,26 @@ def test_unknown_key_is_named(tmp_path):
         load_config(_config(tmp_path, "experiment.bogus = 1\n"), "skeleton")
 
 
-def test_parse_errors_carry_line_numbers(tmp_path):
-    with pytest.raises(ConfigInvalid, match="line 2"):
-        load_config(_config(tmp_path, "\ngrid.points\n"), "verify")
-    with pytest.raises(ConfigInvalid, match="duplicate key"):
-        load_config(_config(tmp_path, "grid.points = 64\ngrid.points = 96\n"), "verify")
-    with pytest.raises(ConfigInvalid, match="not a literal"):
-        load_config(_config(tmp_path, "manifold.kind = circle\n"), "verify")
-    with pytest.raises(ConfigInvalid, match="malformed key"):
-        load_config(_config(tmp_path, "grid.points.extra = 1\n"), "verify")
+# A valid config with blank and comment lines; the keyed lines are 1, 3 and 5.
+_VALID_LINES = ['manifold.kind = "circle"', "# a comment", "grid.points = 96", "", "time.horizon = 0.5"]
+_KEYED = {0: "manifold.kind", 2: "grid.points", 4: "time.horizon"}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["no equals sign", "malformed key", "duplicate key", "not a literal"]),
+       data=st.data())
+def test_parse_errors_carry_line_numbers(tmp_path, kind, data):
+    # a duplicate needs an earlier line with the same key, so it cannot come first
+    pos = data.draw(st.integers(1 if kind == "duplicate key" else 0, len(_VALID_LINES)))
+    if kind == "duplicate key":
+        line = _KEYED[data.draw(st.sampled_from([i for i in _KEYED if i < pos]))] + " = 1"
+    else:
+        line = {"no equals sign": "grid.points 96", "malformed key": "grid.points.extra = 1",
+                "not a literal": "solver.k_max = lots"}[kind]
+    lines = _VALID_LINES[:pos] + [line] + _VALID_LINES[pos:]
+    message = "expected 'section.key = value'" if kind == "no equals sign" else kind
+    with pytest.raises(ConfigInvalid, match=f"^config line {pos + 1}: .*{re.escape(message)}"):
+        load_config(_config(tmp_path, "\n".join(lines) + "\n"), "verify")
 
 
 def test_invariants_rejected_at_load(tmp_path):
@@ -95,6 +108,22 @@ def test_rate_blocks_must_divide_the_steps(tmp_path, capsys):
     assert "config error: key 'experiment.blocks'" in capsys.readouterr().out
     for ok in (1, 4, 16):
         load_config(_config(tmp_path, f"grid.points = 96\nexperiment.blocks = {ok}\n"), "rate")
+
+
+def test_trial_counts_and_noise_level_lists_are_config_errors(tmp_path, capsys):
+    for command in ("simulate", "tail"):
+        for trials in (0, -3):
+            cfg = _config(tmp_path, _SMALL + f"experiment.trials = {trials}\n")
+            with pytest.raises(ConfigInvalid, match="experiment.trials"):
+                load_config(cfg, command)
+            assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert "config error: key 'experiment.trials'" in capsys.readouterr().out
+    for command in ("probe-s2", "tail"):
+        cfg = _config(tmp_path, _SMALL + "experiment.eps_list = ()\n")
+        with pytest.raises(ConfigInvalid, match="experiment.eps_list"):
+            load_config(cfg, command)
+        assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: key 'experiment.eps_list'" in capsys.readouterr().out
 
 
 def test_probe_s2_with_two_eps_values_reports_no_slope(tmp_path, capsys):

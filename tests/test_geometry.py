@@ -27,6 +27,13 @@ def test_nearest_point_projects_and_is_idempotent():
         assert np.abs(p - q / np.linalg.norm(q, axis=1, keepdims=True)).max() < 1e-12
 
 
+def test_only_the_round_targets_exist():
+    assert ManifoldModel("circle", 2) == ManifoldModel.circle()
+    for kind, dim in (("torus", 3), ("circle", 3), ("sphere", 2)):
+        with pytest.raises(ValueError, match="circle in R\\^2 and the sphere in R\\^3"):
+            ManifoldModel(kind, dim)
+
+
 def test_constraint_residual_is_distance():
     man = ManifoldModel.sphere()
     q = np.array([[0.0, 0.0, 1.3], [0.5, 0.0, 0.0]])
@@ -169,33 +176,3 @@ def test_diffusion_fields_are_tangent_and_bounded():
         assert norms.max() <= yf.bound_constant * (1.0 + 1.0) + 1e-12
         far = 2.5 * p
         assert np.abs(yf(far)).max() == 0.0
-
-
-def test_zero_diffusion_field():
-    yz = DiffusionField.zero(3)
-    q = np.random.default_rng(10).standard_normal((5, 3))
-    assert np.abs(yz(q)).max() == 0.0
-
-
-def test_custom_manifold_roundtrip():
-    # a custom circle built from callbacks must agree with the closed forms
-    ref = ManifoldModel.circle()
-
-    def nearest(q):
-        return q / np.linalg.norm(q, axis=-1, keepdims=True)
-
-    def tangent(p, a):
-        return a - (a * p).sum(axis=-1, keepdims=True) * p
-
-    def sff(p, a, b):
-        return -(a * b).sum(axis=-1, keepdims=True) * p
-
-    man = ManifoldModel(kind="custom", ambient_dim=2, nearest_cb=nearest,
-                        tangent_cb=tangent, sff_cb=sff)
-    rng = np.random.default_rng(11)
-    q = rng.standard_normal((32, 2)) * 0.2 + np.array([1.0, 0.0])
-    assert np.abs(man.nearest_point(q) - ref.nearest_point(q)).max() < 1e-12
-    assert np.abs(man.involution(q) - ref.involution(q)).max() < 1e-12
-    p = man.nearest_point(q)
-    a = rng.standard_normal(p.shape)
-    assert np.abs(man.tangent_project_at(p, a) - ref.tangent_project_at(p, a)).max() < 1e-12

@@ -109,16 +109,12 @@ def test_gradient_descent_and_spsa_paths_run():
     target = solve_skeleton(z0, Control(rows, geom.spacing), 0.25, loc,
                             manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE
                             ).final_state()
-    for optimizer in ("gd", "spsa"):
-        opts = RateOptions(blocks=2, optimizer=optimizer, max_iter=3,
-                           lambdas=(1e1, 1e2))
-        res = rate_function(target, z0, 10.0, opts, cone=cone, horizon=0.25,
-                            **_solve_kwargs(loc))
-        assert res.metadata["optimizer"] == optimizer
-        assert res.iterations > 0
-    with pytest.raises(ValueError):
-        rate_function(target, z0, 10.0, RateOptions(blocks=2, optimizer="lbfgs"),
-                      cone=cone, horizon=0.25, **_solve_kwargs(loc))
+    # a zero threshold sends even this 6-parameter problem to SPSA
+    opts = RateOptions(blocks=2, max_iter=3, lambdas=(1e1, 1e2), spsa_dim_threshold=0)
+    res = rate_function(target, z0, 10.0, opts, cone=cone, horizon=0.25,
+                        **_solve_kwargs(loc))
+    assert res.metadata["optimizer"] == "spsa"
+    assert res.iterations > 0
 
 
 def test_weak_oscillations_wash_out_but_constants_do_not():
