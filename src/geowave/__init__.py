@@ -32,7 +32,6 @@ from .ldp import (
     ConvergenceReport,
     RateOptions,
     RateResult,
-    control_norm,
     rate_function,
     statement1_probe,
     statement2_probe,
@@ -93,7 +92,6 @@ __all__ = [
     "ConvergenceReport",
     "RateOptions",
     "RateResult",
-    "control_norm",
     "rate_function",
     "statement1_probe",
     "statement2_probe",

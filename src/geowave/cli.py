@@ -12,8 +12,9 @@ import ast
 import hashlib
 import json
 import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,49 +53,128 @@ from .states import (
 )
 from .wave_group import GroupStep
 
-__all__ = ["ExperimentConfig", "load_config", "run_command", "main"]
+__all__ = ["CONFIG_KEYS", "ConfigKey", "ExperimentConfig", "load_config", "run_command", "main"]
 
 
 # ---------------------------------------------------------------------------
-# config file format
+# config file format: one table declares every key
 # ---------------------------------------------------------------------------
 
-_BASE_KEYS = {
-    "manifold.kind",
-    "grid.domain_radius",
-    "grid.points",
-    "time.horizon",
-    "noise.atoms",
-    "noise.seed",
-    "solver.k_max",
-    "solver.renormalize",
+# experiment.initial -> builder(geom, manifold, seed); only "random" draws from the seed
+_INITIAL_STATES = {
+    "rotating_geodesic": lambda geom, man, seed: rotating_state(geom, man),
+    "constant": lambda geom, man, seed: constant_state(geom, man),
+    "bump": lambda geom, man, seed: bump_state(geom, man),
+    "random": lambda geom, man, seed: random_state(geom, man, stream(seed, 9000)),
 }
 
-_EXPERIMENT_KEYS = {
-    "verify": set(),
-    "skeleton": {"initial", "energy_transform", "cone_center", "cone_radius", "output_stride"},
-    "simulate": {"initial", "eps", "trials", "cone_center", "cone_radius"},
-    "rate": {"initial", "target", "amplitude", "mode", "blocks", "budget", "gap_tol",
-             "cone_center", "cone_radius"},
-    "probe-s1": {"initial", "n_list", "amplitude", "mode", "tol", "perturbation",
-                 "cone_center", "cone_radius"},
-    "probe-s2": {"initial", "eps_list", "trials", "threshold", "cone_center", "cone_radius"},
-    "tail": {"initial", "delta", "eps_list", "trials", "rate_value",
-             "cone_center", "cone_radius"},
+_NAMES = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
+          float: ("a number", "numbers"), str: ("a string", "strings")}
+_ABOVE = {">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One config key: the type of its value, its default and the values it allows."""
+
+    kind: type               # bool, int, float or str: the value's type, or each item's
+    default: object = None   # None: the run works the value out from other keys
+    bound: tuple = ()        # (">", x) or (">=", x): the lower bound of a number or of each item
+    choices: tuple = ()      # the only values a string may take
+    seq: int = 0             # 0: one value; 1: a nonempty sequence; 2: a nonempty sequence of pairs
+
+    def describe(self) -> str:
+        single, plural = _NAMES[self.kind]
+        text = (single, f"a nonempty sequence of {plural}", f"a nonempty sequence of pairs of {plural}")
+        return text[self.seq] + (" %s %s" % self.bound if self.bound else "") + (
+            f" in {self.choices}" if self.choices else "")
+
+    def parse(self, key: str, raw):
+        """raw as this key's typed value, or ConfigInvalid naming the key."""
+        try:
+            return self._typed(raw, self.seq)
+        except (ValueError, OverflowError):  # OverflowError: an int too large for a float
+            raise ConfigInvalid(f"key '{key}' must be {self.describe()}, got {raw!r}") from None
+
+    def _typed(self, raw, depth: int):
+        """raw as an allowed value of kind, inside `depth` nested sequences (inner ones are pairs)."""
+        if depth:
+            if not isinstance(raw, (list, tuple)) or not raw or (depth < self.seq and len(raw) != 2):
+                raise ValueError(raw)
+            return tuple(self._typed(item, depth - 1) for item in raw)
+        # an int counts as a number, a bool as no integer
+        number = self.kind is float and type(raw) in (int, float) and math.isfinite(raw)
+        if not number and (self.kind is float or type(raw) is not self.kind):
+            raise ValueError(raw)
+        value = float(raw) if number else raw
+        if (self.choices and value not in self.choices) or (
+                self.bound and not _ABOVE[self.bound[0]](value, self.bound[1])):
+            raise ValueError(raw)
+        return value
+
+
+_BASE_TABLE = {
+    "manifold.kind": ConfigKey(str, "sphere", choices=("circle", "sphere")),
+    "grid.domain_radius": ConfigKey(float, 6.0, (">", 0)),
+    "grid.points": ConfigKey(int, 1536, (">=", 64)),
+    "time.horizon": ConfigKey(float, 1.0, (">", 0)),
+    "noise.atoms": ConfigKey(float, ((0.0, 0.5), (1.0, 0.3), (2.5, 0.2)), (">=", 0), seq=2),
+    "noise.seed": ConfigKey(int, 0),
+    "solver.k_max": ConfigKey(int, 1024, (">", 0)),
+    "solver.renormalize": ConfigKey(bool, True),
 }
 
-_DEFAULTS = {
-    "manifold.kind": "sphere",
-    "grid.domain_radius": 6.0,
-    "grid.points": 1536,
-    "time.horizon": 1.0,
-    "noise.atoms": ((0.0, 0.5), (1.0, 0.3), (2.5, 0.2)),
-    "noise.seed": 0,
-    "solver.k_max": 1024,
-    "solver.renormalize": True,
-}
 
-_STOCHASTIC_COMMANDS = {"simulate", "probe-s2", "tail", "verify"}
+def _table(initial: str = "random", **experiment) -> dict:
+    """The base keys, the keys of a run from initial data, and a command's own keys."""
+    return {
+        **_BASE_TABLE,
+        "experiment.initial": ConfigKey(str, initial, choices=tuple(_INITIAL_STATES)),
+        "experiment.cone_center": ConfigKey(float, 0.0),
+        "experiment.cone_radius": ConfigKey(float, None, (">", 0)),  # None: twice the horizon
+        **{f"experiment.{name}": key for name, key in experiment.items()},
+    }
+
+
+# command -> key -> declaration.  Rules that span keys live in _check_across_keys.
+CONFIG_KEYS = {
+    "verify": _BASE_TABLE,
+    "skeleton": _table(
+        "rotating_geodesic",
+        energy_transform=ConfigKey(str, "identity", choices=("identity", "log1p")),
+        output_stride=ConfigKey(int, None, (">", 0)),  # None: a 32nd of the steps
+    ),
+    "simulate": _table(
+        eps=ConfigKey(float, 1e-2, (">=", 0)),
+        trials=ConfigKey(int, 8, (">", 0)),
+    ),
+    "rate": _table(
+        target=ConfigKey(str, "planted", choices=("planted", "uncontrolled")),
+        amplitude=ConfigKey(float, 0.9),
+        mode=ConfigKey(int, None, (">=", 0)),  # None: mode 1, or 0 in a one-mode basis
+        blocks=ConfigKey(int, RateOptions.blocks, (">", 0)),
+        budget=ConfigKey(float, 50.0, (">", 0)),
+        gap_tol=ConfigKey(float, RateOptions.gap_tol, (">", 0)),
+    ),
+    "probe-s1": _table(
+        n_list=ConfigKey(int, (4, 8, 16, 32, 64), (">", 0), seq=1),
+        amplitude=ConfigKey(float, 0.3),
+        mode=ConfigKey(int, 0, (">=", 0)),
+        tol=ConfigKey(float, 1e-2, (">", 0)),
+        perturbation=ConfigKey(str, "oscillation", choices=("oscillation", "constant")),
+    ),
+    "probe-s2": _table(
+        eps_list=ConfigKey(float, (1e-2, 1e-3, 1e-4), (">=", 0), seq=1),
+        trials=ConfigKey(int, 50, (">=", 30)),
+        threshold=ConfigKey(float, 10.0, (">", 0)),
+    ),
+    "tail": _table(
+        delta=ConfigKey(float, 0.05, (">=", 0)),
+        eps_list=ConfigKey(float, (3e-2, 1e-2, 3e-3), (">=", 0), seq=1),
+        trials=ConfigKey(int, 64, (">", 0)),
+        rate_value=ConfigKey(float, None, (">=", 0)),  # None: no comparison level
+    ),
+}
 
 
 def _parse_value(raw: str, key: str, lineno: int):
@@ -106,14 +186,6 @@ def _parse_value(raw: str, key: str, lineno: int):
         raise ConfigInvalid(
             f"config line {lineno}: value for key '{key}' is not a literal: {raw!r}"
         ) from None
-
-
-def _as_int(raw) -> int:
-    """int(raw), or 0 when raw is no number, so a positivity check rejects it."""
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        return 0
 
 
 def _parse_config_text(text: str) -> dict:
@@ -134,106 +206,63 @@ def _parse_config_text(text: str) -> dict:
     return entries
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: target manifold, lattice, horizon, noise, and knobs."""
+    """One command's settings: every key of its table, typed, defaults filled in."""
 
-    manifold_kind: str = "sphere"
-    domain_radius: float = 6.0
-    points: int = 1536
-    horizon: float = 1.0
-    atoms: tuple = _DEFAULTS["noise.atoms"]
-    seed: int = 0
-    k_max: int = 1024
-    renormalize: bool = True
-    experiment: dict = field(default_factory=dict)
+    values: dict
 
-    def validate(self, command: str) -> None:
-        if self.manifold_kind not in ("circle", "sphere"):
-            raise ConfigInvalid(
-                f"key 'manifold.kind' must be 'circle' or 'sphere', got {self.manifold_kind!r}"
-            )
-        if self.points < 64:
-            raise ConfigInvalid(f"key 'grid.points' must be at least 64, got {self.points}")
-        if not 0 < self.horizon < self.domain_radius:
-            raise ConfigInvalid(
-                "key 'time.horizon' must lie strictly between 0 and grid.domain_radius"
-            )
-        if command in _STOCHASTIC_COMMANDS and not self.atoms:
-            raise ConfigInvalid(f"key 'noise.atoms' must be nonempty for command '{command}'")
-        try:
-            steps = GroupStep.from_time(self.horizon, self.grid().spacing).shift_count
-        except NonLatticeTime:
-            raise ConfigInvalid(
-                f"key 'time.horizon' must be a whole number of lattice steps of "
-                f"grid.domain_radius / grid.points, got {self.horizon}"
-            ) from None
-        allowed = _EXPERIMENT_KEYS[command]
-        for key in self.experiment:
-            if key not in allowed:
-                raise ConfigInvalid(
-                    f"unknown config key 'experiment.{key}' for command '{command}'"
-                )
-        if command == "rate":
-            raw = self.experiment.get("blocks", RateOptions.blocks)
-            blocks = _as_int(raw)
-            if blocks < 1 or steps % blocks:
-                raise ConfigInvalid(
-                    f"key 'experiment.blocks' must be a positive divisor of the {steps} time steps, "
-                    f"got {raw!r}"
-                )
-        trials = self.experiment.get("trials")
-        if command in ("simulate", "tail") and trials is not None and _as_int(trials) < 1:
-            # probe-s2 asks for at least 30 trials when it runs
-            raise ConfigInvalid(f"key 'experiment.trials' must be a positive integer, got {trials!r}")
-        eps_list = self.experiment.get("eps_list")
-        if eps_list is not None and (not isinstance(eps_list, (list, tuple)) or not eps_list):
-            raise ConfigInvalid(f"key 'experiment.eps_list' must be a nonempty sequence of noise levels, "
-                                f"got {eps_list!r}")
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     def manifold(self) -> ManifoldModel:
-        return ManifoldModel.circle() if self.manifold_kind == "circle" else ManifoldModel.sphere()
+        return ManifoldModel.circle() if self["manifold.kind"] == "circle" else ManifoldModel.sphere()
 
     def measure(self) -> SpectralMeasure:
-        return SpectralMeasure(tuple((float(f), float(w)) for f, w in self.atoms))
+        return SpectralMeasure(self["noise.atoms"])
 
     def grid(self):
-        return make_grid(self.domain_radius, self.points, self.horizon)
+        return make_grid(self["grid.domain_radius"], self["grid.points"], self["time.horizon"])
 
     def cone(self) -> LightCone:
-        center = float(self.experiment.get("cone_center", 0.0))
-        radius = float(self.experiment.get("cone_radius", 2.0 * self.horizon))
-        return LightCone(center, radius)
+        # a cone radius is positive, so None is its only false value
+        return LightCone(self["experiment.cone_center"],
+                         self["experiment.cone_radius"] or 2.0 * self["time.horizon"])
+
+
+def _check_across_keys(cfg: ExperimentConfig) -> None:
+    """The rules that tie keys together: the lattice horizon, rate blocks and the noise mode."""
+    if cfg["time.horizon"] >= cfg["grid.domain_radius"]:
+        raise ConfigInvalid("key 'time.horizon' must lie strictly between 0 and grid.domain_radius")
+    try:
+        steps = GroupStep.from_time(cfg["time.horizon"], cfg.grid().spacing).shift_count
+    except NonLatticeTime:
+        raise ConfigInvalid(
+            f"key 'time.horizon' must be a whole number of lattice steps of "
+            f"grid.domain_radius / grid.points, got {cfg['time.horizon']}"
+        ) from None
+    blocks = cfg.values.get("experiment.blocks")
+    if blocks is not None and steps % blocks:
+        raise ConfigInvalid(f"key 'experiment.blocks' must divide the {steps} time steps, got {blocks}")
+    mode = cfg.values.get("experiment.mode")
+    if mode is not None and mode >= (dim := build_basis(cfg.measure()).dim):
+        raise ConfigInvalid(f"key 'experiment.mode' must be below the noise basis dimension {dim}, "
+                            f"got {mode}")
 
 
 def load_config(path: str | Path, command: str, seed_override: int | None = None) -> ExperimentConfig:
+    """Read a config file for one command: every key of its table typed, checked and defaulted."""
+    table = CONFIG_KEYS[command]
     entries = _parse_config_text(Path(path).read_text())
-    known = dict(_DEFAULTS)
-    experiment = {}
-    for key, value in entries.items():
-        if key.startswith("experiment."):
-            experiment[key.split(".", 1)[1]] = value
-        elif key in _BASE_KEYS:
-            known[key] = value
-        else:
-            raise ConfigInvalid(f"unknown config key '{key}'")
-    atoms = known["noise.atoms"]
-    try:
-        atoms = tuple((float(f), float(w)) for f, w in atoms)
-    except (TypeError, ValueError):
-        raise ConfigInvalid("key 'noise.atoms' must be a sequence of (frequency, weight) pairs") from None
-    cfg = ExperimentConfig(
-        manifold_kind=str(known["manifold.kind"]),
-        domain_radius=float(known["grid.domain_radius"]),
-        points=int(known["grid.points"]),
-        horizon=float(known["time.horizon"]),
-        atoms=atoms,
-        seed=int(seed_override if seed_override is not None else known["noise.seed"]),
-        k_max=int(known["solver.k_max"]),
-        renormalize=bool(known["solver.renormalize"]),
-        experiment=experiment,
-    )
-    cfg.validate(command)
+    for key in entries:
+        if key not in table:
+            raise ConfigInvalid(f"unknown config key '{key}' for command '{command}'")
+    values = {key: spec.parse(key, entries[key]) if key in entries else spec.default
+              for key, spec in table.items()}
+    if seed_override is not None:
+        values["noise.seed"] = seed_override
+    cfg = ExperimentConfig(values)
+    _check_across_keys(cfg)
     return cfg
 
 
@@ -285,24 +314,11 @@ def _write_manifest(out: Path, command: str, config_path: str, cfg: ExperimentCo
         "package_version": __version__,
         "command": command,
         "config_sha256": digest,
-        "seed": cfg.seed,
+        "seed": cfg["noise.seed"],
         "threads": threads,
         "wall_time_s": wall,
         "artifacts": sorted(artifacts),
     })
-
-
-def _initial_state(cfg: ExperimentConfig, geom, manifold, default: str = "random"):
-    kind = str(cfg.experiment.get("initial", default))
-    if kind == "rotating_geodesic":
-        return rotating_state(geom, manifold)
-    if kind == "constant":
-        return constant_state(geom, manifold)
-    if kind == "bump":
-        return bump_state(geom, manifold)
-    if kind == "random":
-        return random_state(geom, manifold, stream(cfg.seed, 9000))
-    raise ConfigInvalid(f"key 'experiment.initial' has unknown value {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -322,13 +338,13 @@ class _Setup:
         return {"manifold": self.manifold, "basis": self.basis, "diffusion": self.diffusion}
 
 
-def _setup(cfg: ExperimentConfig, default_initial: str = "random") -> _Setup:
+def _setup(cfg: ExperimentConfig) -> _Setup:
     geom = cfg.grid()
     man = cfg.manifold()
     return _Setup(
         geom, man, build_basis(cfg.measure()), DiffusionField.for_manifold(man),
-        LocalizationParams(radius=geom.half_width, k_max=cfg.k_max),
-        _initial_state(cfg, geom, man, default_initial),
+        LocalizationParams(radius=geom.half_width, k_max=cfg["solver.k_max"]),
+        _INITIAL_STATES[cfg["experiment.initial"]](geom, man, cfg["noise.seed"]),
     )
 
 
@@ -337,7 +353,7 @@ def _setup(cfg: ExperimentConfig, default_initial: str = "random") -> _Setup:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
-    checks = verify_suite(cfg.seed, cfg.measure(), threads)
+    checks = verify_suite(cfg["noise.seed"], cfg.measure(), threads)
     for name, passed, detail in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
     n_pass = sum(1 for _, ok, _ in checks if ok)
@@ -351,12 +367,12 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, li
 
 
 def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
-    run = _setup(cfg, default_initial="rotating_geodesic")
+    run = _setup(cfg)
     geom, man = run.geom, run.manifold
-    traj = solve_skeleton(run.z0, None, cfg.horizon, run.loc, **run.fields,
-                          renormalize=cfg.renormalize, keep_states=True)
+    traj = solve_skeleton(run.z0, None, cfg["time.horizon"], run.loc, **run.fields,
+                          renormalize=cfg["solver.renormalize"], keep_states=True)
 
-    stride = int(cfg.experiment.get("output_stride", max(1, traj.steps // 32)))
+    stride = cfg["experiment.output_stride"] or max(1, traj.steps // 32)
     rows = []
     x = geom.x
     for m in range(0, traj.steps + 1, stride):
@@ -369,7 +385,7 @@ def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
               + [f"v_{c + 1}" for c in range(ncomp)] + ["constraint_residual"])
     _write_csv(out / "trajectory.csv", header, rows)
 
-    transform = str(cfg.experiment.get("energy_transform", "identity"))
+    transform = cfg["experiment.energy_transform"]
     rep = verify_energy_inequality(traj, cone=cfg.cone(), **run.fields, transform=transform)
     _write_csv(out / "energy_report.csv", ["t", "e", "bound", "gap"],
                zip(rep.times, rep.e_values, rep.bound_values, rep.gaps))
@@ -391,9 +407,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
     run = _setup(cfg)
     geom, man = run.geom, run.manifold
     cone = cfg.cone()
-    eps = float(cfg.experiment.get("eps", 1e-2))
-    trials = int(cfg.experiment.get("trials", 8))
-    steps = round(cfg.horizon / geom.spacing)
+    eps, trials = cfg["experiment.eps"], cfg["experiment.trials"]
+    steps = round(cfg["time.horizon"] / geom.spacing)
     weights = {m: cone_section_weights(cone, geom.origin, geom.spacing, geom.npoints, m)
                for m in range(steps + 1)}
 
@@ -405,8 +420,9 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
             np.maximum(local, section_energy(u, v, weights[m], geom.spacing), out=local)
             final["u"] = u
 
-        solve_batch(run.z0, eps, cfg.horizon, run.loc, **run.fields, master_seed=cfg.seed,
-                    trial_ids=ids, renormalize=cfg.renormalize, keep_states=False, observer=obs)
+        solve_batch(run.z0, eps, cfg["time.horizon"], run.loc, **run.fields,
+                    master_seed=cfg["noise.seed"], trial_ids=ids,
+                    renormalize=cfg["solver.renormalize"], keep_states=False, observer=obs)
         res = man.constraint_residual(final["u"].reshape(-1, man.ambient_dim))
         return local, res.reshape(geom.npoints, len(ids)).max(axis=0)
 
@@ -427,27 +443,23 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
 def _cmd_rate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
     run = _setup(cfg)
     geom, basis = run.geom, run.basis
-    blocks = int(cfg.experiment.get("blocks", RateOptions.blocks))
-    opts = RateOptions(blocks=blocks, gap_tol=float(cfg.experiment.get("gap_tol", 1e-2)))
-    budget = float(cfg.experiment.get("budget", 50.0))
-    steps = round(cfg.horizon / geom.spacing)
+    horizon, blocks = cfg["time.horizon"], cfg["experiment.blocks"]
+    opts = RateOptions(blocks=blocks, gap_tol=cfg["experiment.gap_tol"])
+    steps = round(horizon / geom.spacing)
 
-    kind = str(cfg.experiment.get("target", "planted"))
+    kind = cfg["experiment.target"]
     planted_cost = None
     if kind == "planted":
-        amp = float(cfg.experiment.get("amplitude", 0.9))
-        mode = int(cfg.experiment.get("mode", min(1, basis.dim - 1)))
+        mode = cfg["experiment.mode"]
         rates = np.zeros((steps, basis.dim))
-        rates[:, mode] = amp
+        rates[:, min(1, basis.dim - 1) if mode is None else mode] = cfg["experiment.amplitude"]
         hstar = Control(rates, geom.spacing)
         planted_cost = 0.5 * hstar.squared_norm()
-        target = solve_skeleton(run.z0, hstar, cfg.horizon, run.loc, **run.fields).final_state()
-    elif kind == "uncontrolled":
-        target = solve_skeleton(run.z0, None, cfg.horizon, run.loc, **run.fields).final_state()
+        target = solve_skeleton(run.z0, hstar, horizon, run.loc, **run.fields).final_state()
     else:
-        raise ConfigInvalid(f"key 'experiment.target' has unknown value {kind!r}")
+        target = solve_skeleton(run.z0, None, horizon, run.loc, **run.fields).final_state()
 
-    res = rate_function(target, run.z0, budget, opts, cone=cfg.cone(), horizon=cfg.horizon,
+    res = rate_function(target, run.z0, cfg["experiment.budget"], opts, cone=cfg.cone(), horizon=horizon,
                         loc=run.loc, **run.fields)
     coeffs = res.argmin.coeffs[:: steps // blocks]
     _write_csv(out / "control_blocks.csv",
@@ -482,12 +494,10 @@ def _report_artifacts(out: Path, stem: str, rep, extra_json: dict) -> list:
 def _cmd_probe_s1(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
     run = _setup(cfg)
     rep = statement1_probe(
-        None, list(cfg.experiment.get("n_list", (4, 8, 16, 32, 64))), run.z0, cfg.cone(),
-        horizon=cfg.horizon, loc=run.loc, **run.fields,
-        amplitude=float(cfg.experiment.get("amplitude", 0.3)),
-        mode_index=int(cfg.experiment.get("mode", 0)),
-        tol=float(cfg.experiment.get("tol", 1e-2)),
-        perturbation=str(cfg.experiment.get("perturbation", "oscillation")),
+        None, cfg["experiment.n_list"], run.z0, cfg.cone(),
+        horizon=cfg["time.horizon"], loc=run.loc, **run.fields,
+        amplitude=cfg["experiment.amplitude"], mode_index=cfg["experiment.mode"],
+        tol=cfg["experiment.tol"], perturbation=cfg["experiment.perturbation"],
     )
     arts = _report_artifacts(out, "probe_s1", rep, {"tol": rep.extra["tol"],
                                                     "perturbation": rep.extra["perturbation"]})
@@ -498,10 +508,8 @@ def _cmd_probe_s1(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
 def _cmd_probe_s2(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
     run = _setup(cfg)
     rep = statement2_probe(
-        list(cfg.experiment.get("eps_list", (1e-2, 1e-3, 1e-4))), None,
-        int(cfg.experiment.get("trials", 50)),
-        float(cfg.experiment.get("threshold", 10.0)),
-        run.z0, cfg.cone(), cfg.seed, horizon=cfg.horizon, loc=run.loc, **run.fields,
+        cfg["experiment.eps_list"], None, cfg["experiment.trials"], cfg["experiment.threshold"],
+        run.z0, cfg.cone(), cfg["noise.seed"], horizon=cfg["time.horizon"], loc=run.loc, **run.fields,
         threads=threads,
     )
     arts = _report_artifacts(out, "probe_s2", rep,
@@ -514,13 +522,10 @@ def _cmd_probe_s2(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
 
 def _cmd_tail(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
     run = _setup(cfg)
-    rate_value = cfg.experiment.get("rate_value")
     rep = tail_estimate(
-        float(cfg.experiment.get("delta", 0.05)),
-        list(cfg.experiment.get("eps_list", (3e-2, 1e-2, 3e-3))),
-        int(cfg.experiment.get("trials", 64)),
-        run.z0, cfg.cone(), cfg.seed, horizon=cfg.horizon, loc=run.loc, **run.fields,
-        rate_value=None if rate_value is None else float(rate_value), threads=threads,
+        cfg["experiment.delta"], cfg["experiment.eps_list"], cfg["experiment.trials"],
+        run.z0, cfg.cone(), cfg["noise.seed"], horizon=cfg["time.horizon"], loc=run.loc, **run.fields,
+        rate_value=cfg["experiment.rate_value"], threads=threads,
     )
     arts = _report_artifacts(out, "tail", rep, rep.extra)
     print(f"tail: exceedance probabilities {[_fmt(p) for p in rep.metrics]}")
@@ -555,10 +560,7 @@ def run_command(argv: list | None = None) -> int:
 
     try:
         cfg = load_config(args.config, args.command, args.seed)
-    except ConfigInvalid as err:
-        print(f"config error: {err}")
-        return 2
-    except OSError as err:
+    except (ConfigInvalid, OSError) as err:
         print(f"config error: {err}")
         return 2
 
@@ -567,9 +569,6 @@ def run_command(argv: list | None = None) -> int:
     started = time.perf_counter()
     try:
         code, artifacts = _COMMANDS[args.command](cfg, out, args.threads)
-    except ConfigInvalid as err:
-        print(f"config error: {err}")
-        return 2
     except GeowaveError as err:
         print(f"runtime error: {type(err).__name__}: {err}")
         return 4

@@ -41,17 +41,11 @@ __all__ = [
     "RateOptions",
     "RateResult",
     "ConvergenceReport",
-    "control_norm",
     "rate_function",
     "statement1_probe",
     "statement2_probe",
     "tail_estimate",
 ]
-
-
-def control_norm(h: Control) -> float:
-    """Squared L2-in-time control norm, sum_m dt |coeffs_m|^2 (not halved)."""
-    return h.squared_norm()
 
 
 @dataclass(frozen=True)
@@ -223,7 +217,7 @@ def rate_function(
 ) -> RateResult:
     """Half the squared norm of the cheapest control reaching the target.
 
-    Minimizes 0.5*control_norm(h) + lam*gap(h)^2 over piecewise-constant
+    Minimizes 0.5*h.squared_norm() + lam*gap(h)^2 over piecewise-constant
     controls by Gauss-Newton (SPSA above opts.spsa_dim_threshold parameters),
     continuing lam upward until the terminal gap passes opts.gap_tol; returns
     the +inf sentinel (converged=False) for unreachable targets or when every
@@ -243,7 +237,7 @@ def rate_function(
         return RateResult(math.inf, zero, math.inf, 0, False, {"reason": "off-manifold target"})
 
     P = obj.nparams
-    q_diag = np.full(P, dt_block)  # 0.5*control_norm = 0.5 * theta^T diag(dt_block) theta
+    q_diag = np.full(P, dt_block)  # 0.5*h.squared_norm() = 0.5 * theta^T diag(dt_block) theta
     theta = np.zeros(P)
     optimizer = "spsa" if P > opts.spsa_dim_threshold else "gn"
 
@@ -290,7 +284,7 @@ def rate_function(
 
     rows = _expand_rows(theta.reshape(opts.blocks, obj.dim), obj.steps, opts.blocks)
     h = Control(rows, obj.dx)
-    value = 0.5 * control_norm(h)
+    value = 0.5 * h.squared_norm()
     # certificate: re-simulate the returned control and measure the gap afresh
     terminal_gap = obj.gap(theta)
     converged = terminal_gap <= opts.gap_tol and value <= budget

@@ -358,6 +358,8 @@ def _integrate(
     defect = state_defect(manifold, u0, v0)
     if defect is not None:
         raise OffManifoldInitialData(f"initial {defect}")
+    if eps < 0:
+        raise ValueError(f"noise level must be nonnegative, got {eps}")
 
     needs_noise = eps > 0.0
     if needs_noise and (basis is None or diffusion is None):
@@ -541,8 +543,6 @@ def solve_stochastic(
     observer=None,
 ) -> Trajectory:
     """One noisy trajectory; eps = 0 reproduces solve_skeleton bitwise."""
-    if eps < 0:
-        raise ValueError(f"noise level must be nonnegative, got {eps}")
     return _single_trajectory(
         z0, control, horizon, loc,
         {"eps": float(eps), "seed": int(master_seed), "trial_id": int(trial_id)},
@@ -563,7 +563,6 @@ def solve_batch(
     diffusion: DiffusionField | None = None,
     control: Control | None = None,
     control_rates: np.ndarray | None = None,
-    nbatch: int | None = None,
     master_seed: int = 0,
     trial_ids=None,
     renormalize: bool = True,
@@ -579,8 +578,7 @@ def solve_batch(
     """
     steps = GroupStep.from_time(horizon, z0.spacing).shift_count
     if control_rates is None:
-        if nbatch is None:
-            nbatch = len(trial_ids) if trial_ids is not None else 1
+        nbatch = len(trial_ids) if trial_ids is not None else 1
         rates = _control_rates(control, steps, z0.spacing, nbatch)
     else:
         if control is not None:

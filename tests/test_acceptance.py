@@ -17,7 +17,7 @@ from geowave.cli import run_command
 from geowave.energy import energy, verify_energy_inequality
 from geowave.function_spaces import LightCone, State
 from geowave.geometry import DiffusionField, ManifoldModel
-from geowave.ldp import RateOptions, control_norm, rate_function, statement1_probe, statement2_probe
+from geowave.ldp import RateOptions, rate_function, statement1_probe, statement2_probe
 from geowave.noise import (
     SpectralMeasure,
     build_basis,
@@ -247,7 +247,7 @@ def test_criterion_08_rate_recovery_on_the_circle():
         rows = np.zeros((steps, _BASIS.dim))
         rows[:, mode] = amp
         planted = Control(rows, geom.spacing)
-        cost = 0.5 * control_norm(planted)
+        cost = 0.5 * planted.squared_norm()
         target = solve_skeleton(z0, planted, 1.0, _loc(geom), manifold=_CIRCLE,
                                 basis=_BASIS, diffusion=_Y_CIRCLE).final_state()
         res = rate_function(target, z0, 50.0, opts, cone=cone, horizon=1.0,

@@ -3,12 +3,13 @@ import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from geowave.cli import ExperimentConfig, load_config, run_command
+from geowave.cli import CONFIG_KEYS, ExperimentConfig, load_config, run_command
 from geowave.errors import ConfigInvalid
 
 _SMALL = """
@@ -24,13 +25,20 @@ def _config(tmp_path, body, name="exp.cfg"):
     return path
 
 
+def _small_with(line):
+    """_SMALL with `line` added, replacing the line of the same key."""
+    key = line.split("=", 1)[0].strip()
+    kept = [ln for ln in _SMALL.splitlines() if ln.split("=", 1)[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 def test_defaults_from_empty_config(tmp_path):
     cfg = load_config(_config(tmp_path, "# nothing but a comment\n"), "verify")
-    assert cfg == ExperimentConfig()
-    assert cfg.manifold_kind == "sphere"
-    assert cfg.points == 1536
-    assert cfg.atoms == ((0.0, 0.5), (1.0, 0.3), (2.5, 0.2))
-    assert cfg.renormalize is True
+    assert cfg == ExperimentConfig({key: spec.default for key, spec in CONFIG_KEYS["verify"].items()})
+    assert cfg["manifold.kind"] == "sphere"
+    assert cfg["grid.points"] == 1536
+    assert cfg["noise.atoms"] == ((0.0, 0.5), (1.0, 0.3), (2.5, 0.2))
+    assert cfg["solver.renormalize"] is True
 
 
 def test_values_comments_and_booleans(tmp_path):
@@ -43,11 +51,11 @@ def test_values_comments_and_booleans(tmp_path):
     experiment.eps = 1e-3
     """
     cfg = load_config(_config(tmp_path, body), "simulate")
-    assert cfg.manifold_kind == "circle"
-    assert cfg.points == 128
-    assert cfg.atoms == ((0.0, 1.0),)
-    assert cfg.renormalize is False
-    assert cfg.experiment["eps"] == 1e-3
+    assert cfg["manifold.kind"] == "circle"
+    assert cfg["grid.points"] == 128
+    assert cfg["noise.atoms"] == ((0.0, 1.0),)
+    assert cfg["solver.renormalize"] is False
+    assert cfg["experiment.eps"] == 1e-3
 
 
 def test_unknown_key_is_named(tmp_path):
@@ -90,6 +98,117 @@ def test_invariants_rejected_at_load(tmp_path):
         load_config(_config(tmp_path, "noise.atoms = ()\n"), "simulate")
     with pytest.raises(ConfigInvalid, match="noise.atoms"):
         load_config(_config(tmp_path, "noise.atoms = 5\n"), "verify")
+
+
+# Values that got past the config loader before it read every key from one table.
+_BAD_VALUES = [
+    # each ended in a traceback
+    ("simulate", 'experiment.eps = "abc"'),
+    ("skeleton", 'experiment.energy_transform = "cube"'),
+    ("skeleton", "experiment.output_stride = 0"),
+    ("probe-s1", 'experiment.perturbation = "bogus"'),
+    ("probe-s1", "experiment.mode = 99"),
+    ("rate", "experiment.mode = 99"),
+    ("probe-s1", "experiment.n_list = ()"),
+    ("rate", "experiment.budget = -1.0"),
+    ("tail", "experiment.delta = -1.0"),
+    ("tail", 'experiment.eps_list = (1e-2, "x")'),
+    # each failed at run time (exit 4)
+    ("probe-s2", "experiment.trials = 5"),
+    ("skeleton", "noise.atoms = ()"),
+    ("rate", "noise.atoms = ()"),
+    ("probe-s1", "noise.atoms = ()"),
+    # each ran with the wrong value (exit 0)
+    ("simulate", "experiment.eps = -0.5"),
+    ("tail", "experiment.eps_list = (-1e-2, 3e-2)"),
+    ("simulate", "experiment.trials = 2.7"),
+    ("skeleton", "grid.points = 96.9"),
+]
+
+
+@pytest.mark.parametrize("command, line", _BAD_VALUES, ids=[f"{c}: {ln}" for c, ln in _BAD_VALUES])
+def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, line):
+    key = line.split("=", 1)[0].strip()
+    cfg = _config(tmp_path, _small_with(line))
+    assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: key '{key}'" in capsys.readouterr().out
+
+
+_SCALARS = {
+    bool: st.booleans(),
+    int: st.integers(-10**6, 10**6),
+    float: st.floats(-1e6, 1e6),
+    str: st.text("abcxyz", max_size=6),
+}
+
+
+def _bad_item(spec):
+    """A value of the wrong type for one item of the key, or of its type but not allowed."""
+    kind = spec.kind
+    options = [st.none()] + [strategy for k, strategy in _SCALARS.items()
+                             if k is not kind and (k, kind) != (int, float)]
+    if spec.bound:
+        op, low = spec.bound
+        options.append(st.integers(-10**6, low - (op == ">=")) if kind is int
+                       else st.floats(-1e6, low, exclude_max=op == ">="))
+    if spec.choices:
+        options.append(_SCALARS[str].filter(lambda text: text not in spec.choices))
+    return st.one_of(options)
+
+
+def _bad_value(spec):
+    """A value the key must reject: a bad item, or a sequence that is empty, flat or holds a bad item."""
+    if not spec.seq:
+        return _bad_item(spec)
+    good = list(spec.default)
+    entry = _bad_item(spec)
+    if spec.seq == 2:
+        one_bad = st.builds(lambda bad, first: (bad, 0.5) if first else (0.5, bad), entry, st.booleans())
+        entry = st.one_of(one_bad, st.sampled_from([(0.5,), (0.5, 0.5, 0.5)]), st.floats(0, 1))
+    inserted = st.builds(lambda at, bad: tuple(good[:at]) + (bad,) + tuple(good[at:]),
+                         st.integers(0, len(good)), entry)
+    return st.one_of(st.just(()), st.floats(0, 1), inserted)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_key_rejects_wrong_types_and_out_of_range_values(tmp_path, data):
+    command = data.draw(st.sampled_from(sorted(CONFIG_KEYS)), label="command")
+    key = data.draw(st.sampled_from(sorted(CONFIG_KEYS[command])), label="key")
+    value = data.draw(_bad_value(CONFIG_KEYS[command][key]), label="value")
+    cfg = _config(tmp_path, _small_with(f"{key} = {value!r}"))
+    with pytest.raises(ConfigInvalid, match=f"key '{re.escape(key)}'"):
+        load_config(cfg, command)
+
+
+def _documented_keys():
+    """(key, command) -> (type and allowed values, default) from README's config table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        key, commands, allowed, default = (cell.strip() for cell in line.strip("|").split("|"))
+        names = {"all": list(CONFIG_KEYS), "all but verify": [c for c in CONFIG_KEYS if c != "verify"]}
+        for command in names.get(commands, commands.split(", ")):
+            rows[key.strip("`"), command] = (allowed, default)
+    return rows
+
+
+def test_readme_documents_every_config_key():
+    rows = _documented_keys()
+    for command, table in CONFIG_KEYS.items():
+        for key, spec in table.items():
+            assert (key, command) in rows, f"README's config table lacks {key} for {command}"
+            allowed, default = rows[key, command]
+            assert allowed == spec.describe(), (key, command)
+            # a default the run works out is described in words, not quoted
+            if spec.default is None:
+                assert not default.startswith("`"), (key, command)
+            else:
+                assert default == f"`{spec.default!r}`", (key, command)
+    assert set(rows) == {(key, command) for command, table in CONFIG_KEYS.items() for key in table}
 
 
 def test_non_lattice_horizon_is_a_config_error(tmp_path, capsys):
@@ -137,8 +256,8 @@ def test_probe_s2_with_two_eps_values_reports_no_slope(tmp_path, capsys):
 
 def test_seed_override(tmp_path):
     path = _config(tmp_path, "noise.seed = 3\n")
-    assert load_config(path, "verify").seed == 3
-    assert load_config(path, "verify", seed_override=11).seed == 11
+    assert load_config(path, "verify")["noise.seed"] == 3
+    assert load_config(path, "verify", seed_override=11)["noise.seed"] == 11
 
 
 def test_driver_rejects_bad_invocations(tmp_path):

@@ -10,7 +10,6 @@ from geowave.function_spaces import LightCone, State
 from geowave.geometry import DiffusionField, ManifoldModel
 from geowave.ldp import (
     RateOptions,
-    control_norm,
     rate_function,
     statement1_probe,
     statement2_probe,
@@ -36,11 +35,6 @@ def _solve_kwargs(loc):
     return dict(loc=loc, manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE)
 
 
-def test_control_norm_is_squared_rate_norm():
-    ctl = Control(np.array([[2.0, 0.0], [0.0, 1.0]]), 0.25)
-    assert control_norm(ctl) == 0.25 * 5.0
-
-
 def test_rate_of_the_uncontrolled_target_is_zero():
     geom, loc, cone = _setup()
     z0 = bump_state(geom, _CIRCLE)
@@ -61,7 +55,7 @@ def test_rate_recovers_a_planted_control():
     rows = np.zeros((steps, _BASIS.dim))
     rows[:, 0] = 0.6
     planted = Control(rows, geom.spacing)
-    cost = 0.5 * control_norm(planted)
+    cost = 0.5 * planted.squared_norm()
     target = solve_skeleton(z0, planted, 0.5, loc, manifold=_CIRCLE,
                             basis=_BASIS, diffusion=_Y_CIRCLE, keep_states=True)
     opts = RateOptions(blocks=4)

@@ -230,6 +230,16 @@ def test_non_finite_initial_data_rejected():
         solve_skeleton(State(z.u, z.v.with_values(v)), None, 0.25, _loc(geom), manifold=_CIRCLE)
 
 
+def test_negative_noise_level_rejected_by_every_entry_point():
+    geom = make_grid(6.0, 96, 1.0)
+    z = bump_state(geom, _CIRCLE)
+    kwargs = dict(manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE)
+    with pytest.raises(ValueError, match="noise level"):
+        solve_batch(z, -0.5, 0.25, _loc(geom), trial_ids=[0, 1], **kwargs)
+    with pytest.raises(ValueError, match="noise level"):
+        solve_stochastic(z, -0.5, None, 0.25, _loc(geom), **kwargs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(trials=st.integers(1, 12), threads=st.integers(1, 4), first=st.integers(0, 50))
 def test_run_trials_keeps_id_order_for_any_thread_count(trials, threads, first):
