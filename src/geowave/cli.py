@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .energy import verify_energy_inequality
-from .errors import ConfigInvalid, GeowaveError, NonLatticeTime
+from .errors import ConfigInvalid, GeowaveError, HorizonExceeded, IntervalOutsideGrid, NonLatticeTime
 from .function_spaces import LightCone, State
 from .geometry import DiffusionField, ManifoldModel
 from .ldp import (
@@ -33,7 +33,7 @@ from .ldp import (
 )
 from .noise import NoiseBasis, SpectralMeasure, build_basis
 from .rng import stream
-from .selfcheck import verify_suite
+from .selfcheck import VERIFY_TRIALS, verify_suite
 from .solver import (
     Control,
     LocalizationParams,
@@ -42,6 +42,7 @@ from .solver import (
     section_energy,
     solve_batch,
     solve_skeleton,
+    trial_chunks,
 )
 from .states import (
     GridGeometry,
@@ -248,6 +249,37 @@ def _check_across_keys(cfg: ExperimentConfig) -> None:
     if mode is not None and mode >= (dim := build_basis(cfg.measure()).dim):
         raise ConfigInvalid(f"key 'experiment.mode' must be below the noise basis dimension {dim}, "
                             f"got {mode}")
+    if "experiment.cone_radius" in cfg.values:
+        _check_cone(cfg, steps)
+
+
+def _cone_sections(cone: LightCone, geom, steps: int) -> None:
+    """Build the cone's first and last sections; the ones between lie inside them."""
+    for m in (0, steps):
+        cone_section_weights(cone, geom.origin, geom.spacing, geom.npoints, m)
+
+
+def _check_cone(cfg: ExperimentConfig, steps: int) -> None:
+    """Every cone section from t = 0 to the horizon must be a lattice window.
+
+    That is, its ends are lattice points inside the lattice, at least 4 cells
+    apart at the horizon.  The radius is blamed when the same cone centred at 0
+    fails too, the centre otherwise.
+    """
+    geom, cone = cfg.grid(), cfg.cone()
+    try:
+        _cone_sections(cone, geom, steps)
+    except (HorizonExceeded, IntervalOutsideGrid) as err:
+        try:
+            _cone_sections(LightCone(0.0, cone.horizon), geom, steps)
+            key, value = "experiment.cone_center", cone.center
+        except (HorizonExceeded, IntervalOutsideGrid):
+            key, value = "experiment.cone_radius", cone.horizon
+        raise ConfigInvalid(
+            f"key '{key}' must give cone sections that are lattice windows at every step "
+            f"(ends on lattice points, inside the lattice, at least 4 cells wide at the horizon), "
+            f"got {value} ({err})"
+        ) from None
 
 
 def load_config(path: str | Path, command: str, seed_override: int | None = None) -> ExperimentConfig:
@@ -573,9 +605,15 @@ def run_command(argv: list | None = None) -> int:
         print(f"runtime error: {type(err).__name__}: {err}")
         return 4
     wall = time.perf_counter() - started
-    _write_manifest(out, args.command, args.config, cfg, args.threads, wall,
-                    artifacts + ["manifest.json"])
+    _write_manifest(out, args.command, args.config, cfg, _threads_used(args.command, cfg, args.threads),
+                    wall, artifacts + ["manifest.json"])
     return code
+
+
+def _threads_used(command: str, cfg: ExperimentConfig, threads: int) -> int:
+    """Threads the command's trial fan-out starts: one per chunk of trials, else 1."""
+    trials = VERIFY_TRIALS if command == "verify" else cfg.values.get("experiment.trials")
+    return 1 if trials is None else len(trial_chunks(range(trials), threads))
 
 
 def main() -> int:

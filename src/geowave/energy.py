@@ -26,6 +26,7 @@ from .function_spaces import (
     derivative1,
     integrate_samples,
     l2_inner,
+    pointwise_dot,
     sobolev_sq,
 )
 from .geometry import DiffusionField, ManifoldModel
@@ -89,7 +90,7 @@ def _derivative_ladder(values: np.ndarray, spacing: float, k: int) -> list[np.nd
 
 
 def _inner(a: np.ndarray, b: np.ndarray, origin: float, spacing: float, interval) -> float:
-    return integrate_samples((a * b).sum(axis=1), origin, spacing, *interval)
+    return integrate_samples(pointwise_dot(a, b)[:, 0], origin, spacing, *interval)
 
 
 def verify_energy_inequality(

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutsideTubularNeighborhood
-from .function_spaces import smoothstep
+from .function_spaces import pointwise_dot as _dot, smoothstep
 
 __all__ = ["ManifoldModel", "DiffusionField"]
 
@@ -27,12 +27,8 @@ def _bump(dist: np.ndarray) -> np.ndarray:
     return 1.0 - smoothstep((np.asarray(dist, dtype=float) - _BLEND_LO) / (_BLEND_HI - _BLEND_LO))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a * b).sum(axis=-1, keepdims=True)
-
-
 def _norm(q: np.ndarray) -> np.ndarray:
-    return np.sqrt((q * q).sum(axis=-1, keepdims=True))
+    return np.sqrt(_dot(q, q))
 
 
 @dataclass(frozen=True)
@@ -128,8 +124,8 @@ class ManifoldModel:
             ab = _dot(a, b)
             return -(2.0 / rho ** 2) * (beta * a + alpha * b + (ab - 3.0 * alpha * beta) * q_hat)
         # blend zone: central second differences, step 1e-4
-        na = np.sqrt((a * a).sum(axis=-1, keepdims=True))
-        nb = np.sqrt((b * b).sum(axis=-1, keepdims=True))
+        na = _norm(a)
+        nb = _norm(b)
         ua = a / np.where(na > 0, na, 1.0)
         ub = b / np.where(nb > 0, nb, 1.0)
         h = 1e-4
@@ -165,6 +161,23 @@ class ManifoldModel:
         psi = _bump(self.constraint_residual(q))[..., None]
         return psi * (-_dot(pa, pb) * p)
 
+    def sff_perp_difference(self, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """extended_sff_perp(q, a, a) - extended_sff_perp(q, b, b) in one pass.
+
+        The norm, nearest point and bump are computed once instead of six
+        times; every other operation is the one the two calls perform, in the
+        same order, so the result is bitwise equal.
+        """
+        q = np.asarray(q, dtype=float)
+        rho = _norm(q)
+        p = q / np.where(rho > 1e-300, rho, 1.0)
+        psi = _bump(np.abs(rho[..., 0] - 1.0))[..., None]
+        pa = a - _dot(a, p) * p
+        pb = b - _dot(b, p) * p
+        out = psi * (-_dot(pa, pa) * p)
+        out -= psi * (-_dot(pb, pb) * p)
+        return out
+
 
 def _bump_derivative(dist: np.ndarray) -> np.ndarray:
     """d/d(dist) of the radial profile (quintic ramp derivative)."""
@@ -184,7 +197,7 @@ def _quarter_turn(q: np.ndarray) -> np.ndarray:
     On the circle this is p turned by 90 degrees; on the sphere it is the
     rotation about the third axis, e x p.
     """
-    d = np.abs(np.sqrt((q * q).sum(axis=-1)) - 1.0)
+    d = np.abs(_norm(q)[..., 0] - 1.0)
     psi = _bump(d)[..., None]
     out = np.zeros_like(q)
     out[..., 0] = -q[..., 1]

@@ -39,6 +39,8 @@ from .states import (
 )
 from .wave_group import apply_group
 
+VERIFY_TRIALS = 30  # the noisy paths per noise level of the ldp group, the only trials it fans out
+
 __all__ = [
     "verify_suite",
     "geometry_groups",
@@ -385,7 +387,7 @@ def ldp_groups(checks: list, basis, seed: int, threads: int) -> None:
     man_s = ManifoldModel.sphere()
     y_s = DiffusionField.sphere_axis_rotation()
     zs = random_state(geom, man_s, stream(seed, 402))
-    rep2 = statement2_probe([1e-2, 1e-3], None, 30, 10.0, zs, cone, seed,
+    rep2 = statement2_probe([1e-2, 1e-3], None, VERIFY_TRIALS, 10.0, zs, cone, seed,
                             horizon=1.0, loc=loc, manifold=man_s, basis=basis,
                             diffusion=y_s, threads=threads)
     ratio = rep2.metrics[0] / rep2.metrics[1]

@@ -35,7 +35,7 @@ from .function_spaces import LightCone, State, derivative1, derivative2, extend_
 from .geometry import DiffusionField, ManifoldModel
 from .noise import NoiseBasis, sample_increment
 from .rng import stream
-from .wave_group import GroupStep, apply_arrays
+from .wave_group import GroupStep, apply_arrays, transport_velocity
 
 __all__ = [
     "LocalizationParams",
@@ -55,6 +55,7 @@ __all__ = [
     "solve_stochastic",
     "solve_batch",
     "run_trials",
+    "trial_chunks",
     "blowup_times",
     "mild_residual",
 ]
@@ -151,10 +152,8 @@ def taper_factor(norm, k):
 
 def curvature_force(manifold: ManifoldModel, u: np.ndarray, v: np.ndarray, ux: np.ndarray) -> np.ndarray:
     """Pointwise curvature term A_u(v,v) - A_u(u_x,u_x) via the collar extension."""
-    flat = u.reshape(-1, u.shape[-1])
-    out = manifold.extended_sff_perp(flat, v.reshape(flat.shape), v.reshape(flat.shape))
-    out -= manifold.extended_sff_perp(flat, ux.reshape(flat.shape), ux.reshape(flat.shape))
-    return out.reshape(u.shape)
+    flat = (-1, u.shape[-1])  # a C-ordered result, whatever the inputs' memory order
+    return manifold.sff_perp_difference(u.reshape(flat), v.reshape(flat), ux.reshape(flat)).reshape(u.shape)
 
 
 def _trapezoid_weights(i_lo: int, i_hi: int, npoints: int, spacing: float) -> np.ndarray:
@@ -405,6 +404,10 @@ def _integrate(
         t = m * dx
         s = r - t
         window, norm_m = _window(u, v, origin, dx, s)[:2]  # holding the copies raises peak memory
+        finite = np.isfinite(norm_m)
+        if not finite.all():  # a NaN norm fails every level test below and would run on
+            b = int(np.nonzero(~finite)[0][0])
+            raise BlowupDetected(f"window norm of column {b} is {norm_m[b]} at t={t}")
 
         crossing = norm_m >= k
         while np.any(crossing):
@@ -444,21 +447,25 @@ def _integrate(
         cfield = None if control_rates is None else _mode_field(control_rates[m], modes_fine).T
         force = drift_force(manifold, ufe, vfe, dxf, theta_mid[None, :, None], diffusion=diffusion,
                             control_field=cfield, window=window_f)
-        fu, fv = apply_arrays(np.zeros_like(force), force, dxf, 1)
+        fu, fv = transport_velocity(force, dxf)
 
         u, v = apply_arrays(u, v_star, dx, 1)
-        u = u + dx * fu[::2]
-        v = v + dx * fv[::2]
+        fu *= dx
+        u += fu
+        fv *= dx
+        v += fv
 
         if renormalize:
-            # trigger and project per batch column, so a column's evolution is
-            # bitwise independent of its neighbours
-            res = manifold.constraint_residual(u.reshape(-1, ncomp)).reshape(n, nbatch)
-            cols = np.nonzero(res.max(axis=0) > 1e-12)[0]
-            for b in cols:
-                ub = manifold.nearest_point(u[:, b, :])
-                u[:, b, :] = ub
-                v[:, b, :] = manifold.tangent_project_at(ub, v[:, b, :])
+            # trigger per batch column and project the triggered columns; the
+            # projection is elementwise, so a column's evolution is bitwise
+            # independent of its neighbours
+            hit = manifold.constraint_residual(u).max(axis=0) > 1e-12
+            if hit.all():
+                u = manifold.nearest_point(u)
+                v = manifold.tangent_project_at(u, v)
+            elif hit.any():
+                u[:, hit] = manifold.nearest_point(u[:, hit])
+                v[:, hit] = manifold.tangent_project_at(u[:, hit], v[:, hit])
 
     energy_trace = {"taper_norm": trace_norm, "taper": trace_taper, "k_level": trace_k}
     return times, states, energy_trace, noise_log, k_init, k
@@ -605,7 +612,7 @@ def solve_batch(
 
 
 def run_trials(ids, fn, threads: int) -> tuple:
-    """Run fn over contiguous chunks of trial ids, up to `threads` chunks at once.
+    """Run fn over contiguous chunks of trial ids, one thread per chunk, at most `threads`.
 
     fn(chunk) returns a tuple of arrays with one row per id of the chunk; the
     chunks' rows are concatenated in id order.  Batch columns are bitwise
@@ -613,16 +620,22 @@ def run_trials(ids, fn, threads: int) -> tuple:
     thread count.
     """
     ids = list(ids)
-    size = max(1, -(-len(ids) // threads))
-    chunks = [ids[i:i + size] for i in range(0, len(ids), size)]
+    chunks = trial_chunks(ids, threads)
     if len(chunks) <= 1:
         parts = [fn(ids)]
     else:
         import concurrent.futures  # imported here, so only threaded runs pay for it
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(fn, chunks))
     return tuple(np.concatenate(rows) for rows in zip(*parts))
+
+
+def trial_chunks(ids, threads: int) -> list:
+    """The contiguous chunks run_trials splits ids into: at most `threads`, one worker each."""
+    ids = list(ids)
+    size = max(1, -(-len(ids) // threads))
+    return [ids[i:i + size] for i in range(0, len(ids), size)]
 
 
 # ---------------------------------------------------------------------------

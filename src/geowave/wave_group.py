@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InsufficientPadding, NonLatticeTime
 from .function_spaces import State, derivative1, derivative2
 
-__all__ = ["GroupStep", "apply_group", "apply_arrays", "generator", "midpoint_cumulative"]
+__all__ = ["GroupStep", "apply_group", "apply_arrays", "generator", "midpoint_cumulative", "transport_velocity"]
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,34 @@ def _padding_defect(z: State, band: int) -> float:
     return max(left_u, right_u, left_v, right_v)
 
 
+def _unit_step(s: np.ndarray, d: np.ndarray, count: int) -> np.ndarray:
+    """0.5 * (S s + S' s) + 0.5 * (S d - S' d) for the shifts S, S' by count = +-1 and -count.
+
+    Interior rows read their two neighbours through slices.  On the edge rows
+    _shift's parity rule sends both shifts to the same row, index 1 on the
+    left and n - 2 on the right, so those two rows read it twice.  Every entry
+    is computed by the operations of the gathered form, so the result is
+    bitwise equal to it.
+    """
+    ahead, behind = (slice(2, None), slice(None, -2)) if count == 1 else (slice(None, -2), slice(2, None))
+    out = np.empty(s.shape)  # C order, as a gather returns: later reductions add in memory order
+    body = out[1:-1]
+    np.add(s[ahead], s[behind], out=body)
+    body *= 0.5
+    diff = d[ahead] - d[behind]
+    diff *= 0.5
+    body += diff
+    edge = [1, -2]
+    out[[0, -1]] = 0.5 * (s[edge] + s[edge]) + 0.5 * (d[edge] - d[edge])
+    return out
+
+
 def apply_arrays(u: np.ndarray, v: np.ndarray, spacing: float, count: int):
     """Array-level group step by `count` cells; returns the new (u, v) pair."""
     du = derivative1(u, spacing)
     cum = midpoint_cumulative(v, spacing)
+    if abs(count) == 1 and len(u) >= 3:
+        return _unit_step(u, cum, count), _unit_step(v, du, count)
 
     up, um = _shift(u, count), _shift(u, -count)
     cp, cm = _shift(cum, count), _shift(cum, -count)
@@ -102,6 +126,31 @@ def apply_arrays(u: np.ndarray, v: np.ndarray, spacing: float, count: int):
     new_u = 0.5 * (up + um) + 0.5 * (cp - cm)
     new_v = 0.5 * (dp - dm) + 0.5 * (vp + vm)
     return new_u, new_v
+
+
+def transport_velocity(force: np.ndarray, spacing: float):
+    """Rows 0, 2, 4, .. of apply_arrays(zeros_like(force), force, spacing, 1), bitwise.
+
+    The group step by one cell of a pure velocity field, on a refined lattice
+    (an odd number of rows), read on the rows it shares with the coarse
+    lattice.  Those rows need only the odd rows of the field and of its
+    midpoint antiderivative; the zero position and its derivative contribute
+    0.5 * (0 + 0) = +0.0, which is added so that zeros keep their sign.
+    """
+    f_odd = force[1::2]
+    c_odd = np.empty(f_odd.shape)  # rows 1, 3, .. of midpoint_cumulative(force, spacing)
+    c_odd[0] = 0.5 * spacing * (force[0] + force[1])
+    c_odd[1:] = c_odd[0] + 2.0 * spacing * np.cumsum(force[2:-1:2], axis=0)
+
+    def even_rows(odd, combine):
+        out = np.empty((len(odd) + 1,) + odd.shape[1:])
+        combine(odd[1:], odd[:-1], out=out[1:-1])
+        out[[0, -1]] = combine(odd[[0, -1]], odd[[0, -1]])  # _shift's parity rule at the edges
+        out *= 0.5
+        out += 0.0
+        return out
+
+    return even_rows(c_odd, np.subtract), even_rows(f_odd, np.add)
 
 
 def apply_group(z: State, t: float, *, strict: bool = True) -> State:

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geowave.cli import CONFIG_KEYS, ExperimentConfig, load_config, run_command
 from geowave.errors import ConfigInvalid
+from geowave.solver import trial_chunks
 
 _SMALL = """
 manifold.kind = "circle"
@@ -132,6 +133,71 @@ def test_bad_values_exit_2_naming_the_key(tmp_path, capsys, command, line):
     cfg = _config(tmp_path, _small_with(line))
     assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: key '{key}'" in capsys.readouterr().out
+
+
+# Cones whose sections are not lattice windows (96-point circle, horizon 0.5, spacing 0.0625):
+# too short for the horizon, not a lattice multiple, or at most one step wide at the horizon.
+_BAD_CONES = [
+    ("simulate", "experiment.cone_radius = 0.25"),
+    ("skeleton", "experiment.cone_radius = 0.5"),
+    ("rate", "experiment.cone_radius = 0.53"),
+    ("tail", "experiment.cone_radius = 0.5625"),
+    ("probe-s1", "experiment.cone_radius = 0.6"),
+    ("probe-s2", "experiment.cone_center = 0.03"),
+]
+
+
+@pytest.mark.parametrize("command, line", _BAD_CONES, ids=[f"{c}: {ln}" for c, ln in _BAD_CONES])
+def test_cones_off_the_lattice_exit_2_naming_the_key(tmp_path, capsys, command, line):
+    key = line.split("=", 1)[0].strip()
+    cfg = _config(tmp_path, _small_with(line))
+    for cmd in (command, "simulate"):
+        assert run_command([cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: key '{key}'" in capsys.readouterr().out
+
+
+def test_lattice_cones_still_load_and_run(tmp_path):
+    for line in ("experiment.cone_radius = 1.125", "experiment.cone_radius = 0.625",
+                 "experiment.cone_center = 0.03125\nexperiment.cone_radius = 0.96875"):
+        cfg = _config(tmp_path, _SMALL + line + "\n")
+        for command in ("skeleton", "simulate", "rate", "probe-s1", "probe-s2", "tail"):
+            load_config(cfg, command)
+    cfg = _config(tmp_path, _SMALL + "experiment.cone_radius = 1.125\nexperiment.trials = 2\n")
+    assert run_command(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_threads_are_capped_by_the_chunks_and_recorded(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    assert trial_chunks(range(3), 10**6) == [[0], [1], [2]]
+    assert trial_chunks(range(9), 4) == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]  # 3 threads, not 4
+    requested = []
+
+    class SerialPool:  # records the requested workers and runs the chunks in this thread
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    cfg = _config(tmp_path, _SMALL + "experiment.trials = 3\n")
+    for name, threads, used in (("wide", 10**6, 3), ("two", 2, 2), ("one", 1, 1)):
+        out = tmp_path / name
+        assert run_command(["simulate", "--config", str(cfg), "--out", str(out),
+                            "--threads", str(threads)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["threads"] == used
+    assert requested == [3, 2]
+    skeleton = tmp_path / "skeleton"
+    assert run_command(["skeleton", "--config", str(_config(tmp_path, _SMALL, "s.cfg")),
+                        "--out", str(skeleton), "--threads", "8"]) == 0
+    assert json.loads((skeleton / "manifest.json").read_text())["threads"] == 1  # no trials to fan out
 
 
 _SCALARS = {

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geowave.energy import energy
 from geowave.errors import HorizonExceeded, IntervalOutsideGrid, UnsupportedOrder
@@ -12,7 +13,9 @@ from geowave.function_spaces import (
     State,
     derivative1,
     derivative2,
+    _edge_cutoff,
     extend,
+    extend_array,
     integrate_samples,
     interpolation_check,
     l2_inner,
@@ -189,6 +192,37 @@ def test_extend_rejects_bad_requests():
         extend(f, 3.0, order=1)
     with pytest.raises(IntervalOutsideGrid):
         extend(f, 1.005, order=1)  # off-lattice core endpoint
+
+
+def _masked_extension(values, i_lo, i_hi, coeffs):
+    """The reflection extension with its cutoff profile and live cells rebuilt per side."""
+    m = values.shape[0]
+    rho = (i_hi - i_lo) // 2
+    for count, rows, sources in ((m - 1 - i_hi, slice(i_hi + 1, None), lambda lam, j: i_hi - lam * j),
+                                 (i_lo, slice(i_lo - 1, None, -1), lambda lam, j: i_lo + lam * j)):
+        if count <= 0:
+            continue
+        j = np.arange(1, count + 1)
+        chi = _edge_cutoff(j / rho)
+        acc = np.zeros((count,) + values.shape[1:])
+        live = chi > 0.0
+        for lam, a in enumerate(coeffs, start=1):
+            acc[live] += a * values[sources(lam, j[live])]
+        values[rows] = chi.reshape((-1,) + (1,) * (acc.ndim - 1)) * acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), npoints=st.integers(5, 120), lo=st.floats(0.0, 1.0),
+       width=st.floats(0.0, 1.0), order=st.sampled_from([0, 1, 2]), batch=st.integers(1, 3))
+def test_extension_with_cached_profiles_is_bitwise_the_masked_one(seed, npoints, lo, width, order, batch):
+    i_lo = int(lo * (npoints - 5))
+    i_hi = i_lo + 4 + int(width * (npoints - 5 - i_lo))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((npoints, batch, 3)) * 10.0 ** rng.integers(-6, 7, size=(npoints, batch, 3))
+    got, want = values.copy(), values.copy()
+    extend_array(got, i_lo, i_hi, order)
+    _masked_extension(want, i_lo, i_hi, {0: (1.0,), 1: (3.0, -2.0), 2: (6.0, -8.0, 3.0)}[order])
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_interpolation_bounds_hold_for_random_fields():

@@ -2,9 +2,11 @@
 extended second fundamental form."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geowave.errors import OutsideTubularNeighborhood
-from geowave.geometry import DiffusionField, ManifoldModel
+from geowave.geometry import DiffusionField, ManifoldModel, _dot, _norm
+from geowave.solver import curvature_force
 
 
 def _manifold_points(man, rng, count=48):
@@ -176,3 +178,39 @@ def test_diffusion_fields_are_tangent_and_bounded():
         assert norms.max() <= yf.bound_constant * (1.0 + 1.0) + 1e-12
         far = 2.5 * p
         assert np.abs(yf(far)).max() == 0.0
+
+
+def _wide_normals(seed, shape):
+    """Normal samples scaled over many decades, so additions round in every way."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), batch=st.one_of(st.none(), st.integers(1, 5)),
+       ncomp=st.sampled_from([2, 3]))
+def test_component_dot_and_norm_are_bitwise_the_reduction(seed, n, batch, ncomp):
+    shape = (n, ncomp) if batch is None else (n, batch, ncomp)
+    a, b = _wide_normals(seed, shape), _wide_normals(seed + 1, shape)
+    assert np.array_equal(_dot(a, b), (a * b).sum(axis=-1, keepdims=True))
+    assert np.array_equal(_norm(a), np.sqrt((a * a).sum(axis=-1, keepdims=True)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), batch=st.integers(1, 4),
+       kind=st.sampled_from(["circle", "sphere"]))
+def test_fused_curvature_force_is_bitwise_the_two_extensions(seed, n, batch, kind):
+    man = ManifoldModel.circle() if kind == "circle" else ManifoldModel.sphere()
+    rng = np.random.default_rng(seed)
+    shape = (n, batch, man.ambient_dim)
+    # radii on and off the manifold: inside the bump, in its ramp, past it, and at the origin
+    radius = rng.choice([1.0, 1.0 + 1e-9, 0.4, 0.2, 1.8, 1.95, 3.0, 0.0], size=(n, batch, 1))
+    u = man.nearest_point(rng.standard_normal(shape)) * radius
+    v, ux = _wide_normals(seed + 1, shape), _wide_normals(seed + 2, shape)
+    flat = (-1, man.ambient_dim)
+    want = (man.extended_sff_perp(u.reshape(flat), v.reshape(flat), v.reshape(flat))
+            - man.extended_sff_perp(u.reshape(flat), ux.reshape(flat), ux.reshape(flat)))
+    got = curvature_force(man, u, v, ux)
+    assert got.shape == shape
+    assert np.array_equal(got.reshape(flat), want)
+    assert np.array_equal(np.signbit(got.reshape(flat)), np.signbit(want))

@@ -373,3 +373,16 @@ def test_q_transform_derivative_matches_finite_differences():
     got = q_transform_derivative(z, w, loc, _CIRCLE)
     assert np.abs(got.u.values - fd_u).max() < 1e-6
     assert np.abs(got.v.values - fd_v).max() < 1e-6
+
+
+def test_non_finite_window_norm_is_a_blowup():
+    geom = make_grid(6.0, 96, 1.0)
+    z = bump_state(geom, _CIRCLE)
+
+    def poison(m, t, u, v):
+        if m == 2:
+            u[u.shape[0] // 2, 1, 0] = np.nan  # the live state of column 1, mid-lattice
+
+    with pytest.raises(BlowupDetected, match=rf"column 1 is nan at t={3 * geom.spacing}"):
+        solve_batch(z, 1e-2, 0.5, _loc(geom), manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE,
+                    trial_ids=[0, 1], observer=poison)

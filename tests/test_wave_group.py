@@ -1,15 +1,18 @@
 """Tests for the exact lattice realization of the free wave flow."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geowave.errors import InsufficientPadding, NonLatticeTime
 from geowave.function_spaces import GridFunction, State, derivative1
 from geowave.wave_group import (
     GroupStep,
+    _shift,
     apply_arrays,
     apply_group,
     generator,
     midpoint_cumulative,
+    transport_velocity,
 )
 
 _DX = 1.0 / 64.0
@@ -161,3 +164,78 @@ def test_oversized_shift_raises():
     z = _windowed_state(rng)
     with pytest.raises(InsufficientPadding):
         apply_group(z, 9.0)
+
+
+def _gathered_step(u, v, spacing, count):
+    """The group step written with _shift gathers for every count."""
+    du = derivative1(u, spacing)
+    cum = midpoint_cumulative(v, spacing)
+    new_u = 0.5 * (_shift(u, count) + _shift(u, -count)) + 0.5 * (_shift(cum, count) - _shift(cum, -count))
+    new_v = 0.5 * (_shift(du, count) - _shift(du, -count)) + 0.5 * (_shift(v, count) + _shift(v, -count))
+    return new_u, new_v
+
+
+def _bits_equal(a, b):
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _rough(rng, shape):
+    """Normal samples over many decades, with some exact zeros of either sign."""
+    out = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+    zeros = rng.random(shape) < 0.1
+    out[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), batch=st.one_of(st.none(), st.integers(1, 4)),
+       count=st.sampled_from([1, -1]))
+def test_unit_step_on_slices_is_bitwise_the_gathered_step(seed, n, batch, count):
+    rng = np.random.default_rng(seed)
+    shape = (n, 3) if batch is None else (n, batch, 3)
+    u, v = _rough(rng, shape), _rough(rng, shape)
+    if batch is not None:
+        # a batch broadcast from one column and copied keeps the batch axis outermost in memory
+        u, v = (np.broadcast_to(a[:, :1], a.shape).astype(float, copy=True) for a in (u, v))
+    got, want = apply_arrays(u, v, _DX, count), _gathered_step(u, v, _DX, count)
+    assert _bits_equal(got[0], want[0]) and _bits_equal(got[1], want[1])
+    # the memory order too: reductions over the result add in that order
+    assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30), batch=st.integers(1, 4))
+def test_force_transport_is_bitwise_the_group_step_of_a_velocity(seed, n, batch):
+    rng = np.random.default_rng(seed)
+    force = _rough(rng, (2 * n - 1, batch, 3))  # a refined lattice
+    fu, fv = transport_velocity(force, _DX)
+    want_u, want_v = apply_arrays(np.zeros_like(force), force, _DX, 1)
+    assert _bits_equal(fu, want_u[::2]) and _bits_equal(fv, want_v[::2])
+
+
+def _random_lattice_state(rng, npoints, pad):
+    """Random smooth data on `npoints` cells, quiescent on `pad` cells at each end."""
+    x = np.linspace(-1.0, 1.0, npoints - 2 * pad)
+    core_u = sum(rng.normal() * np.cos(k * np.pi * x / 2.0) ** 2 * np.cos(k * x) for k in range(1, 4))
+    core_v = sum(rng.normal() * np.cos(np.pi * x / 2.0) ** 2 * np.sin(k * x) for k in range(1, 4))
+    u = np.zeros((npoints, 2))
+    v = np.zeros((npoints, 2))
+    u[pad:npoints - pad, 0] = core_u * np.cos(np.pi * x / 2.0) ** 2
+    u[pad:npoints - pad, 1] = rng.normal()  # a constant offset: quiescent on the bands
+    u[:pad, 1] = u[-pad:, 1] = u[pad, 1]
+    v[pad:npoints - pad, 1] = core_v
+    dx = rng.choice([1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0])
+    uf = GridFunction(-dx * (npoints // 2), dx, u)
+    return State(uf, uf.with_values(v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), core=st.integers(16, 100), a=st.integers(-8, 8), b=st.integers(-8, 8))
+def test_group_law_and_reversibility_on_random_lattices(seed, core, a, b):
+    rng = np.random.default_rng(seed)
+    pad = 2 * (abs(a) + abs(b)) + 4  # every shift below, and the one after it, stays strict-safe
+    z = _random_lattice_state(rng, core + 2 * pad, pad)
+    dx = z.spacing
+    composed = apply_group(apply_group(z, a * dx), b * dx)
+    assert _state_gap(composed, apply_group(z, (a + b) * dx)) < 1e-12
+    assert _state_gap(apply_group(apply_group(z, a * dx), -a * dx), z) < 1e-12
