@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 from .energy import (
     EnergyReport,
     energy,
-    gronwall_envelope,
-    mean_energy_report,
     perpendicularity_defect,
     verify_energy_inequality,
 )
@@ -23,9 +21,7 @@ from .function_spaces import (
     State,
     extend,
     l2_inner,
-    sobolev_norm,
     sobolev_sq,
-    state_norm,
 )
 from .geometry import DiffusionField, ManifoldModel
 from .ldp import (
@@ -43,7 +39,6 @@ from .noise import (
     build_basis,
     covariance_kernel,
     hs_embedding_norm,
-    multiplication_hs_norm,
     sample_increment,
 )
 from .rng import stream
@@ -51,7 +46,6 @@ from .solver import (
     Control,
     LocalizationParams,
     Trajectory,
-    blowup_times,
     mild_residual,
     solve_batch,
     solve_skeleton,
@@ -67,14 +61,12 @@ from .states import (
     rotating_state,
     twin_pair,
 )
-from .wave_group import GroupStep, apply_group, generator
+from .wave_group import GroupStep, apply_group
 
 __all__ = [
     "__version__",
     "EnergyReport",
     "energy",
-    "gronwall_envelope",
-    "mean_energy_report",
     "perpendicularity_defect",
     "verify_energy_inequality",
     "ConfigInvalid",
@@ -84,9 +76,7 @@ __all__ = [
     "State",
     "extend",
     "l2_inner",
-    "sobolev_norm",
     "sobolev_sq",
-    "state_norm",
     "DiffusionField",
     "ManifoldModel",
     "ConvergenceReport",
@@ -101,13 +91,11 @@ __all__ = [
     "build_basis",
     "covariance_kernel",
     "hs_embedding_norm",
-    "multiplication_hs_norm",
     "sample_increment",
     "stream",
     "Control",
     "LocalizationParams",
     "Trajectory",
-    "blowup_times",
     "mild_residual",
     "solve_batch",
     "solve_skeleton",
@@ -122,5 +110,4 @@ __all__ = [
     "twin_pair",
     "GroupStep",
     "apply_group",
-    "generator",
 ]

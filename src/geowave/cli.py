@@ -526,7 +526,7 @@ def _report_artifacts(out: Path, stem: str, rep, extra_json: dict) -> list:
 def _cmd_probe_s1(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
     run = _setup(cfg)
     rep = statement1_probe(
-        None, cfg["experiment.n_list"], run.z0, cfg.cone(),
+        cfg["experiment.n_list"], run.z0, cfg.cone(),
         horizon=cfg["time.horizon"], loc=run.loc, **run.fields,
         amplitude=cfg["experiment.amplitude"], mode_index=cfg["experiment.mode"],
         tol=cfg["experiment.tol"], perturbation=cfg["experiment.perturbation"],
@@ -540,7 +540,7 @@ def _cmd_probe_s1(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
 def _cmd_probe_s2(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
     run = _setup(cfg)
     rep = statement2_probe(
-        cfg["experiment.eps_list"], None, cfg["experiment.trials"], cfg["experiment.threshold"],
+        cfg["experiment.eps_list"], cfg["experiment.trials"], cfg["experiment.threshold"],
         run.z0, cfg.cone(), cfg["noise.seed"], horizon=cfg["time.horizon"], loc=run.loc, **run.fields,
         threads=threads,
     )

@@ -1,8 +1,7 @@
 """Lattice function spaces.
 
 Vector-valued samples on a uniform 1-d lattice, local Sobolev norms with
-fractional end cells, light cones, Hestenes reflection extensions and the two
-interpolation inequalities used by the well-posedness arguments.
+fractional end cells, light cones and Hestenes reflection extensions.
 """
 from __future__ import annotations
 
@@ -18,12 +17,8 @@ __all__ = [
     "GridFunction",
     "State",
     "LightCone",
-    "InterpolationReport",
-    "sobolev_norm",
-    "state_norm",
     "extend",
     "window_indices",
-    "interpolation_check",
     "derivative1",
     "derivative2",
     "pointwise_dot",
@@ -243,20 +238,10 @@ def sobolev_sq(f: GridFunction, interval: tuple[float, float], order: int) -> fl
     return float(total)
 
 
-def sobolev_norm(f: GridFunction, interval: tuple[float, float], order: int) -> float:
-    """H^order(a, b) norm of an R^n-valued grid function."""
-    return math.sqrt(sobolev_sq(f, interval, order))
-
-
 def l2_inner(f: GridFunction, g: GridFunction, interval: tuple[float, float]) -> float:
     a, b = _check_interval(f, *interval)
     integrand = pointwise_dot(f.values, g.values)[:, 0]
     return integrate_samples(integrand, f.origin, f.spacing, a, b)
-
-
-def state_norm(z: State, interval: tuple[float, float], orders: tuple[int, int] = (2, 1)) -> float:
-    """Plain product norm sqrt(|u|_{H^a}^2 + |v|_{H^b}^2) over an interval."""
-    return math.sqrt(sobolev_sq(z.u, interval, orders[0]) + sobolev_sq(z.v, interval, orders[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -360,41 +345,3 @@ def extend(f: GridFunction, r: float, order: int) -> GridFunction:
     extend_array(out, pad, pad + (i_hi - i_lo), order)
     return GridFunction(-r - pad * dx, dx, out)
 
-
-# ---------------------------------------------------------------------------
-# interpolation inequalities
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InterpolationReport:
-    variant: str
-    lhs: float
-    rhs: float
-    holds: bool
-    constant: float | None = None
-
-
-def interpolation_check(u: GridFunction, interval: tuple[float, float], variant: str) -> InterpolationReport:
-    """Check |u|_sup^2 against the two product bounds.
-
-    variant "standard": |u|_inf^2 <= k_e^2 |u|_{L^2(I)} |u|_{H^1(I)} with
-    k_e = 2 max(1, 1/sqrt(|I|)).  variant "gn": the full-line bound
-    |u|_inf^2 <= |u|_{L^2}^2 + 2 |u|_{L^2} |u'|_{L^2}; meaningful when u decays
-    inside the interval.
-    """
-    a, b = _check_interval(u, *interval)
-    x = u.x
-    mask = (x >= a - 1e-12) & (x <= b + 1e-12)
-    sup_sq = float((u.values[mask] ** 2).sum(axis=1).max())
-    l2 = math.sqrt(integrate_samples((u.values ** 2).sum(axis=1), u.origin, u.spacing, a, b))
-    d1 = derivative1(u.values, u.spacing)
-    d1_l2 = math.sqrt(integrate_samples((d1 ** 2).sum(axis=1), u.origin, u.spacing, a, b))
-    if variant == "standard":
-        h1 = math.sqrt(l2 * l2 + d1_l2 * d1_l2)
-        k_e = 2.0 * max(1.0, 1.0 / math.sqrt(b - a))
-        rhs = k_e * k_e * l2 * h1
-        return InterpolationReport("standard", sup_sq, rhs, sup_sq <= rhs * (1 + 1e-12) + 1e-15, k_e)
-    if variant == "gn":
-        rhs = l2 * l2 + 2.0 * l2 * d1_l2
-        return InterpolationReport("gn", sup_sq, rhs, sup_sq <= rhs * (1 + 1e-12) + 1e-15, None)
-    raise ValueError(f"unknown variant {variant!r}")

@@ -6,7 +6,7 @@ over piecewise-constant controls with a penalty continuation.  The probe
 routines measure the two convergence mechanisms behind the rate picture:
 continuity of the zero-noise solution map under weakly-null control
 perturbations, and linear-in-eps decay of the mean peak cone energy of the
-noise-driven deviation from the controlled path.
+noise-driven deviation from the zero-noise path.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .noise import NoiseBasis
 from .solver import (
     Control,
     LocalizationParams,
-    Trajectory,
     cone_section_weights,
     run_trials,
     section_energy,
@@ -60,7 +59,6 @@ class RateOptions:
     gd_step: float = 0.5                 # SPSA base step, divided by (1 + iter) * (1 + lam)
     spsa_dim_threshold: int = 500        # SPSA instead of Gauss-Newton above this many params
     spsa_seed: int = 0
-    sections: int = 4                    # time sections matched for path targets
 
 
 @dataclass
@@ -103,18 +101,17 @@ def _expand_rows(coeffs: np.ndarray, steps: int, blocks: int) -> np.ndarray:
 
 
 class _TerminalObjective:
-    """Batched map from flat control parameters to cone-section residuals.
+    """Batched map from flat control parameters to terminal cone-section residuals.
 
     Each evaluation runs a batch of zero-noise solves, one column per
-    parameter vector, and samples the weighted difference to the target on a
-    few cone sections; the squared residual norm equals the summed cone
-    energies of the difference (doubled), so the penalty term is
+    parameter vector, and samples the weighted difference to the target state
+    on the cone section at the horizon; the squared residual norm equals the
+    cone energy of the difference (doubled), so the penalty term is
     lam * |rho|^2.
     """
 
     def __init__(self, target, z0, cone, *, horizon, loc, manifold, basis, diffusion, opts):
         self.z0 = z0
-        self.cone = cone
         self.horizon = horizon
         self.loc = loc
         self.manifold = manifold
@@ -131,79 +128,47 @@ class _TerminalObjective:
         self.nparams = self.blocks * self.dim
         self.solves = 0
 
-        n = z0.u.npoints
-        if isinstance(target, Trajectory):
-            stride = max(1, self.steps // opts.sections)
-            self.section_steps = sorted({*range(stride, self.steps, stride), self.steps})
-            self.targets = {
-                m: (target.states[m].u.values, target.states[m].v.values)
-                for m in self.section_steps
-            }
-        else:
-            self.section_steps = [self.steps]
-            self.targets = {self.steps: (target.u.values, target.v.values)}
-        self.weights = {
-            m: cone_section_weights(cone, z0.origin, self.dx, n, m) for m in self.section_steps
-        }
+        self.target = (target.u.values, target.v.values)
+        self.weights = cone_section_weights(cone, z0.origin, self.dx, z0.u.npoints, self.steps)
 
     def residuals(self, params: np.ndarray) -> np.ndarray:
-        """params (P, B) -> residual matrix (R, B); |col|^2 = sum 2*e_cone(diff)."""
+        """params (P, B) -> residual matrix (R, B); |col|^2 = 2*e_cone(diff)."""
         nbatch = params.shape[1]
         rates = np.empty((self.steps, nbatch, self.dim))
         for b in range(nbatch):
             rates[:, b, :] = _expand_rows(params[:, b].reshape(self.blocks, self.dim), self.steps, self.blocks)
-        collected = {}
-
-        def observer(m, t, u, v):
-            if m in self.targets:
-                collected[m] = (u.copy(), v.copy())
-
-        self._solve(rates, observer)
-        rows = []
-        for m in self.section_steps:
-            u, v = collected[m]
-            du = u - self.targets[m][0][:, None, :]
-            dv = v - self.targets[m][1][:, None, :]
-            w = self.weights[m]
-            sw = np.sqrt(w)[:, None, None]
-            for f in _section_fields(du, dv, self.dx):
-                rows.append((sw * f).transpose(0, 2, 1).reshape(-1, nbatch))
+        du, dv = self._terminal_difference(rates)
+        sw = np.sqrt(self.weights)[:, None, None]
+        rows = [(sw * f).transpose(0, 2, 1).reshape(-1, nbatch) for f in _section_fields(du, dv, self.dx)]
         return np.concatenate(rows, axis=0)
 
     def gap(self, params: np.ndarray) -> float:
-        """Largest cone-section distance for a single parameter vector."""
-        return float(np.sqrt(self._section_sq(params).max()))
+        """Terminal cone-section distance for a single parameter vector."""
+        return float(np.sqrt(self._section_sq(params)))
 
-    def _section_sq(self, params: np.ndarray) -> np.ndarray:
+    def _section_sq(self, params: np.ndarray) -> float:
         rates = _expand_rows(params.reshape(self.blocks, self.dim), self.steps, self.blocks)[:, None, :]
+        return 2.0 * section_energy(*self._terminal_difference(rates), self.weights, self.dx)[0]
+
+    def _terminal_difference(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-noise solves, one column per column of rates (steps, B, dim), minus the target."""
         out = {}
 
         def observer(m, t, u, v):
-            if m in self.targets:
-                du = u - self.targets[m][0][:, None, :]
-                dv = v - self.targets[m][1][:, None, :]
-                out[m] = 2.0 * section_energy(du, dv, self.weights[m], self.dx)[0]
+            if m == self.steps:
+                out["diff"] = (u - self.target[0][:, None, :], v - self.target[1][:, None, :])
 
-        self._solve(rates, observer)
-        return np.array([out[m] for m in self.section_steps])
-
-    def _solve(self, rates: np.ndarray, observer) -> None:
-        """Zero-noise solves, one column per column of rates (steps, B, dim)."""
         solve_batch(
             self.z0, 0.0, self.horizon, self.loc,
             manifold=self.manifold, basis=self.basis, diffusion=self.diffusion,
             control_rates=rates, keep_states=False, observer=observer,
         )
         self.solves += rates.shape[1]
-
-
-def _is_reachable_target(target, manifold: ManifoldModel) -> bool:
-    z = target.final_state() if isinstance(target, Trajectory) else target
-    return state_defect(manifold, z.u.values, z.v.values) is None
+        return out["diff"]
 
 
 def rate_function(
-    target,
+    target: State,
     z0: State,
     budget: float,
     opts: RateOptions | None = None,
@@ -215,7 +180,7 @@ def rate_function(
     basis: NoiseBasis,
     diffusion: DiffusionField,
 ) -> RateResult:
-    """Half the squared norm of the cheapest control reaching the target.
+    """Half the squared norm of the cheapest control reaching the target state at the horizon.
 
     Minimizes 0.5*h.squared_norm() + lam*gap(h)^2 over piecewise-constant
     controls by Gauss-Newton (SPSA above opts.spsa_dim_threshold parameters),
@@ -232,7 +197,7 @@ def rate_function(
     )
     dt_block = obj.dx * (obj.steps // opts.blocks)
 
-    if not _is_reachable_target(target, manifold):
+    if state_defect(manifold, target.u.values, target.v.values) is not None:
         zero = Control.zeros(obj.steps, obj.dim, obj.dx)
         return RateResult(math.inf, zero, math.inf, 0, False, {"reason": "off-manifold target"})
 
@@ -245,7 +210,7 @@ def rate_function(
     rng = np.random.default_rng(opts.spsa_seed)
 
     def total_objective(th, lam):
-        return 0.5 * float(q_diag @ (th * th)) + lam * float(obj._section_sq(th).sum())
+        return 0.5 * float(q_diag @ (th * th)) + lam * float(obj._section_sq(th))
 
     gap = obj.gap(theta)
     try:
@@ -308,7 +273,6 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float | None:
 
 
 def statement1_probe(
-    h: Control | None,
     n_list,
     z0: State,
     cone: LightCone,
@@ -325,24 +289,21 @@ def statement1_probe(
 ) -> ConvergenceReport:
     """Continuity of the zero-noise solution map under weak-null perturbations.
 
-    Perturbs the control by amplitude*sin(2*pi*n*t/T) on one noise mode (a
-    family converging to zero weakly but not strongly) and records
+    Perturbs the zero control by amplitude*sin(2*pi*n*t/T) on one noise mode
+    (a family converging to zero weakly but not strongly) and records
     d_n = sup_{t<=T} of the product Sobolev distance between the perturbed and
-    base trajectories on the fixed ball of the supplied cone.  The "constant"
+    uncontrolled trajectories on the fixed ball of the supplied cone.  The "constant"
     perturbation (same energy, no oscillation) is the negative control: it
     must not decay.
     """
     dx = z0.spacing
     steps = GroupStep.from_time(horizon, dx).shift_count
     dim = basis.dim
-    base = h.coeffs if h is not None else np.zeros((steps, dim))
-    if base.shape[0] != steps:
-        base = _expand_rows(base, steps, base.shape[0])
     n_list = list(n_list)
     nbatch = len(n_list)
 
     t_mid = (np.arange(steps) + 0.5) * dx
-    rates = np.tile(base[:, None, :], (1, nbatch, 1))
+    rates = np.zeros((steps, nbatch, dim))  # the zero control, perturbed column by column below
     for col, n in enumerate(n_list):
         if perturbation == "oscillation":
             bump = amplitude * np.sin(2.0 * math.pi * n * t_mid / horizon)
@@ -353,7 +314,7 @@ def statement1_probe(
         rates[:, col, mode_index] += bump
 
     base_traj = solve_skeleton(
-        z0, Control(base, dx) if np.any(base) else None, horizon, loc,
+        z0, None, horizon, loc,
         manifold=manifold, basis=basis, diffusion=diffusion, keep_states=True,
     )
     wball = cone_section_weights(cone, z0.origin, dx, z0.u.npoints, 0)  # B(center, horizon)
@@ -383,7 +344,6 @@ def statement1_probe(
 
 def statement2_probe(
     eps_list,
-    h: Control | None,
     trials: int,
     threshold: float,
     z0: State,
@@ -399,7 +359,7 @@ def statement2_probe(
 ) -> ConvergenceReport:
     """Mean peak cone energy of the noise-driven deviation, per noise level.
 
-    For each eps, runs `trials` noisy paths against the controlled zero-noise
+    For each eps, runs `trials` noisy paths against the uncontrolled zero-noise
     path, tracking sup_{t<=T/2} of the cone energy of the difference frozen at
     the first time the noisy path's own cone norm reaches the threshold; fits
     the log-log slope of the means (linear response means slope near 1).
@@ -411,7 +371,7 @@ def statement2_probe(
     t_half = 0.5 * horizon
     steps_half = GroupStep.from_time(t_half, dx).shift_count
     base_traj = solve_skeleton(
-        z0, h, t_half, loc,
+        z0, None, t_half, loc,
         manifold=manifold, basis=basis, diffusion=diffusion, keep_states=True,
     )
     cw = {m: cone_section_weights(cone, z0.origin, dx, z0.u.npoints, m) for m in range(steps_half + 1)}
@@ -437,7 +397,7 @@ def statement2_probe(
 
             solve_batch(
                 z0, eps, t_half, loc, manifold=manifold, basis=basis,
-                diffusion=diffusion, control=h, master_seed=master_seed,
+                diffusion=diffusion, master_seed=master_seed,
                 trial_ids=ids, keep_states=False, observer=observer,
             )
             return local_sup, local_hit

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMeasure, NonpositiveDt, QuadratureNotConverged
-from .function_spaces import GridFunction, sobolev_sq
 
 __all__ = [
     "SpectralMeasure",
@@ -22,7 +21,6 @@ __all__ = [
     "covariance_kernel",
     "sample_increment",
     "hs_embedding_norm",
-    "multiplication_hs_norm",
 ]
 
 
@@ -47,10 +45,6 @@ class SpectralMeasure:
     @classmethod
     def default_three_atoms(cls) -> "SpectralMeasure":
         return cls(((0.0, 0.5), (1.0, 0.3), (2.5, 0.2)))
-
-    def fourth_moment(self) -> float:
-        """Integral of (1 + x^2)^2 against the measure."""
-        return sum(w * (1.0 + x * x) ** 2 for x, w in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -161,14 +155,3 @@ def hs_embedding_norm(measure: SpectralMeasure, *, halfwidth: float = 40.0, samp
         )
     return fine
 
-
-def multiplication_hs_norm(
-    g: GridFunction, basis: NoiseBasis, interval: tuple[float, float], order: int
-) -> float:
-    """Hilbert-Schmidt norm of f -> g*f from the kernel space into H^order(a, b)."""
-    modes = basis.evaluate(g.x)
-    total = 0.0
-    for k in range(basis.dim):
-        prod = g.with_values(g.values * modes[k][:, None])
-        total += sobolev_sq(prod, interval, order)
-    return math.sqrt(total)

@@ -378,7 +378,7 @@ def ldp_groups(checks: list, basis, seed: int, threads: int) -> None:
     cone = LightCone(0.0, 2.0)
     z0 = random_state(geom, man, stream(seed, 401))
 
-    rep = statement1_probe(None, [2, 4, 8], z0, cone, horizon=1.0, loc=loc,
+    rep = statement1_probe([2, 4, 8], z0, cone, horizon=1.0, loc=loc,
                            manifold=man, basis=basis, diffusion=yf, tol=1e-1)
     decayed = bool(rep.metrics[-1] < 0.5 * rep.metrics[0])
     checks.append(("ldp.weak_perturbation_decay", decayed,
@@ -387,7 +387,7 @@ def ldp_groups(checks: list, basis, seed: int, threads: int) -> None:
     man_s = ManifoldModel.sphere()
     y_s = DiffusionField.sphere_axis_rotation()
     zs = random_state(geom, man_s, stream(seed, 402))
-    rep2 = statement2_probe([1e-2, 1e-3], None, VERIFY_TRIALS, 10.0, zs, cone, seed,
+    rep2 = statement2_probe([1e-2, 1e-3], VERIFY_TRIALS, 10.0, zs, cone, seed,
                             horizon=1.0, loc=loc, manifold=man_s, basis=basis,
                             diffusion=y_s, threads=threads)
     ratio = rep2.metrics[0] / rep2.metrics[1]

@@ -31,7 +31,7 @@ from .errors import (
     NonLatticeTime,
     OffManifoldInitialData,
 )
-from .function_spaces import LightCone, State, derivative1, derivative2, extend_array, smoothstep, window_indices
+from .function_spaces import LightCone, State, derivative1, derivative2, extend_array, window_indices
 from .geometry import DiffusionField, ManifoldModel
 from .noise import NoiseBasis, sample_increment
 from .rng import stream
@@ -44,19 +44,15 @@ __all__ = [
     "taper_factor",
     "window_norm",
     "curvature_force",
-    "localized_drift",
     "drift_force",
     "state_defect",
     "cone_section_weights",
     "section_energy",
-    "q_transform",
-    "q_transform_derivative",
     "solve_skeleton",
     "solve_stochastic",
     "solve_batch",
     "run_trials",
     "trial_chunks",
-    "blowup_times",
     "mild_residual",
 ]
 
@@ -247,46 +243,6 @@ def drift_force(
     return force
 
 
-def localized_drift(t: float, z: State, loc: LocalizationParams, manifold: ManifoldModel, k: int | None = None) -> State:
-    """Tapered, window-extended curvature drift as a state increment (0, F)."""
-    r = loc.radius
-    if t >= r:
-        raise ConeExhausted(f"time {t} has exhausted the localization radius {r}")
-    u, v = z.u.values, z.v.values
-    window, norm, ue, ve = _window(u[:, None, :], v[:, None, :], z.origin, z.spacing, r - t)
-    norm = norm[0]
-    k_eff = k if k is not None else (loc.k if loc.k is not None else max(1, math.ceil(2 * norm)))
-    theta = float(taper_factor(norm, k_eff))
-    force = drift_force(manifold, ue[:, 0, :], ve[:, 0, :], z.spacing, theta, window=window)
-    return State(z.u.with_values(np.zeros_like(u)), z.v.with_values(force))
-
-
-def _radial_cutoff(x: np.ndarray, r: float) -> np.ndarray:
-    """C^2 plateau: 1 on [-r, r], 0 outside (-2r, 2r)."""
-    return 1.0 - smoothstep((np.abs(x) - r) / r)
-
-
-def q_transform(z: State, loc: LocalizationParams, manifold: ManifoldModel) -> State:
-    """Collar reflection composed with the plateau cutoff: (phi*Y(u), phi*Y'(u)v)."""
-    phi = _radial_cutoff(z.u.x, loc.radius)[:, None]
-    u, v = z.u.values, z.v.values
-    new_u = phi * manifold.involution(u)
-    new_v = phi * manifold.involution_jacobian(u, v)
-    return State(z.u.with_values(new_u), z.v.with_values(new_v))
-
-
-def q_transform_derivative(
-    z: State, w: State, loc: LocalizationParams, manifold: ManifoldModel
-) -> State:
-    """Directional derivative of q_transform at z in the direction w."""
-    phi = _radial_cutoff(z.u.x, loc.radius)[:, None]
-    u, v = z.u.values, z.v.values
-    w1, w2 = w.u.values, w.v.values
-    first = phi * manifold.involution_jacobian(u, w1)
-    second = phi * (manifold.involution_hessian(u, v, w1) + manifold.involution_jacobian(u, w2))
-    return State(z.u.with_values(first), z.v.with_values(second))
-
-
 # ---------------------------------------------------------------------------
 # the integrator core
 # ---------------------------------------------------------------------------
@@ -391,6 +347,9 @@ def _integrate(
         k = np.full(nbatch, int(loc.k))
     else:
         k = np.maximum(1, np.ceil(2.0 * _window(u, v, origin, dx, r)[1])).astype(int)
+    if np.any(k > loc.k_max):
+        b = int(np.nonzero(k > loc.k_max)[0][0])
+        raise BlowupDetected(f"starting taper level {k[b]} of column {b} exceeds the top level {loc.k_max}")
     k_init = k.copy()
 
     times = dx * np.arange(steps + 1)
@@ -486,7 +445,7 @@ def _single_trajectory(z0: State, control, horizon: float, loc: LocalizationPara
     u0, v0 = _as_batch(z0)
     times, raw_states, trace, noise_log, k_init, k_final = _integrate(
         u0, v0, origin=z0.origin, spacing=z0.spacing, loc=loc, horizon=horizon,
-        control_rates=_control_rates(control, steps, z0.spacing, 1), **kwargs,
+        control_rates=_control_rates(control, steps, z0.spacing), **kwargs,
     )
     states = None
     if raw_states is not None:
@@ -501,15 +460,15 @@ def _single_trajectory(z0: State, control, horizon: float, loc: LocalizationPara
     return Trajectory(times, states, energy_trace, increments, control, metadata)
 
 
-def _control_rates(control: Control | None, steps: int, spacing: float, nbatch: int):
+def _control_rates(control: Control | None, steps: int, spacing: float):
+    """The control's first `steps` rows as rates of shape (steps, 1, dim)."""
     if control is None:
         return None
     if abs(control.dt - spacing) > 1e-12 * (1 + spacing):
         raise NonLatticeTime(
             f"control step {control.dt} must equal the solver step {spacing}"
         )
-    rates = control.coeffs[:steps][:, None, :]
-    return np.broadcast_to(rates, (rates.shape[0], nbatch, rates.shape[2]))
+    return control.coeffs[:steps][:, None, :]
 
 
 def solve_skeleton(
@@ -568,7 +527,6 @@ def solve_batch(
     manifold: ManifoldModel,
     basis: NoiseBasis | None = None,
     diffusion: DiffusionField | None = None,
-    control: Control | None = None,
     control_rates: np.ndarray | None = None,
     master_seed: int = 0,
     trial_ids=None,
@@ -583,18 +541,17 @@ def solve_batch(
     bitwise identical to the corresponding single-trajectory solve.  Batched
     results keep the batch axis in the traces and noise log.
     """
-    steps = GroupStep.from_time(horizon, z0.spacing).shift_count
     if control_rates is None:
         nbatch = len(trial_ids) if trial_ids is not None else 1
-        rates = _control_rates(control, steps, z0.spacing, nbatch)
     else:
-        if control is not None:
-            raise ValueError("pass either a shared control or per-column rates, not both")
         control_rates = np.asarray(control_rates, dtype=float)
         if control_rates.ndim != 3:
             raise DimensionMismatch("per-column control rates must have shape (steps, B, dim)")
         nbatch = control_rates.shape[1]
-        rates = control_rates
+        if trial_ids is not None and len(trial_ids) != nbatch:
+            raise DimensionMismatch(
+                f"{len(trial_ids)} trial ids for {nbatch} columns of control rates"
+            )
     u0, v0 = _as_batch(z0)
     u0 = np.broadcast_to(u0, (u0.shape[0], nbatch, u0.shape[2]))
     v0 = np.broadcast_to(v0, (v0.shape[0], nbatch, v0.shape[2]))
@@ -602,13 +559,13 @@ def solve_batch(
         u0, v0,
         origin=z0.origin, spacing=z0.spacing, manifold=manifold, loc=loc,
         horizon=horizon, basis=basis, diffusion=diffusion, eps=eps,
-        control_rates=rates, master_seed=master_seed, trial_ids=trial_ids,
+        control_rates=control_rates, master_seed=master_seed, trial_ids=trial_ids,
         renormalize=renormalize, keep_states=keep_states, observer=observer,
     )
     meta = {"eps": float(eps), "seed": int(master_seed), "trial_ids": trial_ids,
             "dt": z0.spacing, "radius": loc.radius, "renormalize": renormalize,
             "k_init": k_init, "k_final": k_final, "nbatch": nbatch}
-    return Trajectory(times, states, trace, noise_log, control, meta)
+    return Trajectory(times, states, trace, noise_log, None, meta)
 
 
 def run_trials(ids, fn, threads: int) -> tuple:
@@ -641,22 +598,6 @@ def trial_chunks(ids, threads: int) -> list:
 # ---------------------------------------------------------------------------
 # trajectory diagnostics
 # ---------------------------------------------------------------------------
-
-def blowup_times(traj: Trajectory, loc: LocalizationParams, thresholds=None) -> list:
-    """First lattice time each cutoff level is crossed, horizon if never."""
-    norms = np.asarray(traj.energy_trace["taper_norm"])
-    if norms.ndim != 1:
-        raise ValueError("blowup_times expects a single-trajectory record")
-    horizon = float(traj.times[-1])
-    if thresholds is None:
-        k0 = int(traj.metadata.get("k_init", 1))
-        thresholds = [k0 * 2 ** i for i in range(12) if k0 * 2 ** i <= loc.k_max]
-    out = []
-    for k in thresholds:
-        hits = np.nonzero(norms >= k)[0]
-        out.append((int(k), float(traj.times[hits[0]]) if len(hits) else horizon))
-    return out
-
 
 def mild_residual(
     traj: Trajectory,

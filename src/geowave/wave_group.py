@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientPadding, NonLatticeTime
-from .function_spaces import State, derivative1, derivative2
+from .function_spaces import State, derivative1
 
-__all__ = ["GroupStep", "apply_group", "apply_arrays", "generator", "midpoint_cumulative", "transport_velocity"]
+__all__ = ["GroupStep", "apply_group", "apply_arrays", "midpoint_cumulative", "transport_velocity"]
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,3 @@ def apply_group(z: State, t: float, *, strict: bool = True) -> State:
     new_u, new_v = apply_arrays(z.u.values, z.v.values, dx, j)
     return State(z.u.with_values(new_u), z.v.with_values(new_v))
 
-
-def generator(z: State) -> State:
-    """Time derivative of the free flow: position rate v, velocity rate u_xx."""
-    lap = derivative2(z.u.values, z.spacing)
-    return State(z.u.with_values(z.v.values.copy()), z.v.with_values(lap))

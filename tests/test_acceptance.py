@@ -207,10 +207,10 @@ def test_criterion_06_weak_null_perturbations_wash_out():
     geom = make_grid(6.0, 1536, 1.0)
     z0 = bump_state(geom, _CIRCLE)
     cone = LightCone(0.0, 2.0)
-    rep = statement1_probe(None, [4, 8, 16, 32, 64], z0, cone, horizon=1.0,
+    rep = statement1_probe([4, 8, 16, 32, 64], z0, cone, horizon=1.0,
                            loc=_loc(geom), manifold=_CIRCLE, basis=_BASIS,
                            diffusion=_Y_CIRCLE, tol=1e-2)
-    flat = statement1_probe(None, [4, 8, 16, 32, 64], z0, cone, horizon=1.0,
+    flat = statement1_probe([4, 8, 16, 32, 64], z0, cone, horizon=1.0,
                             loc=_loc(geom), manifold=_CIRCLE, basis=_BASIS,
                             diffusion=_Y_CIRCLE, tol=1e-2, perturbation="constant")
     ok = rep.passed and rep.metrics[-1] < 1e-2 and flat.metrics[-1] > 1e-1
@@ -225,7 +225,7 @@ def test_criterion_07_linear_noise_response():
     geom = make_grid(6.0, 1536, 1.0)
     z0 = random_state(geom, _SPHERE, stream(_SEED, 72))
     cone = LightCone(0.0, 2.0)
-    rep = statement2_probe([1e-2, 1e-3, 1e-4], None, 50, 10.0, z0, cone, _SEED,
+    rep = statement2_probe([1e-2, 1e-3, 1e-4], 50, 10.0, z0, cone, _SEED,
                            horizon=1.0, loc=_loc(geom), manifold=_SPHERE,
                            basis=_BASIS, diffusion=_Y_SPHERE)
     ok = rep.passed and 0.7 <= rep.slope <= 1.3

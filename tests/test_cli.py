@@ -311,6 +311,13 @@ def test_trial_counts_and_noise_level_lists_are_config_errors(tmp_path, capsys):
         assert "config error: key 'experiment.eps_list'" in capsys.readouterr().out
 
 
+def test_starting_taper_level_above_k_max_exits_4(tmp_path, capsys):
+    body = _SMALL + 'solver.k_max = 1\nexperiment.initial = "rotating_geodesic"\n'
+    cfg = _config(tmp_path, body)
+    assert run_command(["skeleton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "starting taper level 11 of column 0 exceeds the top level 1" in capsys.readouterr().out
+
+
 def test_probe_s2_with_two_eps_values_reports_no_slope(tmp_path, capsys):
     cfg = _config(tmp_path, _SMALL + "experiment.trials = 30\nexperiment.eps_list = (1e-2, 1e-3)\n")
     out = tmp_path / "s2"

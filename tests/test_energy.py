@@ -1,13 +1,9 @@
 """Tests for cone energies and the pathwise inequality verifier."""
-import math
-
 import numpy as np
 import pytest
 
 from geowave.energy import (
     energy,
-    gronwall_envelope,
-    mean_energy_report,
     perpendicularity_defect,
     verify_energy_inequality,
 )
@@ -112,40 +108,6 @@ def test_tolerance_halves_with_the_step():
                                        cone=_CONE, manifold=_CIRCLE)
         tols.append(rep.tol)
     assert 0.4 < tols[1] / tols[0] < 0.6
-
-
-def test_mean_report_averages_paths():
-    geom = make_grid(6.0, 96, 1.0)
-    z = bump_state(geom, _CIRCLE)
-    reports = []
-    for tid in range(3):
-        traj = solve_stochastic(z, 1e-2, None, 0.25, _loc(geom), manifold=_CIRCLE,
-                                basis=_BASIS, diffusion=_Y_CIRCLE, master_seed=5,
-                                trial_id=tid, keep_states=True)
-        reports.append(verify_energy_inequality(traj, cone=_CONE, manifold=_CIRCLE,
-                                                basis=_BASIS, diffusion=_Y_CIRCLE))
-    mean = mean_energy_report(reports)
-    assert mean.passed
-    assert mean.metadata["paths"] == 3
-    assert np.allclose(mean.e_values, np.mean([r.e_values for r in reports], axis=0))
-    with pytest.raises(ValueError):
-        mean_energy_report([])
-    short = _skeleton(geom, z, horizon=0.125)
-    rep_short = verify_energy_inequality(short, cone=_CONE, manifold=_CIRCLE)
-    with pytest.raises(ValueError):
-        mean_energy_report([reports[0], rep_short])
-
-
-def test_gronwall_envelope_closed_forms():
-    env = gronwall_envelope(2.0, lambda s: 0.7)
-    assert abs(env(1.5) - 2.0 * math.exp(0.7 * 1.5)) < 1e-12
-    assert env(0.0) == 2.0
-    lin = gronwall_envelope(1.0, lambda s: s)
-    assert abs(lin(2.0) - math.exp(2.0)) < 1e-10
-    zero = gronwall_envelope(0.0, lambda s: 100.0)
-    assert zero(3.0) == 0.0
-    with pytest.raises(ValueError):
-        gronwall_envelope(-1.0, lambda s: 0.0)
 
 
 def test_perpendicularity_defect_vanishes_for_tangent_fields():

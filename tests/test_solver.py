@@ -19,12 +19,9 @@ from geowave.rng import stream
 from geowave.solver import (
     Control,
     LocalizationParams,
-    blowup_times,
     curvature_force,
-    localized_drift,
+    drift_force,
     mild_residual,
-    q_transform,
-    q_transform_derivative,
     run_trials,
     solve_batch,
     solve_skeleton,
@@ -204,6 +201,14 @@ def test_control_dimension_must_match_basis():
     with pytest.raises(DimensionMismatch):
         solve_skeleton(constant_state(geom, _CIRCLE), ctl, 0.25, _loc(geom),
                        manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE)
+    # per-column rates: one trial id per column
+    z = bump_state(geom, _CIRCLE)
+    rates = np.zeros((8, 2, _BASIS.dim))
+    kwargs = dict(manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE, control_rates=rates)
+    with pytest.raises(DimensionMismatch, match="3 trial ids for 2 columns"):
+        solve_batch(z, 1e-2, 0.5, _loc(geom), trial_ids=[0, 1, 2], **kwargs)
+    ok = solve_batch(z, 1e-2, 0.5, _loc(geom), trial_ids=[0, 1], **kwargs)
+    assert ok.metadata["nbatch"] == 2 and ok.noise_increments.shape[1] == 2
 
 
 def test_off_manifold_data_rejected():
@@ -267,25 +272,35 @@ def test_horizon_must_be_lattice_and_inside_cone():
         solve_skeleton(z, None, 3.5 * geom.spacing * 1.0001, _loc(geom), manifold=_CIRCLE)
     with pytest.raises(ConeExhausted):
         solve_skeleton(z, None, geom.half_width + 1.0, _loc(geom), manifold=_CIRCLE)
-    with pytest.raises(ConeExhausted):
-        localized_drift(geom.half_width, z, _loc(geom), _CIRCLE)
 
 
 def test_exhausted_cutoff_levels_raise():
     geom = make_grid(6.0, 96, 1.0)
-    z = rotating_state(geom, _CIRCLE)
+    z = rotating_state(geom, _CIRCLE)  # starting level ceil(2 * window norm) = 11
     small = LocalizationParams(radius=geom.half_width, k=1, k_max=4)
     with pytest.raises(BlowupDetected):
         solve_skeleton(z, None, 0.25, small, manifold=_CIRCLE)
+    # a starting level above the top level is exhausted before the first step
+    low_top = LocalizationParams(radius=geom.half_width, k_max=1)
+    with pytest.raises(BlowupDetected, match="starting taper level 11 of column 0 exceeds the top level 1"):
+        solve_skeleton(z, None, 0.5, low_top, manifold=_CIRCLE)
+    fixed = LocalizationParams(radius=geom.half_width, k=8, k_max=4)  # 8 is never crossed
+    with pytest.raises(BlowupDetected, match="starting taper level 8"):
+        solve_skeleton(z, None, 0.5, fixed, manifold=_CIRCLE)
+    at_top = LocalizationParams(radius=geom.half_width, k_max=11)
+    assert solve_skeleton(z, None, 0.5, at_top, manifold=_CIRCLE).metadata["k_init"] == 11
 
 
 def test_taper_kills_drift_above_cutoff():
     geom = make_grid(6.0, 96, 1.0)
-    z = rotating_state(geom, _CIRCLE)  # window norm well above 2
-    out = localized_drift(0.0, z, _loc(geom), _CIRCLE, k=1)
-    assert np.abs(out.v.values).max() == 0.0
-    live = localized_drift(0.0, z, _loc(geom), _CIRCLE)
-    assert np.abs(live.v.values).max() > 0.1
+    z = rotating_state(geom, _CIRCLE)
+    norm = window_norm(z, geom.half_width)
+    assert norm > 2.0  # past the whole ramp [1, 2] of level 1
+    u, v = z.u.values, z.v.values
+    dead = drift_force(_CIRCLE, u, v, geom.spacing, taper_factor(norm, 1))
+    assert np.abs(dead).max() == 0.0
+    live = drift_force(_CIRCLE, u, v, geom.spacing, taper_factor(norm, math.ceil(2 * norm)))
+    assert np.abs(live).max() > 0.1
 
 
 def test_twin_data_agree_inside_the_cone():
@@ -335,46 +350,6 @@ def test_mild_residual_shrinks_with_the_step():
     assert res[1] / res[0] < 0.75
 
 
-def test_blowup_times_report_crossings():
-    geom = make_grid(6.0, 96, 1.0)
-    traj = solve_skeleton(rotating_state(geom, _CIRCLE), None, 0.25, _loc(geom),
-                          manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE)
-    out = blowup_times(traj, _loc(geom), thresholds=[1, 10 ** 6])
-    assert out[0] == (1, 0.0)          # crossed immediately
-    assert out[1] == (10 ** 6, 0.25)   # never crossed: reported at the horizon
-
-
-def test_q_transform_fixes_on_manifold_states_inside_plateau():
-    geom = make_grid(6.0, 96, 1.0)
-    z = bump_state(geom, _CIRCLE)
-    loc = LocalizationParams(radius=2.0)
-    out = q_transform(z, loc, _CIRCLE)
-    inside = np.abs(geom.x) <= 2.0
-    assert np.abs(out.u.values[inside] - z.u.values[inside]).max() < 1e-12
-    assert np.abs(out.v.values[inside] - z.v.values[inside]).max() < 1e-12
-    far = np.abs(geom.x) >= 4.0
-    assert np.abs(out.u.values[far]).max() == 0.0
-
-
-def test_q_transform_derivative_matches_finite_differences():
-    rng = np.random.default_rng(21)
-    geom = make_grid(6.0, 96, 1.0)
-    z = bump_state(geom, _CIRCLE)
-    loc = LocalizationParams(radius=2.0)
-    w = State(
-        z.u.with_values(0.1 * rng.normal(size=z.u.values.shape)),
-        z.v.with_values(0.1 * rng.normal(size=z.v.values.shape)),
-    )
-    h = 1e-5
-    plus = q_transform(State(z.u + w.u * h, z.v + w.v * h), loc, _CIRCLE)
-    minus = q_transform(State(z.u - w.u * h, z.v - w.v * h), loc, _CIRCLE)
-    fd_u = (plus.u.values - minus.u.values) / (2 * h)
-    fd_v = (plus.v.values - minus.v.values) / (2 * h)
-    got = q_transform_derivative(z, w, loc, _CIRCLE)
-    assert np.abs(got.u.values - fd_u).max() < 1e-6
-    assert np.abs(got.v.values - fd_v).max() < 1e-6
-
-
 def test_non_finite_window_norm_is_a_blowup():
     geom = make_grid(6.0, 96, 1.0)
     z = bump_state(geom, _CIRCLE)
@@ -386,3 +361,4 @@ def test_non_finite_window_norm_is_a_blowup():
     with pytest.raises(BlowupDetected, match=rf"column 1 is nan at t={3 * geom.spacing}"):
         solve_batch(z, 1e-2, 0.5, _loc(geom), manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE,
                     trial_ids=[0, 1], observer=poison)
+
