@@ -101,18 +101,26 @@ def _expand_rows(coeffs: np.ndarray, steps: int, blocks: int) -> np.ndarray:
 
 
 class _TerminalObjective:
-    """Batched map from flat control parameters to terminal cone-section residuals.
+    """Map from flat control parameters to terminal cone-section residuals.
 
-    Each evaluation runs a batch of zero-noise solves, one column per
-    parameter vector, and samples the weighted difference to the target state
-    on the cone section at the horizon; the squared residual norm equals the
-    cone energy of the difference (doubled), so the penalty term is
-    lam * |rho|^2.
+    A control evaluation runs zero-noise solves and samples the weighted
+    difference to the target state on the cone section at the horizon; the
+    squared residual norm equals the cone energy of the difference (doubled),
+    so the penalty term is lam * |rho|^2.
+
+    `gap` keeps a record of its solve: the terminal difference and the base
+    states and taper levels at each block start s_j = j * steps / blocks.
+    `jacobian` at the same parameters takes its base residuals from that
+    record, and its forward-difference probes resume from it: a probe of
+    block j has the base control before s_j, so up to s_j it is bitwise the
+    base path (batch columns are independent).  The probes run as one chain
+    of segments s_j -> s_{j+1}; block j's probe columns join at s_j, so the
+    widths are dim, 2 dim, ..., blocks * dim.  `solves` counts control
+    evaluations (one per parameter vector), not integrator calls.
     """
 
     def __init__(self, target, z0, cone, *, horizon, loc, manifold, basis, diffusion, opts):
         self.z0 = z0
-        self.horizon = horizon
         self.loc = loc
         self.manifold = manifold
         self.basis = basis
@@ -126,18 +134,24 @@ class _TerminalObjective:
                 f"{self.blocks} control blocks do not divide {self.steps} steps"
             )
         self.nparams = self.blocks * self.dim
+        self.block_starts = [j * (self.steps // self.blocks) for j in range(self.blocks)]
         self.solves = 0
+        self.record = None  # (params, terminal difference, block-start (u, v, k)) of the last gap solve
 
         self.target = (target.u.values, target.v.values)
         self.weights = cone_section_weights(cone, z0.origin, self.dx, z0.u.npoints, self.steps)
 
-    def residuals(self, params: np.ndarray) -> np.ndarray:
-        """params (P, B) -> residual matrix (R, B); |col|^2 = 2*e_cone(diff)."""
+    def rates(self, params: np.ndarray) -> np.ndarray:
+        """params (P, B) -> per-column control rates (steps, B, dim)."""
         nbatch = params.shape[1]
         rates = np.empty((self.steps, nbatch, self.dim))
         for b in range(nbatch):
             rates[:, b, :] = _expand_rows(params[:, b].reshape(self.blocks, self.dim), self.steps, self.blocks)
-        du, dv = self._terminal_difference(rates)
+        return rates
+
+    def residual_rows(self, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
+        """Terminal differences (n, B, ncomp) -> residual matrix (R, B); |col|^2 = 2*e_cone(diff)."""
+        nbatch = du.shape[1]
         sw = np.sqrt(self.weights)[:, None, None]
         rows = [(sw * f).transpose(0, 2, 1).reshape(-1, nbatch) for f in _section_fields(du, dv, self.dx)]
         return np.concatenate(rows, axis=0)
@@ -147,24 +161,62 @@ class _TerminalObjective:
         return float(np.sqrt(self._section_sq(params)))
 
     def _section_sq(self, params: np.ndarray) -> float:
-        rates = _expand_rows(params.reshape(self.blocks, self.dim), self.steps, self.blocks)[:, None, :]
-        return 2.0 * section_energy(*self._terminal_difference(rates), self.weights, self.dx)[0]
+        """Squared terminal gap for a single parameter vector; the solve is recorded for `jacobian`."""
+        traj, seen = self._solve(self.rates(params[:, None]), self.steps, keep=self.block_starts)
+        diff = self._minus_target(*seen.pop(self.steps))
+        k = traj.energy_trace["k_level"]
+        self.record = (params.copy(), diff, [seen[s] + (k[s],) for s in self.block_starts])
+        self.solves += 1
+        return 2.0 * section_energy(*diff, self.weights, self.dx)[0]
 
-    def _terminal_difference(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-noise solves, one column per column of rates (steps, B, dim), minus the target."""
-        out = {}
+    def jacobian(self, params: np.ndarray, fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+        """The residuals at params and their forward-difference Jacobian (R, P)."""
+        if self.record is None or not np.array_equal(self.record[0], params):
+            self._section_sq(params)  # counts its own solve
+        else:
+            self.solves += 1  # the base evaluation is the recorded gap solve
+        _, diff, block_starts = self.record
+        base = self.residual_rows(*diff)[:, 0]
+        probes = np.tile(params[:, None], (1, self.nparams))
+        probes[np.arange(self.nparams), np.arange(self.nparams)] += fd_step
+        rates = self.rates(probes)
+        n, _, ncomp = diff[0].shape
+        u, v, k = np.empty((n, 0, ncomp)), np.empty((n, 0, ncomp)), np.empty(0, dtype=int)
+        stops = self.block_starts[1:] + [self.steps]
+        for start, stop, (ub, vb, kb) in zip(self.block_starts, stops, block_starts):
+            # this block's probe columns join the earlier blocks' at its start
+            u = np.concatenate([u, np.repeat(ub, self.dim, axis=1)], axis=1)
+            v = np.concatenate([v, np.repeat(vb, self.dim, axis=1)], axis=1)
+            k = np.concatenate([k, np.repeat(kb, self.dim)])
+            traj, seen = self._solve(rates[:, :u.shape[1]], stop, (start, u, v, k))
+            u, v = seen.pop(stop)
+            k = traj.metadata["k_final"]
+        self.solves += self.nparams
+        jac = (self.residual_rows(*self._minus_target(u, v)) - base[:, None]) / fd_step
+        return base, jac
+
+    def _minus_target(self, u, v):
+        return u - self.target[0][:, None, :], v - self.target[1][:, None, :]
+
+    def _solve(self, rates, stop, resume=None, keep=()):
+        """Zero-noise solves of the columns of rates up to step stop.
+
+        Returns the trajectory and the states at stop and at each step of keep.
+        """
+        seen = {}
 
         def observer(m, t, u, v):
-            if m == self.steps:
-                out["diff"] = (u - self.target[0][:, None, :], v - self.target[1][:, None, :])
+            if m == stop:  # the run ends here, so these arrays are never written again
+                seen[m] = (u, v)
+            elif m in keep:
+                seen[m] = (u.copy(), v.copy())
 
-        solve_batch(
-            self.z0, 0.0, self.horizon, self.loc,
+        traj = solve_batch(
+            self.z0, 0.0, stop * self.dx, self.loc,
             manifold=self.manifold, basis=self.basis, diffusion=self.diffusion,
-            control_rates=rates, keep_states=False, observer=observer,
+            control_rates=rates, keep_states=False, observer=observer, _resume=resume,
         )
-        self.solves += rates.shape[1]
-        return out["diff"]
+        return traj, seen
 
 
 def rate_function(
@@ -220,10 +272,7 @@ def rate_function(
                     break
                 iterations += 1
                 if optimizer == "gn":  # Gauss-Newton on a forward-difference Jacobian of the residuals
-                    base = obj.residuals(theta[:, None])[:, 0]
-                    probes = np.tile(theta[:, None], (1, P))
-                    probes[np.arange(P), np.arange(P)] += opts.fd_step
-                    jac = (obj.residuals(probes) - base[:, None]) / opts.fd_step
+                    base, jac = obj.jacobian(theta, opts.fd_step)
                     grad = q_diag * theta + 2.0 * lam * (jac.T @ base)
                     hess = np.diag(q_diag) + 2.0 * lam * (jac.T @ jac)
                     hess[np.diag_indices_from(hess)] += 1e-12 * (1.0 + np.trace(hess) / P)

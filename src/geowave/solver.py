@@ -301,7 +301,16 @@ def _integrate(
     renormalize: bool = True,
     keep_states: bool = True,
     observer=None,
+    start: int = 0,
+    levels: np.ndarray | None = None,
 ):
+    """Steps start..horizon/spacing from (u0, v0), the states at step `start`.
+
+    A resumed run (start > 0) takes `levels`, the per-column taper levels its
+    full run had at that step, and returns the tail of the full run bitwise:
+    times, states, traces and noise rows from `start` on.  Its states come
+    from an earlier run, so they are not checked as initial data.
+    """
     n, nbatch, ncomp = u0.shape
     dx = spacing
     r = loc.radius
@@ -310,9 +319,12 @@ def _integrate(
         raise ValueError(f"horizon {horizon} must cover at least one step of {dx}")
     if horizon >= r:
         raise ConeExhausted(f"horizon {horizon} reaches the localization radius {r}")
-    defect = state_defect(manifold, u0, v0)
-    if defect is not None:
-        raise OffManifoldInitialData(f"initial {defect}")
+    if not 0 <= start <= steps:
+        raise ValueError(f"start step {start} is outside 0..{steps}")
+    if start == 0:
+        defect = state_defect(manifold, u0, v0)
+        if defect is not None:
+            raise OffManifoldInitialData(f"initial {defect}")
     if eps < 0:
         raise ValueError(f"noise level must be nonnegative, got {eps}")
 
@@ -343,23 +355,28 @@ def _integrate(
     v = v0.astype(float, copy=True)
 
     # taper levels per batch column
-    if loc.k is not None:
+    if levels is not None:
+        k = np.array(levels, dtype=int)
+    elif loc.k is not None:
         k = np.full(nbatch, int(loc.k))
     else:
         k = np.maximum(1, np.ceil(2.0 * _window(u, v, origin, dx, r)[1])).astype(int)
+    if np.any(k < 1):  # doubling never lifts a level below 1 past a crossing
+        b = int(np.nonzero(k < 1)[0][0])
+        raise BlowupDetected(f"starting taper level {k[b]} of column {b} is below 1")
     if np.any(k > loc.k_max):
         b = int(np.nonzero(k > loc.k_max)[0][0])
         raise BlowupDetected(f"starting taper level {k[b]} of column {b} exceeds the top level {loc.k_max}")
     k_init = k.copy()
 
-    times = dx * np.arange(steps + 1)
-    trace_norm = np.zeros((steps + 1, nbatch))
-    trace_taper = np.zeros((steps + 1, nbatch))
-    trace_k = np.zeros((steps + 1, nbatch), dtype=int)
+    times = dx * np.arange(start, steps + 1)
+    trace_norm = np.zeros((len(times), nbatch))
+    trace_taper = np.zeros((len(times), nbatch))
+    trace_k = np.zeros((len(times), nbatch), dtype=int)
     states = [] if keep_states else None
-    noise_log = np.zeros((steps, nbatch, basis.dim)) if needs_noise else None
+    noise_log = np.zeros((steps - start, nbatch, basis.dim)) if needs_noise else None
 
-    for m in range(steps + 1):
+    for m in range(start, steps + 1):
         t = m * dx
         s = r - t
         window, norm_m = _window(u, v, origin, dx, s)[:2]  # holding the copies raises peak memory
@@ -379,9 +396,9 @@ def _integrate(
             crossing = norm_m >= k
         theta = taper_factor(norm_m, k)
 
-        trace_norm[m] = norm_m
-        trace_taper[m] = theta
-        trace_k[m] = k
+        trace_norm[m - start] = norm_m
+        trace_taper[m - start] = theta
+        trace_k[m - start] = k
         if observer is not None:
             observer(m, t, u, v)
         if keep_states:
@@ -392,8 +409,8 @@ def _integrate(
         # noise increment, left-point evaluation
         if needs_noise:
             for b in range(nbatch):
-                noise_log[m, b] = sample_increment(basis, dx, stream(master_seed, trial_ids[b], m))
-            wfield = _mode_field(noise_log[m], modes_coarse)  # (B, n)
+                noise_log[m - start, b] = sample_increment(basis, dx, stream(master_seed, trial_ids[b], m))
+            wfield = _mode_field(noise_log[m - start], modes_coarse)  # (B, n)
             y_ext = _extended(diffusion(u.reshape(-1, ncomp)).reshape(u.shape), *window)
             v_star = v + (math.sqrt(eps) * theta)[None, :, None] * y_ext * wfield.T[:, :, None]
         else:
@@ -533,6 +550,7 @@ def solve_batch(
     renormalize: bool = True,
     keep_states: bool = False,
     observer=None,
+    _resume: tuple | None = None,
 ) -> Trajectory:
     """Evolve a family of trajectories in lock-step from shared initial data.
 
@@ -540,6 +558,10 @@ def solve_batch(
     control rates (control_rates of shape (steps, B, dim)); each column is
     bitwise identical to the corresponding single-trajectory solve.  Batched
     results keep the batch axis in the traces and noise log.
+
+    _resume = (start, u, v, levels) is private to the package: the run
+    resumes at step `start` from the batched states (u, v) with per-column
+    taper levels, and returns the tail of the full run from there.
     """
     if control_rates is None:
         nbatch = len(trial_ids) if trial_ids is not None else 1
@@ -552,15 +574,22 @@ def solve_batch(
             raise DimensionMismatch(
                 f"{len(trial_ids)} trial ids for {nbatch} columns of control rates"
             )
-    u0, v0 = _as_batch(z0)
-    u0 = np.broadcast_to(u0, (u0.shape[0], nbatch, u0.shape[2]))
-    v0 = np.broadcast_to(v0, (v0.shape[0], nbatch, v0.shape[2]))
+    if _resume is None:
+        start, levels = 0, None
+        u0, v0 = _as_batch(z0)
+        u0 = np.broadcast_to(u0, (u0.shape[0], nbatch, u0.shape[2]))
+        v0 = np.broadcast_to(v0, (v0.shape[0], nbatch, v0.shape[2]))
+    else:
+        start, u0, v0, levels = _resume
+        if u0.shape[1] != nbatch:
+            raise DimensionMismatch(f"{u0.shape[1]} resumed columns for a batch of {nbatch}")
     times, states, trace, noise_log, k_init, k_final = _integrate(
         u0, v0,
         origin=z0.origin, spacing=z0.spacing, manifold=manifold, loc=loc,
         horizon=horizon, basis=basis, diffusion=diffusion, eps=eps,
         control_rates=control_rates, master_seed=master_seed, trial_ids=trial_ids,
         renormalize=renormalize, keep_states=keep_states, observer=observer,
+        start=start, levels=levels,
     )
     meta = {"eps": float(eps), "seed": int(master_seed), "trial_ids": trial_ids,
             "dt": z0.spacing, "radius": loc.radius, "renormalize": renormalize,

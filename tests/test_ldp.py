@@ -8,15 +8,17 @@ from geowave.energy import energy
 from geowave.errors import AllZeroCounts, InsufficientTrials
 from geowave.function_spaces import LightCone, State
 from geowave.geometry import DiffusionField, ManifoldModel
+from geowave import solver
 from geowave.ldp import (
     RateOptions,
+    _TerminalObjective,
     rate_function,
     statement1_probe,
     statement2_probe,
     tail_estimate,
 )
 from geowave.noise import SpectralMeasure, build_basis
-from geowave.solver import Control, LocalizationParams, solve_skeleton
+from geowave.solver import Control, LocalizationParams, solve_batch, solve_skeleton
 from geowave.states import bump_state, constant_state, make_grid
 
 _BASIS = build_basis(SpectralMeasure.default_three_atoms())
@@ -71,6 +73,79 @@ def test_rate_recovers_a_planted_control():
                  redo.v.with_values(redo.v.values - target.v.values))
     gap = math.sqrt(2.0 * energy(steps * geom.spacing, diff, cone, k=1))
     assert abs(gap - res.terminal_gap) < 1e-10
+
+
+def _planted_problem(points, horizon, mode=0, amplitude=0.6):
+    geom, loc, cone = _setup(points, horizon)
+    z0 = bump_state(geom, _CIRCLE)
+    steps = round(horizon / geom.spacing)
+    rows = np.zeros((steps, _BASIS.dim))
+    rows[:, mode] = amplitude
+    target = solve_skeleton(z0, Control(rows, geom.spacing), horizon, loc, manifold=_CIRCLE,
+                            basis=_BASIS, diffusion=_Y_CIRCLE).final_state()
+    return z0, target, loc, cone, steps
+
+
+def _full_width_jacobian(obj, theta, fd_step):
+    """Every probe column integrated from t = 0 in one batch, and the base as its own solve."""
+    def residuals(params):
+        out = {}
+
+        def observer(m, t, u, v):
+            if m == obj.steps:
+                out["diff"] = (u - obj.target[0][:, None, :], v - obj.target[1][:, None, :])
+
+        solve_batch(obj.z0, 0.0, obj.steps * obj.dx, obj.loc, manifold=obj.manifold, basis=obj.basis,
+                    diffusion=obj.diffusion, control_rates=obj.rates(params), observer=observer)
+        return obj.residual_rows(*out["diff"])
+
+    base = residuals(theta[:, None])[:, 0]
+    probes = np.tile(theta[:, None], (1, obj.nparams))
+    probes[np.arange(obj.nparams), np.arange(obj.nparams)] += fd_step
+    return base, (residuals(probes) - base[:, None]) / fd_step
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 4])
+def test_segmented_jacobian_equals_the_full_width_one_bitwise(blocks):
+    z0, target, loc, cone, _ = _planted_problem(192, 0.5, mode=1, amplitude=0.8)
+    obj = _TerminalObjective(target, z0, cone, horizon=0.5, loc=loc, manifold=_CIRCLE,
+                             basis=_BASIS, diffusion=_Y_CIRCLE, opts=RateOptions(blocks=blocks))
+    theta = np.random.default_rng(blocks).normal(scale=0.3, size=obj.nparams)
+    want_base, want_jac = _full_width_jacobian(obj, theta, 1e-5)
+    obj.gap(theta)  # the Jacobian's base and probe starts come from this solve
+    base, jac = obj.jacobian(theta, 1e-5)
+    assert np.array_equal(base, want_base)
+    assert np.array_equal(jac, want_jac)
+    assert np.any(jac != 0.0)
+    # without a gap solve at theta, the Jacobian runs its own base solve
+    fresh = _TerminalObjective(target, z0, cone, horizon=0.5, loc=loc, manifold=_CIRCLE,
+                               basis=_BASIS, diffusion=_Y_CIRCLE, opts=RateOptions(blocks=blocks))
+    assert all(np.array_equal(a, b) for a, b in zip(fresh.jacobian(theta, 1e-5), (want_base, want_jac)))
+    # one solve per control evaluation: the gap, the base (recorded or run) and each probe
+    assert (obj.solves, fresh.solves) == (2 + obj.nparams, 1 + obj.nparams)
+
+
+def test_integrator_work_per_gauss_newton_iteration(monkeypatch):
+    z0, target, loc, cone, steps = _planted_problem(192, 0.5)
+    col_steps = []
+    integrate = solver._integrate
+
+    def counting(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        times, trace = out[0], out[2]
+        col_steps.append((len(times) - 1) * trace["k_level"].shape[1])
+        return out
+
+    monkeypatch.setattr(solver, "_integrate", counting)
+    blocks, dim = 4, _BASIS.dim
+    res = rate_function(target, z0, 10.0, RateOptions(blocks=blocks), cone=cone, horizon=0.5,
+                        **_solve_kwargs(loc))
+    assert res.converged and res.iterations > 0
+    # per iteration: the gap solve, then the probes of block j over steps s_j..steps
+    per_iteration = steps + dim * steps * (blocks + 1) // 2
+    assert sum(col_steps) == 2 * steps + res.iterations * per_iteration
+    # solves counts control evaluations: base, probes and gap per iteration, plus two gaps
+    assert res.metadata["solves"] == 2 + res.iterations * (blocks * dim + 2)
 
 
 def test_off_manifold_target_is_unreachable():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geowave.errors import (
     BlowupDetected,
@@ -291,6 +291,20 @@ def test_exhausted_cutoff_levels_raise():
     assert solve_skeleton(z, None, 0.5, at_top, manifold=_CIRCLE).metadata["k_init"] == 11
 
 
+@pytest.mark.parametrize("level", [0, -1])
+def test_starting_taper_level_below_one_raises(level):
+    # doubling never lifts a level below 1 past a crossing, so the run would never end
+    geom = make_grid(6.0, 96, 1.0)
+    z = constant_state(geom, _CIRCLE)
+    low = LocalizationParams(radius=geom.half_width, k=level)
+    with pytest.raises(BlowupDetected, match=f"starting taper level {level} of column 0 is below 1"):
+        solve_skeleton(z, None, 0.5, low, manifold=_CIRCLE)
+    # a resumed run checks the levels it is handed the same way
+    u, v = z.u.values[:, None, :], z.v.values[:, None, :]
+    with pytest.raises(BlowupDetected, match="below 1"):
+        solve_batch(z, 0.0, 0.5, _loc(geom), manifold=_CIRCLE, _resume=(1, u, v, np.array([level])))
+
+
 def test_taper_kills_drift_above_cutoff():
     geom = make_grid(6.0, 96, 1.0)
     z = rotating_state(geom, _CIRCLE)
@@ -362,3 +376,41 @@ def test_non_finite_window_norm_is_a_blowup():
         solve_batch(z, 1e-2, 0.5, _loc(geom), manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE,
                     trial_ids=[0, 1], observer=poison)
 
+
+
+_RESUME_CASES = {
+    "circle": (_CIRCLE, _Y_CIRCLE),
+    "sphere": (_SPHERE, _Y_SPHERE),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_RESUME_CASES)),
+    points=st.sampled_from([96, 192]),
+    width=st.integers(1, 6),
+    where=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="sphere", points=192, width=6, where=0.0, seed=1)  # start 0
+@example(kind="circle", points=192, width=1, where=1.0, seed=2)  # start steps - 1
+def test_resumed_run_is_the_tail_of_the_full_run(kind, points, width, where, seed):
+    manifold, diffusion = _RESUME_CASES[kind]
+    geom = make_grid(6.0, points, 1.0)
+    z = random_state(geom, manifold, stream(seed, 1))
+    steps = round(0.5 / geom.spacing)
+    start = min(int(where * steps), steps - 1)  # 0 .. steps - 1
+    rates = np.random.default_rng(seed).normal(scale=0.5, size=(steps, width, _BASIS.dim))
+    kwargs = dict(manifold=manifold, basis=_BASIS, diffusion=diffusion, control_rates=rates,
+                  keep_states=True)
+    full = solve_batch(z, 0.0, 0.5, _loc(geom), **kwargs)
+    u, v = full.states[start]
+    levels = full.energy_trace["k_level"][start]
+    tail = solve_batch(z, 0.0, 0.5, _loc(geom), **kwargs, _resume=(start, u, v, levels))
+    assert np.array_equal(tail.times, full.times[start:])
+    assert len(tail.states) == steps + 1 - start
+    for (ut, vt), (uf, vf) in zip(tail.states, full.states[start:]):
+        assert np.array_equal(ut, uf) and np.array_equal(vt, vf)
+    for key in ("taper_norm", "taper", "k_level"):
+        assert np.array_equal(tail.energy_trace[key], full.energy_trace[key][start:]), key
+    assert np.array_equal(tail.metadata["k_final"], full.metadata["k_final"])
