@@ -37,10 +37,8 @@ from .selfcheck import VERIFY_TRIALS, verify_suite
 from .solver import (
     Control,
     LocalizationParams,
+    cone_energies,
     cone_section_weights,
-    run_trials,
-    section_energy,
-    solve_batch,
     solve_skeleton,
     trial_chunks,
 )
@@ -122,8 +120,8 @@ _BASE_TABLE = {
     "noise.atoms": ConfigKey(float, ((0.0, 0.5), (1.0, 0.3), (2.5, 0.2)), (">=", 0), seq=2),
     "noise.seed": ConfigKey(int, 0),
     "solver.k_max": ConfigKey(int, 1024, (">", 0)),
-    "solver.renormalize": ConfigKey(bool, True),
 }
+_RENORMALIZE = {"solver.renormalize": ConfigKey(bool, True)}  # only skeleton and simulate pass it on
 
 
 def _table(initial: str = "random", **experiment) -> dict:
@@ -140,12 +138,12 @@ def _table(initial: str = "random", **experiment) -> dict:
 # command -> key -> declaration.  Rules that span keys live in _check_across_keys.
 CONFIG_KEYS = {
     "verify": _BASE_TABLE,
-    "skeleton": _table(
+    "skeleton": _RENORMALIZE | _table(
         "rotating_geodesic",
         energy_transform=ConfigKey(str, "identity", choices=("identity", "log1p")),
         output_stride=ConfigKey(int, None, (">", 0)),  # None: a 32nd of the steps
     ),
-    "simulate": _table(
+    "simulate": _RENORMALIZE | _table(
         eps=ConfigKey(float, 1e-2, (">=", 0)),
         trials=ConfigKey(int, 8, (">", 0)),
     ),
@@ -441,24 +439,12 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
     cone = cfg.cone()
     eps, trials = cfg["experiment.eps"], cfg["experiment.trials"]
     steps = round(cfg["time.horizon"] / geom.spacing)
-    weights = {m: cone_section_weights(cone, geom.origin, geom.spacing, geom.npoints, m)
-               for m in range(steps + 1)}
-
-    def run_chunk(ids):
-        local = np.zeros(len(ids))
-        final = {}
-
-        def obs(m, t, u, v):
-            np.maximum(local, section_energy(u, v, weights[m], geom.spacing), out=local)
-            final["u"] = u
-
-        solve_batch(run.z0, eps, cfg["time.horizon"], run.loc, **run.fields,
-                    master_seed=cfg["noise.seed"], trial_ids=ids,
-                    renormalize=cfg["solver.renormalize"], keep_states=False, observer=obs)
-        res = man.constraint_residual(final["u"].reshape(-1, man.ambient_dim))
-        return local, res.reshape(geom.npoints, len(ids)).max(axis=0)
-
-    sup_e, final_res = run_trials(range(trials), run_chunk, threads)
+    weights = [cone_section_weights(cone, geom.origin, geom.spacing, geom.npoints, m) for m in range(steps + 1)]
+    (energy,), final_u = cone_energies(run.z0, eps, cfg["time.horizon"], run.loc, weights, [None], **run.fields,
+                                       trial_ids=range(trials), master_seed=cfg["noise.seed"],
+                                       renormalize=cfg["solver.renormalize"], threads=threads)
+    sup_e = energy.max(axis=1, initial=0.0)
+    final_res = man.constraint_residual(final_u).max(axis=1)
     _write_csv(out / "trials.csv", ["trial", "sup_cone_energy", "final_constraint_residual"],
                ([tid, sup_e[tid], final_res[tid]] for tid in range(trials)))
     _write_json(out / "simulate.json", {

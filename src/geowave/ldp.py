@@ -27,8 +27,8 @@ from .noise import NoiseBasis
 from .solver import (
     Control,
     LocalizationParams,
+    cone_energies,
     cone_section_weights,
-    run_trials,
     section_energy,
     solve_batch,
     solve_skeleton,
@@ -367,18 +367,9 @@ def statement1_probe(
         manifold=manifold, basis=basis, diffusion=diffusion, keep_states=True,
     )
     wball = cone_section_weights(cone, z0.origin, dx, z0.u.npoints, 0)  # B(center, horizon)
-    sup_d = np.zeros(nbatch)
-
-    def observer(m, t, u, v):
-        du = u - base_traj.states[m].u.values[:, None, :]
-        dv = v - base_traj.states[m].v.values[:, None, :]
-        np.maximum(sup_d, np.sqrt(2.0 * section_energy(du, dv, wball, dx)), out=sup_d)
-
-    solve_batch(
-        z0, 0.0, horizon, loc,
-        manifold=manifold, basis=basis, diffusion=diffusion,
-        control_rates=rates, keep_states=False, observer=observer,
-    )
+    (e_diff,), _ = cone_energies(z0, 0.0, horizon, loc, [wball] * (steps + 1), [base_traj.states],
+                                 manifold=manifold, basis=basis, diffusion=diffusion, control_rates=rates)
+    sup_d = np.sqrt(2.0 * e_diff).max(axis=1, initial=0.0)
     decreasing = all(sup_d[i + 1] <= 1.05 * sup_d[i] for i in range(nbatch - 1))
     passed = decreasing and sup_d[-1] < tol
     return ConvergenceReport(
@@ -410,8 +401,10 @@ def statement2_probe(
 
     For each eps, runs `trials` noisy paths against the uncontrolled zero-noise
     path, tracking sup_{t<=T/2} of the cone energy of the difference frozen at
-    the first time the noisy path's own cone norm reaches the threshold; fits
-    the log-log slope of the means (linear response means slope near 1).
+    the first step where the noisy path's own cone norm sqrt(2 e) reaches the
+    threshold: the crossing step still counts, later steps do not.
+    extra["tau_fraction"] is the fraction of trials that cross.  Fits the
+    log-log slope of the means (linear response means slope near 1).
     """
     if trials < 30:
         raise InsufficientTrials(f"need at least 30 trials, got {trials}")
@@ -423,39 +416,25 @@ def statement2_probe(
         z0, None, t_half, loc,
         manifold=manifold, basis=basis, diffusion=diffusion, keep_states=True,
     )
-    cw = {m: cone_section_weights(cone, z0.origin, dx, z0.u.npoints, m) for m in range(steps_half + 1)}
+    cw = [cone_section_weights(cone, z0.origin, dx, z0.u.npoints, m) for m in range(steps_half + 1)]
 
     means = np.zeros(len(eps_list))
     errs = np.zeros(len(eps_list))
     tau_fraction = np.zeros(len(eps_list))
     per_trial = {}
     for i, eps in enumerate(eps_list):
-        def run_chunk(ids):
-            local_sup = np.zeros(len(ids))
-            local_hit = np.zeros(len(ids), dtype=bool)
-
-            def observer(m, t, u, v):
-                zb = base_traj.states[m]
-                du = u - zb.u.values[:, None, :]
-                dv = v - zb.v.values[:, None, :]
-                e_diff = section_energy(du, dv, cw[m], dx)
-                e_self = section_energy(u, v, cw[m], dx)
-                live = ~local_hit
-                np.maximum(local_sup, np.where(live, e_diff, -np.inf), out=local_sup)
-                np.logical_or(local_hit, np.sqrt(2.0 * e_self) >= threshold, out=local_hit)
-
-            solve_batch(
-                z0, eps, t_half, loc, manifold=manifold, basis=basis,
-                diffusion=diffusion, master_seed=master_seed,
-                trial_ids=ids, keep_states=False, observer=observer,
-            )
-            return local_sup, local_hit
-
-        sup_e, hit = run_trials(range(trials), run_chunk, threads)
+        (e_self, e_diff), _ = cone_energies(
+            z0, eps, t_half, loc, cw, [None, base_traj.states], manifold=manifold, basis=basis,
+            diffusion=diffusion, trial_ids=range(trials), master_seed=master_seed, threads=threads,
+        )
+        crossed = np.sqrt(2.0 * e_self) >= threshold
+        frozen = np.zeros_like(crossed)  # crossed at an earlier step
+        frozen[:, 1:] = np.logical_or.accumulate(crossed, axis=1)[:, :-1]
+        sup_e = np.where(frozen, -np.inf, e_diff).max(axis=1, initial=0.0)
         per_trial[eps] = sup_e
         means[i] = float(sup_e.mean())
         errs[i] = float(sup_e.std(ddof=1) / math.sqrt(trials))
-        tau_fraction[i] = float(hit.mean())
+        tau_fraction[i] = float(crossed.any(axis=1).mean())
 
     slope = _fit_slope(np.asarray(eps_list), means)
     decreasing = all(means[i + 1] < means[i] for i in range(len(means) - 1))
@@ -503,30 +482,17 @@ def tail_estimate(
         z0, None, horizon, loc,
         manifold=manifold, basis=basis, diffusion=diffusion, keep_states=True,
     )
-    cw = {m: cone_section_weights(cone, z0.origin, dx, z0.u.npoints, m) for m in range(steps + 1)}
+    cw = [cone_section_weights(cone, z0.origin, dx, z0.u.npoints, m) for m in range(steps + 1)]
 
     p_hat = np.zeros(len(eps_list))
     errs = np.zeros(len(eps_list))
     eps_log_p = np.zeros(len(eps_list))
     for i, eps in enumerate(eps_list):
-        def run_chunk(ids):
-            local = np.zeros(len(ids))
-
-            def observer(m, t, u, v):
-                zb = base_traj.states[m]
-                du = u - zb.u.values[:, None, :]
-                dv = v - zb.v.values[:, None, :]
-                np.maximum(local, np.sqrt(2.0 * section_energy(du, dv, cw[m], dx)), out=local)
-
-            solve_batch(
-                z0, eps, horizon, loc, manifold=manifold, basis=basis,
-                diffusion=diffusion, master_seed=master_seed, trial_ids=ids,
-                keep_states=False, observer=observer,
-            )
-            return (local,)
-
-        (sup_d,) = run_trials(range(trials), run_chunk, threads)
-
+        (e_diff,), _ = cone_energies(
+            z0, eps, horizon, loc, cw, [base_traj.states], manifold=manifold, basis=basis,
+            diffusion=diffusion, trial_ids=range(trials), master_seed=master_seed, threads=threads,
+        )
+        sup_d = np.sqrt(2.0 * e_diff).max(axis=1, initial=0.0)
         count = int((sup_d > delta).sum())
         p = count / trials
         p_hat[i] = p

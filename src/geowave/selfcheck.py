@@ -331,9 +331,9 @@ def energy_groups(checks: list, basis, seed: int) -> None:
     z0 = random_state(geom, man, stream(seed, 301))
 
     worst = {"identity": 0, "log1p": 0}
+    tr = solve_skeleton(z0, None, 1.0, loc, manifold=man, basis=basis,
+                        diffusion=yf, keep_states=True)
     for transform in worst:
-        tr = solve_skeleton(z0, None, 1.0, loc, manifold=man, basis=basis,
-                            diffusion=yf, keep_states=True)
         rep = verify_energy_inequality(tr, cone=cone, manifold=man, basis=basis,
                                        diffusion=yf, transform=transform)
         worst[transform] = len(rep.violations)

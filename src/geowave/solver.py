@@ -51,7 +51,7 @@ __all__ = [
     "solve_skeleton",
     "solve_stochastic",
     "solve_batch",
-    "run_trials",
+    "cone_energies",
     "trial_chunks",
     "mild_residual",
 ]
@@ -615,6 +615,45 @@ def run_trials(ids, fn, threads: int) -> tuple:
         with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(fn, chunks))
     return tuple(np.concatenate(rows) for rows in zip(*parts))
+
+
+def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams, weights, references, *,
+                  manifold: ManifoldModel, basis: NoiseBasis, diffusion: DiffusionField, trial_ids=None,
+                  control_rates: np.ndarray | None = None, master_seed: int = 0, renormalize: bool = True,
+                  threads: int = 1) -> tuple[list, np.ndarray]:
+    """Cone-section energies of every batch column at every step, and the final positions.
+
+    weights[m] is the section of step m.  A reference is None (the column
+    itself) or the stored states of a path, indexed by step (the column minus
+    that path).  Returns one (B, steps + 1) array of section_energy values per
+    reference and the final positions (B, npoints, ncomp).  Noise trials
+    (trial_ids) fan out over at most `threads` chunks by run_trials; control
+    columns (control_rates of shape (steps, B, dim)) run as one batch.
+    """
+    steps = GroupStep.from_time(horizon, z0.spacing).shift_count
+
+    def run(ids, rates=None):
+        nbatch = len(ids) if rates is None else rates.shape[1]
+        energies = np.zeros((len(references), nbatch, steps + 1))
+        final = []
+
+        def observer(m, t, u, v):
+            for e, ref in zip(energies, references):
+                du, dv = (u, v) if ref is None else (u - ref[m].u.values[:, None, :],
+                                                     v - ref[m].v.values[:, None, :])
+                e[:, m] = section_energy(du, dv, weights[m], z0.spacing)
+            final[:] = [u]  # the last step's arrays are never written again
+
+        solve_batch(z0, eps, horizon, loc, manifold=manifold, basis=basis, diffusion=diffusion,
+                    control_rates=rates, master_seed=master_seed, trial_ids=ids,
+                    renormalize=renormalize, keep_states=False, observer=observer)
+        return (*energies, final[0].transpose(1, 0, 2))
+
+    if control_rates is None:
+        *energies, final = run_trials(trial_ids, run, threads)
+    else:
+        *energies, final = run(trial_ids, control_rates)
+    return energies, final
 
 
 def trial_chunks(ids, threads: int) -> list:

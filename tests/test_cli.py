@@ -39,7 +39,14 @@ def test_defaults_from_empty_config(tmp_path):
     assert cfg["manifold.kind"] == "sphere"
     assert cfg["grid.points"] == 1536
     assert cfg["noise.atoms"] == ((0.0, 0.5), (1.0, 0.3), (2.5, 0.2))
-    assert cfg["solver.renormalize"] is True
+    assert load_config(_config(tmp_path, "# nothing but a comment\n"), "skeleton")["solver.renormalize"] is True
+
+
+@pytest.mark.parametrize("command", ["verify", "rate", "probe-s1", "probe-s2", "tail"])
+def test_renormalize_is_a_key_only_where_it_acts(tmp_path, command):
+    # only skeleton and simulate pass it to the solver, so any other command would ignore it
+    with pytest.raises(ConfigInvalid, match=f"unknown config key 'solver.renormalize' for command '{command}'"):
+        load_config(_config(tmp_path, _small_with("solver.renormalize = false")), command)
 
 
 def test_values_comments_and_booleans(tmp_path):

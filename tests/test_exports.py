@@ -1,8 +1,10 @@
-"""The export surface: every exported name resolves, and deleted names stay deleted."""
+"""The export surface: every exported name resolves, deleted names stay deleted, no import is unused."""
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +57,31 @@ def test_deleted_parameters_are_gone():
     assert "control" not in params(solve_batch)
     assert not {"k", "tol_factor"} & params(verify_energy_inequality)
     assert "sections" not in {f.name for f in dataclasses.fields(RateOptions)}
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports and never reads, apart from the names its __all__ re-exports."""
+    tree = ast.parse(source)
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_module_imports_a_name_it_never_uses(name):
+    source = (Path(geowave.__file__).resolve().parent / f"{name}.py").read_text()
+    assert _unused_imports(source) == [], f"geowave.{name}"
+
+
+def test_unused_import_guard_sees_orphans():
+    assert _unused_imports("import math\nfrom .solver import run_trials, solve_batch\nsolve_batch()\n") == [
+        "math", "run_trials"]
+    assert _unused_imports("from .ldp import tail_estimate\n__all__ = ['tail_estimate']\n") == []

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geowave.energy import energy
 from geowave.errors import AllZeroCounts, InsufficientTrials
@@ -18,8 +19,15 @@ from geowave.ldp import (
     tail_estimate,
 )
 from geowave.noise import SpectralMeasure, build_basis
-from geowave.solver import Control, LocalizationParams, solve_batch, solve_skeleton
-from geowave.states import bump_state, constant_state, make_grid
+from geowave.solver import (
+    Control,
+    LocalizationParams,
+    cone_section_weights,
+    section_energy,
+    solve_batch,
+    solve_skeleton,
+)
+from geowave.states import bump_state, constant_state, make_grid, random_state
 
 _BASIS = build_basis(SpectralMeasure.default_three_atoms())
 _CIRCLE = ManifoldModel.circle()
@@ -237,3 +245,101 @@ def test_tail_estimate_counts_exceedances():
     with pytest.raises(ValueError):
         tail_estimate(-1.0, [1e-3], 30, z0, cone, 23, horizon=0.5,
                       **_solve_kwargs(loc))
+
+
+# The per-step observers the probes ran before they became reductions over
+# solver.cone_energies, kept as references: the probes must match them bitwise.
+_SPHERE_FIELDS = dict(manifold=ManifoldModel.sphere(), basis=_BASIS, diffusion=DiffusionField.sphere_axis_rotation())
+
+
+def _sphere_problem(seed):
+    geom = make_grid(6.0, 96, 1.0)
+    loc = LocalizationParams(radius=geom.half_width)
+    z0 = random_state(geom, _SPHERE_FIELDS["manifold"], np.random.default_rng(seed))
+    return z0, loc, LightCone(0.0, 2.0)
+
+
+def _reference_statement1(n_list, z0, cone, horizon, loc, amplitude=0.3):
+    dx = z0.spacing
+    steps = round(horizon / dx)
+    t_mid = (np.arange(steps) + 0.5) * dx
+    rates = np.zeros((steps, len(n_list), _BASIS.dim))
+    for col, n in enumerate(n_list):
+        rates[:, col, 0] += amplitude * np.sin(2.0 * math.pi * n * t_mid / horizon)
+    base_traj = solve_skeleton(z0, None, horizon, loc, **_SPHERE_FIELDS, keep_states=True)
+    wball = cone_section_weights(cone, z0.origin, dx, z0.u.npoints, 0)
+    sup_d = np.zeros(len(n_list))
+
+    def observer(m, t, u, v):
+        du = u - base_traj.states[m].u.values[:, None, :]
+        dv = v - base_traj.states[m].v.values[:, None, :]
+        np.maximum(sup_d, np.sqrt(2.0 * section_energy(du, dv, wball, dx)), out=sup_d)
+
+    solve_batch(z0, 0.0, horizon, loc, **_SPHERE_FIELDS, control_rates=rates, keep_states=False, observer=observer)
+    return sup_d
+
+
+def _reference_noisy(eps, trials, seed, z0, cone, horizon, loc, threshold=math.inf):
+    """Per trial: the sup cone distance, the frozen sup energy, the crossing flag and the cone norm per step."""
+    dx = z0.spacing
+    base_traj = solve_skeleton(z0, None, horizon, loc, **_SPHERE_FIELDS, keep_states=True)
+    cw = {m: cone_section_weights(cone, z0.origin, dx, z0.u.npoints, m) for m in range(round(horizon / dx) + 1)}
+    sup_d = np.zeros(trials)
+    local_sup = np.zeros(trials)
+    local_hit = np.zeros(trials, dtype=bool)
+    norms = []
+
+    def observer(m, t, u, v):
+        zb = base_traj.states[m]
+        du = u - zb.u.values[:, None, :]
+        dv = v - zb.v.values[:, None, :]
+        e_diff = section_energy(du, dv, cw[m], dx)
+        e_self = section_energy(u, v, cw[m], dx)
+        np.maximum(sup_d, np.sqrt(2.0 * e_diff), out=sup_d)
+        live = ~local_hit
+        np.maximum(local_sup, np.where(live, e_diff, -np.inf), out=local_sup)
+        np.logical_or(local_hit, np.sqrt(2.0 * e_self) >= threshold, out=local_hit)
+        norms.append(np.sqrt(2.0 * e_self))
+
+    solve_batch(z0, eps, horizon, loc, **_SPHERE_FIELDS, master_seed=seed, trial_ids=list(range(trials)),
+                keep_states=False, observer=observer)
+    return sup_d, local_sup, local_hit, np.stack(norms, axis=1)
+
+
+def test_statement1_matches_its_reference_observer():
+    z0, loc, cone = _sphere_problem(3)
+    rep = statement1_probe([2, 4, 8], z0, cone, horizon=1.0, loc=loc, **_SPHERE_FIELDS, tol=1e-1)
+    assert np.array_equal(rep.metrics, _reference_statement1([2, 4, 8], z0, cone, 1.0, loc))
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16), where=st.floats(1e-3, 1.0))
+def test_statement2_freeze_matches_its_reference_observer(seed, where):
+    # at eps = 1 the noisy paths' cone norms climb above their common start;
+    # a threshold between the start and the peak is first crossed past step 0
+    eps_list, trials, horizon = [1.0, 1e-1], 30, 1.0
+    z0, loc, cone = _sphere_problem(seed)
+    norms = _reference_noisy(eps_list[0], trials, seed, z0, cone, 0.5 * horizon, loc)[3]
+    threshold = norms[0, 0] + where * (norms.max() - norms[0, 0])
+    rep = statement2_probe(eps_list, trials, threshold, z0, cone, seed, horizon=horizon, loc=loc,
+                           **_SPHERE_FIELDS, threads=2)
+    want_tau = []
+    for i, eps in enumerate(eps_list):
+        _, sup_e, hit, _ = _reference_noisy(eps, trials, seed, z0, cone, 0.5 * horizon, loc, threshold)
+        assert np.array_equal(rep.extra["per_trial"][eps], sup_e)
+        assert rep.metrics[i] == float(sup_e.mean())
+        want_tau.append(float(hit.mean()))
+    assert np.array_equal(rep.extra["tau_fraction"], want_tau)
+    assert want_tau[0] > 0.0  # the trial with the peak norm crosses, so the freeze acts
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16), rank=st.integers(0, 28))
+def test_tail_matches_its_reference_observer(seed, rank):
+    eps_list, trials, horizon = [1e-2, 1e-1], 30, 0.5
+    z0, loc, cone = _sphere_problem(seed)
+    sups = [_reference_noisy(eps, trials, seed, z0, cone, horizon, loc)[0] for eps in eps_list]
+    delta = float(np.sort(sups[-1])[rank])  # one trial's distance: a one-ulp change moves the count
+    rep = tail_estimate(delta, eps_list, trials, z0, cone, seed, horizon=horizon, loc=loc,
+                        **_SPHERE_FIELDS, threads=3)
+    assert np.array_equal(rep.metrics, [float((sup > delta).sum()) / trials for sup in sups])
