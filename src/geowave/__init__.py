@@ -13,6 +13,7 @@ from .energy import (
     energy,
     perpendicularity_defect,
     verify_energy_inequality,
+    verify_energy_transforms,
 )
 from .errors import ConfigInvalid, GeowaveError
 from .function_spaces import (
@@ -69,6 +70,7 @@ __all__ = [
     "energy",
     "perpendicularity_defect",
     "verify_energy_inequality",
+    "verify_energy_transforms",
     "ConfigInvalid",
     "GeowaveError",
     "GridFunction",

@@ -18,15 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingIncrementLog
+from .errors import BlowupDetected, MissingIncrementLog
 from .function_spaces import (
     GridFunction,
     LightCone,
+    Quadrature,
     State,
     derivative1,
     integrate_samples,
     l2_inner,
     pointwise_dot,
+    quadrature,
+    section_rows,
     sobolev_sq,
 )
 from .geometry import DiffusionField, ManifoldModel
@@ -37,6 +40,7 @@ __all__ = [
     "EnergyReport",
     "energy",
     "verify_energy_inequality",
+    "verify_energy_transforms",
     "perpendicularity_defect",
 ]
 
@@ -84,34 +88,29 @@ def _derivative_ladder(values: np.ndarray, spacing: float) -> list[np.ndarray]:
     return [values, derivative1(values, spacing)]
 
 
-def _inner(a: np.ndarray, b: np.ndarray, origin: float, spacing: float, interval) -> float:
-    return integrate_samples(pointwise_dot(a, b)[:, 0], origin, spacing, *interval)
+def _inner(a: np.ndarray, b: np.ndarray, plan: Quadrature, start: int) -> float:
+    return integrate_samples(pointwise_dot(a, b)[:, 0], plan, start)
 
 
-def verify_energy_inequality(
-    traj: Trajectory,
-    *,
-    cone: LightCone,
-    manifold: ManifoldModel | None = None,
-    basis: NoiseBasis | None = None,
-    diffusion: DiffusionField | None = None,
-    transform: str = "identity",
-) -> EnergyReport:
-    """Check the transformed energy inequality along one stored trajectory.
+@dataclass
+class _Ledger:
+    """The transform-free part of the inequality, one entry per step.
 
-    The energy is the H^2 x H^1 cone energy and the tolerance is
-    5 * dt * (1 + max e).  The drift is rebuilt from the stored states
-    (curvature force when a manifold is given, plus the control forcing when
-    the trajectory carries one), scaled by the taper values recorded at run
-    time; the noise operator is sqrt(eps) * taper * diffusion(u) * mode.  On
-    the verification cone the window extension is the identity, so all fields
-    are local.
+    pairing is <u, v> + <v, f>_{H^1}, quad the Ito quadratic sum over modes of
+    |g_j|^2_{H^1}, cross_sq the squared norm of the vector <v, g_j>_{H^1} and
+    dm its product with the step's noise increment (steps entries; zeros
+    without noise).
     """
-    if transform not in _TRANSFORMS:
-        raise ValueError(f"transform must be one of {sorted(_TRANSFORMS)}, got {transform!r}")
-    if not traj.states:
-        raise ValueError("the verifier needs stored states")
-    L, Lp, Lpp = _TRANSFORMS[transform]
+
+    e: np.ndarray
+    pairing: np.ndarray
+    quad: np.ndarray
+    cross_sq: np.ndarray
+    dm: np.ndarray
+    eps: float
+
+
+def _ledger(traj: Trajectory, cone: LightCone, manifold, basis, diffusion) -> _Ledger:
     eps = float(traj.metadata.get("eps", 0.0))
     if eps > 0.0 and traj.noise_increments is None:
         raise MissingIncrementLog("stochastic verification needs the solver's increment log")
@@ -120,54 +119,72 @@ def verify_energy_inequality(
 
     z0 = traj.states[0]
     dx = z0.spacing
-    x = z0.u.x
+    n = z0.u.npoints
     origin = z0.origin
     steps = traj.steps
     taper = np.asarray(traj.energy_trace.get("taper", np.ones(steps + 1)), dtype=float)
-    modes = basis.evaluate(x) if basis is not None else None
+    modes = basis.evaluate(z0.u.x) if basis is not None else None
     sqeps = math.sqrt(eps)
 
-    e_vals = np.zeros(steps + 1)
-    V = np.zeros(steps + 1)
-    dM = np.zeros(steps)
+    out = _Ledger(*(np.zeros(steps + 1) for _ in range(4)), np.zeros(steps), eps)
     for m in range(steps + 1):
         t = float(traj.times[m])
         z = traj.states[m]
-        interval = cone.interval(t)
-        u, v = z.u.values, z.v.values
-        e = energy(t, z, cone)
-        e_vals[m] = e
+        plan = quadrature(origin, dx, n, *cone.interval(t))
+        rows = section_rows(plan.i0, plan.i1, n)
+        u, v = z.u.values[rows], z.v.values[rows]
+        out.e[m] = energy(t, z, cone)
         th = float(taper[m])
 
-        cfield = None if traj.control is None else traj.control.rate_at(t) @ modes
+        cfield = None if traj.control is None else (traj.control.rate_at(t) @ modes)[rows]
         f = drift_force(manifold, u, v, dx, th, diffusion=diffusion, control_field=cfield)
 
         v_ladder = _derivative_ladder(v, dx)
         f_ladder = _derivative_ladder(f, dx)
-        pairing = _inner(u, v, origin, dx, interval)
+        pairing = _inner(u, v, plan, rows.start)
         pairing += sum(
-            _inner(vl, fl, origin, dx, interval) for vl, fl in zip(v_ladder, f_ladder)
+            _inner(vl, fl, plan, rows.start) for vl, fl in zip(v_ladder, f_ladder)
         )
+        out.pairing[m] = pairing
 
-        quad = 0.0
-        cross_sq = 0.0
         if eps > 0.0:
-            y = (sqeps * th) * diffusion(u)  # (n, nc)
+            y = (sqeps * th) * diffusion(u)  # (rows, nc)
+            quad = 0.0
             cross = np.zeros(basis.dim)
-            for j in range(basis.dim):
-                gj = y * modes[j][:, None]
+            for j, mode in enumerate(modes[:, rows]):
+                gj = y * mode[:, None]
                 g_ladder = _derivative_ladder(gj, dx)
                 for gl in g_ladder:
-                    quad += _inner(gl, gl, origin, dx, interval)
+                    quad += _inner(gl, gl, plan, rows.start)
                 cross[j] = sum(
-                    _inner(vl, gl, origin, dx, interval)
+                    _inner(vl, gl, plan, rows.start)
                     for vl, gl in zip(v_ladder, g_ladder)
                 )
-            cross_sq = float((cross ** 2).sum())
+            out.quad[m] = quad
+            out.cross_sq[m] = float((cross ** 2).sum())
             if m < steps:
-                dM[m] = Lp(e) * float(cross @ traj.noise_increments[m])
+                out.dm[m] = float(cross @ traj.noise_increments[m])
+    return out
 
+
+def _report(traj: Trajectory, ledger: _Ledger, transform: str) -> EnergyReport:
+    """Apply L, L' and L'' to the ledger: the budget and its gaps under one transform."""
+    L, Lp, Lpp = _TRANSFORMS[transform]
+    steps = traj.steps
+    e_vals = ledger.e
+    V = np.zeros(steps + 1)
+    dM = np.zeros(steps)
+    dm = ledger.dm.tolist()
+    rows = zip(e_vals.tolist(), ledger.pairing.tolist(), ledger.quad.tolist(), ledger.cross_sq.tolist())
+    for m, (e, pairing, quad, cross_sq) in enumerate(rows):
         V[m] = Lp(e) * pairing + 0.5 * Lp(e) * quad + 0.5 * Lpp(e) * cross_sq
+        if m < steps:
+            dM[m] = Lp(e) * dm[m]
+    bad = ~(np.isfinite(e_vals) & np.isfinite(V) & np.isfinite(np.append(dM, 0.0)))
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise BlowupDetected(f"energy budget is not finite at step {m}, t={float(traj.times[m])} "
+                             f"(e = {e_vals[m]}, V = {V[m]}, dM = {dM[m] if m < steps else 0.0})")
 
     dt = float(traj.times[1] - traj.times[0])
     drift_int = np.concatenate([[0.0], np.cumsum(0.5 * dt * (V[1:] + V[:-1]))])
@@ -181,7 +198,7 @@ def verify_energy_inequality(
     ]
     return EnergyReport(
         times=np.asarray(traj.times, dtype=float),
-        e_values=e_vals,
+        e_values=e_vals.copy(),
         bound_values=bound,
         violations=violations,
         tol=tol,
@@ -189,8 +206,61 @@ def verify_energy_inequality(
         gaps=gaps,
         drift_integral=drift_int,
         martingale=mart,
-        metadata={"eps": eps},
+        metadata={"eps": ledger.eps},
     )
+
+
+def verify_energy_transforms(
+    traj: Trajectory,
+    transforms,
+    *,
+    cone: LightCone,
+    manifold: ManifoldModel | None = None,
+    basis: NoiseBasis | None = None,
+    diffusion: DiffusionField | None = None,
+) -> dict[str, EnergyReport]:
+    """Check the transformed energy inequality along one stored trajectory, once per transform.
+
+    The energy is the H^2 x H^1 cone energy and the tolerance is
+    5 * dt * (1 + max e).  The drift is rebuilt from the stored states
+    (curvature force when a manifold is given, plus the control forcing when
+    the trajectory carries one), scaled by the taper values recorded at run
+    time; the noise operator is sqrt(eps) * taper * diffusion(u) * mode.  On
+    the verification cone the window extension is the identity, so every
+    field is pointwise in u, v and their stencils.  Each step therefore builds
+    its fields on the section's rows and SECTION_MARGIN rows each side only:
+    D f, with f built from u_x, is exact from the third row in from a cut end
+    and the quadrature reads one row past the section, so every report is
+    bitwise the whole-lattice one.
+
+    The array work runs once, into a transform-free ledger (e, the drift
+    pairing, the Ito quadratic term, the squared cross vector and its
+    product with each noise increment); each transform is a scalar
+    reduction of it.  A non-finite e, V or martingale increment raises
+    BlowupDetected naming the step.
+    """
+    transforms = tuple(transforms)
+    unknown = [t for t in transforms if t not in _TRANSFORMS]
+    if unknown:
+        raise ValueError(f"transform must be one of {sorted(_TRANSFORMS)}, got {unknown[0]!r}")
+    if not traj.states:
+        raise ValueError("the verifier needs stored states")
+    ledger = _ledger(traj, cone, manifold, basis, diffusion)
+    return {t: _report(traj, ledger, t) for t in transforms}
+
+
+def verify_energy_inequality(
+    traj: Trajectory,
+    *,
+    cone: LightCone,
+    manifold: ManifoldModel | None = None,
+    basis: NoiseBasis | None = None,
+    diffusion: DiffusionField | None = None,
+    transform: str = "identity",
+) -> EnergyReport:
+    """verify_energy_transforms under one transform: its report."""
+    return verify_energy_transforms(traj, (transform,), cone=cone, manifold=manifold, basis=basis,
+                                    diffusion=diffusion)[transform]
 
 
 def perpendicularity_defect(z: State, t: float, cone: LightCone, manifold: ManifoldModel) -> float:

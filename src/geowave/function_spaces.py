@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,9 @@ __all__ = [
     "LightCone",
     "extend",
     "window_indices",
+    "Quadrature",
+    "quadrature",
+    "section_rows",
     "derivative1",
     "derivative2",
     "pointwise_dot",
@@ -188,60 +192,111 @@ def _check_interval(f: GridFunction, a: float, b: float) -> tuple[float, float]:
     return max(a, f.origin), min(b, f.right)
 
 
-def integrate_samples(samples: np.ndarray, origin: float, spacing: float, a: float, b: float) -> float:
-    """Trapezoid integral of scalar samples over (a, b) with fractional end cells.
+# Rows a cone section's fields are built on past its whole rows.  On a slice,
+# D f with f built from u_x (the energy verifier's deepest field) is exact
+# from the third row in from a cut end, and integrate_samples reads one row
+# past the whole rows; four rows cover both with one to spare.
+SECTION_MARGIN = 4
 
-    Endpoint values off the lattice are linearly interpolated, which keeps the
-    integral continuous in the interval endpoints.
+
+class Quadrature(NamedTuple):
+    """integrate_samples' plan for (a, b) on a lattice of npoints rows.
+
+    pos_a and pos_b are the ends in cells from the lattice origin, and i0..i1
+    the rows inside them (a cell fraction of 1e-9 counts as inside).
     """
-    w = np.asarray(samples, dtype=float)
-    m = w.shape[0]
+
+    a: float
+    b: float
+    spacing: float
+    pos_a: float
+    pos_b: float
+    i0: int
+    i1: int
+    npoints: int
+
+
+def quadrature(origin: float, spacing: float, npoints: int, a: float, b: float) -> Quadrature:
+    """The plan for (a, b) on the npoints-row lattice whose row 0 sits at origin."""
     pos_a = (a - origin) / spacing
     pos_b = (b - origin) / spacing
-    i0 = int(math.ceil(pos_a - 1e-9))
-    i1 = int(math.floor(pos_b + 1e-9))
-    i0 = max(i0, 0)
-    i1 = min(i1, m - 1)
+    i0 = max(int(math.ceil(pos_a - 1e-9)), 0)
+    i1 = min(int(math.floor(pos_b + 1e-9)), npoints - 1)
+    return Quadrature(a, b, spacing, pos_a, pos_b, i0, i1, npoints)
+
+
+def section_rows(i0: int, i1: int, npoints: int, margin: int = SECTION_MARGIN) -> slice:
+    """Rows i0 - margin .. i1 + margin, clamped to the lattice.
+
+    A stencil over the slice equals the stencil over the lattice except at
+    the slice's cut ends, and each stencil applied on top of another moves
+    that disagreement one row further in; where the slice ends at the
+    lattice edge, its one-sided stencil is the lattice's own.
+    """
+    return slice(max(i0 - margin, 0), min(i1 + margin, npoints - 1) + 1)
+
+
+def integrate_samples(samples: np.ndarray, quad: Quadrature, start: int = 0) -> float:
+    """Trapezoid integral of scalar samples over (quad.a, quad.b) with fractional end cells.
+
+    Endpoint values off the lattice are linearly interpolated, which keeps the
+    integral continuous in the interval endpoints.  samples hold rows start,
+    start + 1, .. of the lattice, at least one row past each end of
+    quad.i0..quad.i1.  The plan measures the ends from the lattice origin, so
+    a slice's integral is bitwise the whole lattice's; measured from the
+    slice's first row instead, the end-cell widths would change by roundoff.
+    """
+    w = np.asarray(samples, dtype=float)
+    a, b, spacing, pos_a, pos_b, i0, i1, m = quad
 
     def interp(pos: float) -> float:
         j = min(max(int(math.floor(pos)), 0), m - 2)
         frac = pos - j
-        return (1.0 - frac) * w[j] + frac * w[j + 1]
+        return (1.0 - frac) * w[j - start] + frac * w[j + 1 - start]
 
     if i1 < i0:  # interval inside a single cell
         return 0.5 * (b - a) * (interp(pos_a) + interp(pos_b))
 
     total = 0.0
     if i1 > i0:
-        total = spacing * (w[i0:i1 + 1].sum() - 0.5 * (w[i0] + w[i1]))
+        total = spacing * (w[i0 - start:i1 + 1 - start].sum() - 0.5 * (w[i0 - start] + w[i1 - start]))
     wa = (i0 - pos_a) * spacing
     if wa > 1e-14 * spacing:
-        total += 0.5 * wa * (interp(pos_a) + w[i0])
+        total += 0.5 * wa * (interp(pos_a) + w[i0 - start])
     wb = (pos_b - i1) * spacing
     if wb > 1e-14 * spacing:
-        total += 0.5 * wb * (w[i1] + interp(pos_b))
+        total += 0.5 * wb * (w[i1 - start] + interp(pos_b))
     return float(total)
 
 
 def sobolev_sq(f: GridFunction, interval: tuple[float, float], order: int) -> float:
-    """Squared H^order norm over the interval (sum over derivative orders)."""
+    """Squared H^order norm over the interval (sum over derivative orders).
+
+    Only the interval's rows and SECTION_MARGIN rows each side are read:
+    the quadrature reads one row past its whole rows and the second
+    derivative there one row further, so the result is bitwise the
+    whole-lattice one.
+    """
     if order not in (0, 1, 2):
         raise UnsupportedOrder(f"order must be 0, 1 or 2, got {order}")
-    a, b = _check_interval(f, *interval)
-    total = integrate_samples(pointwise_dot(f.values, f.values)[:, 0], f.origin, f.spacing, a, b)
+    quad = quadrature(f.origin, f.spacing, f.npoints, *_check_interval(f, *interval))
+    rows = section_rows(quad.i0, quad.i1, f.npoints)
+    vals = f.values[rows]
+
+    def integral(g: np.ndarray) -> float:
+        return integrate_samples(pointwise_dot(g, g)[:, 0], quad, rows.start)
+
+    total = integral(vals)
     if order >= 1:
-        d1 = derivative1(f.values, f.spacing)
-        total += integrate_samples(pointwise_dot(d1, d1)[:, 0], f.origin, f.spacing, a, b)
+        total += integral(derivative1(vals, f.spacing))
     if order == 2:
-        d2 = derivative2(f.values, f.spacing)
-        total += integrate_samples(pointwise_dot(d2, d2)[:, 0], f.origin, f.spacing, a, b)
+        total += integral(derivative2(vals, f.spacing))
     return float(total)
 
 
 def l2_inner(f: GridFunction, g: GridFunction, interval: tuple[float, float]) -> float:
-    a, b = _check_interval(f, *interval)
-    integrand = pointwise_dot(f.values, g.values)[:, 0]
-    return integrate_samples(integrand, f.origin, f.spacing, a, b)
+    quad = quadrature(f.origin, f.spacing, f.npoints, *_check_interval(f, *interval))
+    return integrate_samples(pointwise_dot(f.values, g.values)[:, 0], quad)
 
 
 # ---------------------------------------------------------------------------

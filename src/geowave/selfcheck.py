@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .energy import perpendicularity_defect, verify_energy_inequality
+from .energy import perpendicularity_defect, verify_energy_inequality, verify_energy_transforms
 from .function_spaces import GridFunction, LightCone, extend, sobolev_sq
 from .geometry import DiffusionField, ManifoldModel
 from .ldp import RateOptions, rate_function, statement1_probe, statement2_probe
@@ -330,13 +330,11 @@ def energy_groups(checks: list, basis, seed: int) -> None:
     loc = LocalizationParams(radius=geom.half_width)
     z0 = random_state(geom, man, stream(seed, 301))
 
-    worst = {"identity": 0, "log1p": 0}
     tr = solve_skeleton(z0, None, 1.0, loc, manifold=man, basis=basis,
                         diffusion=yf, keep_states=True)
-    for transform in worst:
-        rep = verify_energy_inequality(tr, cone=cone, manifold=man, basis=basis,
-                                       diffusion=yf, transform=transform)
-        worst[transform] = len(rep.violations)
+    reports = verify_energy_transforms(tr, ("identity", "log1p"), cone=cone, manifold=man,
+                                       basis=basis, diffusion=yf)
+    worst = {transform: len(rep.violations) for transform, rep in reports.items()}
     ok = worst["identity"] == 0 and worst["log1p"] == 0
     checks.append(("energy.skeleton_inequality", ok,
                    f"violations (identity, log1p) = {worst['identity']}, {worst['log1p']}"))
@@ -345,10 +343,9 @@ def energy_groups(checks: list, basis, seed: int) -> None:
     for tid in range(3):
         tr = solve_stochastic(z0, 1e-2, None, 1.0, loc, manifold=man, basis=basis,
                               diffusion=yf, master_seed=seed, trial_id=tid)
-        for transform in ("identity", "log1p"):
-            rep = verify_energy_inequality(tr, cone=cone, manifold=man, basis=basis,
-                                           diffusion=yf, transform=transform)
-            bad += len(rep.violations)
+        reports = verify_energy_transforms(tr, ("identity", "log1p"), cone=cone, manifold=man,
+                                           basis=basis, diffusion=yf)
+        bad += sum(len(rep.violations) for rep in reports.values())
     checks.append(("energy.stochastic_inequality", bad == 0,
                    f"violations over noisy paths and both transforms = {bad}"))
 

@@ -18,6 +18,7 @@ from geowave.function_spaces import (
     extend_array,
     integrate_samples,
     l2_inner,
+    quadrature,
     smoothstep,
     sobolev_sq,
 )
@@ -48,7 +49,7 @@ def test_integrate_samples_linear_exact():
     dx = 0.125
     x = -1.0 + dx * np.arange(17)
     vals = 2.0 * x + 3.0
-    got = integrate_samples(vals, -1.0, dx, -0.3, 0.8)
+    got = integrate_samples(vals, quadrature(-1.0, dx, len(vals), -0.3, 0.8))
     want = (0.8 ** 2 - 0.3 ** 2) + 3.0 * 1.1
     assert abs(got - want) < 1e-13
 
@@ -97,7 +98,7 @@ def test_sobolev_sq_additive_in_orders():
     l2 = sobolev_sq(f, iv, 0)
     assert h1 > l2 and h2 > h1
     d2 = derivative2(f.values, f.spacing)
-    extra = integrate_samples((d2 ** 2).sum(axis=1), f.origin, f.spacing, *iv)
+    extra = integrate_samples((d2 ** 2).sum(axis=1), quadrature(f.origin, f.spacing, f.npoints, *iv))
     assert abs((h2 - h1) - extra) < 1e-12 * max(1.0, h2)
 
 

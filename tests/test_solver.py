@@ -19,10 +19,13 @@ from geowave.rng import stream
 from geowave.solver import (
     Control,
     LocalizationParams,
+    cone_energies,
+    cone_section_weights,
     curvature_force,
     drift_force,
     mild_residual,
     run_trials,
+    section_energy,
     solve_batch,
     solve_skeleton,
     solve_stochastic,
@@ -414,3 +417,46 @@ def test_resumed_run_is_the_tail_of_the_full_run(kind, points, width, where, see
     for key in ("taper_norm", "taper", "k_level"):
         assert np.array_equal(tail.energy_trace[key], full.energy_trace[key][start:]), key
     assert np.array_equal(tail.metadata["k_final"], full.metadata["k_final"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    data=st.data(),
+    target=st.sampled_from(sorted(_RESUME_CASES)),
+    points=st.sampled_from([96, 192]),
+    controlled=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_cone_energies_on_section_rows_are_the_whole_lattice_ones(data, target, points, controlled, seed):
+    # the sweep reads each section's weighted rows and one row each side; the
+    # reference observer takes section_energy over the whole lattice
+    manifold, diffusion = _RESUME_CASES[target]
+    geom = make_grid(6.0, points, 1.0)
+    n, dx, horizon = geom.npoints, geom.spacing, 0.25
+    steps = round(horizon / dx)
+    radius = data.draw(st.integers(steps + 2, (n - 1) // 2), label="radius cells")
+    room = n - 1 - 2 * radius
+    near = data.draw(st.integers(0, min(2, room)), label="rows from the edge")
+    left = data.draw(st.sampled_from([near, room - near, room // 2]), label="left row")
+    cone = LightCone(geom.origin + (left + radius) * dx, radius * dx)
+    weights = [cone_section_weights(cone, geom.origin, dx, n, m) for m in range(steps + 1)]
+    z0 = random_state(geom, manifold, stream(seed, 5))
+    fields = dict(manifold=manifold, basis=_BASIS, diffusion=diffusion)
+    base = solve_skeleton(z0, None, horizon, _loc(geom), **fields, keep_states=True)
+    if controlled:
+        eps, batch = 0.0, dict(control_rates=np.random.default_rng(seed).normal(size=(steps, 3, _BASIS.dim)))
+    else:
+        eps, batch = 0.5, dict(trial_ids=[0, 1, 2])
+    (e_self, e_diff), _ = cone_energies(z0, eps, horizon, _loc(geom), weights, [None, base.states],
+                                        **fields, master_seed=seed, **batch)
+    want_self, want_diff = np.zeros_like(e_self), np.zeros_like(e_diff)
+
+    def observer(m, t, u, v):
+        want_self[:, m] = section_energy(u, v, weights[m], dx)
+        du = u - base.states[m].u.values[:, None, :]
+        dv = v - base.states[m].v.values[:, None, :]
+        want_diff[:, m] = section_energy(du, dv, weights[m], dx)
+
+    solve_batch(z0, eps, horizon, _loc(geom), **fields, master_seed=seed, keep_states=False,
+                observer=observer, **batch)
+    assert np.array_equal(e_self, want_self) and np.array_equal(e_diff, want_diff)
