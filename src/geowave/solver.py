@@ -359,8 +359,11 @@ def _integrate(
     modes_coarse = basis.evaluate(x) if needs_noise else None
     modes_fine = basis.evaluate(xf) if control_rates is not None else None
 
-    u = u0.astype(float, copy=True)
-    v = v0.astype(float, copy=True)
+    # a C-ordered copy only where the input is not one (a broadcast batch):
+    # section energies add in memory order, so every column starts from the
+    # order of its width-1 run; the integrator never writes its input arrays
+    u = np.ascontiguousarray(u0, dtype=float)
+    v = np.ascontiguousarray(v0, dtype=float)
 
     # taper levels per batch column
     if levels is not None:

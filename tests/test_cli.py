@@ -379,21 +379,34 @@ def test_skeleton_artifacts(tmp_path):
         ["trajectory.csv", "energy_report.csv", "skeleton.json", "manifest.json"])
 
 
-def test_simulate_is_deterministic_across_threads_and_runs(tmp_path):
-    cfg = _config(tmp_path, _SMALL + "experiment.trials = 6\nexperiment.eps = 1e-2\n")
-    outs = []
-    for name, threads in (("a", "1"), ("b", "3"), ("c", "1")):
-        out = tmp_path / name
-        assert run_command(["simulate", "--config", str(cfg), "--out", str(out),
-                            "--threads", threads]) == 0
-        outs.append(out)
-    bytes_a = (outs[0] / "trials.csv").read_bytes()
-    assert bytes_a == (outs[1] / "trials.csv").read_bytes()
-    assert bytes_a == (outs[2] / "trials.csv").read_bytes()
-    assert (outs[0] / "simulate.json").read_bytes() == (outs[1] / "simulate.json").read_bytes()
-    # manifests agree except for the wall clock
-    ma = json.loads((outs[0] / "manifest.json").read_text())
-    mc = json.loads((outs[2] / "manifest.json").read_text())
+# random sphere data, where a batch's step-0 memory order shows in the last digit
+_SPHERE_RANDOM = """
+manifold.kind = "sphere"
+grid.points = 96
+time.horizon = 0.5
+experiment.initial = "random"
+"""
+
+
+def _run_bytes(tmp_path, capsys, command, cfg, name, threads):
+    """Every artifact's bytes but the manifest's, and stdout, of one run."""
+    out = tmp_path / name
+    code = run_command([command, "--config", str(cfg), "--out", str(out), "--threads", str(threads)])
+    arts = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+    return code, arts, capsys.readouterr().out
+
+
+def test_simulate_is_deterministic_across_threads_and_runs(tmp_path, capsys):
+    # 5 trials on 1..5 threads: chunks of widths 5 | 3, 2 | 2, 2, 1 | 2, 2, 1 | 1 x 5
+    cfg = _config(tmp_path, _SPHERE_RANDOM + "experiment.trials = 5\nexperiment.eps = 1e-2\n")
+    counts = (1, 2, 3, 4, 5, 1)
+    runs = [_run_bytes(tmp_path, capsys, "simulate", cfg, f"t{i}", threads) for i, threads in enumerate(counts)]
+    assert runs[0][0] == 0
+    assert [threads for threads, run in zip(counts, runs) if run != runs[0]] == []
+    bytes_a = runs[0][1]["trials.csv"]
+    # manifests of the two serial runs agree except for the wall clock
+    ma = json.loads((tmp_path / "t0" / "manifest.json").read_text())
+    mc = json.loads((tmp_path / "t5" / "manifest.json").read_text())
     ma.pop("wall_time_s"), mc.pop("wall_time_s")
     assert ma == mc
 
@@ -402,6 +415,20 @@ def test_simulate_is_deterministic_across_threads_and_runs(tmp_path):
                         "--seed", "5"]) == 0
     assert (seeded / "trials.csv").read_bytes() != bytes_a
     assert json.loads((seeded / "manifest.json").read_text())["seed"] == 5
+
+
+@pytest.mark.parametrize("command, body, counts", [
+    # 5 trials on 4 threads run chunks of widths 2, 2, 1
+    pytest.param("tail", "experiment.trials = 5\nexperiment.eps_list = (3e-2, 1e-2)\n"
+                 "experiment.delta = 0.0\n", (1, 2, 4, 5), id="tail"),
+    pytest.param("probe-s2", "experiment.trials = 30\nexperiment.eps_list = (1e-1, 1e-2, 1e-3)\n",
+                 (1, 4, 30), id="probe-s2"),
+])
+def test_trial_commands_are_byte_equal_across_thread_counts(tmp_path, capsys, command, body, counts):
+    cfg = _config(tmp_path, _SPHERE_RANDOM + body)
+    runs = [_run_bytes(tmp_path, capsys, command, cfg, f"t{threads}", threads) for threads in counts]
+    assert runs[0][0] in (0, 4)  # probe-s2's slope test may fail; its bytes must not move
+    assert [threads for threads, run in zip(counts, runs) if run != runs[0]] == []
 
 
 def test_rate_of_uncontrolled_target_is_free(tmp_path):

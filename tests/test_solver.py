@@ -168,6 +168,38 @@ def test_batch_columns_match_standalone_runs_bitwise(ids):
         assert np.array_equal(batch.noise_increments[0, col], want)
 
 
+@settings(max_examples=10, deadline=None)
+@given(ids=st.lists(st.integers(0, 9), min_size=2, max_size=5, unique=True), seed=st.integers(0, 2**16))
+def test_cone_energy_columns_are_bitwise_their_width_one_runs(ids, seed):
+    # step 0 included: a wider batch starts from the same C-ordered copy of z0
+    z0 = random_state(_LANE_GEOM, _SPHERE, stream(seed, 3))
+    dx, horizon = _LANE_GEOM.spacing, 0.5
+    cone = LightCone(0.0, 2.0 * horizon)
+    weights = [cone_section_weights(cone, _LANE_GEOM.origin, dx, _LANE_GEOM.npoints, m)
+               for m in range(round(horizon / dx) + 1)]
+    fields = dict(manifold=_SPHERE, basis=_BASIS, diffusion=_Y_SPHERE, master_seed=seed)
+    (wide,), _ = cone_energies(z0, 1e-2, horizon, _loc(_LANE_GEOM), weights, [None], **fields, trial_ids=ids)
+    for col, tid in enumerate(ids):
+        (single,), _ = cone_energies(z0, 1e-2, horizon, _loc(_LANE_GEOM), weights, [None], **fields,
+                                     trial_ids=[tid])
+        assert np.array_equal(wide[col], single[0]), (col, np.flatnonzero(wide[col] != single[0]))
+
+
+def test_solves_leave_their_input_arrays_unchanged():
+    z0 = random_state(_LANE_GEOM, _SPHERE, stream(4, 3))
+    kept = z0.u.values.copy(), z0.v.values.copy()
+    fields = dict(manifold=_SPHERE, basis=_BASIS, diffusion=_Y_SPHERE)
+    solve_skeleton(z0, None, 0.5, _loc(_LANE_GEOM), **fields)
+    solve_stochastic(z0, 1e-2, None, 0.5, _loc(_LANE_GEOM), **fields)
+    full = solve_batch(z0, 1e-2, 0.5, _loc(_LANE_GEOM), **fields, trial_ids=[0, 1, 2], keep_states=True)
+    assert np.array_equal(z0.u.values, kept[0]) and np.array_equal(z0.v.values, kept[1])
+    u, v = full.states[1]
+    resumed = u.copy(), v.copy()
+    solve_batch(z0, 1e-2, 0.5, _loc(_LANE_GEOM), **fields, trial_ids=[0, 1, 2],
+                _resume=(1, u, v, full.energy_trace["k_level"][1]))
+    assert np.array_equal(u, resumed[0]) and np.array_equal(v, resumed[1])
+
+
 def test_control_rate_lookup_and_norm():
     ctl = Control(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]), 0.5)
     assert np.array_equal(ctl.rate_at(0.2), [1.0, 0.0])
