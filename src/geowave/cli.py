@@ -301,11 +301,7 @@ def load_config(path: str | Path, command: str, seed_override: int | None = None
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 def _seventeen(obj):
@@ -325,11 +321,13 @@ def _seventeen(obj):
     return obj
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(cell) if not isinstance(cell, str) else cell for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list, *columns) -> None:
+    """One CSV from arrays: 1-D columns and 2-D column blocks, every cell in _fmt's format.
+
+    An integer below 2**53 prints as itself, so integer columns can be float.
+    """
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header),
+               comments="")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -402,23 +400,20 @@ def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
     traj = solve_skeleton(run.z0, None, cfg["time.horizon"], run.loc, **run.fields,
                           renormalize=cfg["solver.renormalize"], keep_states=True)
 
-    stride = cfg["experiment.output_stride"] or max(1, traj.steps // 32)
-    rows = []
-    x = geom.x
-    for m in range(0, traj.steps + 1, stride):
-        state = traj.states[m]
-        res = man.constraint_residual(state.u.values)
-        for i in range(geom.npoints):
-            rows.append([traj.times[m], x[i], *state.u.values[i], *state.v.values[i], res[i]])
+    # one row per lattice point of every stride-th state, the states stacked
+    snaps = np.arange(0, traj.steps + 1, cfg["experiment.output_stride"] or max(1, traj.steps // 32))
+    u = np.concatenate([traj.states[m].u.values for m in snaps])
+    v = np.concatenate([traj.states[m].v.values for m in snaps])
     ncomp = man.ambient_dim
     header = (["t", "x"] + [f"u_{c + 1}" for c in range(ncomp)]
               + [f"v_{c + 1}" for c in range(ncomp)] + ["constraint_residual"])
-    _write_csv(out / "trajectory.csv", header, rows)
+    _write_csv(out / "trajectory.csv", header, np.repeat(traj.times[snaps], geom.npoints),
+               np.tile(geom.x, len(snaps)), u, v, man.constraint_residual(u))
 
     transform = cfg["experiment.energy_transform"]
     rep = verify_energy_inequality(traj, cone=cfg.cone(), **run.fields, transform=transform)
     _write_csv(out / "energy_report.csv", ["t", "e", "bound", "gap"],
-               zip(rep.times, rep.e_values, rep.bound_values, rep.gaps))
+               rep.times, rep.e_values, rep.bound_values, rep.gaps)
     worst_res = max(float(man.constraint_residual(s.u.values).max()) for s in traj.states)
     _write_json(out / "skeleton.json", {
         "final_time": traj.times[-1],
@@ -446,7 +441,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
     sup_e = energy.max(axis=1, initial=0.0)
     final_res = man.constraint_residual(final_u).max(axis=1)
     _write_csv(out / "trials.csv", ["trial", "sup_cone_energy", "final_constraint_residual"],
-               ([tid, sup_e[tid], final_res[tid]] for tid in range(trials)))
+               np.arange(trials), sup_e, final_res)
     _write_json(out / "simulate.json", {
         "eps": eps, "trials": trials,
         "mean_sup_cone_energy": float(sup_e.mean()),
@@ -480,12 +475,11 @@ def _cmd_rate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list
     res = rate_function(target, run.z0, cfg["experiment.budget"], opts, cone=cfg.cone(), horizon=horizon,
                         loc=run.loc, **run.fields)
     coeffs = res.argmin.coeffs[:: steps // blocks]
-    _write_csv(out / "control_blocks.csv",
-               ["block"] + [f"mode_{j}" for j in range(basis.dim)],
-               ([b, *coeffs[b]] for b in range(blocks)))
+    _write_csv(out / "control_blocks.csv", ["block"] + [f"mode_{j}" for j in range(basis.dim)],
+               np.arange(blocks), coeffs)
     payload = {
-        "value": res.value if math.isfinite(res.value) else "inf",
-        "terminal_gap": res.terminal_gap if math.isfinite(res.terminal_gap) else "inf",
+        "value": res.value,  # an unreachable target's inf is written as "inf"
+        "terminal_gap": res.terminal_gap,
         "iterations": res.iterations,
         "converged": res.converged,
         "target": kind,
@@ -494,15 +488,12 @@ def _cmd_rate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list
     if planted_cost is not None:
         payload["planted_cost"] = planted_cost
     _write_json(out / "rate.json", payload)
-    print(f"rate: value {_fmt(res.value) if math.isfinite(res.value) else 'inf'}, "
-          f"terminal gap {_fmt(res.terminal_gap) if math.isfinite(res.terminal_gap) else 'inf'}, "
-          f"converged {res.converged}")
+    print(f"rate: value {_fmt(res.value)}, terminal gap {_fmt(res.terminal_gap)}, converged {res.converged}")
     return (0 if res.converged else 4), ["control_blocks.csv", "rate.json"]
 
 
 def _report_artifacts(out: Path, stem: str, rep, extra_json: dict) -> list:
-    _write_csv(out / f"{stem}.csv", ["param", "metric", "stderr"],
-               zip(rep.params, rep.metrics, rep.stderr))
+    _write_csv(out / f"{stem}.csv", ["param", "metric", "stderr"], rep.params, rep.metrics, rep.stderr)
     payload = {"slope": rep.slope, "passed": rep.passed}
     payload.update(extra_json)
     _write_json(out / f"{stem}.json", payload)

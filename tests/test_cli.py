@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from geowave.cli import CONFIG_KEYS, ExperimentConfig, load_config, run_command
+from geowave.cli import CONFIG_KEYS, ExperimentConfig, _fmt, _write_csv, load_config, run_command
 from geowave.errors import ConfigInvalid
 from geowave.solver import trial_chunks
 
@@ -351,6 +351,39 @@ def test_driver_rejects_bad_invocations(tmp_path):
                         "--out", str(tmp_path / "o")]) == 2
     with pytest.raises(SystemExit):
         run_command(["meditate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+def _per_cell_csv(path, header, rows):
+    """The CSV writer the array writer replaced, kept as its reference: one type dispatch per cell."""
+    def cell(x):
+        if isinstance(x, (bool, np.bool_)):
+            return "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return format(float(x), ".17g")
+
+    path.write_text("\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows]) + "\n")
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 1e-308, 1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+                0.1, 1.0 / 3.0, 2.0**53, -(2.0**53)]
+_CELLS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(_EDGE_FLOATS))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), nrows=st.integers(0, 12), nfloat=st.integers(1, 4))
+def test_array_writer_is_bytewise_the_per_cell_writer(tmp_path, data, nrows, nfloat):
+    # an integer column (trial, block) is written as a float column
+    ints = data.draw(st.lists(st.integers(-(2**53), 2**53), min_size=nrows, max_size=nrows), label="ints")
+    cells = data.draw(st.lists(st.lists(_CELLS, min_size=nfloat, max_size=nfloat), min_size=nrows,
+                               max_size=nrows), label="floats")
+    block = np.array(cells, dtype=float).reshape(nrows, nfloat)
+    header = ["i"] + [f"f_{j}" for j in range(nfloat)]
+    _write_csv(tmp_path / "arrays.csv", header, np.array(ints, dtype=np.int64), block[:, 0], block[:, 1:])
+    _per_cell_csv(tmp_path / "cells.csv", header, [[i, *row] for i, row in zip(ints, block)])
+    assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    assert all(_fmt(x) == format(float(x), ".17g") for x in block.ravel())
 
 
 def _seventeen_roundtrip(s):
