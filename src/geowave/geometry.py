@@ -39,23 +39,25 @@ class ManifoldModel:
     """
 
     kind: str
-    ambient_dim: int
-    tubular_radius: float = 0.75
+    tubular_radius = 0.75  # the involution's Jacobian is taken inside this distance
 
     def __post_init__(self):
-        if (self.kind, self.ambient_dim) not in (("circle", 2), ("sphere", 3)):
-            raise ValueError(f"targets are the circle in R^2 and the sphere in R^3, not {self.kind!r} "
-                             f"in R^{self.ambient_dim}")
+        if self.kind not in ("circle", "sphere"):
+            raise ValueError(f"targets are the circle in R^2 and the sphere in R^3, not {self.kind!r}")
+
+    @property
+    def ambient_dim(self) -> int:
+        return 2 if self.kind == "circle" else 3
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def circle(cls, tubular_radius: float = 0.75) -> "ManifoldModel":
-        return cls("circle", 2, tubular_radius)
+    def circle(cls) -> "ManifoldModel":
+        return cls("circle")
 
     @classmethod
-    def sphere(cls, tubular_radius: float = 0.75) -> "ManifoldModel":
-        return cls("sphere", 3, tubular_radius)
+    def sphere(cls) -> "ManifoldModel":
+        return cls("sphere")
 
     # -- pointwise primitives (vectorized over leading axes) -------------------
 

@@ -21,7 +21,7 @@ from .errors import (
     InsufficientTrials,
     OptimizerDiverged,
 )
-from .function_spaces import LightCone, State, derivative1, derivative2
+from .function_spaces import LightCone, State
 from .geometry import DiffusionField, ManifoldModel
 from .noise import NoiseBasis
 from .solver import (
@@ -30,6 +30,7 @@ from .solver import (
     cone_energies,
     cone_section_weights,
     section_energy,
+    section_fields,
     solve_batch,
     solve_skeleton,
     state_defect,
@@ -86,13 +87,6 @@ class ConvergenceReport:
 # ---------------------------------------------------------------------------
 # rate function
 # ---------------------------------------------------------------------------
-
-def _section_fields(u, v, spacing):
-    """(u, Du, D2u, v, Dv) stacked along a new leading axis."""
-    return np.stack(
-        [u, derivative1(u, spacing), derivative2(u, spacing), v, derivative1(v, spacing)]
-    )
-
 
 def _expand_rows(coeffs: np.ndarray, steps: int, blocks: int) -> np.ndarray:
     """Repeat (blocks, dim) block coefficients into (steps, dim) step rows."""
@@ -153,7 +147,7 @@ class _TerminalObjective:
         """Terminal differences (n, B, ncomp) -> residual matrix (R, B); |col|^2 = 2*e_cone(diff)."""
         nbatch = du.shape[1]
         sw = np.sqrt(self.weights)[:, None, None]
-        rows = [(sw * f).transpose(0, 2, 1).reshape(-1, nbatch) for f in _section_fields(du, dv, self.dx)]
+        rows = [(sw * f).transpose(0, 2, 1).reshape(-1, nbatch) for f in section_fields(du, dv, self.dx)]
         return np.concatenate(rows, axis=0)
 
     def gap(self, params: np.ndarray) -> float:

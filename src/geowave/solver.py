@@ -174,13 +174,15 @@ def cone_section_weights(cone: LightCone, origin: float, spacing: float, npoints
     return _trapezoid_weights(i_lo, i_hi, npoints, spacing)
 
 
+def section_fields(u: np.ndarray, v: np.ndarray, spacing: float) -> tuple:
+    """(u, Du, D^2u, v, Dv): the fields whose squares make the H^2 x H^1 section norm."""
+    return u, derivative1(u, spacing), derivative2(u, spacing), v, derivative1(v, spacing)
+
+
 def section_energy(u: np.ndarray, v: np.ndarray, weights: np.ndarray, spacing: float) -> np.ndarray:
     """Half the squared H^2 x H^1 norm of batched (u, v) under `weights`, per column."""
-    du = derivative1(u, spacing)
-    d2u = derivative2(u, spacing)
-    dv = derivative1(v, spacing)
     total = np.zeros(u.shape[1])
-    for arr in (u, du, d2u, v, dv):
+    for arr in section_fields(u, v, spacing):
         total += np.einsum("i,ibc->b", weights, arr * arr)
     return 0.5 * total
 

@@ -153,13 +153,12 @@ def transport_velocity(force: np.ndarray, spacing: float):
     return even_rows(c_odd, np.subtract), even_rows(f_odd, np.add)
 
 
-def apply_group(z: State, t: float, *, strict: bool = True) -> State:
+def apply_group(z: State, t: float) -> State:
     """Evolve a position/velocity pair by the free wave flow for a lattice time.
 
-    With `strict` the state must be quiescent (constant position, zero
-    velocity) on edge bands wide enough for the shifts, so the result is exact
-    on the whole lattice; pass strict=False when only a central region
-    shielded by finite propagation speed is of interest.
+    The state must be quiescent (constant position, zero velocity) on edge
+    bands wide enough for the shifts, so the result is exact on the whole
+    lattice.
     """
     dx = z.spacing
     step = GroupStep.from_time(t, dx)
@@ -167,17 +166,16 @@ def apply_group(z: State, t: float, *, strict: bool = True) -> State:
     n = z.u.npoints
     if abs(j) >= n - 2:
         raise InsufficientPadding(f"shift by {j} cells exceeds the {n}-point lattice")
-    if strict:
-        band = abs(j) + 2
-        if 2 * band >= n:
-            raise InsufficientPadding(f"shift by {j} cells leaves no interior on {n} points")
-        scale = 1.0 + max(np.abs(z.u.values).max(), np.abs(z.v.values).max())
-        defect = _padding_defect(z, band)
-        if defect > 1e-9 * scale:
-            raise InsufficientPadding(
-                f"state is not quiescent within {band} cells of the lattice edge "
-                f"(defect {defect:.3e})"
-            )
+    band = abs(j) + 2
+    if 2 * band >= n:
+        raise InsufficientPadding(f"shift by {j} cells leaves no interior on {n} points")
+    scale = 1.0 + max(np.abs(z.u.values).max(), np.abs(z.v.values).max())
+    defect = _padding_defect(z, band)
+    if defect > 1e-9 * scale:
+        raise InsufficientPadding(
+            f"state is not quiescent within {band} cells of the lattice edge "
+            f"(defect {defect:.3e})"
+        )
 
     new_u, new_v = apply_arrays(z.u.values, z.v.values, dx, j)
     return State(z.u.with_values(new_u), z.v.with_values(new_v))

@@ -10,8 +10,10 @@ import pytest
 
 import geowave
 from geowave.energy import verify_energy_inequality
+from geowave.geometry import ManifoldModel
 from geowave.ldp import RateOptions, statement1_probe, statement2_probe
 from geowave.solver import solve_batch
+from geowave.wave_group import apply_group
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(geowave.__path__))
 
@@ -57,6 +59,10 @@ def test_deleted_parameters_are_gone():
     assert "control" not in params(solve_batch)
     assert not {"k", "tol_factor"} & params(verify_energy_inequality)
     assert "sections" not in {f.name for f in dataclasses.fields(RateOptions)}
+    assert "strict" not in params(apply_group)
+    # the target's dimension and tube radius follow from its kind
+    assert [f.name for f in dataclasses.fields(ManifoldModel)] == ["kind"]
+    assert not params(ManifoldModel.circle) | params(ManifoldModel.sphere)
 
 
 def _unused_imports(source: str) -> list:
