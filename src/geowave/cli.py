@@ -322,10 +322,7 @@ def _seventeen(obj):
 
 
 def _write_csv(path: Path, header: list, *columns) -> None:
-    """One CSV from arrays: 1-D columns and 2-D column blocks, every cell in _fmt's format.
-
-    An integer below 2**53 prints as itself, so integer columns can be float.
-    """
+    """1-D columns and 2-D column blocks as one CSV; an integer below 2**53 prints as itself."""
     np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header),
                comments="")
 

@@ -361,9 +361,8 @@ def _integrate(
     modes_coarse = basis.evaluate(x) if needs_noise else None
     modes_fine = basis.evaluate(xf) if control_rates is not None else None
 
-    # a C-ordered copy only where the input is not one (a broadcast batch):
-    # section energies add in memory order, so every column starts from the
-    # order of its width-1 run; the integrator never writes its input arrays
+    # C order, as in a width-1 run, since section energies add in memory order;
+    # a C-ordered input is not copied, because the integrator never writes it
     u = np.ascontiguousarray(u0, dtype=float)
     v = np.ascontiguousarray(v0, dtype=float)
 
