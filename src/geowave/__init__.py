@@ -62,7 +62,7 @@ from .states import (
     rotating_state,
     twin_pair,
 )
-from .wave_group import GroupStep, apply_group
+from .wave_group import apply_group, lattice_steps
 
 __all__ = [
     "__version__",
@@ -110,6 +110,6 @@ __all__ = [
     "random_state",
     "rotating_state",
     "twin_pair",
-    "GroupStep",
+    "lattice_steps",
     "apply_group",
 ]

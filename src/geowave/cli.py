@@ -38,7 +38,7 @@ from .solver import (
     Control,
     LocalizationParams,
     cone_energies,
-    cone_section_weights,
+    cone_window,
     solve_skeleton,
     trial_chunks,
 )
@@ -50,7 +50,7 @@ from .states import (
     random_state,
     rotating_state,
 )
-from .wave_group import GroupStep
+from .wave_group import lattice_steps
 
 __all__ = ["CONFIG_KEYS", "ConfigKey", "ExperimentConfig", "load_config", "run_command", "main"]
 
@@ -234,7 +234,7 @@ def _check_across_keys(cfg: ExperimentConfig) -> None:
     if cfg["time.horizon"] >= cfg["grid.domain_radius"]:
         raise ConfigInvalid("key 'time.horizon' must lie strictly between 0 and grid.domain_radius")
     try:
-        steps = GroupStep.from_time(cfg["time.horizon"], cfg.grid().spacing).shift_count
+        steps = lattice_steps(cfg["time.horizon"], cfg.grid().spacing)
     except NonLatticeTime:
         raise ConfigInvalid(
             f"key 'time.horizon' must be a whole number of lattice steps of "
@@ -254,7 +254,7 @@ def _check_across_keys(cfg: ExperimentConfig) -> None:
 def _cone_sections(cone: LightCone, geom, steps: int) -> None:
     """Build the cone's first and last sections; the ones between lie inside them."""
     for m in (0, steps):
-        cone_section_weights(cone, geom.origin, geom.spacing, geom.npoints, m)
+        cone_window(cone, geom.origin, geom.spacing, geom.npoints, m)
 
 
 def _check_cone(cfg: ExperimentConfig, steps: int) -> None:
@@ -430,9 +430,9 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
     geom, man = run.geom, run.manifold
     cone = cfg.cone()
     eps, trials = cfg["experiment.eps"], cfg["experiment.trials"]
-    steps = round(cfg["time.horizon"] / geom.spacing)
-    weights = [cone_section_weights(cone, geom.origin, geom.spacing, geom.npoints, m) for m in range(steps + 1)]
-    (energy,), final_u = cone_energies(run.z0, eps, cfg["time.horizon"], run.loc, weights, [None], **run.fields,
+    steps = lattice_steps(cfg["time.horizon"], geom.spacing)
+    windows = [cone_window(cone, geom.origin, geom.spacing, geom.npoints, m) for m in range(steps + 1)]
+    (energy,), final_u = cone_energies(run.z0, eps, cfg["time.horizon"], run.loc, windows, [None], **run.fields,
                                        trial_ids=range(trials), master_seed=cfg["noise.seed"],
                                        renormalize=cfg["solver.renormalize"], threads=threads)
     sup_e = energy.max(axis=1, initial=0.0)
@@ -455,7 +455,7 @@ def _cmd_rate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list
     geom, basis = run.geom, run.basis
     horizon, blocks = cfg["time.horizon"], cfg["experiment.blocks"]
     opts = RateOptions(blocks=blocks, gap_tol=cfg["experiment.gap_tol"])
-    steps = round(horizon / geom.spacing)
+    steps = lattice_steps(horizon, geom.spacing)
 
     kind = cfg["experiment.target"]
     planted_cost = None

@@ -28,14 +28,14 @@ from .solver import (
     Control,
     LocalizationParams,
     cone_energies,
-    cone_section_weights,
+    cone_window,
     section_energy,
     section_fields,
     solve_batch,
     solve_skeleton,
     state_defect,
 )
-from .wave_group import GroupStep
+from .wave_group import lattice_steps
 
 __all__ = [
     "RateOptions",
@@ -48,18 +48,17 @@ __all__ = [
 ]
 
 
+_LAMBDAS = (1e1, 1e2, 1e3, 1e4)  # penalty continuation schedule
+_FD_STEP = 1e-5                   # forward-difference step
+_MAX_ITER = 8                     # Gauss-Newton iterations per penalty stage
+
+
 @dataclass(frozen=True)
 class RateOptions:
     """Optimizer knobs for rate_function."""
 
     blocks: int = 8                      # temporal blocks of the control ansatz
     gap_tol: float = 1e-2                # accepted terminal distance
-    lambdas: tuple = (1e1, 1e2, 1e3, 1e4)  # penalty continuation schedule
-    fd_step: float = 1e-5                # forward-difference step
-    max_iter: int = 8                    # inner iterations per penalty stage
-    gd_step: float = 0.5                 # SPSA base step, divided by (1 + iter) * (1 + lam)
-    spsa_dim_threshold: int = 500        # SPSA instead of Gauss-Newton above this many params
-    spsa_seed: int = 0
 
 
 @dataclass
@@ -120,7 +119,7 @@ class _TerminalObjective:
         self.basis = basis
         self.diffusion = diffusion
         self.dx = z0.spacing
-        self.steps = GroupStep.from_time(horizon, self.dx).shift_count
+        self.steps = lattice_steps(horizon, self.dx)
         self.dim = basis.dim
         self.blocks = opts.blocks
         if self.steps % self.blocks:
@@ -133,7 +132,14 @@ class _TerminalObjective:
         self.record = None  # (params, terminal difference, block-start (u, v, k)) of the last gap solve
 
         self.target = (target.u.values, target.v.values)
-        self.weights = cone_section_weights(cone, z0.origin, self.dx, z0.u.npoints, self.steps)
+        self.window = i_lo, i_hi = cone_window(cone, z0.origin, self.dx, z0.u.npoints, self.steps)
+        # residual_rows weights every lattice row, zero outside the window:
+        # on the window's rows alone jac.T @ jac groups its BLAS sums
+        # differently, and the rate run's bytes move
+        weights = np.zeros(z0.u.npoints)
+        weights[i_lo:i_hi + 1] = self.dx
+        weights[i_lo] = weights[i_hi] = 0.5 * self.dx
+        self.sqrt_weights = np.sqrt(weights)[:, None, None]
 
     def rates(self, params: np.ndarray) -> np.ndarray:
         """params (P, B) -> per-column control rates (steps, B, dim)."""
@@ -146,8 +152,8 @@ class _TerminalObjective:
     def residual_rows(self, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Terminal differences (n, B, ncomp) -> residual matrix (R, B); |col|^2 = 2*e_cone(diff)."""
         nbatch = du.shape[1]
-        sw = np.sqrt(self.weights)[:, None, None]
-        rows = [(sw * f).transpose(0, 2, 1).reshape(-1, nbatch) for f in section_fields(du, dv, self.dx)]
+        rows = [(self.sqrt_weights * f).transpose(0, 2, 1).reshape(-1, nbatch)
+                for f in section_fields(du, dv, self.dx)]
         return np.concatenate(rows, axis=0)
 
     def gap(self, params: np.ndarray) -> float:
@@ -161,7 +167,7 @@ class _TerminalObjective:
         k = traj.energy_trace["k_level"]
         self.record = (params.copy(), diff, [seen[s] + (k[s],) for s in self.block_starts])
         self.solves += 1
-        return 2.0 * section_energy(*diff, self.weights, self.dx)[0]
+        return 2.0 * section_energy(*diff, self.window, self.dx)[0]
 
     def jacobian(self, params: np.ndarray, fd_step: float) -> tuple[np.ndarray, np.ndarray]:
         """The residuals at params and their forward-difference Jacobian (R, P)."""
@@ -229,8 +235,9 @@ def rate_function(
     """Half the squared norm of the cheapest control reaching the target state at the horizon.
 
     Minimizes 0.5*h.squared_norm() + lam*gap(h)^2 over piecewise-constant
-    controls by Gauss-Newton (SPSA above opts.spsa_dim_threshold parameters),
-    continuing lam upward until the terminal gap passes opts.gap_tol; returns
+    controls by Gauss-Newton on a forward-difference Jacobian of the residuals,
+    whose widest segment has blocks * dim columns, continuing lam upward
+    until the terminal gap passes opts.gap_tol; returns
     the +inf sentinel (converged=False) for unreachable targets or when every
     control within the budget misses the tolerance.
     """
@@ -250,38 +257,22 @@ def rate_function(
     P = obj.nparams
     q_diag = np.full(P, dt_block)  # 0.5*h.squared_norm() = 0.5 * theta^T diag(dt_block) theta
     theta = np.zeros(P)
-    optimizer = "spsa" if P > opts.spsa_dim_threshold else "gn"
-
     iterations = 0
-    rng = np.random.default_rng(opts.spsa_seed)
-
-    def total_objective(th, lam):
-        return 0.5 * float(q_diag @ (th * th)) + lam * float(obj._section_sq(th))
-
     gap = obj.gap(theta)
     try:
-        for lam in opts.lambdas:
-            for _ in range(opts.max_iter):
+        for lam in _LAMBDAS:
+            for _ in range(_MAX_ITER):
                 if gap <= opts.gap_tol:
                     break
                 iterations += 1
-                if optimizer == "gn":  # Gauss-Newton on a forward-difference Jacobian of the residuals
-                    base, jac = obj.jacobian(theta, opts.fd_step)
-                    grad = q_diag * theta + 2.0 * lam * (jac.T @ base)
-                    hess = np.diag(q_diag) + 2.0 * lam * (jac.T @ jac)
-                    hess[np.diag_indices_from(hess)] += 1e-12 * (1.0 + np.trace(hess) / P)
-                    step = np.linalg.solve(hess, grad)
-                    if not np.all(np.isfinite(step)):
-                        raise OptimizerDiverged("non-finite step in the normal equations")
-                    theta = theta - step
-                else:
-                    delta = rng.choice([-1.0, 1.0], size=P)
-                    c = 10 * opts.fd_step
-                    plus = total_objective(theta + c * delta, lam)
-                    minus = total_objective(theta - c * delta, lam)
-                    ghat = (plus - minus) / (2.0 * c) * delta
-                    step = opts.gd_step / ((1.0 + iterations) * (1.0 + lam))
-                    theta = theta - step * ghat
+                base, jac = obj.jacobian(theta, _FD_STEP)
+                grad = q_diag * theta + 2.0 * lam * (jac.T @ base)
+                hess = np.diag(q_diag) + 2.0 * lam * (jac.T @ jac)
+                hess[np.diag_indices_from(hess)] += 1e-12 * (1.0 + np.trace(hess) / P)
+                step = np.linalg.solve(hess, grad)
+                if not np.all(np.isfinite(step)):
+                    raise OptimizerDiverged("non-finite step in the normal equations")
+                theta = theta - step
                 if not np.all(np.isfinite(theta)):
                     raise OptimizerDiverged("control parameters became non-finite")
                 gap = obj.gap(theta)
@@ -300,7 +291,7 @@ def rate_function(
         value = math.inf
     return RateResult(
         value, h, terminal_gap, iterations, converged,
-        {"solves": obj.solves, "optimizer": optimizer, "blocks": opts.blocks},
+        {"solves": obj.solves, "blocks": opts.blocks},
     )
 
 
@@ -340,7 +331,7 @@ def statement1_probe(
     must not decay.
     """
     dx = z0.spacing
-    steps = GroupStep.from_time(horizon, dx).shift_count
+    steps = lattice_steps(horizon, dx)
     dim = basis.dim
     n_list = list(n_list)
     nbatch = len(n_list)
@@ -360,8 +351,8 @@ def statement1_probe(
         z0, None, horizon, loc,
         manifold=manifold, basis=basis, diffusion=diffusion, keep_states=True,
     )
-    wball = cone_section_weights(cone, z0.origin, dx, z0.u.npoints, 0)  # B(center, horizon)
-    (e_diff,), _ = cone_energies(z0, 0.0, horizon, loc, [wball] * (steps + 1), [base_traj.states],
+    ball = cone_window(cone, z0.origin, dx, z0.u.npoints, 0)  # B(center, horizon)
+    (e_diff,), _ = cone_energies(z0, 0.0, horizon, loc, [ball] * (steps + 1), [base_traj.states],
                                  manifold=manifold, basis=basis, diffusion=diffusion, control_rates=rates)
     sup_d = np.sqrt(2.0 * e_diff).max(axis=1, initial=0.0)
     decreasing = all(sup_d[i + 1] <= 1.05 * sup_d[i] for i in range(nbatch - 1))
@@ -405,12 +396,12 @@ def statement2_probe(
     eps_list = list(eps_list)
     dx = z0.spacing
     t_half = 0.5 * horizon
-    steps_half = GroupStep.from_time(t_half, dx).shift_count
+    steps_half = lattice_steps(t_half, dx)
     base_traj = solve_skeleton(
         z0, None, t_half, loc,
         manifold=manifold, basis=basis, diffusion=diffusion, keep_states=True,
     )
-    cw = [cone_section_weights(cone, z0.origin, dx, z0.u.npoints, m) for m in range(steps_half + 1)]
+    windows = [cone_window(cone, z0.origin, dx, z0.u.npoints, m) for m in range(steps_half + 1)]
 
     means = np.zeros(len(eps_list))
     errs = np.zeros(len(eps_list))
@@ -418,7 +409,7 @@ def statement2_probe(
     per_trial = {}
     for i, eps in enumerate(eps_list):
         (e_self, e_diff), _ = cone_energies(
-            z0, eps, t_half, loc, cw, [None, base_traj.states], manifold=manifold, basis=basis,
+            z0, eps, t_half, loc, windows, [None, base_traj.states], manifold=manifold, basis=basis,
             diffusion=diffusion, trial_ids=range(trials), master_seed=master_seed, threads=threads,
         )
         crossed = np.sqrt(2.0 * e_self) >= threshold
@@ -464,26 +455,27 @@ def tail_estimate(
 
     P-hat(eps) is the fraction of noisy paths whose sup-over-time cone distance
     from the uncontrolled zero-noise path exceeds delta; the eps*log(P-hat)
-    sequence is the finite-noise analogue of the exponential decay rate, with
-    the optional rate_value supplying the comparison level.
+    sequence is the finite-noise analogue of the exponential decay rate.  With
+    a rate_value, extra["gap_to_rate"] is eps*log(P-hat) + rate_value at the
+    smallest eps whose P-hat is positive, whatever the order of eps_list.
     """
     if delta < 0:
         raise ValueError(f"event radius must be nonnegative, got {delta}")
     eps_list = list(eps_list)
     dx = z0.spacing
-    steps = GroupStep.from_time(horizon, dx).shift_count
+    steps = lattice_steps(horizon, dx)
     base_traj = solve_skeleton(
         z0, None, horizon, loc,
         manifold=manifold, basis=basis, diffusion=diffusion, keep_states=True,
     )
-    cw = [cone_section_weights(cone, z0.origin, dx, z0.u.npoints, m) for m in range(steps + 1)]
+    windows = [cone_window(cone, z0.origin, dx, z0.u.npoints, m) for m in range(steps + 1)]
 
     p_hat = np.zeros(len(eps_list))
     errs = np.zeros(len(eps_list))
     eps_log_p = np.zeros(len(eps_list))
     for i, eps in enumerate(eps_list):
         (e_diff,), _ = cone_energies(
-            z0, eps, horizon, loc, cw, [base_traj.states], manifold=manifold, basis=basis,
+            z0, eps, horizon, loc, windows, [base_traj.states], manifold=manifold, basis=basis,
             diffusion=diffusion, trial_ids=range(trials), master_seed=master_seed, threads=threads,
         )
         sup_d = np.sqrt(2.0 * e_diff).max(axis=1, initial=0.0)
@@ -505,8 +497,8 @@ def tail_estimate(
         )
     extra = {"delta": delta, "eps_log_p": eps_log_p, "trials": trials}
     if rate_value is not None:
-        finite = [elp for elp in eps_log_p if not math.isnan(elp)]
-        extra["gap_to_rate"] = float(finite[-1] + rate_value) if finite else math.nan
+        finite = [(eps, elp) for eps, elp in zip(eps_list, eps_log_p) if not math.isnan(elp)]
+        extra["gap_to_rate"] = float(min(finite)[1] + rate_value) if finite else math.nan
     return ConvergenceReport(
         params=np.asarray(eps_list, dtype=float),
         metrics=p_hat,

@@ -37,7 +37,7 @@ from .states import (
     rotating_state,
     twin_pair,
 )
-from .wave_group import apply_group
+from .wave_group import apply_group, lattice_steps
 
 VERIFY_TRIALS = 30  # the noisy paths per noise level of the ldp group, the only trials it fans out
 
@@ -290,7 +290,7 @@ def solver_groups(checks: list, basis, seed: int) -> None:
                    "every batched trial column matches its standalone run bitwise"
                    if pure else "a batched trial column deviates from its standalone run"))
 
-    rates = np.zeros((round(1.0 / g384.spacing), basis.dim))
+    rates = np.zeros((lattice_steps(1.0, g384.spacing), basis.dim))
     rates[:, 0] = 0.8
     ctl = Control(rates, g384.spacing)
     ztr = solve_skeleton(random_state(g384, man_s, stream(seed, 205)), ctl, 1.0, loc384,

@@ -43,7 +43,7 @@ from .function_spaces import (
 from .geometry import DiffusionField, ManifoldModel
 from .noise import NoiseBasis, sample_increment
 from .rng import stream
-from .wave_group import GroupStep, apply_arrays, transport_velocity
+from .wave_group import apply_arrays, lattice_steps, transport_velocity
 
 __all__ = [
     "LocalizationParams",
@@ -54,7 +54,7 @@ __all__ = [
     "curvature_force",
     "drift_force",
     "state_defect",
-    "cone_section_weights",
+    "cone_window",
     "section_energy",
     "solve_skeleton",
     "solve_stochastic",
@@ -160,18 +160,10 @@ def curvature_force(manifold: ManifoldModel, u: np.ndarray, v: np.ndarray, ux: n
     return manifold.sff_perp_difference(u.reshape(flat), v.reshape(flat), ux.reshape(flat)).reshape(u.shape)
 
 
-def _trapezoid_weights(i_lo: int, i_hi: int, npoints: int, spacing: float) -> np.ndarray:
-    w = np.zeros(npoints)
-    w[i_lo:i_hi + 1] = spacing
-    w[i_lo] = w[i_hi] = 0.5 * spacing
-    return w
-
-
-def cone_section_weights(cone: LightCone, origin: float, spacing: float, npoints: int, m: int) -> np.ndarray:
-    """Trapezoid weights of the cone section B(center, T - t) at t = m * spacing."""
+def cone_window(cone: LightCone, origin: float, spacing: float, npoints: int, m: int) -> tuple[int, int]:
+    """Row indices (i_lo, i_hi) of the cone section B(center, T - t) at t = m * spacing."""
     a, b = cone.interval(m * spacing)
-    i_lo, i_hi = window_indices(origin - cone.center, spacing, npoints, 0.5 * (b - a))
-    return _trapezoid_weights(i_lo, i_hi, npoints, spacing)
+    return window_indices(origin - cone.center, spacing, npoints, 0.5 * (b - a))
 
 
 def section_fields(u: np.ndarray, v: np.ndarray, spacing: float) -> tuple:
@@ -179,8 +171,28 @@ def section_fields(u: np.ndarray, v: np.ndarray, spacing: float) -> tuple:
     return u, derivative1(u, spacing), derivative2(u, spacing), v, derivative1(v, spacing)
 
 
-def section_energy(u: np.ndarray, v: np.ndarray, weights: np.ndarray, spacing: float) -> np.ndarray:
-    """Half the squared H^2 x H^1 norm of batched (u, v) under `weights`, per column."""
+def section_energy(u: np.ndarray, v: np.ndarray, window: tuple[int, int], spacing: float,
+                   minus: tuple | None = None) -> np.ndarray:
+    """Half the squared H^2 x H^1 norm of batched (u, v) on the window's rows, per column.
+
+    Only rows i_lo - 1 .. i_hi + 1 are read: the second derivative on the
+    window's rows is then the whole lattice's, and the trapezoid sum over the
+    whole lattice only adds zero terms to this one.  That is bitwise for two-
+    and three-component targets (a hypothesis property checks it); with one
+    component einsum takes a contiguous kernel whose grouping follows the
+    slice.  minus = (u_ref, v_ref), each (npoints, ncomp), is subtracted on
+    those rows.
+    """
+    i_lo, i_hi = window
+    rows = section_rows(i_lo, i_hi, u.shape[0], 1)
+    u, v = u[rows], v[rows]
+    if minus is not None:
+        u = u - minus[0][rows, None, :]
+        v = v - minus[1][rows, None, :]
+    lo, hi = i_lo - rows.start, i_hi - rows.start
+    weights = np.zeros(u.shape[0])
+    weights[lo:hi + 1] = spacing
+    weights[lo] = weights[hi] = 0.5 * spacing
     total = np.zeros(u.shape[1])
     for arr in section_fields(u, v, spacing):
         total += np.einsum("i,ibc->b", weights, arr * arr)
@@ -202,12 +214,11 @@ def _window(u: np.ndarray, v: np.ndarray, origin: float, spacing: float, s: floa
     window: those carry lattice-edge junk of size O(1/dx) in the second
     derivative.  Order-2 reflection keeps the one-sided derivatives accurate.
     """
-    n = u.shape[0]
-    i_lo, i_hi = window_indices(origin, spacing, n, s)
-    ue = _extended(u, i_lo, i_hi, 2)
-    ve = _extended(v, i_lo, i_hi, 2)
-    energy = section_energy(ue, ve, _trapezoid_weights(i_lo, i_hi, n, spacing), spacing)
-    return (i_lo, i_hi), np.sqrt(2.0 * energy), ue, ve  # 2 * (0.5 * x) == x: the bare weighted norm
+    window = window_indices(origin, spacing, u.shape[0], s)
+    ue = _extended(u, *window, 2)
+    ve = _extended(v, *window, 2)
+    energy = section_energy(ue, ve, window, spacing)
+    return window, np.sqrt(2.0 * energy), ue, ve  # 2 * (0.5 * x) == x: the bare weighted norm
 
 
 def window_norm(z: State, s: float) -> float:
@@ -324,7 +335,7 @@ def _integrate(
     n, nbatch, ncomp = u0.shape
     dx = spacing
     r = loc.radius
-    steps = GroupStep.from_time(horizon, dx).shift_count
+    steps = lattice_steps(horizon, dx)
     if steps <= 0:
         raise ValueError(f"horizon {horizon} must cover at least one step of {dx}")
     if horizon >= r:
@@ -470,7 +481,7 @@ def _as_batch(z0: State) -> tuple[np.ndarray, np.ndarray]:
 def _single_trajectory(z0: State, control, horizon: float, loc: LocalizationParams, metadata: dict,
                        **kwargs) -> Trajectory:
     """One trajectory, solved as a batch of width one; kwargs go to _integrate."""
-    steps = GroupStep.from_time(horizon, z0.spacing).shift_count
+    steps = lattice_steps(horizon, z0.spacing)
     u0, v0 = _as_batch(z0)
     times, raw_states, trace, noise_log, k_init, k_final = _integrate(
         u0, v0, origin=z0.origin, spacing=z0.spacing, loc=loc, horizon=horizon,
@@ -629,26 +640,21 @@ def run_trials(ids, fn, threads: int) -> tuple:
     return tuple(np.concatenate(rows) for rows in zip(*parts))
 
 
-def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams, weights, references, *,
+def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams, windows, references, *,
                   manifold: ManifoldModel, basis: NoiseBasis, diffusion: DiffusionField, trial_ids=None,
                   control_rates: np.ndarray | None = None, master_seed: int = 0, renormalize: bool = True,
                   threads: int = 1) -> tuple[list, np.ndarray]:
     """Cone-section energies of every batch column at every step, and the final positions.
 
-    weights[m] is the section of step m.  A reference is None (the column
-    itself) or the stored states of a path, indexed by step (the column minus
-    that path).  Returns one (B, steps + 1) array of section_energy values per
-    reference and the final positions (B, npoints, ncomp).  Noise trials
-    (trial_ids) fan out over at most `threads` chunks by run_trials; control
-    columns (control_rates of shape (steps, B, dim)) run as one batch.
+    windows[m] is the section (i_lo, i_hi) of step m.  A reference is None
+    (the column itself) or the stored states of a path, indexed by step (the
+    column minus that path).  Returns one (B, steps + 1) array of
+    section_energy values per reference and the final positions (B, npoints,
+    ncomp).  Noise trials (trial_ids) fan out over at most `threads` chunks by
+    run_trials; control columns (control_rates of shape (steps, B, dim)) run
+    as one batch.
     """
-    steps = GroupStep.from_time(horizon, z0.spacing).shift_count
-    # each section's weighted rows and one stencil row each side: the second
-    # derivative on the weighted rows is the whole lattice's, and the weighted
-    # sum only loses zero terms.  That is bitwise for two- and three-component
-    # targets (a hypothesis property checks it); with one component einsum
-    # takes a contiguous kernel whose grouping follows the slice.
-    rows = [section_rows(i[0], i[-1], z0.u.npoints, 1) for i in map(np.flatnonzero, weights)]
+    steps = lattice_steps(horizon, z0.spacing)
 
     def run(ids, rates=None):
         nbatch = len(ids) if rates is None else rates.shape[1]
@@ -656,11 +662,9 @@ def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams
         final = []
 
         def observer(m, t, u, v):
-            r = rows[m]
             for e, ref in zip(energies, references):
-                du, dv = (u[r], v[r]) if ref is None else (u[r] - ref[m].u.values[r, None, :],
-                                                           v[r] - ref[m].v.values[r, None, :])
-                e[:, m] = section_energy(du, dv, weights[m][r], z0.spacing)
+                minus = None if ref is None else (ref[m].u.values, ref[m].v.values)
+                e[:, m] = section_energy(u, v, windows[m], z0.spacing, minus)
             final[:] = [u]  # the last step's arrays are never written again
 
         solve_batch(z0, eps, horizon, loc, manifold=manifold, basis=basis, diffusion=diffusion,

@@ -10,34 +10,21 @@ hold to round-off rather than to quadrature accuracy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InsufficientPadding, NonLatticeTime
 from .function_spaces import State, derivative1
 
-__all__ = ["GroupStep", "apply_group", "apply_arrays", "midpoint_cumulative", "transport_velocity"]
+__all__ = ["lattice_steps", "apply_group", "apply_arrays", "midpoint_cumulative", "transport_velocity"]
 
 
-@dataclass(frozen=True)
-class GroupStep:
-    """A group time expressed as a whole number of lattice cells."""
-
-    shift_count: int
-    spacing: float
-
-    @classmethod
-    def from_time(cls, t: float, spacing: float) -> "GroupStep":
-        ratio = t / spacing
-        nearest = round(ratio)
-        if abs(ratio - nearest) > 1e-9 * (1.0 + abs(ratio)):
-            raise NonLatticeTime(f"time {t} is not a lattice multiple of spacing {spacing}")
-        return cls(int(nearest), float(spacing))
-
-    @property
-    def time(self) -> float:
-        return self.shift_count * self.spacing
+def lattice_steps(t: float, spacing: float) -> int:
+    """The time t as a whole number of lattice steps of `spacing`."""
+    ratio = t / spacing
+    nearest = round(ratio)
+    if abs(ratio - nearest) > 1e-9 * (1.0 + abs(ratio)):
+        raise NonLatticeTime(f"time {t} is not a lattice multiple of spacing {spacing}")
+    return int(nearest)
 
 
 def _shift(values: np.ndarray, count: int) -> np.ndarray:
@@ -161,8 +148,7 @@ def apply_group(z: State, t: float) -> State:
     lattice.
     """
     dx = z.spacing
-    step = GroupStep.from_time(t, dx)
-    j = step.shift_count
+    j = lattice_steps(t, dx)
     n = z.u.npoints
     if abs(j) >= n - 2:
         raise InsufficientPadding(f"shift by {j} cells exceeds the {n}-point lattice")

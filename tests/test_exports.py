@@ -19,11 +19,12 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(geowave.__path__))
 
 # public names removed because no command, verify group or benchmark reached them
 DELETED = {
-    "solver": ("localized_drift", "q_transform", "q_transform_derivative", "_radial_cutoff", "blowup_times"),
+    "solver": ("localized_drift", "q_transform", "q_transform_derivative", "_radial_cutoff", "blowup_times",
+               "cone_section_weights", "_trapezoid_weights"),
     "function_spaces": ("sobolev_norm", "state_norm", "interpolation_check", "InterpolationReport"),
     "energy": ("mean_energy_report", "gronwall_envelope"),
     "noise": ("multiplication_hs_norm",),
-    "wave_group": ("generator",),
+    "wave_group": ("generator", "GroupStep"),
 }
 
 
@@ -58,7 +59,8 @@ def test_deleted_parameters_are_gone():
     assert "h" not in params(statement1_probe) | params(statement2_probe)
     assert "control" not in params(solve_batch)
     assert not {"k", "tol_factor"} & params(verify_energy_inequality)
-    assert "sections" not in {f.name for f in dataclasses.fields(RateOptions)}
+    # Gauss-Newton is the one optimizer; its schedule and step are module constants
+    assert [f.name for f in dataclasses.fields(RateOptions)] == ["blocks", "gap_tol"]
     assert "strict" not in params(apply_group)
     # the target's dimension and tube radius follow from its kind
     assert [f.name for f in dataclasses.fields(ManifoldModel)] == ["kind"]
@@ -91,3 +93,26 @@ def test_unused_import_guard_sees_orphans():
     assert _unused_imports("import math\nfrom .solver import run_trials, solve_batch\nsolve_batch()\n") == [
         "math", "run_trials"]
     assert _unused_imports("from .ldp import tail_estimate\n__all__ = ['tail_estimate']\n") == []
+
+
+def _unread_private_defs(source: str) -> list:
+    """Module-level private functions and classes that nothing in the module reads."""
+    tree = ast.parse(source)
+    private = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(private - read)
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_every_private_def_is_read_in_its_module(name):
+    source = (Path(geowave.__file__).resolve().parent / f"{name}.py").read_text()
+    assert _unread_private_defs(source) == [], f"geowave.{name}"
+
+
+def test_private_def_guard_sees_orphans():
+    source = ("def _used():\n    pass\n\n\ndef _orphan():\n    _orphan = 1\n\n\n"
+              "class _Lonely:\n    def _method(self):\n        pass\n\n\nx = _used()\n")
+    assert _unread_private_defs(source) == ["_Lonely", "_orphan"]
+    assert _unread_private_defs("def __getattr__(name):\n    pass\n") == []

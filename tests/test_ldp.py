@@ -22,12 +22,13 @@ from geowave.noise import SpectralMeasure, build_basis
 from geowave.solver import (
     Control,
     LocalizationParams,
-    cone_section_weights,
-    section_energy,
+    cone_window,
     solve_batch,
     solve_skeleton,
 )
 from geowave.states import bump_state, constant_state, make_grid, random_state
+
+from dense_section import dense_section_energy
 
 _BASIS = build_basis(SpectralMeasure.default_three_atoms())
 _CIRCLE = ManifoldModel.circle()
@@ -173,23 +174,6 @@ def test_rate_rejects_nonpositive_budget():
         rate_function(z0, z0, 0.0, cone=cone, horizon=0.5, **_solve_kwargs(loc))
 
 
-def test_gradient_descent_and_spsa_paths_run():
-    geom, loc, cone = _setup(points=96, horizon=0.25)
-    z0 = constant_state(geom, _CIRCLE)
-    steps = round(0.25 / geom.spacing)
-    rows = np.zeros((steps, _BASIS.dim))
-    rows[:, 0] = 0.5
-    target = solve_skeleton(z0, Control(rows, geom.spacing), 0.25, loc,
-                            manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE
-                            ).final_state()
-    # a zero threshold sends even this 6-parameter problem to SPSA
-    opts = RateOptions(blocks=2, max_iter=3, lambdas=(1e1, 1e2), spsa_dim_threshold=0)
-    res = rate_function(target, z0, 10.0, opts, cone=cone, horizon=0.25,
-                        **_solve_kwargs(loc))
-    assert res.metadata["optimizer"] == "spsa"
-    assert res.iterations > 0
-
-
 def test_weak_oscillations_wash_out_but_constants_do_not():
     geom, loc, cone = _setup(points=192)
     z0 = bump_state(geom, _CIRCLE)
@@ -267,13 +251,13 @@ def _reference_statement1(n_list, z0, cone, horizon, loc, amplitude=0.3):
     for col, n in enumerate(n_list):
         rates[:, col, 0] += amplitude * np.sin(2.0 * math.pi * n * t_mid / horizon)
     base_traj = solve_skeleton(z0, None, horizon, loc, **_SPHERE_FIELDS, keep_states=True)
-    wball = cone_section_weights(cone, z0.origin, dx, z0.u.npoints, 0)
+    ball = cone_window(cone, z0.origin, dx, z0.u.npoints, 0)
     sup_d = np.zeros(len(n_list))
 
     def observer(m, t, u, v):
-        du = u - base_traj.states[m].u.values[:, None, :]
-        dv = v - base_traj.states[m].v.values[:, None, :]
-        np.maximum(sup_d, np.sqrt(2.0 * section_energy(du, dv, wball, dx)), out=sup_d)
+        zb = base_traj.states[m]
+        np.maximum(sup_d, np.sqrt(2.0 * dense_section_energy(u, v, ball, dx, (zb.u.values, zb.v.values))),
+                   out=sup_d)
 
     solve_batch(z0, 0.0, horizon, loc, **_SPHERE_FIELDS, control_rates=rates, keep_states=False, observer=observer)
     return sup_d
@@ -283,7 +267,7 @@ def _reference_noisy(eps, trials, seed, z0, cone, horizon, loc, threshold=math.i
     """Per trial: the sup cone distance, the frozen sup energy, the crossing flag and the cone norm per step."""
     dx = z0.spacing
     base_traj = solve_skeleton(z0, None, horizon, loc, **_SPHERE_FIELDS, keep_states=True)
-    cw = {m: cone_section_weights(cone, z0.origin, dx, z0.u.npoints, m) for m in range(round(horizon / dx) + 1)}
+    windows = [cone_window(cone, z0.origin, dx, z0.u.npoints, m) for m in range(round(horizon / dx) + 1)]
     sup_d = np.zeros(trials)
     local_sup = np.zeros(trials)
     local_hit = np.zeros(trials, dtype=bool)
@@ -291,10 +275,8 @@ def _reference_noisy(eps, trials, seed, z0, cone, horizon, loc, threshold=math.i
 
     def observer(m, t, u, v):
         zb = base_traj.states[m]
-        du = u - zb.u.values[:, None, :]
-        dv = v - zb.v.values[:, None, :]
-        e_diff = section_energy(du, dv, cw[m], dx)
-        e_self = section_energy(u, v, cw[m], dx)
+        e_diff = dense_section_energy(u, v, windows[m], dx, (zb.u.values, zb.v.values))
+        e_self = dense_section_energy(u, v, windows[m], dx)
         np.maximum(sup_d, np.sqrt(2.0 * e_diff), out=sup_d)
         live = ~local_hit
         np.maximum(local_sup, np.where(live, e_diff, -np.inf), out=local_sup)
@@ -343,3 +325,15 @@ def test_tail_matches_its_reference_observer(seed, rank):
     rep = tail_estimate(delta, eps_list, trials, z0, cone, seed, horizon=horizon, loc=loc,
                         **_SPHERE_FIELDS, threads=3)
     assert np.array_equal(rep.metrics, [float((sup > delta).sum()) / trials for sup in sups])
+
+
+def test_gap_to_rate_reads_the_smallest_eps_whatever_the_list_order():
+    eps_list, trials, horizon, seed = [1e-2, 1e-1], 30, 0.5, 5
+    z0, loc, cone = _sphere_problem(seed)
+    # just below the largest distance at the smaller eps: one exceedance there, more at the larger
+    delta = float(np.sort(_reference_noisy(eps_list[0], trials, seed, z0, cone, horizon, loc)[0])[-2])
+    reps = [tail_estimate(delta, order, trials, z0, cone, seed, horizon=horizon, loc=loc, **_SPHERE_FIELDS,
+                          rate_value=0.5) for order in (eps_list, eps_list[::-1])]
+    p_small, p_large = reps[0].metrics
+    assert 0.0 < p_small < p_large
+    assert reps[0].extra["gap_to_rate"] == reps[1].extra["gap_to_rate"] == eps_list[0] * math.log(p_small) + 0.5

@@ -20,7 +20,7 @@ from geowave.solver import (
     Control,
     LocalizationParams,
     cone_energies,
-    cone_section_weights,
+    cone_window,
     curvature_force,
     drift_force,
     mild_residual,
@@ -42,6 +42,8 @@ from geowave.states import (
     rotating_state,
     twin_pair,
 )
+
+from dense_section import dense_section_energy
 
 _BASIS = build_basis(SpectralMeasure.default_three_atoms())
 _CIRCLE = ManifoldModel.circle()
@@ -175,12 +177,12 @@ def test_cone_energy_columns_are_bitwise_their_width_one_runs(ids, seed):
     z0 = random_state(_LANE_GEOM, _SPHERE, stream(seed, 3))
     dx, horizon = _LANE_GEOM.spacing, 0.5
     cone = LightCone(0.0, 2.0 * horizon)
-    weights = [cone_section_weights(cone, _LANE_GEOM.origin, dx, _LANE_GEOM.npoints, m)
+    windows = [cone_window(cone, _LANE_GEOM.origin, dx, _LANE_GEOM.npoints, m)
                for m in range(round(horizon / dx) + 1)]
     fields = dict(manifold=_SPHERE, basis=_BASIS, diffusion=_Y_SPHERE, master_seed=seed)
-    (wide,), _ = cone_energies(z0, 1e-2, horizon, _loc(_LANE_GEOM), weights, [None], **fields, trial_ids=ids)
+    (wide,), _ = cone_energies(z0, 1e-2, horizon, _loc(_LANE_GEOM), windows, [None], **fields, trial_ids=ids)
     for col, tid in enumerate(ids):
-        (single,), _ = cone_energies(z0, 1e-2, horizon, _loc(_LANE_GEOM), weights, [None], **fields,
+        (single,), _ = cone_energies(z0, 1e-2, horizon, _loc(_LANE_GEOM), windows, [None], **fields,
                                      trial_ids=[tid])
         assert np.array_equal(wide[col], single[0]), (col, np.flatnonzero(wide[col] != single[0]))
 
@@ -461,7 +463,7 @@ def test_resumed_run_is_the_tail_of_the_full_run(kind, points, width, where, see
 )
 def test_cone_energies_on_section_rows_are_the_whole_lattice_ones(data, target, points, controlled, seed):
     # the sweep reads each section's weighted rows and one row each side; the
-    # reference observer takes section_energy over the whole lattice
+    # reference observer takes the dense form over the whole lattice
     manifold, diffusion = _RESUME_CASES[target]
     geom = make_grid(6.0, points, 1.0)
     n, dx, horizon = geom.npoints, geom.spacing, 0.25
@@ -471,7 +473,7 @@ def test_cone_energies_on_section_rows_are_the_whole_lattice_ones(data, target, 
     near = data.draw(st.integers(0, min(2, room)), label="rows from the edge")
     left = data.draw(st.sampled_from([near, room - near, room // 2]), label="left row")
     cone = LightCone(geom.origin + (left + radius) * dx, radius * dx)
-    weights = [cone_section_weights(cone, geom.origin, dx, n, m) for m in range(steps + 1)]
+    windows = [cone_window(cone, geom.origin, dx, n, m) for m in range(steps + 1)]
     z0 = random_state(geom, manifold, stream(seed, 5))
     fields = dict(manifold=manifold, basis=_BASIS, diffusion=diffusion)
     base = solve_skeleton(z0, None, horizon, _loc(geom), **fields, keep_states=True)
@@ -479,16 +481,36 @@ def test_cone_energies_on_section_rows_are_the_whole_lattice_ones(data, target, 
         eps, batch = 0.0, dict(control_rates=np.random.default_rng(seed).normal(size=(steps, 3, _BASIS.dim)))
     else:
         eps, batch = 0.5, dict(trial_ids=[0, 1, 2])
-    (e_self, e_diff), _ = cone_energies(z0, eps, horizon, _loc(geom), weights, [None, base.states],
+    (e_self, e_diff), _ = cone_energies(z0, eps, horizon, _loc(geom), windows, [None, base.states],
                                         **fields, master_seed=seed, **batch)
     want_self, want_diff = np.zeros_like(e_self), np.zeros_like(e_diff)
 
     def observer(m, t, u, v):
-        want_self[:, m] = section_energy(u, v, weights[m], dx)
-        du = u - base.states[m].u.values[:, None, :]
-        dv = v - base.states[m].v.values[:, None, :]
-        want_diff[:, m] = section_energy(du, dv, weights[m], dx)
+        want_self[:, m] = dense_section_energy(u, v, windows[m], dx)
+        ref = (base.states[m].u.values, base.states[m].v.values)
+        want_diff[:, m] = dense_section_energy(u, v, windows[m], dx, ref)
 
     solve_batch(z0, eps, horizon, _loc(geom), **fields, master_seed=seed, keep_states=False,
                 observer=observer, **batch)
     assert np.array_equal(e_self, want_self) and np.array_equal(e_diff, want_diff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    npoints=st.one_of(st.integers(5, 400), st.sampled_from([3587, 7173])),
+    width=st.integers(1, 16),
+    ncomp=st.sampled_from([2, 3]),
+    minus=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_section_energy_on_window_rows_is_the_dense_form(data, npoints, width, ncomp, minus, seed):
+    # circle (2) and sphere (3) components; windows of at least 4 cells, some at a lattice edge
+    i_lo = data.draw(st.one_of(st.just(0), st.integers(0, npoints - 5)), label="i_lo")
+    i_hi = data.draw(st.one_of(st.just(npoints - 1), st.integers(i_lo + 4, npoints - 1)), label="i_hi")
+    rng = np.random.default_rng(seed)
+    dx = 12.0 / npoints
+    u, v = rng.normal(size=(2, npoints, width, ncomp))
+    ref = (rng.normal(size=(npoints, ncomp)), rng.normal(size=(npoints, ncomp))) if minus else None
+    got = section_energy(u, v, (i_lo, i_hi), dx, ref)
+    assert np.array_equal(got, dense_section_energy(u, v, (i_lo, i_hi), dx, ref))

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from geowave.errors import InsufficientPadding, NonLatticeTime
 from geowave.function_spaces import GridFunction, State, derivative1
 from geowave.wave_group import (
-    GroupStep,
     _shift,
     apply_arrays,
     apply_group,
+    lattice_steps,
     midpoint_cumulative,
     transport_velocity,
 )
@@ -53,16 +53,16 @@ def _free_energy(z):
 
 
 def test_group_step_from_time():
-    step = GroupStep.from_time(0.75, _DX)
-    assert step.shift_count == 48
-    assert step.time == 0.75
-    assert GroupStep.from_time(-0.5, _DX).shift_count == -32
-    assert GroupStep.from_time(0.0, _DX).shift_count == 0
+    steps = lattice_steps(0.75, _DX)
+    assert type(steps) is int and steps == 48
+    assert steps * _DX == 0.75
+    assert lattice_steps(-0.5, _DX) == -32
+    assert lattice_steps(0.0, _DX) == 0
 
 
 def test_group_step_rejects_non_lattice_time():
     with pytest.raises(NonLatticeTime):
-        GroupStep.from_time(0.7501, _DX)
+        lattice_steps(0.7501, _DX)
 
 
 def test_midpoint_cumulative_inverts_central_difference():
