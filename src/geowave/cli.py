@@ -399,9 +399,9 @@ def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
 
     # one row per lattice point of every stride-th state, the states stacked
     snaps = np.arange(0, traj.steps + 1, cfg["experiment.output_stride"] or max(1, traj.steps // 32))
-    u = np.concatenate([traj.states[m].u.values for m in snaps])
-    v = np.concatenate([traj.states[m].v.values for m in snaps])
     ncomp = man.ambient_dim
+    u = traj.u[snaps].reshape(-1, ncomp)
+    v = traj.v[snaps].reshape(-1, ncomp)
     header = (["t", "x"] + [f"u_{c + 1}" for c in range(ncomp)]
               + [f"v_{c + 1}" for c in range(ncomp)] + ["constraint_residual"])
     _write_csv(out / "trajectory.csv", header, np.repeat(traj.times[snaps], geom.npoints),
@@ -411,7 +411,8 @@ def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
     rep = verify_energy_inequality(traj, cone=cfg.cone(), **run.fields, transform=transform)
     _write_csv(out / "energy_report.csv", ["t", "e", "bound", "gap"],
                rep.times, rep.e_values, rep.bound_values, rep.gaps)
-    worst_res = max(float(man.constraint_residual(s.u.values).max()) for s in traj.states)
+    # step by step: one whole-path call would allocate temporaries the size of the path
+    worst_res = max(float(man.constraint_residual(um).max()) for um in traj.u)
     _write_json(out / "skeleton.json", {
         "final_time": traj.times[-1],
         "max_constraint_residual": worst_res,

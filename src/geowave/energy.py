@@ -117,26 +117,23 @@ def _ledger(traj: Trajectory, cone: LightCone, manifold, basis, diffusion) -> _L
     if (eps > 0.0 or traj.control is not None) and (basis is None or diffusion is None):
         raise ValueError("noise or control verification needs the basis and diffusion field")
 
-    z0 = traj.states[0]
-    dx = z0.spacing
-    n = z0.u.npoints
-    origin = z0.origin
+    dx, origin = traj.spacing, traj.origin
+    n = traj.u.shape[1]
     steps = traj.steps
     taper = np.asarray(traj.energy_trace.get("taper", np.ones(steps + 1)), dtype=float)
-    modes = basis.evaluate(z0.u.x) if basis is not None else None
+    modes = basis.evaluate(origin + dx * np.arange(n)) if basis is not None else None
     sqeps = math.sqrt(eps)
 
     out = _Ledger(*(np.zeros(steps + 1) for _ in range(4)), np.zeros(steps), eps)
     for m in range(steps + 1):
         t = float(traj.times[m])
-        z = traj.states[m]
         plan = quadrature(origin, dx, n, *cone.interval(t))
         rows = section_rows(plan.i0, plan.i1, n)
-        u, v = z.u.values[rows], z.v.values[rows]
-        out.e[m] = energy(t, z, cone)
+        u, v = traj.u[m, rows], traj.v[m, rows]
+        out.e[m] = energy(t, traj.state(m), cone)
         th = float(taper[m])
 
-        cfield = None if traj.control is None else (traj.control.rate_at(t) @ modes)[rows]
+        cfield = None if traj.control is None else (traj.control.row(m) @ modes)[rows]
         f = drift_force(manifold, u, v, dx, th, diffusion=diffusion, control_field=cfield)
 
         v_ladder = _derivative_ladder(v, dx)
@@ -215,7 +212,7 @@ def verify_energy_transforms(
     transforms,
     *,
     cone: LightCone,
-    manifold: ManifoldModel | None = None,
+    manifold: ManifoldModel,
     basis: NoiseBasis | None = None,
     diffusion: DiffusionField | None = None,
 ) -> dict[str, EnergyReport]:
@@ -223,7 +220,7 @@ def verify_energy_transforms(
 
     The energy is the H^2 x H^1 cone energy and the tolerance is
     5 * dt * (1 + max e).  The drift is rebuilt from the stored states
-    (curvature force when a manifold is given, plus the control forcing when
+    (curvature force, plus the control forcing of step m's control row when
     the trajectory carries one), scaled by the taper values recorded at run
     time; the noise operator is sqrt(eps) * taper * diffusion(u) * mode.  On
     the verification cone the window extension is the identity, so every
@@ -243,7 +240,7 @@ def verify_energy_transforms(
     unknown = [t for t in transforms if t not in _TRANSFORMS]
     if unknown:
         raise ValueError(f"transform must be one of {sorted(_TRANSFORMS)}, got {unknown[0]!r}")
-    if not traj.states:
+    if traj.u is None:
         raise ValueError("the verifier needs stored states")
     ledger = _ledger(traj, cone, manifold, basis, diffusion)
     return {t: _report(traj, ledger, t) for t in transforms}
@@ -253,7 +250,7 @@ def verify_energy_inequality(
     traj: Trajectory,
     *,
     cone: LightCone,
-    manifold: ManifoldModel | None = None,
+    manifold: ManifoldModel,
     basis: NoiseBasis | None = None,
     diffusion: DiffusionField | None = None,
     transform: str = "identity",

@@ -81,18 +81,9 @@ class GridFunction:
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.origin, self.spacing, values)
 
-    # -- arithmetic (new objects, shared lattice assumed) --------------------
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        return self.with_values(self.values + other.values)
-
     def __sub__(self, other: "GridFunction") -> "GridFunction":
+        """Pointwise difference on a shared lattice (assumed, not checked)."""
         return self.with_values(self.values - other.values)
-
-    def __mul__(self, c: float) -> "GridFunction":
-        return self.with_values(self.values * c)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -116,12 +107,6 @@ class State:
 
     def __sub__(self, other: "State") -> "State":
         return State(self.u - other.u, self.v - other.v)
-
-    def copy(self) -> "State":
-        return State(
-            self.u.with_values(self.u.values.copy()),
-            self.v.with_values(self.v.values.copy()),
-        )
 
 
 @dataclass(frozen=True)

@@ -352,7 +352,7 @@ def statement1_probe(
         manifold=manifold, basis=basis, diffusion=diffusion, keep_states=True,
     )
     ball = cone_window(cone, z0.origin, dx, z0.u.npoints, 0)  # B(center, horizon)
-    (e_diff,), _ = cone_energies(z0, 0.0, horizon, loc, [ball] * (steps + 1), [base_traj.states],
+    (e_diff,), _ = cone_energies(z0, 0.0, horizon, loc, [ball] * (steps + 1), [base_traj],
                                  manifold=manifold, basis=basis, diffusion=diffusion, control_rates=rates)
     sup_d = np.sqrt(2.0 * e_diff).max(axis=1, initial=0.0)
     decreasing = all(sup_d[i + 1] <= 1.05 * sup_d[i] for i in range(nbatch - 1))
@@ -409,7 +409,7 @@ def statement2_probe(
     per_trial = {}
     for i, eps in enumerate(eps_list):
         (e_self, e_diff), _ = cone_energies(
-            z0, eps, t_half, loc, windows, [None, base_traj.states], manifold=manifold, basis=basis,
+            z0, eps, t_half, loc, windows, [None, base_traj], manifold=manifold, basis=basis,
             diffusion=diffusion, trial_ids=range(trials), master_seed=master_seed, threads=threads,
         )
         crossed = np.sqrt(2.0 * e_self) >= threshold
@@ -475,7 +475,7 @@ def tail_estimate(
     eps_log_p = np.zeros(len(eps_list))
     for i, eps in enumerate(eps_list):
         (e_diff,), _ = cone_energies(
-            z0, eps, horizon, loc, windows, [base_traj.states], manifold=manifold, basis=basis,
+            z0, eps, horizon, loc, windows, [base_traj], manifold=manifold, basis=basis,
             diffusion=diffusion, trial_ids=range(trials), master_seed=master_seed, threads=threads,
         )
         sup_d = np.sqrt(2.0 * e_diff).max(axis=1, initial=0.0)

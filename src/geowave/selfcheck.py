@@ -223,11 +223,11 @@ def solver_groups(checks: list, basis, seed: int) -> None:
         tr = solve_skeleton(z0, None, 1.0, lc, manifold=man_c, basis=basis,
                             diffusion=y_c, keep_states=True)
         worst = 0.0
-        for m, state in enumerate(tr.states):
+        for m, um in enumerate(tr.u):
             ang = ROTATING_THETA0 + ROTATING_OMEGA * tr.times[m]
             exact = np.stack([np.cos(ang) * np.ones(g.npoints), np.sin(ang) * np.ones(g.npoints)], axis=1)
             box = np.abs(g.x) <= g.domain_radius
-            worst = max(worst, float(np.abs(state.u.values[box] - exact[box]).max()))
+            worst = max(worst, float(np.abs(um[box] - exact[box]).max()))
         sups.append(worst)
     checks.append(("solver.rotating_geodesic_closed_form", sups[-1] < 1e-3,
                    f"sup error vs the closed-form rotating state = {_fmt(sups[-1])}"))
@@ -249,8 +249,8 @@ def solver_groups(checks: list, basis, seed: int) -> None:
         t = ta.times[m]
         rad = cone.horizon - t
         box = np.abs(g384.x - cone.center) <= rad - g384.spacing / 2
-        worst = max(worst, float(np.abs(ta.states[m].u.values[box] - tb.states[m].u.values[box]).max()),
-                    float(np.abs(ta.states[m].v.values[box] - tb.states[m].v.values[box]).max()))
+        worst = max(worst, float(np.abs(ta.u[m, box] - tb.u[m, box]).max()),
+                    float(np.abs(ta.v[m, box] - tb.v[m, box]).max()))
     checks.append(("solver.twin_cone_agreement", worst < 1e-10,
                    f"max in-cone disagreement of twin data = {_fmt(worst)}"))
 
@@ -314,7 +314,7 @@ def solver_groups(checks: list, basis, seed: int) -> None:
     geod = rotating_state(geom, man_c)
     trg = solve_skeleton(geod, None, 0.5, loc, manifold=man_c, basis=basis,
                          diffusion=y_c, keep_states=True)
-    recomputed = window_norm(trg.states[3], geom.half_width - 3 * geom.spacing)
+    recomputed = window_norm(trg.state(3), geom.half_width - 3 * geom.spacing)
     logged = float(trg.energy_trace["taper_norm"][3])
     drift = abs(recomputed - logged) / (1.0 + logged)
     checks.append(("solver.taper_trace_consistency", drift < 1e-12,

@@ -32,6 +32,7 @@ from .errors import (
     OffManifoldInitialData,
 )
 from .function_spaces import (
+    GridFunction,
     LightCone,
     State,
     derivative1,
@@ -105,9 +106,9 @@ class Control:
     def rows(self) -> int:
         return self.coeffs.shape[0]
 
-    def rate_at(self, t: float) -> np.ndarray:
-        idx = min(int(t / self.dt + 1e-9), self.rows - 1)
-        return self.coeffs[max(idx, 0)]
+    def row(self, m: int) -> np.ndarray:
+        """The rate of step m, the last row past the end: rows are read by step, not by time."""
+        return self.coeffs[min(m, self.rows - 1)]
 
     def squared_norm(self) -> float:
         """Squared L2-in-time norm of the rate, sum dt*|row|^2."""
@@ -122,14 +123,19 @@ class Control:
 class Trajectory:
     """A solved path: states on lattice times plus the per-step bookkeeping.
 
-    energy_trace carries per-step arrays: "taper_norm" (window norm driving
-    the taper), "taper" and "k_level".  noise_increments holds the raw Wiener
-    coefficient rows (not scaled by sqrt(eps)).  For batched runs the arrays
-    keep their batch axis and states is None unless requested.
+    u and v stack the states by step, shape (steps + 1, npoints, ncomp) on
+    the lattice (origin, spacing); batched runs keep the batch axis before the
+    components.  Both are None without state storage.  energy_trace carries
+    per-step arrays: "taper_norm" (window norm driving the taper), "taper" and
+    "k_level".  noise_increments holds the raw Wiener coefficient rows (not
+    scaled by sqrt(eps)).  Batched traces and noise logs keep their batch axis.
     """
 
     times: np.ndarray
-    states: list | None
+    u: np.ndarray | None
+    v: np.ndarray | None
+    origin: float
+    spacing: float
     energy_trace: dict
     noise_increments: np.ndarray | None
     control: Control | None
@@ -139,10 +145,15 @@ class Trajectory:
     def steps(self) -> int:
         return len(self.times) - 1
 
-    def final_state(self) -> State:
-        if not self.states:
+    def state(self, m: int) -> State:
+        """The state of step m, a view of the stored rows."""
+        if self.u is None:
             raise ValueError("trajectory was run without state storage")
-        return self.states[-1]
+        return State(GridFunction(self.origin, self.spacing, self.u[m]),
+                     GridFunction(self.origin, self.spacing, self.v[m]))
+
+    def final_state(self) -> State:
+        return self.state(self.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +242,7 @@ def window_norm(z: State, s: float) -> float:
 
 
 def drift_force(
-    manifold: ManifoldModel | None,
+    manifold: ManifoldModel,
     u: np.ndarray,
     v: np.ndarray,
     spacing: float,
@@ -246,13 +257,9 @@ def drift_force(
     u and v have shape (npoints, ..., ncomp) and theta (the taper) broadcasts
     against them.  control_field is the control rate in physical space, shaped
     like u without its component axis.  With a window (i_lo, i_hi) both terms
-    are reflection-extended outside it; without one they are local.  No
-    manifold means no curvature term.
+    are reflection-extended outside it; without one they are local.
     """
-    if manifold is None:
-        force = np.zeros_like(v)
-    else:
-        force = curvature_force(manifold, u, v, derivative1(u, spacing))
+    force = curvature_force(manifold, u, v, derivative1(u, spacing))
     if window is not None:
         force = _extended(force, *window)
     if control_field is not None:
@@ -330,7 +337,9 @@ def _integrate(
     A resumed run (start > 0) takes `levels`, the per-column taper levels its
     full run had at that step, and returns the tail of the full run bitwise:
     times, states, traces and noise rows from `start` on.  Its states come
-    from an earlier run, so they are not checked as initial data.
+    from an earlier run, so they are not checked as initial data.  Kept
+    states fill one preallocated pair of (steps + 1 - start, n, B, ncomp)
+    arrays: stacking copies at the end would double the peak.
     """
     n, nbatch, ncomp = u0.shape
     dx = spacing
@@ -396,7 +405,8 @@ def _integrate(
     trace_norm = np.zeros((len(times), nbatch))
     trace_taper = np.zeros((len(times), nbatch))
     trace_k = np.zeros((len(times), nbatch), dtype=int)
-    states = [] if keep_states else None
+    path_u = np.empty((len(times),) + u.shape) if keep_states else None
+    path_v = np.empty((len(times),) + v.shape) if keep_states else None
     noise_log = np.zeros((steps - start, nbatch, basis.dim)) if needs_noise else None
 
     for m in range(start, steps + 1):
@@ -425,7 +435,8 @@ def _integrate(
         if observer is not None:
             observer(m, t, u, v)
         if keep_states:
-            states.append((u.copy(), v.copy()))
+            path_u[m - start] = u
+            path_v[m - start] = v
         if m == steps:
             break
 
@@ -467,7 +478,7 @@ def _integrate(
                 v[:, hit] = manifold.tangent_project_at(u[:, hit], v[:, hit])
 
     energy_trace = {"taper_norm": trace_norm, "taper": trace_taper, "k_level": trace_k}
-    return times, states, energy_trace, noise_log, k_init, k
+    return times, path_u, path_v, energy_trace, noise_log, k_init, k
 
 
 # ---------------------------------------------------------------------------
@@ -483,21 +494,17 @@ def _single_trajectory(z0: State, control, horizon: float, loc: LocalizationPara
     """One trajectory, solved as a batch of width one; kwargs go to _integrate."""
     steps = lattice_steps(horizon, z0.spacing)
     u0, v0 = _as_batch(z0)
-    times, raw_states, trace, noise_log, k_init, k_final = _integrate(
+    times, u, v, trace, noise_log, k_init, k_final = _integrate(
         u0, v0, origin=z0.origin, spacing=z0.spacing, loc=loc, horizon=horizon,
         control_rates=_control_rates(control, steps, z0.spacing), **kwargs,
     )
-    states = None
-    if raw_states is not None:
-        states = [
-            State(z0.u.with_values(us[:, 0, :]), z0.v.with_values(vs[:, 0, :]))
-            for us, vs in raw_states
-        ]
+    if u is not None:
+        u, v = u[:, :, 0], v[:, :, 0]
     energy_trace = {key: arr[:, 0] for key, arr in trace.items()}
-    metadata = dict(metadata, dt=z0.spacing, radius=loc.radius, renormalize=kwargs["renormalize"],
+    metadata = dict(metadata, radius=loc.radius, renormalize=kwargs["renormalize"],
                     k_init=int(k_init[0]), k_final=int(k_final[0]))
     increments = None if noise_log is None else noise_log[:, 0, :]
-    return Trajectory(times, states, energy_trace, increments, control, metadata)
+    return Trajectory(times, u, v, z0.origin, z0.spacing, energy_trace, increments, control, metadata)
 
 
 def _control_rates(control: Control | None, steps: int, spacing: float):
@@ -606,7 +613,7 @@ def solve_batch(
         start, u0, v0, levels = _resume
         if u0.shape[1] != nbatch:
             raise DimensionMismatch(f"{u0.shape[1]} resumed columns for a batch of {nbatch}")
-    times, states, trace, noise_log, k_init, k_final = _integrate(
+    times, u, v, trace, noise_log, k_init, k_final = _integrate(
         u0, v0,
         origin=z0.origin, spacing=z0.spacing, manifold=manifold, loc=loc,
         horizon=horizon, basis=basis, diffusion=diffusion, eps=eps,
@@ -615,9 +622,9 @@ def solve_batch(
         start=start, levels=levels,
     )
     meta = {"eps": float(eps), "seed": int(master_seed), "trial_ids": trial_ids,
-            "dt": z0.spacing, "radius": loc.radius, "renormalize": renormalize,
+            "radius": loc.radius, "renormalize": renormalize,
             "k_init": k_init, "k_final": k_final, "nbatch": nbatch}
-    return Trajectory(times, states, trace, noise_log, None, meta)
+    return Trajectory(times, u, v, z0.origin, z0.spacing, trace, noise_log, None, meta)
 
 
 def run_trials(ids, fn, threads: int) -> tuple:
@@ -647,8 +654,8 @@ def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams
     """Cone-section energies of every batch column at every step, and the final positions.
 
     windows[m] is the section (i_lo, i_hi) of step m.  A reference is None
-    (the column itself) or the stored states of a path, indexed by step (the
-    column minus that path).  Returns one (B, steps + 1) array of
+    (the column itself) or a single Trajectory with stored states (the column
+    minus that path, step by step).  Returns one (B, steps + 1) array of
     section_energy values per reference and the final positions (B, npoints,
     ncomp).  Noise trials (trial_ids) fan out over at most `threads` chunks by
     run_trials; control columns (control_rates of shape (steps, B, dim)) run
@@ -663,7 +670,7 @@ def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams
 
         def observer(m, t, u, v):
             for e, ref in zip(energies, references):
-                minus = None if ref is None else (ref[m].u.values, ref[m].v.values)
+                minus = None if ref is None else (ref.u[m], ref.v[m])
                 e[:, m] = section_energy(u, v, windows[m], z0.spacing, minus)
             final[:] = [u]  # the last step's arrays are never written again
 
@@ -706,27 +713,25 @@ def mild_residual(
     step by construction (the solver's midpoint quadrature is re-done here at
     the lattice times).
     """
-    if not traj.states:
+    if traj.u is None:
         raise ValueError("mild_residual needs stored states")
-    z0 = traj.states[0]
-    dx = z0.spacing
-    n = z0.u.npoints
+    dx, origin = traj.spacing, traj.origin
+    n = traj.u.shape[1]
     steps = traj.steps
     eps = float(traj.metadata.get("eps", 0.0))
     r = loc.radius
     if eps > 0 and traj.noise_increments is None:
         raise ValueError("stochastic residual needs the noise increment log")
 
-    modes = basis.evaluate(z0.u.x) if basis is not None else None
-    acc_u = np.zeros_like(z0.u.values)
-    acc_v = np.zeros_like(z0.v.values)
-    uu, vv = z0.u.values, z0.v.values
+    modes = basis.evaluate(origin + dx * np.arange(n)) if basis is not None else None
+    acc_u = np.zeros_like(traj.u[0])
+    acc_v = np.zeros_like(traj.v[0])
+    uu, vv = traj.u[0], traj.v[0]
     for m in range(steps + 1):
-        t = m * dx
-        um, vm = traj.states[m].u.values, traj.states[m].v.values
-        window = window_indices(z0.origin, dx, n, r - t)
+        um, vm = traj.u[m], traj.v[m]
+        window = window_indices(origin, dx, n, r - m * dx)
         theta = float(traj.energy_trace["taper"][m])
-        cfield = None if traj.control is None else traj.control.rate_at(t) @ modes
+        cfield = None if traj.control is None else traj.control.row(m) @ modes
         force = drift_force(manifold, _extended(um, *window, 2), _extended(vm, *window, 2), dx, theta,
                             diffusion=diffusion, control_field=cfield, window=window)
         kick = dx * (0.5 if m in (0, steps) else 1.0) * force  # trapezoid weights in time
@@ -740,7 +745,6 @@ def mild_residual(
         acc_u, acc_v = apply_arrays(acc_u, acc_v + kick, dx, 1)
         uu, vv = apply_arrays(uu, vv, dx, 1)
 
-    zt = traj.states[steps]
-    du = zt.u.values - (uu + acc_u)
-    dv = zt.v.values - (vv + acc_v)
-    return float(_window(du[:, None, :], dv[:, None, :], z0.origin, dx, r - steps * dx)[1][0])
+    du = traj.u[steps] - (uu + acc_u)
+    dv = traj.v[steps] - (vv + acc_v)
+    return float(_window(du[:, None, :], dv[:, None, :], origin, dx, r - steps * dx)[1][0])

@@ -126,15 +126,15 @@ def test_criterion_03_skeleton_closed_form_and_order():
                               keep_states=True)
         box = np.abs(geom.x) <= geom.domain_radius
         worst = 0.0
-        for m, state in enumerate(traj.states):
+        for m, um in enumerate(traj.u):
             ang = ROTATING_THETA0 + ROTATING_OMEGA * traj.times[m]
             worst = max(worst,
-                        float(np.abs(state.u.values[box, 0] - math.cos(ang)).max()),
-                        float(np.abs(state.u.values[box, 1] - math.sin(ang)).max()))
+                        float(np.abs(um[box, 0] - math.cos(ang)).max()),
+                        float(np.abs(um[box, 1] - math.sin(ang)).max()))
         sups.append(worst)
         if pts == 1536:
-            residual = max(float(_CIRCLE.constraint_residual(s.u.values).max())
-                           for s in traj.states)
+            residual = max(float(_CIRCLE.constraint_residual(um).max())
+                           for um in traj.u)
     orders = (math.log2(sups[0] / sups[1]), math.log2(sups[1] / sups[2]))
     ok = sups[-1] < 1e-3 and min(orders) >= 1.8 and residual < 1e-9
     _line("acceptance-03 rotating-geodesic accuracy", ok,
@@ -160,8 +160,8 @@ def test_criterion_04_cone_agreement_for_twin_data():
             box = np.abs(geom.x - cone.center) <= cone.horizon - t - geom.spacing / 2
             worst = max(
                 worst,
-                float(np.abs(ta.states[m].u.values[box] - tb.states[m].u.values[box]).max()),
-                float(np.abs(ta.states[m].v.values[box] - tb.states[m].v.values[box]).max()),
+                float(np.abs(ta.u[m, box] - tb.u[m, box]).max()),
+                float(np.abs(ta.v[m, box] - tb.v[m, box]).max()),
             )
     _line("acceptance-04 twin-data cone agreement", worst < 1e-10,
           f"max in-cone disagreement over 5 pairs = {worst:.2e}",

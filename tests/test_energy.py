@@ -25,7 +25,14 @@ from geowave.function_spaces import (
 from geowave.geometry import DiffusionField, ManifoldModel
 from geowave.noise import SpectralMeasure, build_basis
 from geowave.rng import stream
-from geowave.solver import Control, LocalizationParams, drift_force, solve_skeleton, solve_stochastic
+from geowave.solver import (
+    Control,
+    LocalizationParams,
+    drift_force,
+    mild_residual,
+    solve_skeleton,
+    solve_stochastic,
+)
 from geowave.states import bump_state, constant_state, make_grid, random_state, rotating_state
 
 _BASIS = build_basis(SpectralMeasure.default_three_atoms())
@@ -185,7 +192,7 @@ def _reference_verify(traj, cone, manifold, basis, diffusion, transform):
     """The verifier as it was before it read cone rows only: every field on the whole lattice."""
     L, Lp, Lpp = _REFERENCE_TRANSFORMS[transform]
     eps = float(traj.metadata.get("eps", 0.0))
-    z0 = traj.states[0]
+    z0 = traj.state(0)
     dx, origin, steps = z0.spacing, z0.origin, traj.steps
     taper = np.asarray(traj.energy_trace.get("taper", np.ones(steps + 1)), dtype=float)
     modes = basis.evaluate(z0.u.x)
@@ -197,13 +204,13 @@ def _reference_verify(traj, cone, manifold, basis, diffusion, transform):
     e_vals, V, dM = np.zeros(steps + 1), np.zeros(steps + 1), np.zeros(steps)
     for m in range(steps + 1):
         t = float(traj.times[m])
-        z = traj.states[m]
+        z = traj.state(m)
         interval = cone.interval(t)
         u, v = z.u.values, z.v.values
         e = _reference_energy(t, z, cone)
         e_vals[m] = e
         th = float(taper[m])
-        cfield = None if traj.control is None else traj.control.rate_at(t) @ modes
+        cfield = None if traj.control is None else traj.control.row(m) @ modes
         f = drift_force(manifold, u, v, dx, th, diffusion=diffusion, control_field=cfield)
         v_ladder = [v, derivative1(v, dx)]
         f_ladder = [f, derivative1(f, dx)]
@@ -280,7 +287,7 @@ def _cones(draw, npoints, spacing, origin, steps):
        kind=st.sampled_from(("skeleton", "controlled", "noisy")))
 def test_sliced_verifier_is_bitwise_the_whole_lattice_one(data, target, points, kind):
     traj = _path(target, points, kind)
-    z0 = traj.states[0]
+    z0 = traj.state(0)
     cone = data.draw(_cones(z0.u.npoints, z0.spacing, z0.origin, traj.steps), label="cone")
     manifold, diffusion = _TARGETS[target]
     reports = verify_energy_transforms(traj, ("identity", "log1p"), cone=cone, manifold=manifold,
@@ -292,12 +299,12 @@ def test_sliced_verifier_is_bitwise_the_whole_lattice_one(data, target, points, 
     for m in (0, traj.steps):
         t = float(traj.times[m])
         for k in (0, 1):
-            assert energy(t, traj.states[m], cone, k) == _reference_energy(t, traj.states[m], cone, k)
+            assert energy(t, traj.state(m), cone, k) == _reference_energy(t, traj.state(m), cone, k)
 
 
 def test_verifier_builds_fields_on_the_cone_rows_only(monkeypatch):
     traj = _path("sphere", 192, "noisy")
-    z0 = traj.states[0]
+    z0 = traj.state(0)
     manifold, diffusion = _TARGETS["sphere"]
     sizes = []
 
@@ -329,6 +336,26 @@ def test_non_finite_budget_is_a_blowup(where):
     elif where == "increment":
         traj.noise_increments[3, 0] = np.nan
     else:
-        getattr(traj.states[3], where).values[row, 0] = np.nan
+        getattr(traj, where)[3, row, 0] = np.nan
     with pytest.raises(BlowupDetected, match=f"step 3, t={traj.times[3]}"):
         verify_energy_inequality(traj, cone=_CONE, manifold=manifold, basis=_BASIS, diffusion=diffusion)
+
+
+def test_control_rows_are_read_by_step_not_by_float_time():
+    # a control step the solver accepts as the lattice step (within 1e-12 of it)
+    # drives a bitwise-equal path, so its verifier report and mild residual agree too
+    manifold, diffusion = _TARGETS["sphere"]
+    geom = make_grid(6.0, 384, 1.0)
+    steps = round(1.0 / geom.spacing)
+    rates = np.random.default_rng(384).normal(scale=0.6, size=(steps, _BASIS.dim))
+    z0 = random_state(geom, manifold, stream(384, 17))
+    fields = dict(manifold=manifold, basis=_BASIS, diffusion=diffusion)
+    exact, nudged = (solve_skeleton(z0, Control(rates, dt), 1.0, _loc(geom), **fields, keep_states=True)
+                     for dt in (geom.spacing, geom.spacing + 1e-12))
+    assert np.array_equal(exact.u, nudged.u) and np.array_equal(exact.v, nudged.v)
+    want, got = (verify_energy_transforms(traj, ("identity", "log1p"), cone=_CONE, **fields)
+                 for traj in (exact, nudged))
+    for transform in want:
+        for name in ("e_values", "bound_values", "gaps", "drift_integral", "martingale", "tol"):
+            assert np.array_equal(getattr(got[transform], name), getattr(want[transform], name)), name
+    assert mild_residual(nudged, _loc(geom), **fields) == mild_residual(exact, _loc(geom), **fields)

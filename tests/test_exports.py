@@ -50,6 +50,17 @@ def test_deleted_names_are_not_exported():
             assert attr not in getattr(module, "__all__", ())
             assert not hasattr(geowave, attr) and attr not in geowave.__all__, attr
     assert not hasattr(geowave.SpectralMeasure, "fourth_moment")
+    # GridFunction keeps only __sub__, which State.__sub__ uses
+    assert not {"__add__", "__mul__", "__rmul__"} & set(vars(geowave.GridFunction))
+    assert not hasattr(geowave.State, "copy")
+    # control rows are read by step, never by float time
+    assert not hasattr(geowave.Control, "rate_at")
+
+
+def test_trajectory_has_one_stored_path_type():
+    fields = [f.name for f in dataclasses.fields(geowave.Trajectory)]
+    assert "states" not in fields and not hasattr(geowave.Trajectory, "states")
+    assert {"u", "v", "origin", "spacing"} <= set(fields)
 
 
 def test_deleted_parameters_are_gone():

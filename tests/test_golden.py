@@ -121,7 +121,7 @@ def _arrays() -> dict:
         per_column[:, col, col] = amp * np.cos(2.0 * t)
     batch = solve_batch(zc, 0.0, 1.0, loc, manifold=circle, basis=basis, diffusion=y_c,
                         control_rates=per_column, keep_states=True)
-    out["batch_u"], out["batch_v"] = batch.states[-1]
+    out["batch_u"], out["batch_v"] = batch.u[-1], batch.v[-1]
     return out
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geowave.energy import energy
-from geowave.errors import AllZeroCounts, InsufficientTrials
+from geowave.cli import run_command
+from geowave.errors import AllZeroCounts, InsufficientTrials, OptimizerDiverged
 from geowave.function_spaces import LightCone, State
 from geowave.geometry import DiffusionField, ManifoldModel
 from geowave import solver
@@ -141,7 +142,7 @@ def test_integrator_work_per_gauss_newton_iteration(monkeypatch):
 
     def counting(*args, **kwargs):
         out = integrate(*args, **kwargs)
-        times, trace = out[0], out[2]
+        times, trace = out[0], out[3]
         col_steps.append((len(times) - 1) * trace["k_level"].shape[1])
         return out
 
@@ -160,11 +161,22 @@ def test_integrator_work_per_gauss_newton_iteration(monkeypatch):
 def test_off_manifold_target_is_unreachable():
     geom, loc, cone = _setup()
     z0 = constant_state(geom, _CIRCLE)
-    bad = State(z0.u * 1.7, z0.v)
+    bad = State(z0.u.with_values(z0.u.values * 1.7), z0.v)
     res = rate_function(bad, z0, 10.0, cone=cone, horizon=0.5, **_solve_kwargs(loc))
     assert res.value == math.inf
     assert not res.converged
     assert res.metadata["reason"] == "off-manifold target"
+
+
+def test_non_finite_gauss_newton_step_is_a_divergence(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+    z0, target, loc, cone, _ = _planted_problem(96, 0.5)
+    with pytest.raises(OptimizerDiverged, match="non-finite step"):
+        rate_function(target, z0, 10.0, cone=cone, horizon=0.5, **_solve_kwargs(loc))
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text('manifold.kind = "circle"\ngrid.points = 96\ntime.horizon = 0.5\n')
+    assert run_command(["rate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "runtime error: OptimizerDiverged" in capsys.readouterr().out
 
 
 def test_rate_rejects_nonpositive_budget():
@@ -255,9 +267,8 @@ def _reference_statement1(n_list, z0, cone, horizon, loc, amplitude=0.3):
     sup_d = np.zeros(len(n_list))
 
     def observer(m, t, u, v):
-        zb = base_traj.states[m]
-        np.maximum(sup_d, np.sqrt(2.0 * dense_section_energy(u, v, ball, dx, (zb.u.values, zb.v.values))),
-                   out=sup_d)
+        ref = (base_traj.u[m], base_traj.v[m])
+        np.maximum(sup_d, np.sqrt(2.0 * dense_section_energy(u, v, ball, dx, ref)), out=sup_d)
 
     solve_batch(z0, 0.0, horizon, loc, **_SPHERE_FIELDS, control_rates=rates, keep_states=False, observer=observer)
     return sup_d
@@ -274,8 +285,7 @@ def _reference_noisy(eps, trials, seed, z0, cone, horizon, loc, threshold=math.i
     norms = []
 
     def observer(m, t, u, v):
-        zb = base_traj.states[m]
-        e_diff = dense_section_energy(u, v, windows[m], dx, (zb.u.values, zb.v.values))
+        e_diff = dense_section_energy(u, v, windows[m], dx, (base_traj.u[m], base_traj.v[m]))
         e_self = dense_section_energy(u, v, windows[m], dx)
         np.maximum(sup_d, np.sqrt(2.0 * e_diff), out=sup_d)
         live = ~local_hit

@@ -102,7 +102,7 @@ def test_window_norm_matches_recorded_trace():
     )
     for m in (0, 2, traj.steps):
         s = geom.half_width - traj.times[m]
-        got = window_norm(traj.states[m], s)
+        got = window_norm(traj.state(m), s)
         ref = traj.energy_trace["taper_norm"][m]
         assert abs(got - ref) <= 1e-12 * ref
 
@@ -158,7 +158,7 @@ _LANE_Z0 = random_state(_LANE_GEOM, _SPHERE, stream(11, 2))
 def test_batch_columns_match_standalone_runs_bitwise(ids):
     batch = solve_batch(_LANE_Z0, 1e-2, 0.25, _loc(_LANE_GEOM), manifold=_SPHERE, basis=_BASIS,
                         diffusion=_Y_SPHERE, master_seed=11, trial_ids=ids, keep_states=True)
-    ub, vb = batch.states[-1]
+    ub, vb = batch.u[-1], batch.v[-1]
     for col, tid in enumerate(ids):
         single = solve_stochastic(_LANE_Z0, 1e-2, None, 0.25, _loc(_LANE_GEOM), manifold=_SPHERE,
                                   basis=_BASIS, diffusion=_Y_SPHERE, master_seed=11, trial_id=tid)
@@ -195,7 +195,7 @@ def test_solves_leave_their_input_arrays_unchanged():
     solve_stochastic(z0, 1e-2, None, 0.5, _loc(_LANE_GEOM), **fields)
     full = solve_batch(z0, 1e-2, 0.5, _loc(_LANE_GEOM), **fields, trial_ids=[0, 1, 2], keep_states=True)
     assert np.array_equal(z0.u.values, kept[0]) and np.array_equal(z0.v.values, kept[1])
-    u, v = full.states[1]
+    u, v = full.u[1], full.v[1]
     resumed = u.copy(), v.copy()
     solve_batch(z0, 1e-2, 0.5, _loc(_LANE_GEOM), **fields, trial_ids=[0, 1, 2],
                 _resume=(1, u, v, full.energy_trace["k_level"][1]))
@@ -204,9 +204,9 @@ def test_solves_leave_their_input_arrays_unchanged():
 
 def test_control_rate_lookup_and_norm():
     ctl = Control(np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]]), 0.5)
-    assert np.array_equal(ctl.rate_at(0.2), [1.0, 0.0])
-    assert np.array_equal(ctl.rate_at(0.5), [0.0, 2.0])
-    assert np.array_equal(ctl.rate_at(99.0), [3.0, 0.0])
+    assert np.array_equal(ctl.row(0), [1.0, 0.0])
+    assert np.array_equal(ctl.row(1), [0.0, 2.0])
+    assert np.array_equal(ctl.row(99), [3.0, 0.0])
     assert ctl.squared_norm() == 0.5 * (1.0 + 4.0 + 9.0)
     zero = Control.zeros(4, 2, 0.25)
     assert zero.squared_norm() == 0.0
@@ -251,7 +251,7 @@ def test_control_dimension_must_match_basis():
 def test_off_manifold_data_rejected():
     geom = make_grid(6.0, 96, 1.0)
     z = constant_state(geom, _CIRCLE)
-    bad_u = State(z.u * 1.5, z.v)
+    bad_u = State(z.u.with_values(z.u.values * 1.5), z.v)
     with pytest.raises(OffManifoldInitialData):
         solve_skeleton(bad_u, None, 0.25, _loc(geom), manifold=_CIRCLE)
     bad_v = State(z.u, z.v.with_values(z.u.values.copy()))
@@ -367,8 +367,8 @@ def test_twin_data_agree_inside_the_cone():
         box = np.abs(geom.x - cone.center) <= cone.horizon - t - geom.spacing / 2
         worst = max(
             worst,
-            float(np.abs(ta.states[m].u.values[box] - tb.states[m].u.values[box]).max()),
-            float(np.abs(ta.states[m].v.values[box] - tb.states[m].v.values[box]).max()),
+            float(np.abs(ta.u[m, box] - tb.u[m, box]).max()),
+            float(np.abs(ta.v[m, box] - tb.v[m, box]).max()),
         )
     assert worst < 1e-10
     # and the data really differ somewhere outside
@@ -441,12 +441,12 @@ def test_resumed_run_is_the_tail_of_the_full_run(kind, points, width, where, see
     kwargs = dict(manifold=manifold, basis=_BASIS, diffusion=diffusion, control_rates=rates,
                   keep_states=True)
     full = solve_batch(z, 0.0, 0.5, _loc(geom), **kwargs)
-    u, v = full.states[start]
+    u, v = full.u[start], full.v[start]
     levels = full.energy_trace["k_level"][start]
     tail = solve_batch(z, 0.0, 0.5, _loc(geom), **kwargs, _resume=(start, u, v, levels))
     assert np.array_equal(tail.times, full.times[start:])
-    assert len(tail.states) == steps + 1 - start
-    for (ut, vt), (uf, vf) in zip(tail.states, full.states[start:]):
+    assert len(tail.u) == len(tail.v) == steps + 1 - start
+    for ut, vt, uf, vf in zip(tail.u, tail.v, full.u[start:], full.v[start:]):
         assert np.array_equal(ut, uf) and np.array_equal(vt, vf)
     for key in ("taper_norm", "taper", "k_level"):
         assert np.array_equal(tail.energy_trace[key], full.energy_trace[key][start:]), key
@@ -481,13 +481,13 @@ def test_cone_energies_on_section_rows_are_the_whole_lattice_ones(data, target, 
         eps, batch = 0.0, dict(control_rates=np.random.default_rng(seed).normal(size=(steps, 3, _BASIS.dim)))
     else:
         eps, batch = 0.5, dict(trial_ids=[0, 1, 2])
-    (e_self, e_diff), _ = cone_energies(z0, eps, horizon, _loc(geom), windows, [None, base.states],
+    (e_self, e_diff), _ = cone_energies(z0, eps, horizon, _loc(geom), windows, [None, base],
                                         **fields, master_seed=seed, **batch)
     want_self, want_diff = np.zeros_like(e_self), np.zeros_like(e_diff)
 
     def observer(m, t, u, v):
         want_self[:, m] = dense_section_energy(u, v, windows[m], dx)
-        ref = (base.states[m].u.values, base.states[m].v.values)
+        ref = (base.u[m], base.v[m])
         want_diff[:, m] = dense_section_energy(u, v, windows[m], dx, ref)
 
     solve_batch(z0, eps, horizon, _loc(geom), **fields, master_seed=seed, keep_states=False,
