@@ -123,6 +123,26 @@ class LightCone:
         return (self.center - rad, self.center + rad)
 
 
+class Scratch:
+    """Work arrays kept from call to call, so that a loop's kernels stop reallocating them.
+
+    get(key, shape) returns a C-ordered float array of that shape: the
+    leading elements of one flat buffer per key, which only grows.  Arrays
+    under one key share memory, so a kernel keeps to its own keys, and one
+    Scratch serves one run on one thread.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def get(self, key: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size:
+            flat = self._flat[key] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
 def pointwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner product over the trailing component axis, which is kept with length 1.
 
@@ -143,20 +163,24 @@ def pointwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # derivatives (second-order central, one-sided second-order at the ends)
 # ---------------------------------------------------------------------------
 
-def derivative1(values: np.ndarray, spacing: float) -> np.ndarray:
+def derivative1(values: np.ndarray, spacing: float, out: np.ndarray | None = None) -> np.ndarray:
     v = np.asarray(values, dtype=float)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * spacing)
+    out = np.empty_like(v) if out is None else out
+    body = np.subtract(v[2:], v[:-2], out=out[1:-1])
+    body /= 2.0 * spacing
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * spacing)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * spacing)
     return out
 
 
-def derivative2(values: np.ndarray, spacing: float) -> np.ndarray:
+def derivative2(values: np.ndarray, spacing: float, out: np.ndarray | None = None) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     h2 = spacing * spacing
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
+    out = np.empty_like(v) if out is None else out
+    body = np.multiply(2.0, v[1:-1], out=out[1:-1])  # (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
+    np.subtract(v[2:], body, out=body)
+    body += v[:-2]
+    body /= h2
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
     return out
@@ -297,10 +321,21 @@ _REFLECTION = {
     2: (6.0, -8.0, 3.0),
 }
 
-# C^2 quintic ramp used for every cutoff in the package.
-def smoothstep(s: np.ndarray) -> np.ndarray:
-    s = np.clip(s, 0.0, 1.0)
-    return s * s * s * (10.0 + s * (-15.0 + 6.0 * s))
+def smoothstep(s: np.ndarray, out: np.ndarray | None = None, work: Scratch | None = None) -> np.ndarray:
+    """C^2 quintic ramp used for every cutoff in the package.
+
+    s * s * s * (10.0 + s * (-15.0 + 6.0 * s)) of s clipped to [0, 1], one
+    operation at a time in that order; out may be s itself.
+    """
+    s = np.clip(s, 0.0, 1.0, out=np.empty(np.shape(s)) if out is None else out)
+    work = Scratch() if work is None else work
+    poly = np.multiply(6.0, s, out=work.get("smoothstep.poly", s.shape))
+    np.add(-15.0, poly, out=poly)
+    np.multiply(s, poly, out=poly)
+    np.add(10.0, poly, out=poly)
+    cube = np.multiply(s, s, out=work.get("smoothstep.cube", s.shape))
+    cube *= s
+    return np.multiply(cube, poly, out=s)
 
 
 def _edge_cutoff(sigma: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutsideTubularNeighborhood
-from .function_spaces import pointwise_dot as _dot, smoothstep
+from .function_spaces import Scratch, pointwise_dot as _dot, smoothstep
 
 __all__ = ["ManifoldModel", "DiffusionField"]
 
@@ -23,12 +23,51 @@ _BLEND_LO = 0.75
 _BLEND_HI = 0.9
 
 
-def _bump(dist: np.ndarray) -> np.ndarray:
-    return 1.0 - smoothstep((np.asarray(dist, dtype=float) - _BLEND_LO) / (_BLEND_HI - _BLEND_LO))
+def _bump(dist: np.ndarray, out: np.ndarray | None = None, work: Scratch | None = None) -> np.ndarray:
+    """The radial profile at dist; out may be dist itself."""
+    s = np.subtract(dist, _BLEND_LO, out=np.empty(np.shape(dist)) if out is None else out)
+    s /= _BLEND_HI - _BLEND_LO
+    return np.subtract(1.0, smoothstep(s, out=s, work=work), out=s)
 
 
 def _norm(q: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(q, q))
+
+
+# The kernels below take one scalar per point (a norm, a dot product, the
+# bump) and apply it to each component column q[..., c] in turn, instead of
+# broadcasting a (..., 1) factor over the component axis; each entry sees
+# the operations of the broadcast form in the same order, so the bits agree.
+
+def _dot_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """pointwise_dot(a, b)[..., 0] written into out, a0*b0 + a1*b1, then += a2*b2."""
+    np.multiply(a[..., 0], b[..., 0], out=out)
+    for c in range(1, a.shape[-1]):
+        out += np.multiply(a[..., c], b[..., c], out=tmp)
+    return out
+
+
+def _radius_into(q: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """|q| per point, written into out."""
+    return np.sqrt(_dot_into(q, q, out, tmp), out=out)
+
+
+def _bump_unless_one(dist: np.ndarray, work: Scratch) -> np.ndarray | None:
+    """The radial profile at dist, written over it, or None where it is 1.0 at every point.
+
+    Up to _BLEND_LO the ramp's argument clips to +0.0 and the profile is
+    exactly 1.0, and a product with 1.0 is its other factor bit for bit, so
+    a caller given None skips the profile and its products.
+    """
+    if dist.size and dist.max() <= _BLEND_LO:  # a NaN fails the test
+        return None
+    return _bump(dist, out=dist, work=work)
+
+
+def _divisor(rho: np.ndarray) -> np.ndarray:
+    """np.where(rho > 1e-300, rho, 1.0), in place: a zero or NaN radius divides by 1."""
+    np.copyto(rho, 1.0, where=~(rho > 1e-300))
+    return rho
 
 
 @dataclass(frozen=True)
@@ -61,19 +100,41 @@ class ManifoldModel:
 
     # -- pointwise primitives (vectorized over leading axes) -------------------
 
-    def nearest_point(self, q: np.ndarray) -> np.ndarray:
+    def nearest_point(self, q: np.ndarray, out: np.ndarray | None = None,
+                      work: Scratch | None = None) -> np.ndarray:
+        """q / |q|, and q itself at the origin; out may be q itself."""
         q = np.asarray(q, dtype=float)
-        rho = _norm(q)
-        return q / np.where(rho > 1e-300, rho, 1.0)
+        work = Scratch() if work is None else work
+        points = q.shape[:-1]
+        safe = _divisor(_radius_into(q, work.get("nearest.rho", points), work.get("nearest.tmp", points)))
+        out = np.empty(q.shape) if out is None else out
+        for c in range(q.shape[-1]):
+            np.divide(q[..., c], safe, out=out[..., c])
+        return out
 
-    def constraint_residual(self, q: np.ndarray) -> np.ndarray:
-        """Distance to the manifold (unsigned)."""
-        return np.abs(_norm(np.asarray(q, dtype=float))[..., 0] - 1.0)
+    def constraint_residual(self, q: np.ndarray, out: np.ndarray | None = None,
+                            work: Scratch | None = None) -> np.ndarray:
+        """Distance to the manifold (unsigned), one value per point."""
+        q = np.asarray(q, dtype=float)
+        work = Scratch() if work is None else work
+        points = q.shape[:-1]
+        res = _radius_into(q, np.empty(points) if out is None else out, work.get("residual.tmp", points))
+        res -= 1.0
+        return np.abs(res, out=res)
 
-    def tangent_project_at(self, p: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Tangent projection at the nearest manifold point of p (no checks)."""
-        n_hat = self.nearest_point(p)
-        return a - _dot(a, n_hat) * n_hat
+    def tangent_project_at(self, p: np.ndarray, a: np.ndarray, out: np.ndarray | None = None,
+                           work: Scratch | None = None) -> np.ndarray:
+        """Tangent projection at the nearest manifold point of p (no checks); out may be a itself."""
+        a = np.asarray(a, dtype=float)
+        work = Scratch() if work is None else work
+        shape = np.broadcast_shapes(np.shape(p), a.shape)
+        n_hat = self.nearest_point(np.broadcast_to(p, shape), work.get("project.normal", shape), work)
+        tmp = work.get("project.tmp", shape[:-1])
+        dot = _dot_into(a, n_hat, work.get("project.dot", shape[:-1]), tmp)
+        out = np.empty(shape) if out is None else out
+        for c in range(shape[-1]):
+            np.subtract(a[..., c], np.multiply(dot, n_hat[..., c], out=tmp), out=out[..., c])
+        return out
 
     # -- involution -------------------------------------------------------------
 
@@ -163,22 +224,48 @@ class ManifoldModel:
         psi = _bump(self.constraint_residual(q))[..., None]
         return psi * (-_dot(pa, pb) * p)
 
-    def sff_perp_difference(self, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def sff_perp_difference(self, q: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+                            work: Scratch | None = None) -> np.ndarray:
         """extended_sff_perp(q, a, a) - extended_sff_perp(q, b, b) in one pass.
 
         The norm, nearest point and bump are computed once instead of six
         times; every other operation is the one the two calls perform, in the
-        same order, so the result is bitwise equal.
+        same order, so the result is bitwise equal.  The nearest point waits
+        in out until the last pass, so out must not share memory with q, a
+        or b.
         """
         q = np.asarray(q, dtype=float)
-        rho = _norm(q)
-        p = q / np.where(rho > 1e-300, rho, 1.0)
-        psi = _bump(np.abs(rho[..., 0] - 1.0))[..., None]
-        pa = a - _dot(a, p) * p
-        pb = b - _dot(b, p) * p
-        out = psi * (-_dot(pa, pa) * p)
-        out -= psi * (-_dot(pb, pb) * p)
-        return out
+        work = Scratch() if work is None else work
+        points, ncomp = q.shape[:-1], q.shape[-1]
+        tmp, tmp2 = work.get("sff.tmp", points), work.get("sff.tmp2", points)
+        rho = _radius_into(q, work.get("sff.rho", points), tmp)
+        dist = np.subtract(rho, 1.0, out=work.get("sff.psi", points))
+        psi = _bump_unless_one(np.abs(dist, out=dist), work)
+        safe = _divisor(rho)
+        p = np.empty(q.shape) if out is None else out
+        for c in range(ncomp):
+            np.divide(q[..., c], safe, out=p[..., c])
+        # -|x - (x.p) p|^2 for x = a and x = b, the tangent part one column at a time
+        neg_sq = []
+        for x, key in ((a, "sff.neg_sq_a"), (b, "sff.neg_sq_b")):
+            dot = _dot_into(x, p, work.get("sff.dot", points), tmp)
+            acc = work.get(key, points)
+            for c in range(ncomp):
+                part = np.subtract(x[..., c], np.multiply(dot, p[..., c], out=tmp), out=tmp)
+                if c == 0:
+                    np.multiply(part, part, out=acc)
+                else:
+                    acc += np.multiply(part, part, out=tmp2)
+            neg_sq.append(np.negative(acc, out=acc))
+        for c in range(ncomp):
+            pc = p[..., c]
+            first = np.multiply(neg_sq[0], pc, out=tmp)
+            second = np.multiply(neg_sq[1], pc, out=tmp2)
+            if psi is not None:
+                np.multiply(psi, first, out=first)
+                np.multiply(psi, second, out=second)
+            np.subtract(first, second, out=pc)
+        return p
 
 
 def _bump_derivative(dist: np.ndarray) -> np.ndarray:
@@ -193,34 +280,46 @@ def _bump_derivative(dist: np.ndarray) -> np.ndarray:
 # diffusion fields
 # ---------------------------------------------------------------------------
 
-def _quarter_turn(q: np.ndarray) -> np.ndarray:
+def _quarter_turn(q: np.ndarray, out: np.ndarray | None = None, work: Scratch | None = None) -> np.ndarray:
     """(-q_2, q_1, 0, ..), faded to zero off the unit circle or sphere.
 
     On the circle this is p turned by 90 degrees; on the sphere it is the
-    rotation about the third axis, e x p.
+    rotation about the third axis, e x p.  out must not share memory with q.
     """
-    d = np.abs(_norm(q)[..., 0] - 1.0)
-    psi = _bump(d)[..., None]
-    out = np.zeros_like(q)
-    out[..., 0] = -q[..., 1]
-    out[..., 1] = q[..., 0]
-    return psi * out
+    work = Scratch() if work is None else work
+    points = q.shape[:-1]
+    dist = _radius_into(q, work.get("turn.psi", points), work.get("turn.tmp", points))
+    dist -= 1.0
+    psi = _bump_unless_one(np.abs(dist, out=dist), work)
+    out = np.empty(q.shape) if out is None else out
+    np.negative(q[..., 1], out=out[..., 0])
+    if psi is None:
+        out[..., 1] = q[..., 0]
+        out[..., 2:] = 0.0
+        return out
+    np.multiply(psi, out[..., 0], out=out[..., 0])
+    np.multiply(psi, q[..., 0], out=out[..., 1])
+    for c in range(2, q.shape[-1]):
+        np.multiply(psi, 0.0, out=out[..., c])  # psi * 0.0, not 0.0: a NaN psi stays NaN
+    return out
 
 
 @dataclass(frozen=True)
 class DiffusionField:
     """State-dependent noise coefficient q -> Y(q), tangent along M.
 
-    evaluator is vectorized over leading axes; the field vanishes for
-    |q| >= cutoff_radius and satisfies |Y(q)| <= bound_constant * (1 + |q|).
+    evaluator(q, out, work) is vectorized over leading axes and writes into
+    out when it is given; the field vanishes for |q| >= cutoff_radius and
+    satisfies |Y(q)| <= bound_constant * (1 + |q|).
     """
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    evaluator: Callable[..., np.ndarray]
     cutoff_radius: float
     bound_constant: float
 
-    def __call__(self, q: np.ndarray) -> np.ndarray:
-        return self.evaluator(np.asarray(q, dtype=float))
+    def __call__(self, q: np.ndarray, out: np.ndarray | None = None,
+                 work: Scratch | None = None) -> np.ndarray:
+        return self.evaluator(np.asarray(q, dtype=float), out, work)
 
     @classmethod
     def sphere_axis_rotation(cls) -> "DiffusionField":

@@ -206,10 +206,8 @@ class _TerminalObjective:
         seen = {}
 
         def observer(m, t, u, v):
-            if m == stop:  # the run ends here, so these arrays are never written again
+            if m == stop or m in keep:  # the integrator never writes an observed pair again
                 seen[m] = (u, v)
-            elif m in keep:
-                seen[m] = (u.copy(), v.copy())
 
         traj = solve_batch(
             self.z0, 0.0, stop * self.dx, self.loc,

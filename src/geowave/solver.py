@@ -16,6 +16,12 @@ family of trajectories evolved in lock-step (Monte Carlo trials, finite
 difference probes).  Elementwise kernels and axis-0 reductions keep each
 column bitwise independent of its neighbours, so batching is purely a
 throughput device.
+
+A run takes every work array from one Scratch sized at its start, and the
+kernels write into them, so a step allocates only its new state pair (or
+nothing: with stored states each state is computed in its row of the path).
+The pair an observer receives is never written after the call, so observers
+may keep it without copying.
 """
 from __future__ import annotations
 
@@ -34,6 +40,7 @@ from .errors import (
 from .function_spaces import (
     GridFunction,
     LightCone,
+    Scratch,
     State,
     derivative1,
     derivative2,
@@ -146,9 +153,12 @@ class Trajectory:
         return len(self.times) - 1
 
     def state(self, m: int) -> State:
-        """The state of step m, a view of the stored rows."""
+        """The state of step m, a view of the stored rows; a batched path has no single state."""
         if self.u is None:
             raise ValueError("trajectory was run without state storage")
+        if self.u.ndim == 4:
+            raise ValueError(f"trajectory is a batch of {self.u.shape[2]} paths: read column b of step m "
+                             f"as traj.u[m][:, b] and traj.v[m][:, b]")
         return State(GridFunction(self.origin, self.spacing, self.u[m]),
                      GridFunction(self.origin, self.spacing, self.v[m]))
 
@@ -165,10 +175,14 @@ def taper_factor(norm, k):
     return np.clip(2.0 - np.asarray(norm, dtype=float) / np.asarray(k, dtype=float), 0.0, 1.0)
 
 
-def curvature_force(manifold: ManifoldModel, u: np.ndarray, v: np.ndarray, ux: np.ndarray) -> np.ndarray:
-    """Pointwise curvature term A_u(v,v) - A_u(u_x,u_x) via the collar extension."""
-    flat = (-1, u.shape[-1])  # a C-ordered result, whatever the inputs' memory order
-    return manifold.sff_perp_difference(u.reshape(flat), v.reshape(flat), ux.reshape(flat)).reshape(u.shape)
+def curvature_force(manifold: ManifoldModel, u: np.ndarray, v: np.ndarray, ux: np.ndarray,
+                    out: np.ndarray | None = None, work: Scratch | None = None) -> np.ndarray:
+    """Pointwise curvature term A_u(v,v) - A_u(u_x,u_x) via the collar extension.
+
+    The result is C-ordered whatever the inputs' memory order; out, when
+    given, must not share memory with u, v or ux.
+    """
+    return manifold.sff_perp_difference(u, v, ux, out=out, work=work)
 
 
 def cone_window(cone: LightCone, origin: float, spacing: float, npoints: int, m: int) -> tuple[int, int]:
@@ -177,9 +191,32 @@ def cone_window(cone: LightCone, origin: float, spacing: float, npoints: int, m:
     return window_indices(origin - cone.center, spacing, npoints, 0.5 * (b - a))
 
 
-def section_fields(u: np.ndarray, v: np.ndarray, spacing: float) -> tuple:
-    """(u, Du, D^2u, v, Dv): the fields whose squares make the H^2 x H^1 section norm."""
-    return u, derivative1(u, spacing), derivative2(u, spacing), v, derivative1(v, spacing)
+def section_fields(u: np.ndarray, v: np.ndarray, spacing: float, out: tuple | None = None) -> tuple:
+    """(u, Du, D^2u, v, Dv): the fields whose squares make the H^2 x H^1 section norm.
+
+    out = three arrays shaped like u receive Du, D^2u and Dv.
+    """
+    du, d2u, dv = (None, None, None) if out is None else out
+    return u, derivative1(u, spacing, du), derivative2(u, spacing, d2u), v, derivative1(v, spacing, dv)
+
+
+def _row_weights(nrows: int, lo: int, hi: int, spacing: float) -> np.ndarray:
+    """Trapezoid weights of rows lo..hi among nrows rows, zero elsewhere."""
+    weights = np.zeros(nrows)
+    weights[lo:hi + 1] = spacing
+    weights[lo] = weights[hi] = 0.5 * spacing
+    return weights
+
+
+def _weighted_sum(fields: tuple, weights: np.ndarray, sq: np.ndarray | None = None) -> np.ndarray:
+    """Half the weighted sum over rows of the squared batched fields, per column.
+
+    sq, shaped like a field, is scratch for the squares.
+    """
+    total = np.zeros(fields[0].shape[1])
+    for arr in fields:
+        total += np.einsum("i,ibc->b", weights, np.multiply(arr, arr, out=sq))
+    return 0.5 * total
 
 
 def section_energy(u: np.ndarray, v: np.ndarray, window: tuple[int, int], spacing: float,
@@ -200,14 +237,8 @@ def section_energy(u: np.ndarray, v: np.ndarray, window: tuple[int, int], spacin
     if minus is not None:
         u = u - minus[0][rows, None, :]
         v = v - minus[1][rows, None, :]
-    lo, hi = i_lo - rows.start, i_hi - rows.start
-    weights = np.zeros(u.shape[0])
-    weights[lo:hi + 1] = spacing
-    weights[lo] = weights[hi] = 0.5 * spacing
-    total = np.zeros(u.shape[1])
-    for arr in section_fields(u, v, spacing):
-        total += np.einsum("i,ibc->b", weights, arr * arr)
-    return 0.5 * total
+    weights = _row_weights(len(u), i_lo - rows.start, i_hi - rows.start, spacing)
+    return _weighted_sum(section_fields(u, v, spacing), weights)
 
 
 def _extended(values: np.ndarray, i_lo: int, i_hi: int, order: int = 1) -> np.ndarray:
@@ -216,20 +247,57 @@ def _extended(values: np.ndarray, i_lo: int, i_hi: int, order: int = 1) -> np.nd
     return out
 
 
-def _window(u: np.ndarray, v: np.ndarray, origin: float, spacing: float, s: float):
-    """The window (-s, s): its index pair, the norm of (u, v) on it, and the copies.
+def _reflected_fields(ue: np.ndarray, ve: np.ndarray, lo: int, hi: int, spacing: float, work: Scratch,
+                      keys: tuple) -> tuple:
+    """Reflect section rows ue, ve (order 2) about their core lo..hi in place; their section fields.
 
-    The copies are order-2 reflections of (u, v) built from window values only,
-    and the norm is their H^2 x H^1 norm over the window, one value per column.
-    Derivative stencils at the window boundary must not read cells outside the
-    window: those carry lattice-edge junk of size O(1/dx) in the second
-    derivative.  Order-2 reflection keeps the one-sided derivatives accurate.
+    keys name the work arrays for Du, D^2u and Dv.
     """
+    extend_array(ue, lo, hi, 2)
+    extend_array(ve, lo, hi, 2)
+    return section_fields(ue, ve, spacing, tuple(work.get(key, ue.shape) for key in keys))
+
+
+def _midpoint_taper(fields: tuple, weights: np.ndarray, k: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """taper_factor(norm, k) of the fields' weighted norm, per column.
+
+    The taper is exactly 1 below the level.  Any two sums of the same
+    nonnegative terms differ relatively by at most about the term count
+    times the unit roundoff, far below 1e-9, so where a BLAS sum puts every
+    column's norm below (1 - 1e-9) * k, einsum's exact sum is not needed.
+    """
+    nbatch = fields[0].shape[1]
+    fast = np.zeros(fields[0][0].size)
+    for arr in fields:
+        fast += weights @ np.multiply(arr, arr, out=sq).reshape(len(weights), -1)
+    if np.all(np.sqrt(fast.reshape(nbatch, -1).sum(axis=1)) < (1.0 - 1e-9) * k):
+        return np.ones(nbatch)
+    return taper_factor(np.sqrt(2.0 * _weighted_sum(fields, weights, sq)), k)
+
+
+def _window(u: np.ndarray, v: np.ndarray, origin: float, spacing: float, s: float,
+            work: Scratch | None = None):
+    """The window (-s, s): its index pair and the norm of (u, v) on it.
+
+    The norm is the H^2 x H^1 norm over the window of the order-2
+    reflections of (u, v) built from window values only, one value per
+    column.  Derivative stencils at the window boundary must not read cells
+    outside the window: those carry lattice-edge junk of size O(1/dx) in
+    the second derivative.  Order-2 reflection keeps the one-sided
+    derivatives accurate.  Only the section rows section_rows(i_lo, i_hi,
+    npoints, 1) are copied and reflected, in the work arrays "f0".."f5".
+    """
+    work = Scratch() if work is None else work
     window = window_indices(origin, spacing, u.shape[0], s)
-    ue = _extended(u, *window, 2)
-    ve = _extended(v, *window, 2)
-    energy = section_energy(ue, ve, window, spacing)
-    return window, np.sqrt(2.0 * energy), ue, ve  # 2 * (0.5 * x) == x: the bare weighted norm
+    rows = section_rows(*window, u.shape[0], 1)
+    shape = (rows.stop - rows.start,) + u.shape[1:]
+    ue, ve = work.get("f0", shape), work.get("f1", shape)
+    np.copyto(ue, u[rows])
+    np.copyto(ve, v[rows])
+    lo, hi = window[0] - rows.start, window[1] - rows.start
+    fields = _reflected_fields(ue, ve, lo, hi, spacing, work, ("f2", "f3", "f4"))
+    energy = _weighted_sum(fields, _row_weights(shape[0], lo, hi, spacing), work.get("f5", shape))
+    return window, np.sqrt(2.0 * energy)  # 2 * (0.5 * x) == x: the bare weighted norm
 
 
 def window_norm(z: State, s: float) -> float:
@@ -254,44 +322,72 @@ def drift_force(
 ) -> np.ndarray:
     """The localized drift F = theta * (A_u(v,v) - A_u(u_x,u_x) + Y(u) * control_field).
 
-    u and v have shape (npoints, ..., ncomp) and theta (the taper) broadcasts
-    against them.  control_field is the control rate in physical space, shaped
-    like u without its component axis.  With a window (i_lo, i_hi) both terms
-    are reflection-extended outside it; without one they are local.
+    u and v have shape (npoints, ..., ncomp); theta (the taper) is a scalar
+    or one value per batch column.  control_field is the control rate in
+    physical space, shaped like u without its component axis.  With a window
+    (i_lo, i_hi) both terms are reflection-extended outside it, so only the
+    window's rows are read; without one they are local.
     """
-    force = curvature_force(manifold, u, v, derivative1(u, spacing))
+    out = np.empty(u.shape)
+    if window is None:
+        return _core_drift(manifold, u, v, derivative1(u, spacing), theta, None, out,
+                           diffusion=diffusion, control_field=control_field)
+    i_lo, i_hi = window
+    rows = section_rows(i_lo, i_hi, u.shape[0], 1)
+    ux = derivative1(u[rows], spacing)[i_lo - rows.start:i_hi + 1 - rows.start]
+    return _core_drift(manifold, u[i_lo:i_hi + 1], v[i_lo:i_hi + 1], ux, theta, window, out,
+                       diffusion=diffusion, control_field=control_field)
+
+
+def _core_drift(manifold: ManifoldModel, u: np.ndarray, v: np.ndarray, ux: np.ndarray, theta,
+                window: tuple[int, int] | None, out: np.ndarray, *, diffusion: DiffusionField | None = None,
+                control_field: np.ndarray | None = None, work: Scratch | None = None) -> np.ndarray:
+    """drift_force written into out, the whole lattice, from u, v and u_x on the window's rows.
+
+    Both reflection extensions overwrite every row outside the window, so
+    the window's rows are all the drift reads.  Without a window u, v and ux
+    cover the lattice.
+    """
+    work = Scratch() if work is None else work
+    core = out if window is None else out[window[0]:window[1] + 1]
+    curvature_force(manifold, u, v, ux, out=core, work=work)
     if window is not None:
-        force = _extended(force, *window)
+        extend_array(out, *window, 1)
+    columns = [out[..., c] for c in range(out.shape[-1])]
     if control_field is not None:
-        y = diffusion(u.reshape(-1, u.shape[-1])).reshape(u.shape)
+        y = work.get("drift.y", out.shape)
+        diffusion(u, out=y if window is None else y[window[0]:window[1] + 1], work=work)
         if window is not None:
-            y = _extended(y, *window)
-        force = force + y * control_field[..., None]
-    force *= theta
-    return force
+            extend_array(y, *window, 1)
+        tmp = work.get("drift.tmp", out.shape[:-1])
+        for c, col in enumerate(columns):
+            col += np.multiply(y[..., c], control_field, out=tmp)
+    for col in columns:
+        col *= theta
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the integrator core
 # ---------------------------------------------------------------------------
 
-def _mode_field(coeffs: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """(B, dim) coefficients times (dim, n) modes, accumulated mode by mode.
+def _mode_field(coeffs: np.ndarray, modes: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """(B, dim) coefficients times (dim, n) modes, accumulated mode by mode into out (B, n).
 
     BLAS matmul picks different kernels for different batch widths, which
     breaks bitwise column/single agreement; the explicit fixed-order sum does
-    not (dim is small, so this costs nothing).
+    not (dim is small, so this costs nothing).  tmp, shaped like out, is scratch.
     """
-    out = np.zeros((coeffs.shape[0], modes.shape[1]))
+    out.fill(0.0)
     for j in range(modes.shape[0]):
-        out += coeffs[:, j, None] * modes[j]
+        out += np.multiply(coeffs[:, j, None], modes[j], out=tmp)
     return out
 
 
-def _upsample(a: np.ndarray) -> np.ndarray:
-    out = np.empty((2 * a.shape[0] - 1,) + a.shape[1:])
+def _upsample(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     out[::2] = a
-    out[1::2] = 0.5 * (a[:-1] + a[1:])
+    mid = np.add(a[:-1], a[1:], out=out[1::2])
+    mid *= 0.5
     return out
 
 
@@ -386,13 +482,24 @@ def _integrate(
     u = np.ascontiguousarray(u0, dtype=float)
     v = np.ascontiguousarray(v0, dtype=float)
 
+    # Every work array of the run comes from one Scratch, so a step
+    # allocates only its new state pair, and nothing when states are kept
+    # (each is computed in its path row).  The six refined-lattice arrays
+    # "f0".."f5" carry the step in turns, coarse-lattice arrays being their
+    # leading elements; each phase below says what it keeps where.
+    work = Scratch()
+    coarse, fine = u.shape, (2 * n - 1, nbatch, ncomp)
+    for key in ("f0", "f1", "f2", "f3", "f4", "f5"):
+        work.get(key, fine)
+    head = _window(u, v, origin, dx, r - start * dx, work)  # the first loop head's window and norm
+
     # taper levels per batch column
     if levels is not None:
         k = np.array(levels, dtype=int)
     elif loc.k is not None:
         k = np.full(nbatch, int(loc.k))
     else:
-        k = np.maximum(1, np.ceil(2.0 * _window(u, v, origin, dx, r)[1])).astype(int)
+        k = np.maximum(1, np.ceil(2.0 * head[1])).astype(int)
     if np.any(k < 1):  # doubling never lifts a level below 1 past a crossing
         b = int(np.nonzero(k < 1)[0][0])
         raise BlowupDetected(f"starting taper level {k[b]} of column {b} is below 1")
@@ -407,12 +514,16 @@ def _integrate(
     trace_k = np.zeros((len(times), nbatch), dtype=int)
     path_u = np.empty((len(times),) + u.shape) if keep_states else None
     path_v = np.empty((len(times),) + v.shape) if keep_states else None
+    if keep_states:  # each later state is computed in its own row
+        path_u[0] = u
+        path_v[0] = v
     noise_log = np.zeros((steps - start, nbatch, basis.dim)) if needs_noise else None
 
     for m in range(start, steps + 1):
         t = m * dx
         s = r - t
-        window, norm_m = _window(u, v, origin, dx, s)[:2]  # holding the copies raises peak memory
+        # coarse window: section copies and fields in f0..f5
+        window, norm_m = head if m == start else _window(u, v, origin, dx, s, work)
         finite = np.isfinite(norm_m)
         if not finite.all():  # a NaN norm fails every level test below and would run on
             b = int(np.nonzero(~finite)[0][0])
@@ -434,32 +545,61 @@ def _integrate(
         trace_k[m - start] = k
         if observer is not None:
             observer(m, t, u, v)
-        if keep_states:
-            path_u[m - start] = u
-            path_v[m - start] = v
         if m == steps:
             break
 
-        # noise increment, left-point evaluation
+        # noise increment, left-point evaluation: Y(u) on the window's rows,
+        # extended into f0; the kicked velocity goes to its own array
         if needs_noise:
             for b in range(nbatch):
                 noise_log[m - start, b] = sample_increment(basis, dx, stream(master_seed, trial_ids[b], m))
-            wfield = _mode_field(noise_log[m - start], modes_coarse)  # (B, n)
-            y_ext = _extended(diffusion(u.reshape(-1, ncomp)).reshape(u.shape), *window)
-            v_star = v + (math.sqrt(eps) * theta)[None, :, None] * y_ext * wfield.T[:, :, None]
+            wfield = _mode_field(noise_log[m - start], modes_coarse, work.get("noise.field", (nbatch, n)),
+                                 work.get("noise.tmp", (nbatch, n))).T
+            i_lo, i_hi = window
+            y = work.get("f0", coarse)
+            diffusion(u[i_lo:i_hi + 1], out=y[i_lo:i_hi + 1], work=work)
+            extend_array(y, i_lo, i_hi, 1)
+            scale = math.sqrt(eps) * theta
+            kick = work.get("noise.kick", (n, nbatch))
+            v_star = work.get("v_star", coarse)
+            for c in range(ncomp):  # v + scale * y * wfield, one component column at a time
+                part = np.multiply(scale, y[..., c], out=kick)
+                part *= wfield
+                np.add(v[..., c], part, out=v_star[..., c])
         else:
             v_star = v
 
-        # midpoint drift + control on the refined lattice
-        uf, vf = apply_arrays(_upsample(u), _upsample(v), dxf, 1)
-        window_f, norm_mid, ufe, vfe = _window(uf, vf, origin, dxf, s - dxf)
-        theta_mid = taper_factor(norm_mid, k)
-        cfield = None if control_rates is None else _mode_field(control_rates[m], modes_fine).T
-        force = drift_force(manifold, ufe, vfe, dxf, theta_mid[None, :, None], diffusion=diffusion,
-                            control_field=cfield, window=window_f)
-        fu, fv = transport_velocity(force, dxf)
-
-        u, v = apply_arrays(u, v_star, dx, 1)
+        # midpoint drift + control on the refined lattice: the upsampled
+        # state in f0, f1, its derivative and antiderivative in f2, f3, and
+        # the stepped state in f4, f5
+        uf, vf = apply_arrays(_upsample(u, work.get("f0", fine)), _upsample(v, work.get("f1", fine)), dxf, 1,
+                              out=(work.get("f4", fine), work.get("f5", fine)),
+                              work=(work.get("f2", fine), work.get("f3", fine)))
+        # the refined window reflects the section rows of f4, f5 in place,
+        # with Du, D^2u, Dv and the squares in f0..f3
+        window_f = window_indices(origin, dxf, uf.shape[0], s - dxf)
+        rows = section_rows(*window_f, uf.shape[0], 1)
+        lo, hi = window_f[0] - rows.start, window_f[1] - rows.start
+        fields = _reflected_fields(uf[rows], vf[rows], lo, hi, dxf, work, ("f0", "f1", "f2"))
+        theta_mid = _midpoint_taper(fields, _row_weights(len(fields[0]), lo, hi, dxf), k,
+                                    work.get("f3", fields[0].shape))
+        ue, ux, _, ve, _ = fields
+        cfield = None
+        if control_rates is not None:
+            cfield = _mode_field(control_rates[m], modes_fine, work.get("control.field", (nbatch, len(xf))),
+                                 work.get("control.tmp", (nbatch, len(xf)))).T
+        # the drift reads u, v and Du on the window's rows and fills f1
+        core = slice(lo, hi + 1)
+        force = _core_drift(manifold, ue[core], ve[core], ux[core], theta_mid, window_f, work.get("f1", fine),
+                            diffusion=diffusion, control_field=cfield, work=work)
+        # transported drift in f0, f2; the coarse step's temporaries in f3, f4
+        fu, fv = transport_velocity(force, dxf, out=(work.get("f0", coarse), work.get("f2", coarse)),
+                                    tmp=work.get("f3", (n - 1, nbatch, ncomp)))
+        if keep_states:
+            new = (path_u[m + 1 - start], path_v[m + 1 - start])
+        else:
+            new = (np.empty(coarse), np.empty(coarse))
+        u, v = apply_arrays(u, v_star, dx, 1, out=new, work=(work.get("f3", coarse), work.get("f4", coarse)))
         fu *= dx
         u += fu
         fv *= dx
@@ -469,13 +609,15 @@ def _integrate(
             # trigger per batch column and project the triggered columns; the
             # projection is elementwise, so a column's evolution is bitwise
             # independent of its neighbours
-            hit = manifold.constraint_residual(u).max(axis=0) > 1e-12
+            residual = manifold.constraint_residual(u, out=work.get("renormalize", (n, nbatch)), work=work)
+            hit = residual.max(axis=0) > 1e-12
             if hit.all():
-                u = manifold.nearest_point(u)
-                v = manifold.tangent_project_at(u, v)
-            elif hit.any():
-                u[:, hit] = manifold.nearest_point(u[:, hit])
-                v[:, hit] = manifold.tangent_project_at(u[:, hit], v[:, hit])
+                manifold.nearest_point(u, out=u, work=work)
+                manifold.tangent_project_at(u, v, out=v, work=work)
+            else:
+                for b in np.flatnonzero(hit):
+                    manifold.nearest_point(u[:, b], out=u[:, b], work=work)
+                    manifold.tangent_project_at(u[:, b], v[:, b], out=v[:, b], work=work)
 
     energy_trace = {"taper_norm": trace_norm, "taper": trace_taper, "k_level": trace_k}
     return times, path_u, path_v, energy_trace, noise_log, k_init, k
@@ -672,7 +814,7 @@ def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams
             for e, ref in zip(energies, references):
                 minus = None if ref is None else (ref.u[m], ref.v[m])
                 e[:, m] = section_energy(u, v, windows[m], z0.spacing, minus)
-            final[:] = [u]  # the last step's arrays are never written again
+            final[:] = [u]  # the integrator never writes an observed array again
 
         solve_batch(z0, eps, horizon, loc, manifold=manifold, basis=basis, diffusion=diffusion,
                     control_rates=rates, master_seed=master_seed, trial_ids=ids,

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import broadcast_kernels as ref
 from geowave.errors import OutsideTubularNeighborhood
+from geowave.function_spaces import Scratch
 from geowave.geometry import DiffusionField, ManifoldModel, _dot, _norm
 from geowave.solver import curvature_force
 
@@ -214,3 +216,56 @@ def test_fused_curvature_force_is_bitwise_the_two_extensions(seed, n, batch, kin
     assert got.shape == shape
     assert np.array_equal(got.reshape(flat), want)
     assert np.array_equal(np.signbit(got.reshape(flat)), np.signbit(want))
+
+
+# radii of the fused-force property, plus non-finite ones
+_RADII = [1.0, 1.0 + 1e-9, 0.4, 0.2, 1.8, 1.95, 3.0, 0.0, np.nan, np.inf, -np.inf]
+
+
+def _assert_same_bits(got, want):
+    """Equal values, NaN where want has NaN, and equal signs (so +-0 and +-inf) elsewhere.
+
+    A NaN's sign is not compared: numpy's add and multiply return one
+    operand's NaN in their SIMD body and the other's in the scalar tail, so
+    with two NaN operands the sign depends on the element's place in the
+    loop, which a component column and a broadcast factor set differently.
+    """
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    finite_or_inf = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[finite_or_inf]), np.signbit(want[finite_or_inf]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), batch=st.integers(1, 16),
+       kind=st.sampled_from(["circle", "sphere"]), inside=st.booleans())
+def test_column_kernels_are_bitwise_their_broadcast_forms(seed, n, batch, kind, inside):
+    man = ManifoldModel.circle() if kind == "circle" else ManifoldModel.sphere()
+    rng = np.random.default_rng(seed)
+    shape = (n, batch, man.ambient_dim)
+    # inside: every point where the radial profile is exactly 1 (distance 0.75 at most)
+    radius = rng.choice([1.0, 1.0 + 1e-9, 0.4, 0.25, 1.75] if inside else _RADII, size=(n, batch, 1))
+    a, b = _wide_normals(seed + 1, shape), _wide_normals(seed + 2, shape)
+    for arr in (a, b):  # a few non-finite directions too
+        arr[rng.random(shape) < 0.05] = rng.choice([np.nan, np.inf, -np.inf])
+    work = Scratch()  # one Scratch for every call, as in a run
+    with np.errstate(all="ignore"):
+        q = ref.nearest_point(rng.standard_normal(shape)) * radius
+        moved, kicked, force = q.copy(), a.copy(), np.empty(shape)
+        man.nearest_point(moved, out=moved, work=work)  # the integrator's in-place forms
+        man.tangent_project_at(q, kicked, out=kicked, work=work)
+        man.sff_perp_difference(q, a, b, out=force, work=work)
+        pairs = [
+            (man.nearest_point(q), ref.nearest_point(q)),
+            (moved, ref.nearest_point(q)),
+            (man.constraint_residual(q), ref.constraint_residual(q)),
+            (man.constraint_residual(q, out=np.empty(shape[:-1]), work=work), ref.constraint_residual(q)),
+            (man.tangent_project_at(q, a), ref.tangent_project_at(q, a)),
+            (kicked, ref.tangent_project_at(q, a)),
+            (man.sff_perp_difference(q, a, b), ref.sff_perp_difference(q, a, b)),
+            (force, ref.sff_perp_difference(q, a, b)),
+            (DiffusionField.for_manifold(man)(q), ref.quarter_turn(q)),
+            (DiffusionField.for_manifold(man)(q, np.empty(shape), work), ref.quarter_turn(q)),
+        ]
+    for got, want in pairs:
+        _assert_same_bits(got, want)

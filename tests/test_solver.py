@@ -12,7 +12,16 @@ from geowave.errors import (
     NonLatticeTime,
     OffManifoldInitialData,
 )
-from geowave.function_spaces import GridFunction, LightCone, State
+from geowave import solver
+from geowave.function_spaces import (
+    GridFunction,
+    LightCone,
+    Scratch,
+    State,
+    extend_array,
+    section_rows,
+    window_indices,
+)
 from geowave.geometry import DiffusionField, ManifoldModel
 from geowave.noise import SpectralMeasure, build_basis, sample_increment
 from geowave.rng import stream
@@ -42,7 +51,9 @@ from geowave.states import (
     rotating_state,
     twin_pair,
 )
+from geowave.wave_group import apply_arrays
 
+import broadcast_kernels as ref
 from dense_section import dense_section_energy
 
 _BASIS = build_basis(SpectralMeasure.default_three_atoms())
@@ -200,6 +211,46 @@ def test_solves_leave_their_input_arrays_unchanged():
     solve_batch(z0, 1e-2, 0.5, _loc(_LANE_GEOM), **fields, trial_ids=[0, 1, 2],
                 _resume=(1, u, v, full.energy_trace["k_level"][1]))
     assert np.array_equal(u, resumed[0]) and np.array_equal(v, resumed[1])
+    # a resumed run reads its C-ordered start arrays in place: read-only ones must do
+    for arr in (u, v):
+        arr.setflags(write=False)
+    tail = solve_batch(z0, 1e-2, 0.5, _loc(_LANE_GEOM), **fields, trial_ids=[0, 1, 2], keep_states=True,
+                       _resume=(1, u, v, full.energy_trace["k_level"][1]))
+    assert np.array_equal(u, resumed[0]) and np.array_equal(v, resumed[1])
+    assert np.array_equal(tail.u, full.u[1:]) and np.array_equal(tail.v, full.v[1:])
+
+
+@pytest.mark.parametrize("keep_states", [False, True])
+@pytest.mark.parametrize("drive", ["noise", "control"])
+def test_observed_states_are_never_written_afterwards(keep_states, drive):
+    # cone_energies keeps the last step's u and _TerminalObjective._solve its
+    # stop step's (u, v) without copying them
+    z0 = random_state(_LANE_GEOM, _SPHERE, stream(6, 3))
+    steps = round(0.25 / _LANE_GEOM.spacing)
+    if drive == "noise":
+        eps, batch = 1e-2, dict(trial_ids=[0, 1, 2])
+    else:
+        eps, batch = 0.0, dict(control_rates=np.random.default_rng(6).normal(size=(steps, 3, _BASIS.dim)))
+    seen = []
+
+    def observer(m, t, u, v):
+        seen.append(((u, v), (u.copy(), v.copy())))
+
+    solve_batch(z0, eps, 0.25, _loc(_LANE_GEOM), manifold=_SPHERE, basis=_BASIS, diffusion=_Y_SPHERE,
+                keep_states=keep_states, observer=observer, **batch)
+    assert len(seen) == steps + 1
+    for (u, v), (u_copy, v_copy) in seen:
+        assert np.array_equal(u, u_copy) and np.array_equal(v, v_copy)
+
+
+def test_batched_trajectory_has_no_single_state():
+    geom = make_grid(6.0, 96, 1.0)
+    traj = solve_batch(bump_state(geom, _CIRCLE), 1e-2, 0.25, _loc(geom), manifold=_CIRCLE, basis=_BASIS,
+                       diffusion=_Y_CIRCLE, trial_ids=[0], keep_states=True)
+    assert traj.u.shape[2] == 1
+    for read in (lambda: traj.state(2), traj.final_state):
+        with pytest.raises(ValueError, match=r"batch of 1 paths.*traj\.u\[m\]\[:, b\]"):
+            read()
 
 
 def test_control_rate_lookup_and_norm():
@@ -514,3 +565,96 @@ def test_section_energy_on_window_rows_is_the_dense_form(data, npoints, width, n
     ref = (rng.normal(size=(npoints, ncomp)), rng.normal(size=(npoints, ncomp))) if minus else None
     got = section_energy(u, v, (i_lo, i_hi), dx, ref)
     assert np.array_equal(got, dense_section_energy(u, v, (i_lo, i_hi), dx, ref))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_RESUME_CASES)),
+    width=st.integers(1, 6),
+    at_edge=st.booleans(),
+    controlled=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_core_row_drift_is_the_whole_lattice_drift(kind, width, at_edge, controlled, seed):
+    # the integrator's refined step: the window reflects the section rows of
+    # the stepped state in place, and the drift reads the core rows only
+    manifold, diffusion = _RESUME_CASES[kind]
+    geom = make_grid(6.0, 96, 1.0)
+    n, dx = geom.npoints, geom.spacing
+    rng = np.random.default_rng(seed)
+    z = random_state(geom, manifold, stream(seed, 7))
+    shape = (n, width, manifold.ambient_dim)
+    u = manifold.nearest_point(z.u.values[:, None, :] + 0.05 * rng.normal(size=shape))
+    v = manifold.tangent_project_at(u, z.v.values[:, None, :] + rng.normal(size=u.shape))
+    m = 0 if at_edge else int(rng.integers(3, 20))  # t = 0: the section reaches the lattice edge
+    s = geom.half_width - m * dx
+    dxf = 0.5 * dx
+    fine = (2 * n - 1, width, manifold.ambient_dim)
+    uf, vf = apply_arrays(solver._upsample(u, np.empty(fine)), solver._upsample(v, np.empty(fine)), dxf, 1)
+    window_f = window_indices(geom.origin, dxf, len(uf), s - dxf)
+    rows = section_rows(*window_f, len(uf), 1)
+    assert (rows.start == 0) == at_edge
+    theta = rng.choice([0.0, 0.3, 1.0], size=width)
+    cfield = rng.normal(size=(len(uf), width)) if controlled else None
+    ufe, vfe = uf.copy(), vf.copy()
+    extend_array(ufe, *window_f, 2)
+    extend_array(vfe, *window_f, 2)
+    want = ref.whole_lattice_drift(ufe, vfe, dxf, theta[None, :, None], control_field=cfield, window=window_f)
+
+    work = Scratch()
+    lo, hi = window_f[0] - rows.start, window_f[1] - rows.start
+    fields = solver._reflected_fields(uf[rows], vf[rows], lo, hi, dxf, work, ("d1", "d2", "d3"))
+    weights = solver._row_weights(len(fields[0]), lo, hi, dxf)
+    assert np.array_equal(solver._weighted_sum(fields, weights), section_energy(ufe, vfe, window_f, dxf))
+    ue, ux, _, ve, _ = fields
+    core = slice(lo, hi + 1)
+    got = solver._core_drift(manifold, ue[core], ve[core], ux[core], theta, window_f, np.full(fine, np.nan),
+                             diffusion=diffusion, control_field=cfield, work=work)
+    public = drift_force(manifold, ufe, vfe, dxf, theta, diffusion=diffusion, control_field=cfield,
+                         window=window_f)
+    for arr in (got, public):
+        assert np.array_equal(arr, want) and np.array_equal(np.signbit(arr), np.signbit(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(5, 300),
+    width=st.integers(1, 8),
+    ncomp=st.sampled_from([2, 3]),
+    offset=st.sampled_from([-0.5, -1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 0.5, 1.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_midpoint_taper_is_the_exact_one(rows, width, ncomp, offset, seed):
+    # norms at, just below and just above the level: the fast sum may skip
+    # the exact one only where the taper is exactly 1 either way
+    rng = np.random.default_rng(seed)
+    lo = int(rng.integers(0, 2))
+    hi = rows - 1 - int(rng.integers(0, 2))
+    weights = solver._row_weights(rows, lo, hi, 0.05)
+    fields = tuple(rng.normal(size=(rows, width, ncomp)) * 10.0 ** rng.integers(-3, 3) for _ in range(5))
+    norm = np.sqrt(2.0 * solver._weighted_sum(fields, weights))
+    k = np.maximum(1, np.round(norm / (1.0 + offset))).astype(int)
+    fields = tuple(f * (k * (1.0 + offset) / norm)[None, :, None] for f in fields)
+    exact = taper_factor(np.sqrt(2.0 * solver._weighted_sum(fields, weights)), k)
+    got = solver._midpoint_taper(fields, weights, k, np.empty((rows, width, ncomp)))
+    assert np.array_equal(got, exact)
+
+
+@pytest.mark.parametrize("kind", sorted(_RESUME_CASES))
+def test_columns_renormalized_alone_match_their_width_one_runs(kind):
+    # columns at rest never trigger renormalization, so the batch projects
+    # the moving columns one at a time
+    manifold, diffusion = _RESUME_CASES[kind]
+    geom = make_grid(6.0, 96, 1.0)
+    z = constant_state(geom, manifold)
+    steps = round(0.5 / geom.spacing)
+    rates = np.zeros((steps, 4, _BASIS.dim))
+    rates[:, 1] = 0.7
+    rates[:, 3, 0] = -0.4
+    fields = dict(manifold=manifold, basis=_BASIS, diffusion=diffusion, keep_states=True)
+    batch = solve_batch(z, 0.0, 0.5, _loc(geom), control_rates=rates, **fields)
+    assert np.array_equal(batch.u[-1][:, 0], z.u.values)
+    for col in range(4):
+        single = solve_batch(z, 0.0, 0.5, _loc(geom), control_rates=rates[:, col:col + 1], **fields)
+        assert np.array_equal(batch.u[:, :, col], single.u[:, :, 0])
+        assert np.array_equal(batch.v[:, :, col], single.v[:, :, 0])
