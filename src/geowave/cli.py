@@ -33,7 +33,7 @@ from .ldp import (
 )
 from .noise import NoiseBasis, SpectralMeasure, build_basis
 from .rng import stream
-from .selfcheck import VERIFY_TRIALS, verify_suite
+from .selfcheck import VERIFY_TRIALS, _fmt, verify_suite
 from .solver import (
     Control,
     LocalizationParams,
@@ -229,8 +229,8 @@ class ExperimentConfig:
                          self["experiment.cone_radius"] or 2.0 * self["time.horizon"])
 
 
-def _check_across_keys(cfg: ExperimentConfig) -> None:
-    """The rules that tie keys together: the lattice horizon, rate blocks and the noise mode."""
+def _check_across_keys(cfg: ExperimentConfig, command: str) -> None:
+    """The rules that tie keys together: the lattice horizon and its half in probe-s2, rate blocks, noise mode."""
     if cfg["time.horizon"] >= cfg["grid.domain_radius"]:
         raise ConfigInvalid("key 'time.horizon' must lie strictly between 0 and grid.domain_radius")
     try:
@@ -240,6 +240,9 @@ def _check_across_keys(cfg: ExperimentConfig) -> None:
             f"key 'time.horizon' must be a whole number of lattice steps of "
             f"grid.domain_radius / grid.points, got {cfg['time.horizon']}"
         ) from None
+    if command == "probe-s2" and steps % 2:  # the probe runs to half the horizon
+        raise ConfigInvalid(f"key 'time.horizon' must be an even number of lattice steps for probe-s2, "
+                            f"got {cfg['time.horizon']} ({steps} steps)")
     blocks = cfg.values.get("experiment.blocks")
     if blocks is not None and steps % blocks:
         raise ConfigInvalid(f"key 'experiment.blocks' must divide the {steps} time steps, got {blocks}")
@@ -292,17 +295,13 @@ def load_config(path: str | Path, command: str, seed_override: int | None = None
     if seed_override is not None:
         values["noise.seed"] = seed_override
     cfg = ExperimentConfig(values)
-    _check_across_keys(cfg)
+    _check_across_keys(cfg, command)
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # output helpers: 17 significant digits everywhere
 # ---------------------------------------------------------------------------
-
-def _fmt(x) -> str:
-    return "%.17g" % x
-
 
 def _seventeen(obj):
     """Recursively turn floats into 17-significant-digit strings for JSON."""

@@ -27,6 +27,7 @@ from .noise import NoiseBasis
 from .solver import (
     Control,
     LocalizationParams,
+    _row_weights,
     cone_energies,
     cone_window,
     section_energy,
@@ -132,14 +133,11 @@ class _TerminalObjective:
         self.record = None  # (params, terminal difference, block-start (u, v, k)) of the last gap solve
 
         self.target = (target.u.values, target.v.values)
-        self.window = i_lo, i_hi = cone_window(cone, z0.origin, self.dx, z0.u.npoints, self.steps)
+        self.window = cone_window(cone, z0.origin, self.dx, z0.u.npoints, self.steps)
         # residual_rows weights every lattice row, zero outside the window:
         # on the window's rows alone jac.T @ jac groups its BLAS sums
         # differently, and the rate run's bytes move
-        weights = np.zeros(z0.u.npoints)
-        weights[i_lo:i_hi + 1] = self.dx
-        weights[i_lo] = weights[i_hi] = 0.5 * self.dx
-        self.sqrt_weights = np.sqrt(weights)[:, None, None]
+        self.sqrt_weights = np.sqrt(_row_weights(z0.u.npoints, *self.window, self.dx))[:, None, None]
 
     def rates(self, params: np.ndarray) -> np.ndarray:
         """params (P, B) -> per-column control rates (steps, B, dim)."""

@@ -79,14 +79,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LocalizationParams:
-    """Cone base radius and energy-cutoff levels for the localized maps.
+    """Cone base radius and the top energy-cutoff level for the localized maps.
 
-    `k` fixes the taper level; None lets the solver start at twice the initial
-    window norm and double on each crossing, up to `k_max`.
+    The solver starts each column's taper level at twice its initial window
+    norm (at least 1) and doubles it on each crossing, up to `k_max`.
     """
 
     radius: float
-    k: int | None = None
     k_max: int = 1024
 
 
@@ -247,15 +246,17 @@ def _extended(values: np.ndarray, i_lo: int, i_hi: int, order: int = 1) -> np.nd
     return out
 
 
-def _reflected_fields(ue: np.ndarray, ve: np.ndarray, lo: int, hi: int, spacing: float, work: Scratch,
-                      keys: tuple) -> tuple:
-    """Reflect section rows ue, ve (order 2) about their core lo..hi in place; their section fields.
+def _section(ue: np.ndarray, ve: np.ndarray, window: tuple[int, int], rows: slice, spacing: float,
+             work: Scratch) -> tuple:
+    """Reflect section rows ue, ve (order 2) about the window in place: (fields, weights, sq).
 
-    keys name the work arrays for Du, D^2u and Dv.
+    ue, ve hold the lattice rows `rows` of window = (i_lo, i_hi); Du, D^2u, Dv and sq are f0..f3 (_Run).
     """
+    lo, hi = window[0] - rows.start, window[1] - rows.start
     extend_array(ue, lo, hi, 2)
     extend_array(ve, lo, hi, 2)
-    return section_fields(ue, ve, spacing, tuple(work.get(key, ue.shape) for key in keys))
+    fields = section_fields(ue, ve, spacing, tuple(work.get(key, ue.shape) for key in ("f0", "f1", "f2")))
+    return fields, _row_weights(len(ue), lo, hi, spacing), work.get("f3", ue.shape)
 
 
 def _midpoint_taper(fields: tuple, weights: np.ndarray, k: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -285,18 +286,16 @@ def _window(u: np.ndarray, v: np.ndarray, origin: float, spacing: float, s: floa
     outside the window: those carry lattice-edge junk of size O(1/dx) in
     the second derivative.  Order-2 reflection keeps the one-sided
     derivatives accurate.  Only the section rows section_rows(i_lo, i_hi,
-    npoints, 1) are copied and reflected, in the work arrays "f0".."f5".
+    npoints, 1) are copied, into the work arrays f4, f5, and reflected.
     """
     work = Scratch() if work is None else work
     window = window_indices(origin, spacing, u.shape[0], s)
     rows = section_rows(*window, u.shape[0], 1)
     shape = (rows.stop - rows.start,) + u.shape[1:]
-    ue, ve = work.get("f0", shape), work.get("f1", shape)
+    ue, ve = work.get("f4", shape), work.get("f5", shape)
     np.copyto(ue, u[rows])
     np.copyto(ve, v[rows])
-    lo, hi = window[0] - rows.start, window[1] - rows.start
-    fields = _reflected_fields(ue, ve, lo, hi, spacing, work, ("f2", "f3", "f4"))
-    energy = _weighted_sum(fields, _row_weights(shape[0], lo, hi, spacing), work.get("f5", shape))
+    energy = _weighted_sum(*_section(ue, ve, window, rows, spacing, work))
     return window, np.sqrt(2.0 * energy)  # 2 * (0.5 * x) == x: the bare weighted norm
 
 
@@ -407,28 +406,205 @@ def state_defect(manifold: ManifoldModel, u: np.ndarray, v: np.ndarray) -> str |
     return None
 
 
-def _integrate(
-    u0: np.ndarray,
-    v0: np.ndarray,
-    *,
-    origin: float,
-    spacing: float,
-    manifold: ManifoldModel,
-    loc: LocalizationParams,
-    horizon: float,
-    basis: NoiseBasis | None = None,
-    diffusion: DiffusionField | None = None,
-    eps: float = 0.0,
-    control_rates: np.ndarray | None = None,  # (steps, B, dim)
-    master_seed: int = 0,
-    trial_ids=None,
-    renormalize: bool = True,
-    keep_states: bool = True,
-    observer=None,
-    start: int = 0,
-    levels: np.ndarray | None = None,
-):
-    """Steps start..horizon/spacing from (u0, v0), the states at step `start`.
+def _blowup(bad: np.ndarray, message) -> None:
+    """Raise BlowupDetected(message(b)) for the first batch column b where bad holds."""
+    if np.any(bad):
+        raise BlowupDetected(message(int(np.nonzero(bad)[0][0])))
+
+
+class _Run:
+    """One integrator run from the states (u0, v0) of step `start`, one method per step phase.
+
+    Six refined-lattice work arrays carry a step in turns, a coarse-lattice
+    array being the leading elements of one.  The plan:
+
+        phase    f0      f1      f2      f3       f4        f5
+        head     Du      D^2u    Dv      squares  u rows    v rows     coarse section (_section)
+        kick     Y(u)                                                  kicked v: its own array
+        drift    up(u)   up(v)   group-step work  stepped u stepped v  refined lattice
+                 Du      D^2u    Dv      squares  u rows    v rows     refined section (_section)
+                 fu      force   fv      transport work
+        advance                          group-step work
+    """
+
+    def __init__(
+        self,
+        u0: np.ndarray,
+        v0: np.ndarray,
+        *,
+        origin: float,
+        spacing: float,
+        manifold: ManifoldModel,
+        loc: LocalizationParams,
+        horizon: float,
+        basis: NoiseBasis | None = None,
+        diffusion: DiffusionField | None = None,
+        eps: float = 0.0,
+        control_rates: np.ndarray | None = None,  # (steps, B, dim)
+        master_seed: int = 0,
+        trial_ids=None,
+        renormalize: bool = True,
+        keep_states: bool = True,
+        observer=None,
+        start: int = 0,
+        levels: np.ndarray | None = None,
+    ):
+        n, nbatch, ncomp = u0.shape
+        steps = lattice_steps(horizon, spacing)
+        if steps <= 0:
+            raise ValueError(f"horizon {horizon} must cover at least one step of {spacing}")
+        if horizon >= loc.radius:
+            raise ConeExhausted(f"horizon {horizon} reaches the localization radius {loc.radius}")
+        if not 0 <= start <= steps:
+            raise ValueError(f"start step {start} is outside 0..{steps}")
+        if start == 0 and (defect := state_defect(manifold, u0, v0)) is not None:
+            raise OffManifoldInitialData(f"initial {defect}")
+        if eps < 0:
+            raise ValueError(f"noise level must be nonnegative, got {eps}")
+
+        needs_noise = eps > 0.0
+        if needs_noise and (basis is None or diffusion is None):
+            raise ValueError("stochastic runs need a noise basis and a diffusion field")
+        if control_rates is not None:
+            if basis is None or diffusion is None:
+                raise ValueError("a control needs the noise basis and diffusion field it acts through")
+            if control_rates.shape[0] < steps:
+                raise DimensionMismatch(
+                    f"control provides {control_rates.shape[0]} rows for {steps} steps"
+                )
+            if control_rates.shape[2] != basis.dim:
+                raise DimensionMismatch(
+                    f"control rows have dimension {control_rates.shape[2]}, basis has {basis.dim}"
+                )
+
+        self.origin, self.dx, self.manifold, self.loc = origin, spacing, manifold, loc
+        self.basis, self.diffusion, self.eps, self.control_rates = basis, diffusion, eps, control_rates
+        self.master_seed, self.trial_ids = master_seed, range(nbatch) if trial_ids is None else trial_ids
+        self.renormalize, self.observer, self.start, self.steps = renormalize, observer, start, steps
+        self.fine = (2 * n - 1, nbatch, ncomp)
+        self.modes_coarse = basis.evaluate(origin + spacing * np.arange(n)) if needs_noise else None
+        if control_rates is not None:
+            self.modes_fine = basis.evaluate(origin + 0.5 * spacing * np.arange(2 * n - 1))
+
+        # C order, as in a width-1 run, since section energies add in memory order;
+        # a C-ordered input is not copied, because the integrator never writes it
+        self.u = np.ascontiguousarray(u0, dtype=float)
+        self.v = np.ascontiguousarray(v0, dtype=float)
+        self.work = Scratch()
+        for key in ("f0", "f1", "f2", "f3", "f4", "f5"):
+            self.work.get(key, self.fine)
+
+        # per-column taper levels, set (unless resumed) and checked by the first head
+        self.k = None if levels is None else np.array(levels, dtype=int)
+        self.k_init = None
+        self.times = spacing * np.arange(start, steps + 1)
+        rows = (len(self.times), nbatch)
+        self.trace = {"taper_norm": np.zeros(rows), "taper": np.zeros(rows), "k_level": np.zeros(rows, dtype=int)}
+        self.path_u = self.path_v = None
+        if keep_states:  # each later state is computed in its own row
+            self.path_u, self.path_v = np.empty((rows[0],) + self.u.shape), np.empty((rows[0],) + self.v.shape)
+            self.path_u[0], self.path_v[0] = self.u, self.v
+        self.noise_log = np.zeros((steps - start, nbatch, basis.dim)) if needs_noise else None
+
+    def __getitem__(self, i):
+        """The finished run as the tuple (times, path_u, path_v, trace, noise_log, k_init, k), for indexing callers."""
+        return (self.times, self.path_u, self.path_v, self.trace, self.noise_log, self.k_init, self.k)[i]
+
+    def head(self, m: int) -> tuple:
+        """Step m's coarse window norm, levels, taper, traces and observer call: (window, taper)."""
+        t = m * self.dx
+        window, norm = _window(self.u, self.v, self.origin, self.dx, self.loc.radius - t, self.work)
+        # a NaN norm fails every level test below and would run on
+        _blowup(~np.isfinite(norm), lambda b: f"window norm of column {b} is {norm[b]} at t={t}")
+        top = self.loc.k_max
+        if self.k_init is None:
+            if self.k is None:
+                self.k = np.maximum(1, np.ceil(2.0 * norm)).astype(int)
+            k = self.k_init = self.k.copy()  # doubling never lifts a level below 1 past a crossing
+            _blowup(k < 1, lambda b: f"starting taper level {k[b]} of column {b} is below 1")
+            _blowup(k > top, lambda b: f"starting taper level {k[b]} of column {b} exceeds the top level {top}")
+
+        while np.any(crossing := norm >= self.k):
+            self.k = np.where(crossing, 2 * self.k, self.k)
+            _blowup(self.k > top, lambda b: f"window norm {norm[b]:.3e} exhausted cutoff levels up to {top} at t={t}")
+        theta = taper_factor(norm, self.k)
+
+        row = m - self.start
+        self.trace["taper_norm"][row], self.trace["taper"][row], self.trace["k_level"][row] = norm, theta, self.k
+        if self.observer is not None:
+            self.observer(m, t, self.u, self.v)
+        return window, theta
+
+    def kick(self, m: int, window: tuple[int, int], theta: np.ndarray) -> np.ndarray:
+        """The velocity after step m's noise kick, evaluated at the left point (v itself without noise)."""
+        if self.noise_log is None:
+            return self.v
+        u, work = self.u, self.work
+        n, nbatch, ncomp = u.shape
+        increments = self.noise_log[m - self.start]
+        for b in range(nbatch):
+            increments[b] = sample_increment(self.basis, self.dx, stream(self.master_seed, self.trial_ids[b], m))
+        wfield = _mode_field(increments, self.modes_coarse, work.get("noise.field", (nbatch, n)),
+                             work.get("noise.tmp", (nbatch, n))).T
+        i_lo, i_hi = window
+        y = work.get("f0", u.shape)
+        self.diffusion(u[i_lo:i_hi + 1], out=y[i_lo:i_hi + 1], work=work)
+        extend_array(y, i_lo, i_hi, 1)
+        scale = math.sqrt(self.eps) * theta
+        kick = work.get("noise.kick", (n, nbatch))
+        v_star = work.get("v_star", u.shape)
+        for c in range(ncomp):  # v + scale * y * wfield, one component column at a time
+            part = np.multiply(scale, y[..., c], out=kick)
+            part *= wfield
+            np.add(self.v[..., c], part, out=v_star[..., c])
+        return v_star
+
+    def drift(self, m: int) -> tuple:
+        """Step m's midpoint drift and control on the refined lattice, transported: (fu, fv), not yet times dt."""
+        u, work, fine = self.u, self.work, self.fine
+        dxf = 0.5 * self.dx
+        uf, vf = apply_arrays(_upsample(u, work.get("f0", fine)), _upsample(self.v, work.get("f1", fine)), dxf, 1,
+                              out=(work.get("f4", fine), work.get("f5", fine)),
+                              work=(work.get("f2", fine), work.get("f3", fine)))
+        window = window_indices(self.origin, dxf, fine[0], self.loc.radius - m * self.dx - dxf)
+        rows = section_rows(*window, fine[0], 1)
+        fields, weights, sq = _section(uf[rows], vf[rows], window, rows, dxf, work)
+        theta_mid = _midpoint_taper(fields, weights, self.k, sq)
+        cfield = None
+        if self.control_rates is not None:
+            cfield = _mode_field(self.control_rates[m], self.modes_fine, work.get("control.field", (fine[1], fine[0])),
+                                 work.get("control.tmp", (fine[1], fine[0]))).T
+        # the drift reads u, v and Du on the window's rows
+        ue, ux, _, ve, _ = fields
+        core = slice(window[0] - rows.start, window[1] + 1 - rows.start)
+        force = _core_drift(self.manifold, ue[core], ve[core], ux[core], theta_mid, window, work.get("f1", fine),
+                            diffusion=self.diffusion, control_field=cfield, work=work)
+        return transport_velocity(force, dxf, out=(work.get("f0", u.shape), work.get("f2", u.shape)),
+                                  tmp=work.get("f3", (u.shape[0] - 1,) + u.shape[1:]))
+
+    def advance(self, m: int, v_star: np.ndarray, fu: np.ndarray, fv: np.ndarray) -> None:
+        """The state of step m + 1: the coarse group step of (u, v_star) plus dt * (fu, fv), renormalized."""
+        work, shape, row = self.work, self.u.shape, m + 1 - self.start
+        new = (np.empty(shape), np.empty(shape)) if self.path_u is None else (self.path_u[row], self.path_v[row])
+        u, v = apply_arrays(self.u, v_star, self.dx, 1, out=new, work=(work.get("f3", shape), work.get("f4", shape)))
+        fu *= self.dx
+        u += fu
+        fv *= self.dx
+        v += fv
+        self.u, self.v = u, v
+        if self.renormalize:
+            # trigger per batch column and project the triggered columns; the
+            # projection is elementwise, so a column's evolution is bitwise
+            # independent of its neighbours
+            residual = self.manifold.constraint_residual(u, out=work.get("renormalize", shape[:2]), work=work)
+            hit = residual.max(axis=0) > 1e-12
+            for b in [slice(None)] if hit.all() else np.flatnonzero(hit):
+                self.manifold.nearest_point(u[:, b], out=u[:, b], work=work)
+                self.manifold.tangent_project_at(u[:, b], v[:, b], out=v[:, b], work=work)
+
+
+def _integrate(u0: np.ndarray, v0: np.ndarray, **kwargs) -> _Run:
+    """Steps start..horizon/spacing from (u0, v0), the states at step `start`; kwargs go to _Run.
 
     A resumed run (start > 0) takes `levels`, the per-column taper levels its
     full run had at that step, and returns the tail of the full run bitwise:
@@ -437,190 +613,13 @@ def _integrate(
     states fill one preallocated pair of (steps + 1 - start, n, B, ncomp)
     arrays: stacking copies at the end would double the peak.
     """
-    n, nbatch, ncomp = u0.shape
-    dx = spacing
-    r = loc.radius
-    steps = lattice_steps(horizon, dx)
-    if steps <= 0:
-        raise ValueError(f"horizon {horizon} must cover at least one step of {dx}")
-    if horizon >= r:
-        raise ConeExhausted(f"horizon {horizon} reaches the localization radius {r}")
-    if not 0 <= start <= steps:
-        raise ValueError(f"start step {start} is outside 0..{steps}")
-    if start == 0:
-        defect = state_defect(manifold, u0, v0)
-        if defect is not None:
-            raise OffManifoldInitialData(f"initial {defect}")
-    if eps < 0:
-        raise ValueError(f"noise level must be nonnegative, got {eps}")
-
-    needs_noise = eps > 0.0
-    if needs_noise and (basis is None or diffusion is None):
-        raise ValueError("stochastic runs need a noise basis and a diffusion field")
-    if control_rates is not None:
-        if basis is None or diffusion is None:
-            raise ValueError("a control needs the noise basis and diffusion field it acts through")
-        if control_rates.shape[0] < steps:
-            raise DimensionMismatch(
-                f"control provides {control_rates.shape[0]} rows for {steps} steps"
-            )
-        if control_rates.shape[2] != basis.dim:
-            raise DimensionMismatch(
-                f"control rows have dimension {control_rates.shape[2]}, basis has {basis.dim}"
-            )
-    if needs_noise and trial_ids is None:
-        trial_ids = list(range(nbatch))
-
-    x = origin + dx * np.arange(n)
-    dxf = 0.5 * dx
-    xf = origin + dxf * np.arange(2 * n - 1)
-    modes_coarse = basis.evaluate(x) if needs_noise else None
-    modes_fine = basis.evaluate(xf) if control_rates is not None else None
-
-    # C order, as in a width-1 run, since section energies add in memory order;
-    # a C-ordered input is not copied, because the integrator never writes it
-    u = np.ascontiguousarray(u0, dtype=float)
-    v = np.ascontiguousarray(v0, dtype=float)
-
-    # Every work array of the run comes from one Scratch, so a step
-    # allocates only its new state pair, and nothing when states are kept
-    # (each is computed in its path row).  The six refined-lattice arrays
-    # "f0".."f5" carry the step in turns, coarse-lattice arrays being their
-    # leading elements; each phase below says what it keeps where.
-    work = Scratch()
-    coarse, fine = u.shape, (2 * n - 1, nbatch, ncomp)
-    for key in ("f0", "f1", "f2", "f3", "f4", "f5"):
-        work.get(key, fine)
-    head = _window(u, v, origin, dx, r - start * dx, work)  # the first loop head's window and norm
-
-    # taper levels per batch column
-    if levels is not None:
-        k = np.array(levels, dtype=int)
-    elif loc.k is not None:
-        k = np.full(nbatch, int(loc.k))
-    else:
-        k = np.maximum(1, np.ceil(2.0 * head[1])).astype(int)
-    if np.any(k < 1):  # doubling never lifts a level below 1 past a crossing
-        b = int(np.nonzero(k < 1)[0][0])
-        raise BlowupDetected(f"starting taper level {k[b]} of column {b} is below 1")
-    if np.any(k > loc.k_max):
-        b = int(np.nonzero(k > loc.k_max)[0][0])
-        raise BlowupDetected(f"starting taper level {k[b]} of column {b} exceeds the top level {loc.k_max}")
-    k_init = k.copy()
-
-    times = dx * np.arange(start, steps + 1)
-    trace_norm = np.zeros((len(times), nbatch))
-    trace_taper = np.zeros((len(times), nbatch))
-    trace_k = np.zeros((len(times), nbatch), dtype=int)
-    path_u = np.empty((len(times),) + u.shape) if keep_states else None
-    path_v = np.empty((len(times),) + v.shape) if keep_states else None
-    if keep_states:  # each later state is computed in its own row
-        path_u[0] = u
-        path_v[0] = v
-    noise_log = np.zeros((steps - start, nbatch, basis.dim)) if needs_noise else None
-
-    for m in range(start, steps + 1):
-        t = m * dx
-        s = r - t
-        # coarse window: section copies and fields in f0..f5
-        window, norm_m = head if m == start else _window(u, v, origin, dx, s, work)
-        finite = np.isfinite(norm_m)
-        if not finite.all():  # a NaN norm fails every level test below and would run on
-            b = int(np.nonzero(~finite)[0][0])
-            raise BlowupDetected(f"window norm of column {b} is {norm_m[b]} at t={t}")
-
-        crossing = norm_m >= k
-        while np.any(crossing):
-            k = np.where(crossing, 2 * k, k)
-            if np.any(k > loc.k_max):
-                b = int(np.nonzero(k > loc.k_max)[0][0])
-                raise BlowupDetected(
-                    f"window norm {norm_m[b]:.3e} exhausted cutoff levels up to {loc.k_max} at t={t}"
-                )
-            crossing = norm_m >= k
-        theta = taper_factor(norm_m, k)
-
-        trace_norm[m - start] = norm_m
-        trace_taper[m - start] = theta
-        trace_k[m - start] = k
-        if observer is not None:
-            observer(m, t, u, v)
-        if m == steps:
-            break
-
-        # noise increment, left-point evaluation: Y(u) on the window's rows,
-        # extended into f0; the kicked velocity goes to its own array
-        if needs_noise:
-            for b in range(nbatch):
-                noise_log[m - start, b] = sample_increment(basis, dx, stream(master_seed, trial_ids[b], m))
-            wfield = _mode_field(noise_log[m - start], modes_coarse, work.get("noise.field", (nbatch, n)),
-                                 work.get("noise.tmp", (nbatch, n))).T
-            i_lo, i_hi = window
-            y = work.get("f0", coarse)
-            diffusion(u[i_lo:i_hi + 1], out=y[i_lo:i_hi + 1], work=work)
-            extend_array(y, i_lo, i_hi, 1)
-            scale = math.sqrt(eps) * theta
-            kick = work.get("noise.kick", (n, nbatch))
-            v_star = work.get("v_star", coarse)
-            for c in range(ncomp):  # v + scale * y * wfield, one component column at a time
-                part = np.multiply(scale, y[..., c], out=kick)
-                part *= wfield
-                np.add(v[..., c], part, out=v_star[..., c])
-        else:
-            v_star = v
-
-        # midpoint drift + control on the refined lattice: the upsampled
-        # state in f0, f1, its derivative and antiderivative in f2, f3, and
-        # the stepped state in f4, f5
-        uf, vf = apply_arrays(_upsample(u, work.get("f0", fine)), _upsample(v, work.get("f1", fine)), dxf, 1,
-                              out=(work.get("f4", fine), work.get("f5", fine)),
-                              work=(work.get("f2", fine), work.get("f3", fine)))
-        # the refined window reflects the section rows of f4, f5 in place,
-        # with Du, D^2u, Dv and the squares in f0..f3
-        window_f = window_indices(origin, dxf, uf.shape[0], s - dxf)
-        rows = section_rows(*window_f, uf.shape[0], 1)
-        lo, hi = window_f[0] - rows.start, window_f[1] - rows.start
-        fields = _reflected_fields(uf[rows], vf[rows], lo, hi, dxf, work, ("f0", "f1", "f2"))
-        theta_mid = _midpoint_taper(fields, _row_weights(len(fields[0]), lo, hi, dxf), k,
-                                    work.get("f3", fields[0].shape))
-        ue, ux, _, ve, _ = fields
-        cfield = None
-        if control_rates is not None:
-            cfield = _mode_field(control_rates[m], modes_fine, work.get("control.field", (nbatch, len(xf))),
-                                 work.get("control.tmp", (nbatch, len(xf)))).T
-        # the drift reads u, v and Du on the window's rows and fills f1
-        core = slice(lo, hi + 1)
-        force = _core_drift(manifold, ue[core], ve[core], ux[core], theta_mid, window_f, work.get("f1", fine),
-                            diffusion=diffusion, control_field=cfield, work=work)
-        # transported drift in f0, f2; the coarse step's temporaries in f3, f4
-        fu, fv = transport_velocity(force, dxf, out=(work.get("f0", coarse), work.get("f2", coarse)),
-                                    tmp=work.get("f3", (n - 1, nbatch, ncomp)))
-        if keep_states:
-            new = (path_u[m + 1 - start], path_v[m + 1 - start])
-        else:
-            new = (np.empty(coarse), np.empty(coarse))
-        u, v = apply_arrays(u, v_star, dx, 1, out=new, work=(work.get("f3", coarse), work.get("f4", coarse)))
-        fu *= dx
-        u += fu
-        fv *= dx
-        v += fv
-
-        if renormalize:
-            # trigger per batch column and project the triggered columns; the
-            # projection is elementwise, so a column's evolution is bitwise
-            # independent of its neighbours
-            residual = manifold.constraint_residual(u, out=work.get("renormalize", (n, nbatch)), work=work)
-            hit = residual.max(axis=0) > 1e-12
-            if hit.all():
-                manifold.nearest_point(u, out=u, work=work)
-                manifold.tangent_project_at(u, v, out=v, work=work)
-            else:
-                for b in np.flatnonzero(hit):
-                    manifold.nearest_point(u[:, b], out=u[:, b], work=work)
-                    manifold.tangent_project_at(u[:, b], v[:, b], out=v[:, b], work=work)
-
-    energy_trace = {"taper_norm": trace_norm, "taper": trace_taper, "k_level": trace_k}
-    return times, path_u, path_v, energy_trace, noise_log, k_init, k
+    run = _Run(u0, v0, **kwargs)
+    for m in range(run.start, run.steps):
+        window, theta = run.head(m)
+        v_star = run.kick(m, window, theta)
+        run.advance(m, v_star, *run.drift(m))
+    run.head(run.steps)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -634,30 +633,28 @@ def _as_batch(z0: State) -> tuple[np.ndarray, np.ndarray]:
 def _single_trajectory(z0: State, control, horizon: float, loc: LocalizationParams, metadata: dict,
                        **kwargs) -> Trajectory:
     """One trajectory, solved as a batch of width one; kwargs go to _integrate."""
-    steps = lattice_steps(horizon, z0.spacing)
     u0, v0 = _as_batch(z0)
-    times, u, v, trace, noise_log, k_init, k_final = _integrate(
+    run = _integrate(
         u0, v0, origin=z0.origin, spacing=z0.spacing, loc=loc, horizon=horizon,
-        control_rates=_control_rates(control, steps, z0.spacing), **kwargs,
+        control_rates=_control_rates(control, z0.spacing), **kwargs,
     )
-    if u is not None:
-        u, v = u[:, :, 0], v[:, :, 0]
-    energy_trace = {key: arr[:, 0] for key, arr in trace.items()}
+    u, v = (None, None) if run.path_u is None else (run.path_u[:, :, 0], run.path_v[:, :, 0])
+    energy_trace = {key: arr[:, 0] for key, arr in run.trace.items()}
     metadata = dict(metadata, radius=loc.radius, renormalize=kwargs["renormalize"],
-                    k_init=int(k_init[0]), k_final=int(k_final[0]))
-    increments = None if noise_log is None else noise_log[:, 0, :]
-    return Trajectory(times, u, v, z0.origin, z0.spacing, energy_trace, increments, control, metadata)
+                    k_init=int(run.k_init[0]), k_final=int(run.k[0]))
+    increments = None if run.noise_log is None else run.noise_log[:, 0, :]
+    return Trajectory(run.times, u, v, z0.origin, z0.spacing, energy_trace, increments, control, metadata)
 
 
-def _control_rates(control: Control | None, steps: int, spacing: float):
-    """The control's first `steps` rows as rates of shape (steps, 1, dim)."""
+def _control_rates(control: Control | None, spacing: float):
+    """The control's rows as rates of shape (rows, 1, dim); a run reads those of its steps."""
     if control is None:
         return None
     if abs(control.dt - spacing) > 1e-12 * (1 + spacing):
         raise NonLatticeTime(
             f"control step {control.dt} must equal the solver step {spacing}"
         )
-    return control.coeffs[:steps][:, None, :]
+    return control.coeffs[:, None, :]
 
 
 def solve_skeleton(
@@ -755,7 +752,7 @@ def solve_batch(
         start, u0, v0, levels = _resume
         if u0.shape[1] != nbatch:
             raise DimensionMismatch(f"{u0.shape[1]} resumed columns for a batch of {nbatch}")
-    times, u, v, trace, noise_log, k_init, k_final = _integrate(
+    run = _integrate(
         u0, v0,
         origin=z0.origin, spacing=z0.spacing, manifold=manifold, loc=loc,
         horizon=horizon, basis=basis, diffusion=diffusion, eps=eps,
@@ -765,8 +762,9 @@ def solve_batch(
     )
     meta = {"eps": float(eps), "seed": int(master_seed), "trial_ids": trial_ids,
             "radius": loc.radius, "renormalize": renormalize,
-            "k_init": k_init, "k_final": k_final, "nbatch": nbatch}
-    return Trajectory(times, u, v, z0.origin, z0.spacing, trace, noise_log, None, meta)
+            "k_init": run.k_init, "k_final": run.k, "nbatch": nbatch}
+    return Trajectory(run.times, run.path_u, run.path_v, z0.origin, z0.spacing, run.trace, run.noise_log,
+                      None, meta)
 
 
 def run_trials(ids, fn, threads: int) -> tuple:
@@ -801,7 +799,8 @@ def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams
     section_energy values per reference and the final positions (B, npoints,
     ncomp).  Noise trials (trial_ids) fan out over at most `threads` chunks by
     run_trials; control columns (control_rates of shape (steps, B, dim)) run
-    as one batch.
+    as one batch.  Without either the run is one column, trial 0, as in
+    solve_batch.
     """
     steps = lattice_steps(horizon, z0.spacing)
 
@@ -822,7 +821,7 @@ def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams
         return (*energies, final[0].transpose(1, 0, 2))
 
     if control_rates is None:
-        *energies, final = run_trials(trial_ids, run, threads)
+        *energies, final = run_trials([0] if trial_ids is None else trial_ids, run, threads)
     else:
         *energies, final = run(trial_ids, control_rates)
     return energies, final

@@ -334,6 +334,18 @@ def test_probe_s2_with_two_eps_values_reports_no_slope(tmp_path, capsys):
     assert report["slope"] is None and report["passed"] is False
 
 
+def test_probe_s2_with_an_odd_step_count_is_a_config_error(tmp_path, capsys):
+    # the probe runs to half the horizon, which must be a lattice time too (7 steps of 0.03125 here)
+    cfg = _config(tmp_path, 'manifold.kind = "circle"\ngrid.domain_radius = 3.0\ngrid.points = 96\n'
+                            'time.horizon = 0.21875\nexperiment.trials = 30\n')
+    with pytest.raises(ConfigInvalid, match="time.horizon"):
+        load_config(cfg, "probe-s2")
+    assert run_command(["probe-s2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: key 'time.horizon'" in capsys.readouterr().out
+    for command in ("simulate", "tail"):  # these run to the whole horizon
+        load_config(cfg, command)
+
+
 def test_seed_override(tmp_path):
     path = _config(tmp_path, "noise.seed = 3\n")
     assert load_config(path, "verify")["noise.seed"] == 3

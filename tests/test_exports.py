@@ -12,7 +12,7 @@ import geowave
 from geowave.energy import verify_energy_inequality
 from geowave.geometry import ManifoldModel
 from geowave.ldp import RateOptions, statement1_probe, statement2_probe
-from geowave.solver import solve_batch
+from geowave.solver import LocalizationParams, solve_batch
 from geowave.wave_group import apply_group
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(geowave.__path__))
@@ -76,6 +76,8 @@ def test_deleted_parameters_are_gone():
     # the target's dimension and tube radius follow from its kind
     assert [f.name for f in dataclasses.fields(ManifoldModel)] == ["kind"]
     assert not params(ManifoldModel.circle) | params(ManifoldModel.sphere)
+    # every run starts at twice its window norm: no fixed taper level
+    assert "k" not in [f.name for f in dataclasses.fields(LocalizationParams)]
 
 
 def _unused_imports(source: str) -> list:
@@ -107,13 +109,21 @@ def test_unused_import_guard_sees_orphans():
 
 
 def _unread_private_defs(source: str) -> list:
-    """Module-level private functions and classes that nothing in the module reads."""
+    """Module-level private functions and classes that nothing in the module reads.
+
+    A method of a module-level private class counts as Class.method and must
+    be read as an attribute somewhere in the module; dunder methods are exempt.
+    """
     tree = ast.parse(source)
-    private = {node.name for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.endswith("__")}
+    defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+    private = {node.name for node in defs}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return sorted(private - read)
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    methods = {f"{node.name}.{item.name}" for node in defs if isinstance(node, ast.ClassDef) for item in node.body
+               if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__"))
+               and item.name not in attrs}
+    return sorted((private - read) | methods)
 
 
 @pytest.mark.parametrize("name", MODULES + ["__init__"])
@@ -125,5 +135,9 @@ def test_every_private_def_is_read_in_its_module(name):
 def test_private_def_guard_sees_orphans():
     source = ("def _used():\n    pass\n\n\ndef _orphan():\n    _orphan = 1\n\n\n"
               "class _Lonely:\n    def _method(self):\n        pass\n\n\nx = _used()\n")
-    assert _unread_private_defs(source) == ["_Lonely", "_orphan"]
+    assert _unread_private_defs(source) == ["_Lonely", "_Lonely._method", "_orphan"]
+    # a method of a private class must be read as an attribute; a dunder one need not be
+    source = ("class _Box:\n    def __init__(self):\n        self.put()\n\n"
+              "    def put(self):\n        pass\n\n    def orphan(self):\n        pass\n\n\n_Box()\n")
+    assert _unread_private_defs(source) == ["_Box.orphan"]
     assert _unread_private_defs("def __getattr__(name):\n    pass\n") == []

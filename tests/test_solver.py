@@ -198,6 +198,21 @@ def test_cone_energy_columns_are_bitwise_their_width_one_runs(ids, seed):
         assert np.array_equal(wide[col], single[0]), (col, np.flatnonzero(wide[col] != single[0]))
 
 
+def test_cone_energies_without_trial_ids_run_one_column_as_trial_zero():
+    # solve_batch reads trial_ids=None as one column with trial id 0
+    z0 = random_state(_LANE_GEOM, _SPHERE, stream(5, 3))
+    dx, horizon = _LANE_GEOM.spacing, 0.25
+    cone = LightCone(0.0, 2.0 * horizon)
+    windows = [cone_window(cone, _LANE_GEOM.origin, dx, _LANE_GEOM.npoints, m)
+               for m in range(round(horizon / dx) + 1)]
+    fields = dict(manifold=_SPHERE, basis=_BASIS, diffusion=_Y_SPHERE, master_seed=5)
+    (got,), final = cone_energies(z0, 1e-2, horizon, _loc(_LANE_GEOM), windows, [None], **fields)
+    (want,), want_final = cone_energies(z0, 1e-2, horizon, _loc(_LANE_GEOM), windows, [None], **fields,
+                                        trial_ids=[0])
+    assert got.shape == (1, len(windows))
+    assert np.array_equal(got, want) and np.array_equal(final, want_final)
+
+
 def test_solves_leave_their_input_arrays_unchanged():
     z0 = random_state(_LANE_GEOM, _SPHERE, stream(4, 3))
     kept = z0.u.values.copy(), z0.v.values.copy()
@@ -365,16 +380,16 @@ def test_horizon_must_be_lattice_and_inside_cone():
 def test_exhausted_cutoff_levels_raise():
     geom = make_grid(6.0, 96, 1.0)
     z = rotating_state(geom, _CIRCLE)  # starting level ceil(2 * window norm) = 11
-    small = LocalizationParams(radius=geom.half_width, k=1, k_max=4)
-    with pytest.raises(BlowupDetected):
-        solve_skeleton(z, None, 0.25, small, manifold=_CIRCLE)
+    u, v = z.u.values[:, None, :], z.v.values[:, None, :]
+    small = LocalizationParams(radius=geom.half_width, k_max=4)
+    with pytest.raises(BlowupDetected, match="exhausted cutoff levels up to 4"):
+        solve_batch(z, 0.0, 0.25, small, manifold=_CIRCLE, _resume=(0, u, v, np.array([1])))
     # a starting level above the top level is exhausted before the first step
     low_top = LocalizationParams(radius=geom.half_width, k_max=1)
     with pytest.raises(BlowupDetected, match="starting taper level 11 of column 0 exceeds the top level 1"):
         solve_skeleton(z, None, 0.5, low_top, manifold=_CIRCLE)
-    fixed = LocalizationParams(radius=geom.half_width, k=8, k_max=4)  # 8 is never crossed
-    with pytest.raises(BlowupDetected, match="starting taper level 8"):
-        solve_skeleton(z, None, 0.5, fixed, manifold=_CIRCLE)
+    with pytest.raises(BlowupDetected, match="starting taper level 8"):  # 8 is never crossed
+        solve_batch(z, 0.0, 0.5, small, manifold=_CIRCLE, _resume=(0, u, v, np.array([8])))
     at_top = LocalizationParams(radius=geom.half_width, k_max=11)
     assert solve_skeleton(z, None, 0.5, at_top, manifold=_CIRCLE).metadata["k_init"] == 11
 
@@ -384,11 +399,10 @@ def test_starting_taper_level_below_one_raises(level):
     # doubling never lifts a level below 1 past a crossing, so the run would never end
     geom = make_grid(6.0, 96, 1.0)
     z = constant_state(geom, _CIRCLE)
-    low = LocalizationParams(radius=geom.half_width, k=level)
-    with pytest.raises(BlowupDetected, match=f"starting taper level {level} of column 0 is below 1"):
-        solve_skeleton(z, None, 0.5, low, manifold=_CIRCLE)
-    # a resumed run checks the levels it is handed the same way
     u, v = z.u.values[:, None, :], z.v.values[:, None, :]
+    with pytest.raises(BlowupDetected, match=f"starting taper level {level} of column 0 is below 1"):
+        solve_batch(z, 0.0, 0.5, _loc(geom), manifold=_CIRCLE, _resume=(0, u, v, np.array([level])))
+    # a run resumed later checks the levels it is handed the same way
     with pytest.raises(BlowupDetected, match="below 1"):
         solve_batch(z, 0.0, 0.5, _loc(geom), manifold=_CIRCLE, _resume=(1, u, v, np.array([level])))
 
@@ -603,8 +617,7 @@ def test_core_row_drift_is_the_whole_lattice_drift(kind, width, at_edge, control
 
     work = Scratch()
     lo, hi = window_f[0] - rows.start, window_f[1] - rows.start
-    fields = solver._reflected_fields(uf[rows], vf[rows], lo, hi, dxf, work, ("d1", "d2", "d3"))
-    weights = solver._row_weights(len(fields[0]), lo, hi, dxf)
+    fields, weights, _ = solver._section(uf[rows], vf[rows], window_f, rows, dxf, work)
     assert np.array_equal(solver._weighted_sum(fields, weights), section_energy(ufe, vfe, window_f, dxf))
     ue, ux, _, ve, _ = fields
     core = slice(lo, hi + 1)
