@@ -230,7 +230,8 @@ class ExperimentConfig:
 
 
 def _check_across_keys(cfg: ExperimentConfig, command: str) -> None:
-    """The rules that tie keys together: the lattice horizon and its half in probe-s2, rate blocks, noise mode."""
+    """The rules that tie keys together: the lattice horizon and its half in probe-s2, probe-s2's noise
+    levels, rate blocks, noise mode."""
     if cfg["time.horizon"] >= cfg["grid.domain_radius"]:
         raise ConfigInvalid("key 'time.horizon' must lie strictly between 0 and grid.domain_radius")
     try:
@@ -243,6 +244,10 @@ def _check_across_keys(cfg: ExperimentConfig, command: str) -> None:
     if command == "probe-s2" and steps % 2:  # the probe runs to half the horizon
         raise ConfigInvalid(f"key 'time.horizon' must be an even number of lattice steps for probe-s2, "
                             f"got {cfg['time.horizon']} ({steps} steps)")
+    if command == "probe-s2" and len({eps for eps in cfg["experiment.eps_list"] if eps > 0}) < 3:
+        # the log-log slope is fitted to three or more positive noise levels
+        raise ConfigInvalid(f"key 'experiment.eps_list' must hold at least three distinct positive noise "
+                            f"levels for probe-s2, got {cfg['experiment.eps_list']}")
     blocks = cfg.values.get("experiment.blocks")
     if blocks is not None and steps % blocks:
         raise ConfigInvalid(f"key 'experiment.blocks' must divide the {steps} time steps, got {blocks}")

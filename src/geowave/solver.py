@@ -17,15 +17,22 @@ difference probes).  Elementwise kernels and axis-0 reductions keep each
 column bitwise independent of its neighbours, so batching is purely a
 throughput device.
 
-A run takes every work array from one Scratch sized at its start, and the
-kernels write into them, so a step allocates only its new state pair (or
-nothing: with stored states each state is computed in its row of the path).
+A run takes every work array from one Scratch, sized during its first step,
+and the kernels write into them, so a later step allocates only its new state
+pair (or nothing: with stored states each state is computed in its row of the
+path).
 The pair an observer receives is never written after the call, so observers
 may keep it without copying.
+
+solve_batch steps a wide batch as contiguous column blocks, one worker
+thread each (_integrate_blocks); any split gives the same bits, because the
+columns are independent.  This is the package's one trial fan-out.
 """
 from __future__ import annotations
 
+import copy
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -491,8 +498,7 @@ class _Run:
         self.u = np.ascontiguousarray(u0, dtype=float)
         self.v = np.ascontiguousarray(v0, dtype=float)
         self.work = Scratch()
-        for key in ("f0", "f1", "f2", "f3", "f4", "f5"):
-            self.work.get(key, self.fine)
+        self.offset = 0  # the first column's place in the batch (see block)
 
         # per-column taper levels, set (unless resumed) and checked by the first head
         self.k = None if levels is None else np.array(levels, dtype=int)
@@ -510,19 +516,50 @@ class _Run:
         """The finished run as the tuple (times, path_u, path_v, trace, noise_log, k_init, k), for indexing callers."""
         return (self.times, self.path_u, self.path_v, self.trace, self.noise_log, self.k_init, self.k)[i]
 
+    def block(self, cols: slice) -> "_Run":
+        """Columns cols of this run as a run of their own, for one thread.
+
+        Its state is a C-ordered copy of this run's columns, so its kernels
+        walk contiguous rows (on strided column views of the wider array, a
+        two-block run at mc_batch's size stepped 10-40% slower).  Its path
+        is two rows that hold its states in turn (pair), since no observer
+        sees them.  Its rows of the traces and noise log are column views of
+        this run's, so it writes those results in place.  It takes its trial
+        ids, control rates and levels from this run's, has a Scratch of its
+        own and no observer, and names columns by their place in this run.
+        """
+        part = copy.copy(self)
+        part.offset, part.cols, part.observer = cols.start, cols, None
+        shape = (2, self.u.shape[0], cols.stop - cols.start, self.u.shape[2])
+        part.path_u, part.path_v = np.empty(shape), np.empty(shape)
+        part.path_u[0], part.path_v[0] = self.u[:, cols], self.v[:, cols]
+        part.u, part.v = part.path_u[0], part.path_v[0]
+        part.trial_ids = self.trial_ids[cols]
+        if self.control_rates is not None:
+            part.control_rates = self.control_rates[:, cols]
+        if self.k is not None:
+            part.k = self.k[cols]
+        part.trace = {key: arr[:, cols] for key, arr in self.trace.items()}
+        if self.noise_log is not None:
+            part.noise_log = self.noise_log[:, cols]
+        part.fine = (self.fine[0], cols.stop - cols.start, self.fine[2])
+        part.work = Scratch()
+        return part
+
     def head(self, m: int) -> tuple:
         """Step m's coarse window norm, levels, taper, traces and observer call: (window, taper)."""
         t = m * self.dx
         window, norm = _window(self.u, self.v, self.origin, self.dx, self.loc.radius - t, self.work)
         # a NaN norm fails every level test below and would run on
-        _blowup(~np.isfinite(norm), lambda b: f"window norm of column {b} is {norm[b]} at t={t}")
+        col = self.offset  # messages number the columns in the whole batch (see block)
+        _blowup(~np.isfinite(norm), lambda b: f"window norm of column {col + b} is {norm[b]} at t={t}")
         top = self.loc.k_max
         if self.k_init is None:
             if self.k is None:
                 self.k = np.maximum(1, np.ceil(2.0 * norm)).astype(int)
             k = self.k_init = self.k.copy()  # doubling never lifts a level below 1 past a crossing
-            _blowup(k < 1, lambda b: f"starting taper level {k[b]} of column {b} is below 1")
-            _blowup(k > top, lambda b: f"starting taper level {k[b]} of column {b} exceeds the top level {top}")
+            _blowup(k < 1, lambda b: f"starting taper level {k[b]} of column {col + b} is below 1")
+            _blowup(k > top, lambda b: f"starting taper level {k[b]} of column {col + b} exceeds the top level {top}")
 
         while np.any(crossing := norm >= self.k):
             self.k = np.where(crossing, 2 * self.k, self.k)
@@ -582,11 +619,20 @@ class _Run:
         return transport_velocity(force, dxf, out=(work.get("f0", u.shape), work.get("f2", u.shape)),
                                   tmp=work.get("f3", (u.shape[0] - 1,) + u.shape[1:]))
 
+    def pair(self, m: int) -> tuple:
+        """The arrays the state of step m is computed in: its rows of the stored path, or two new ones.
+
+        A block's path has two rows, which its steps take in turn.
+        """
+        if self.path_u is None:
+            return np.empty(self.u.shape), np.empty(self.u.shape)
+        row = (m - self.start) % len(self.path_u)
+        return self.path_u[row], self.path_v[row]
+
     def advance(self, m: int, v_star: np.ndarray, fu: np.ndarray, fv: np.ndarray) -> None:
         """The state of step m + 1: the coarse group step of (u, v_star) plus dt * (fu, fv), renormalized."""
-        work, shape, row = self.work, self.u.shape, m + 1 - self.start
-        new = (np.empty(shape), np.empty(shape)) if self.path_u is None else (self.path_u[row], self.path_v[row])
-        u, v = apply_arrays(self.u, v_star, self.dx, 1, out=new, work=(work.get("f3", shape), work.get("f4", shape)))
+        work, shape = self.work, self.u.shape
+        u, v = apply_arrays(self.u, v_star, self.dx, 1, out=self.pair(m + 1), work=(work.get("f3", shape), work.get("f4", shape)))
         fu *= self.dx
         u += fu
         fv *= self.dx
@@ -619,6 +665,54 @@ def _integrate(u0: np.ndarray, v0: np.ndarray, **kwargs) -> _Run:
         v_star = run.kick(m, window, theta)
         run.advance(m, v_star, *run.drift(m))
     run.head(run.steps)
+    return run
+
+
+def _integrate_blocks(u0: np.ndarray, v0: np.ndarray, blocks: list, **kwargs) -> _Run:
+    """_integrate with the columns stepped as the contiguous `blocks` (slices), one thread each.
+
+    The first block runs in the calling thread, the others on a pool's
+    workers.  Each block is a _Run.block of one full-width run: it steps its
+    own copy of its columns and copies each new state into its columns of
+    the run's next pair (the stored path's row, or a new one).  The observer
+    runs in the calling thread between steps with the run's pair of step m,
+    as in _integrate: every block has passed its head of step m and none has
+    begun its kick, and the blocks read their columns back from the pair
+    after it, so they step from whatever the observer left there.  A block's
+    error is raised once every block has finished that step; when several
+    blocks fail in one step, the lowest block's error wins.
+    """
+    import concurrent.futures  # imported here, so only threaded runs pay for it
+
+    run = _Run(u0, v0, **kwargs)
+    parts = [run.block(cols) for cols in blocks]
+
+    def step(m, part, head, new):
+        if run.observer is not None:
+            np.copyto(part.u, run.u[:, part.cols])
+            np.copyto(part.v, run.v[:, part.cols])
+        part.advance(m, part.kick(m, *head), *part.drift(m))
+        np.copyto(new[0][:, part.cols], part.u)
+        np.copyto(new[1][:, part.cols], part.v)
+        return part.head(m + 1)
+
+    with concurrent.futures.ThreadPoolExecutor(len(parts)) as pool:
+
+        def each(fn, items):
+            """[fn(item) for item in items]: the first in this thread, the others on the pool's workers."""
+            rest = pool.map(fn, items[1:])
+            return [fn(items[0]), *rest]
+
+        heads = each(lambda part: part.head(run.start), parts)
+        for m in range(run.start, run.steps + 1):
+            if run.observer is not None:
+                run.observer(m, m * run.dx, run.u, run.v)
+            if m < run.steps:
+                new = run.pair(m + 1)
+                heads = each(lambda item: step(m, *item, new), list(zip(parts, heads)))
+                run.u, run.v = new
+    run.k_init = np.concatenate([part.k_init for part in parts])
+    run.k = np.concatenate([part.k for part in parts])
     return run
 
 
@@ -719,6 +813,7 @@ def solve_batch(
     renormalize: bool = True,
     keep_states: bool = False,
     observer=None,
+    threads: int | None = None,
     _resume: tuple | None = None,
 ) -> Trajectory:
     """Evolve a family of trajectories in lock-step from shared initial data.
@@ -727,6 +822,13 @@ def solve_batch(
     control rates (control_rates of shape (steps, B, dim)); each column is
     bitwise identical to the corresponding single-trajectory solve.  Batched
     results keep the batch axis in the traces and noise log.
+
+    The B columns are stepped as the contiguous blocks trial_chunks(range(B),
+    threads), one worker thread per block; every split gives the same bits.
+    threads=None takes the CPUs available to the process, lowered until every
+    block holds at least _MIN_BLOCK_CELLS lattice points times columns (below
+    that, threads cost more than they save).  The observer runs in the calling
+    thread with the whole batch, as in a run of one block.
 
     _resume = (start, u, v, levels) is private to the package: the run
     resumes at step `start` from the batched states (u, v) with per-column
@@ -752,14 +854,13 @@ def solve_batch(
         start, u0, v0, levels = _resume
         if u0.shape[1] != nbatch:
             raise DimensionMismatch(f"{u0.shape[1]} resumed columns for a batch of {nbatch}")
-    run = _integrate(
-        u0, v0,
-        origin=z0.origin, spacing=z0.spacing, manifold=manifold, loc=loc,
-        horizon=horizon, basis=basis, diffusion=diffusion, eps=eps,
-        control_rates=control_rates, master_seed=master_seed, trial_ids=trial_ids,
-        renormalize=renormalize, keep_states=keep_states, observer=observer,
-        start=start, levels=levels,
-    )
+    kwargs = dict(origin=z0.origin, spacing=z0.spacing, manifold=manifold, loc=loc,
+                  horizon=horizon, basis=basis, diffusion=diffusion, eps=eps,
+                  control_rates=control_rates, master_seed=master_seed, trial_ids=trial_ids,
+                  renormalize=renormalize, keep_states=keep_states, observer=observer,
+                  start=start, levels=levels)
+    blocks = _column_blocks(threads, u0.shape[0], nbatch)
+    run = _integrate(u0, v0, **kwargs) if len(blocks) <= 1 else _integrate_blocks(u0, v0, blocks, **kwargs)
     meta = {"eps": float(eps), "seed": int(master_seed), "trial_ids": trial_ids,
             "radius": loc.radius, "renormalize": renormalize,
             "k_init": run.k_init, "k_final": run.k, "nbatch": nbatch}
@@ -767,68 +868,61 @@ def solve_batch(
                       None, meta)
 
 
-def run_trials(ids, fn, threads: int) -> tuple:
-    """Run fn over contiguous chunks of trial ids, one thread per chunk, at most `threads`.
+# The fewest lattice points x columns per block at which threads=None splits a
+# batch: above where two blocks break even, with a margin that keeps the rate
+# objective's Jacobian blocks on one thread, where they lost (README's table).
+_MIN_BLOCK_CELLS = 12_000
 
-    fn(chunk) returns a tuple of arrays with one row per id of the chunk; the
-    chunks' rows are concatenated in id order.  Batch columns are bitwise
-    independent, so a solve_batch-based fn gives the serial result for any
-    thread count.
-    """
-    ids = list(ids)
-    chunks = trial_chunks(ids, threads)
-    if len(chunks) <= 1:
-        parts = [fn(ids)]
-    else:
-        import concurrent.futures  # imported here, so only threaded runs pay for it
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(fn, chunks))
-    return tuple(np.concatenate(rows) for rows in zip(*parts))
+def _column_blocks(threads: int | None, npoints: int, nbatch: int) -> list:
+    """The column slices solve_batch steps nbatch columns of npoints points in (see its threads)."""
+    if threads is None:
+        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        while threads > 1 and (npoints * min(map(len, trial_chunks(range(nbatch), threads)), default=0)
+                               < _MIN_BLOCK_CELLS):
+            threads -= 1
+    elif threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return [slice(chunk[0], chunk[-1] + 1) for chunk in trial_chunks(range(nbatch), threads)]
 
 
 def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams, windows, references, *,
                   manifold: ManifoldModel, basis: NoiseBasis, diffusion: DiffusionField, trial_ids=None,
                   control_rates: np.ndarray | None = None, master_seed: int = 0, renormalize: bool = True,
-                  threads: int = 1) -> tuple[list, np.ndarray]:
+                  threads: int | None = 1) -> tuple[list, np.ndarray]:
     """Cone-section energies of every batch column at every step, and the final positions.
 
     windows[m] is the section (i_lo, i_hi) of step m.  A reference is None
     (the column itself) or a single Trajectory with stored states (the column
     minus that path, step by step).  Returns one (B, steps + 1) array of
     section_energy values per reference and the final positions (B, npoints,
-    ncomp).  Noise trials (trial_ids) fan out over at most `threads` chunks by
-    run_trials; control columns (control_rates of shape (steps, B, dim)) run
-    as one batch.  Without either the run is one column, trial 0, as in
-    solve_batch.
+    ncomp).  The columns are noise trials (trial_ids) or control columns
+    (control_rates of shape (steps, B, dim)), run as one solve_batch call in
+    `threads` column blocks (None: solve_batch's choice); without either the
+    run is one column, trial 0, as in solve_batch.
     """
     steps = lattice_steps(horizon, z0.spacing)
-
-    def run(ids, rates=None):
-        nbatch = len(ids) if rates is None else rates.shape[1]
-        energies = np.zeros((len(references), nbatch, steps + 1))
-        final = []
-
-        def observer(m, t, u, v):
-            for e, ref in zip(energies, references):
-                minus = None if ref is None else (ref.u[m], ref.v[m])
-                e[:, m] = section_energy(u, v, windows[m], z0.spacing, minus)
-            final[:] = [u]  # the integrator never writes an observed array again
-
-        solve_batch(z0, eps, horizon, loc, manifold=manifold, basis=basis, diffusion=diffusion,
-                    control_rates=rates, master_seed=master_seed, trial_ids=ids,
-                    renormalize=renormalize, keep_states=False, observer=observer)
-        return (*energies, final[0].transpose(1, 0, 2))
-
     if control_rates is None:
-        *energies, final = run_trials([0] if trial_ids is None else trial_ids, run, threads)
+        nbatch = 1 if trial_ids is None else len(trial_ids)
     else:
-        *energies, final = run(trial_ids, control_rates)
-    return energies, final
+        nbatch = np.shape(control_rates)[1]
+    energies = np.zeros((len(references), nbatch, steps + 1))
+    final = []
+
+    def observer(m, t, u, v):
+        for e, ref in zip(energies, references):
+            minus = None if ref is None else (ref.u[m], ref.v[m])
+            e[:, m] = section_energy(u, v, windows[m], z0.spacing, minus)
+        final[:] = [u]  # the integrator never writes an observed array again
+
+    solve_batch(z0, eps, horizon, loc, manifold=manifold, basis=basis, diffusion=diffusion,
+                control_rates=control_rates, master_seed=master_seed, trial_ids=trial_ids,
+                renormalize=renormalize, keep_states=False, observer=observer, threads=threads)
+    return list(energies), final[0].transpose(1, 0, 2)
 
 
 def trial_chunks(ids, threads: int) -> list:
-    """The contiguous chunks run_trials splits ids into: at most `threads`, one worker each."""
+    """The contiguous chunks of ids that solve_batch steps as column blocks: at most `threads`, one worker each."""
     ids = list(ids)
     size = max(1, -(-len(ids) // threads))
     return [ids[i:i + size] for i in range(0, len(ids), size)]

@@ -326,12 +326,16 @@ def test_starting_taper_level_above_k_max_exits_4(tmp_path, capsys):
 
 
 def test_probe_s2_with_two_eps_values_reports_no_slope(tmp_path, capsys):
-    cfg = _config(tmp_path, _SMALL + "experiment.trials = 30\nexperiment.eps_list = (1e-2, 1e-3)\n")
-    out = tmp_path / "s2"
-    assert run_command(["probe-s2", "--config", str(cfg), "--out", str(out)]) == 4
-    assert "probe-s2: log-log slope none, passed false" in capsys.readouterr().out.lower()
-    report = json.loads((out / "probe_s2.json").read_text())
-    assert report["slope"] is None and report["passed"] is False
+    # the slope needs three distinct positive levels, so the config alone rules the run out
+    # (statement2_probe itself returns slope None: test_statement2_freeze_matches_its_reference_observer)
+    for eps_list in ("(1e-2, 1e-3)", "(0.0, 1e-2, 1e-3)", "(1e-2, 1e-2, 1e-3)", "(1e-2,)"):
+        cfg = _config(tmp_path, _SMALL + f"experiment.trials = 30\nexperiment.eps_list = {eps_list}\n")
+        with pytest.raises(ConfigInvalid, match="experiment.eps_list"):
+            load_config(cfg, "probe-s2")
+        assert run_command(["probe-s2", "--config", str(cfg), "--out", str(tmp_path / "s2")]) == 2
+        assert "config error: key 'experiment.eps_list'" in capsys.readouterr().out
+        load_config(cfg, "tail")  # tail reads each level on its own
+    load_config(_config(tmp_path, _SMALL + "experiment.eps_list = (0.0, 1e-2, 1e-3, 1e-4)\n"), "probe-s2")
 
 
 def test_probe_s2_with_an_odd_step_count_is_a_config_error(tmp_path, capsys):

@@ -3,7 +3,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(geowave.__path__))
 # public names removed because no command, verify group or benchmark reached them
 DELETED = {
     "solver": ("localized_drift", "q_transform", "q_transform_derivative", "_radial_cutoff", "blowup_times",
-               "cone_section_weights", "_trapezoid_weights"),
+               "cone_section_weights", "_trapezoid_weights", "run_trials"),
     "function_spaces": ("sobolev_norm", "state_norm", "interpolation_check", "InterpolationReport"),
     "energy": ("mean_energy_report", "gronwall_envelope"),
     "noise": ("multiplication_hs_norm",),
@@ -55,6 +58,14 @@ def test_deleted_names_are_not_exported():
     assert not hasattr(geowave.State, "copy")
     # control rows are read by step, never by float time
     assert not hasattr(geowave.Control, "rate_at")
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # only a run of several column blocks imports concurrent.futures, so set-up never pays for it
+    code = "import sys, geowave; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(geowave.__file__).parents[1])})
+    assert out.stdout.strip() == "False"
 
 
 def test_trajectory_has_one_stored_path_type():
@@ -103,8 +114,8 @@ def test_no_module_imports_a_name_it_never_uses(name):
 
 
 def test_unused_import_guard_sees_orphans():
-    assert _unused_imports("import math\nfrom .solver import run_trials, solve_batch\nsolve_batch()\n") == [
-        "math", "run_trials"]
+    assert _unused_imports("import math\nfrom .solver import trial_chunks, solve_batch\nsolve_batch()\n") == [
+        "math", "trial_chunks"]
     assert _unused_imports("from .ldp import tail_estimate\n__all__ = ['tail_estimate']\n") == []
 
 

@@ -323,6 +323,7 @@ def test_statement2_freeze_matches_its_reference_observer(seed, where):
         want_tau.append(float(hit.mean()))
     assert np.array_equal(rep.extra["tau_fraction"], want_tau)
     assert want_tau[0] > 0.0  # the trial with the peak norm crosses, so the freeze acts
+    assert rep.slope is None and not rep.passed  # two levels fit no slope
 
 
 @settings(max_examples=8, deadline=None)

@@ -1,5 +1,7 @@
 """Tests for the localized cone solver: exactness, convergence, determinism."""
 import math
+import threading
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -33,7 +35,6 @@ from geowave.solver import (
     curvature_force,
     drift_force,
     mild_residual,
-    run_trials,
     section_energy,
     solve_batch,
     solve_skeleton,
@@ -348,24 +349,120 @@ def test_negative_noise_level_rejected_by_every_entry_point():
         solve_stochastic(z, -0.5, None, 0.25, _loc(geom), **kwargs)
 
 
-@settings(max_examples=60, deadline=None)
-@given(trials=st.integers(1, 12), threads=st.integers(1, 4), first=st.integers(0, 50))
-def test_run_trials_keeps_id_order_for_any_thread_count(trials, threads, first):
-    chunks = []
+_BLOCK_CASES = {
+    "circle": (_CIRCLE, _Y_CIRCLE),
+    "sphere": (_SPHERE, _Y_SPHERE),
+}
 
-    def fn(ids):
-        chunks.append(list(ids))
-        ids = np.asarray(ids)
-        return 10.0 * ids, ids % 3 == 0
 
-    ids = list(range(first, first + trials))
-    got = run_trials(ids, fn, threads)
-    assert len(chunks) <= threads
-    assert sorted(i for chunk in chunks for i in chunk) == ids
-    want = fn(ids)  # the serial run
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+def _blocked_solve(z, threads, **kwargs):
+    """solve_batch with the given threads and the (m, U, V) sequence its observer saw."""
+    seen = []
+    traj = solve_batch(z, observer=lambda m, t, u, v: seen.append((m, t, u.copy(), v.copy())),
+                       threads=threads, **kwargs)
+    return traj, seen
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_BLOCK_CASES)),
+    points=st.integers(64, 96),
+    width=st.integers(1, 7),
+    noisy=st.booleans(),
+    controlled=st.booleans(),
+    keep_states=st.booleans(),
+    resume=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="sphere", points=64, width=5, noisy=True, controlled=True, keep_states=True, resume=True, seed=0)
+def test_any_thread_count_gives_the_one_thread_bits(kind, points, width, noisy, controlled, keep_states,
+                                                    resume, seed):
+    # batch columns are bitwise independent, so every split into column blocks is the one-block run
+    manifold, diffusion = _BLOCK_CASES[kind]
+    steps = 6
+    geom = make_grid(6.0, points, steps * 6.0 / points)
+    z = random_state(geom, manifold, stream(seed, 7))
+    kwargs = dict(eps=1e-2 if noisy else 0.0, horizon=geom.horizon, loc=_loc(geom), manifold=manifold, basis=_BASIS,
+                  diffusion=diffusion, master_seed=seed, trial_ids=list(range(seed % 5, seed % 5 + width)),
+                  keep_states=keep_states)
+    if controlled:
+        kwargs["control_rates"] = np.random.default_rng(seed).normal(scale=0.5, size=(steps, width, _BASIS.dim))
+    if resume:
+        full = solve_batch(z, **{**kwargs, "keep_states": True})
+        start = seed % steps
+        kwargs["_resume"] = (start, full.u[start], full.v[start], full.energy_trace["k_level"][start])
+    want, want_seen = _blocked_solve(z, 1, **kwargs)
+    with patch.object(solver, "_MIN_BLOCK_CELLS", 1):  # None: one block per available CPU
+        for threads in (2, 3, 4, None):
+            got, seen = _blocked_solve(z, threads, **kwargs)
+            for a, b in ((got.u, want.u), (got.v, want.v), (got.noise_increments, want.noise_increments)):
+                assert (a is None and b is None) or np.array_equal(a, b), threads
+            for key in want.energy_trace:
+                assert np.array_equal(got.energy_trace[key], want.energy_trace[key]), (threads, key)
+            for key in ("k_init", "k_final"):
+                assert np.array_equal(got.metadata[key], want.metadata[key]), (threads, key)
+            assert len(seen) == len(want_seen)
+            for (m, t, u, v), (wm, wt, wu, wv) in zip(seen, want_seen):
+                assert (m, t) == (wm, wt) and np.array_equal(u, wu) and np.array_equal(v, wv), (threads, m)
+
+
+def test_column_blocks_follow_the_threads_and_the_cell_floor(monkeypatch):
+    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(4)))
+    floor = solver._MIN_BLOCK_CELLS
+    # an explicit count is used as given: trial_chunks' contiguous chunks, at most one per column
+    assert solver._column_blocks(3, 10, 5) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+    assert solver._column_blocks(8, 10, 2) == [slice(0, 1), slice(1, 2)]
+    # None: the available CPUs, lowered until every block holds the floor's cells
+    assert len(solver._column_blocks(None, floor, 4)) == 4
+    half = -(-floor // 2)  # two columns of this many points reach the floor
+    assert len(solver._column_blocks(None, half, 7)) == 2  # 4 or 3 blocks leave one of a single column
+    assert len(solver._column_blocks(None, half - 1, 8)) == 2  # blocks of 2 columns fall short, of 4 do not
+    assert len(solver._column_blocks(None, floor - 1, 1)) == 1
+    assert solver._column_blocks(None, 10**6, 0) == []
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        solver._column_blocks(0, 10, 5)
+
+
+def _poisoned_solve(threads, poison):
+    geom = make_grid(6.0, 96, 1.0)
+    z = bump_state(geom, _CIRCLE)
+
+    def observer(m, t, u, v):
+        if m == 2:
+            poison(u)
+
+    with pytest.raises(BlowupDetected) as err:
+        solve_batch(z, 1e-2, 0.5, _loc(geom), manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE,
+                    trial_ids=[0, 1, 2, 3], observer=observer, threads=threads)
+    return str(err.value)
+
+
+def test_a_blowup_in_one_block_is_the_serial_one_and_joins_every_worker():
+    baseline = threading.active_count()
+    dx = make_grid(6.0, 96, 1.0).spacing
+
+    def nan_in_column_3(u):  # the second of two blocks
+        u[u.shape[0] // 2, 3, 0] = np.nan
+
+    serial = _poisoned_solve(1, nan_in_column_3)
+    assert serial == f"window norm of column 3 is nan at t={3 * dx}"
+    assert _poisoned_solve(2, nan_in_column_3) == serial
+    assert threading.active_count() == baseline
+
+    def nan_in_columns_1_and_3(u):  # both blocks fail at one step: the lowest block's column is named
+        u[u.shape[0] // 2, [1, 3], 0] = np.nan
+
+    assert _poisoned_solve(2, nan_in_columns_1_and_3) == _poisoned_solve(1, nan_in_columns_1_and_3)
+
+    def huge_in_column_0_nan_in_column_3(u):
+        u[u.shape[0] // 2, 0, 0] = 1e30
+        u[u.shape[0] // 2, 3, 0] = np.nan
+
+    # different checks in two blocks at one step: serial raises the first check that any column fails,
+    # blocks raise the lowest block's
+    assert "column 3 is nan" in _poisoned_solve(1, huge_in_column_0_nan_in_column_3)
+    assert "exhausted cutoff levels" in _poisoned_solve(2, huge_in_column_0_nan_in_column_3)
+    assert threading.active_count() == baseline
 
 
 def test_horizon_must_be_lattice_and_inside_cone():
