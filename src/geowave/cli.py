@@ -378,10 +378,11 @@ def _setup(cfg: ExperimentConfig) -> _Setup:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its exit code, its artifacts and the most
+# worker threads it started, which manifest.json records
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
+def _cmd_verify(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list, int]:
     checks = verify_suite(cfg["noise.seed"], cfg.measure(), threads)
     for name, passed, detail in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
@@ -392,10 +393,10 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, li
         "passed": n_pass,
         "total": len(checks),
     })
-    return (0 if n_pass == len(checks) else 3), ["verify_report.json"]
+    return (0 if n_pass == len(checks) else 3), ["verify_report.json"], _trial_threads(VERIFY_TRIALS, threads)
 
 
-def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
+def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list, int]:
     run = _setup(cfg)
     geom, man = run.geom, run.manifold
     traj = solve_skeleton(run.z0, None, cfg["time.horizon"], run.loc, **run.fields,
@@ -427,10 +428,10 @@ def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
     print(f"skeleton: {traj.steps} steps, max constraint residual {_fmt(worst_res)}, "
           f"{len(rep.violations)} energy violations")
     code = 0 if not rep.violations else 4
-    return code, ["trajectory.csv", "energy_report.csv", "skeleton.json"]
+    return code, ["trajectory.csv", "energy_report.csv", "skeleton.json"], 1
 
 
-def _cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
+def _cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list, int]:
     run = _setup(cfg)
     geom, man = run.geom, run.manifold
     cone = cfg.cone()
@@ -452,10 +453,10 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
     })
     print(f"simulate: {trials} trials at eps = {_fmt(eps)}, "
           f"mean peak cone energy {_fmt(float(sup_e.mean()))}")
-    return 0, ["trials.csv", "simulate.json"]
+    return 0, ["trials.csv", "simulate.json"], _trial_threads(trials, threads)
 
 
-def _cmd_rate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
+def _cmd_rate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list, int]:
     run = _setup(cfg)
     geom, basis = run.geom, run.basis
     horizon, blocks = cfg["time.horizon"], cfg["experiment.blocks"]
@@ -475,7 +476,7 @@ def _cmd_rate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list
         target = solve_skeleton(run.z0, None, horizon, run.loc, **run.fields).final_state()
 
     res = rate_function(target, run.z0, cfg["experiment.budget"], opts, cone=cfg.cone(), horizon=horizon,
-                        loc=run.loc, **run.fields)
+                        loc=run.loc, **run.fields, threads=threads)
     coeffs = res.argmin.coeffs[:: steps // blocks]
     _write_csv(out / "control_blocks.csv", ["block"] + [f"mode_{j}" for j in range(basis.dim)],
                np.arange(blocks), coeffs)
@@ -491,7 +492,7 @@ def _cmd_rate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list
         payload["planted_cost"] = planted_cost
     _write_json(out / "rate.json", payload)
     print(f"rate: value {_fmt(res.value)}, terminal gap {_fmt(res.terminal_gap)}, converged {res.converged}")
-    return (0 if res.converged else 4), ["control_blocks.csv", "rate.json"]
+    return (0 if res.converged else 4), ["control_blocks.csv", "rate.json"], res.metadata.get("threads", 1)
 
 
 def _report_artifacts(out: Path, stem: str, rep, extra_json: dict) -> list:
@@ -502,7 +503,7 @@ def _report_artifacts(out: Path, stem: str, rep, extra_json: dict) -> list:
     return [f"{stem}.csv", f"{stem}.json"]
 
 
-def _cmd_probe_s1(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
+def _cmd_probe_s1(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list, int]:
     run = _setup(cfg)
     rep = statement1_probe(
         cfg["experiment.n_list"], run.z0, cfg.cone(),
@@ -513,10 +514,10 @@ def _cmd_probe_s1(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
     arts = _report_artifacts(out, "probe_s1", rep, {"tol": rep.extra["tol"],
                                                     "perturbation": rep.extra["perturbation"]})
     print(f"probe-s1: final sup distance {_fmt(rep.metrics[-1])}, passed {rep.passed}")
-    return (0 if rep.passed or rep.extra["perturbation"] == "constant" else 4), arts
+    return (0 if rep.passed or rep.extra["perturbation"] == "constant" else 4), arts, 1
 
 
-def _cmd_probe_s2(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
+def _cmd_probe_s2(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list, int]:
     run = _setup(cfg)
     rep = statement2_probe(
         cfg["experiment.eps_list"], cfg["experiment.trials"], cfg["experiment.threshold"],
@@ -528,10 +529,10 @@ def _cmd_probe_s2(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
                               "trials": rep.extra["trials"]})
     slope = "none" if rep.slope is None else _fmt(rep.slope)  # fewer than three usable points
     print(f"probe-s2: log-log slope {slope}, passed {rep.passed}")
-    return (0 if rep.passed else 4), arts
+    return (0 if rep.passed else 4), arts, _trial_threads(cfg["experiment.trials"], threads)
 
 
-def _cmd_tail(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list]:
+def _cmd_tail(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list, int]:
     run = _setup(cfg)
     rep = tail_estimate(
         cfg["experiment.delta"], cfg["experiment.eps_list"], cfg["experiment.trials"],
@@ -540,7 +541,7 @@ def _cmd_tail(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list
     )
     arts = _report_artifacts(out, "tail", rep, rep.extra)
     print(f"tail: exceedance probabilities {[_fmt(p) for p in rep.metrics]}")
-    return 0, arts
+    return 0, arts, _trial_threads(cfg["experiment.trials"], threads)
 
 
 _COMMANDS = {
@@ -579,20 +580,18 @@ def run_command(argv: list | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
-        code, artifacts = _COMMANDS[args.command](cfg, out, args.threads)
+        code, artifacts, threads = _COMMANDS[args.command](cfg, out, args.threads)
     except GeowaveError as err:
         print(f"runtime error: {type(err).__name__}: {err}")
         return 4
     wall = time.perf_counter() - started
-    _write_manifest(out, args.command, args.config, cfg, _threads_used(args.command, cfg, args.threads),
-                    wall, artifacts + ["manifest.json"])
+    _write_manifest(out, args.command, args.config, cfg, threads, wall, artifacts + ["manifest.json"])
     return code
 
 
-def _threads_used(command: str, cfg: ExperimentConfig, threads: int) -> int:
-    """Threads the command's trial fan-out starts: one per chunk of trials, else 1."""
-    trials = VERIFY_TRIALS if command == "verify" else cfg.values.get("experiment.trials")
-    return 1 if trials is None else len(trial_chunks(range(trials), threads))
+def _trial_threads(trials: int, threads: int) -> int:
+    """Threads a trial fan-out starts: one per chunk of trials."""
+    return len(trial_chunks(range(trials), threads))
 
 
 def main() -> int:

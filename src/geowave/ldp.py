@@ -21,7 +21,7 @@ from .errors import (
     InsufficientTrials,
     OptimizerDiverged,
 )
-from .function_spaces import LightCone, State
+from .function_spaces import LightCone, Scratch, State
 from .geometry import DiffusionField, ManifoldModel
 from .noise import NoiseBasis
 from .solver import (
@@ -102,23 +102,30 @@ class _TerminalObjective:
     squared residual norm equals the cone energy of the difference (doubled),
     so the penalty term is lam * |rho|^2.
 
-    `gap` keeps a record of its solve: the terminal difference and the base
-    states and taper levels at each block start s_j = j * steps / blocks.
-    `jacobian` at the same parameters takes its base residuals from that
-    record, and its forward-difference probes resume from it: a probe of
-    block j has the base control before s_j, so up to s_j it is bitwise the
-    base path (batch columns are independent).  The probes run as one chain
-    of segments s_j -> s_{j+1}; block j's probe columns join at s_j, so the
-    widths are dim, 2 dim, ..., blocks * dim.  `solves` counts control
-    evaluations (one per parameter vector), not integrator calls.
+    The forward-difference probes of the Jacobian ride in one chain with the
+    path at the parameters: column 0 is that path, and a probe of block j
+    has its control before s_j = j * steps / blocks, so up to s_j it is
+    bitwise column 0 (batch columns are independent).  The chain runs as
+    `blocks` resumed segments s_j -> s_{j+1}; block j's dim probe columns
+    join at s_j as copies of column 0's state and taper level, so the widths
+    are 1 + dim, 1 + 2 dim, ..., 1 + blocks * dim.  `gap(params, fd_step)`
+    runs the chain and records its terminal differences, and
+    `jacobian(params, fd_step)` reads them; at other parameters, or after a
+    plain `gap(params)` (one width-1 solve), it runs its own chain.  Column
+    0 is bitwise that width-1 solve, so neither the gap nor the Jacobian
+    depends on where the probes ran.  `solves` counts control evaluations
+    (one per gap, one per Jacobian base and one per probe), not integrator
+    calls; probes that no Jacobian reads are not counted.  `threads_used`
+    is the most column blocks any solve started.
     """
 
-    def __init__(self, target, z0, cone, *, horizon, loc, manifold, basis, diffusion, opts):
+    def __init__(self, target, z0, cone, *, horizon, loc, manifold, basis, diffusion, opts, threads=None):
         self.z0 = z0
         self.loc = loc
         self.manifold = manifold
         self.basis = basis
         self.diffusion = diffusion
+        self.threads = threads
         self.dx = z0.spacing
         self.steps = lattice_steps(horizon, self.dx)
         self.dim = basis.dim
@@ -130,7 +137,9 @@ class _TerminalObjective:
         self.nparams = self.blocks * self.dim
         self.block_starts = [j * (self.steps // self.blocks) for j in range(self.blocks)]
         self.solves = 0
-        self.record = None  # (params, terminal difference, block-start (u, v, k)) of the last gap solve
+        self.threads_used = 1
+        self.work = Scratch()  # every solve's work arrays: fresh ones fault in 40k pages per rate_gn run
+        self.record = None  # (params, fd_step, terminal differences) of the last chain
 
         self.target = (target.u.values, target.v.values)
         self.window = cone_window(cone, z0.origin, self.dx, z0.u.npoints, self.steps)
@@ -149,70 +158,75 @@ class _TerminalObjective:
 
     def residual_rows(self, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Terminal differences (n, B, ncomp) -> residual matrix (R, B); |col|^2 = 2*e_cone(diff)."""
-        nbatch = du.shape[1]
-        rows = [(self.sqrt_weights * f).transpose(0, 2, 1).reshape(-1, nbatch)
-                for f in section_fields(du, dv, self.dx)]
-        return np.concatenate(rows, axis=0)
+        n, nbatch, ncomp = du.shape
+        fields = section_fields(du, dv, self.dx)
+        rows = np.empty((len(fields), n, ncomp, nbatch))
+        for out, f in zip(rows, fields):
+            np.multiply(self.sqrt_weights, f.transpose(0, 2, 1), out=out)
+        return rows.reshape(-1, nbatch)
 
-    def gap(self, params: np.ndarray) -> float:
-        """Terminal cone-section distance for a single parameter vector."""
-        return float(np.sqrt(self._section_sq(params)))
+    def gap(self, params: np.ndarray, fd_step: float | None = None) -> float:
+        """Terminal cone-section distance for a single parameter vector.
 
-    def _section_sq(self, params: np.ndarray) -> float:
-        """Squared terminal gap for a single parameter vector; the solve is recorded for `jacobian`."""
-        traj, seen = self._solve(self.rates(params[:, None]), self.steps, keep=self.block_starts)
-        diff = self._minus_target(*seen.pop(self.steps))
-        k = traj.energy_trace["k_level"]
-        self.record = (params.copy(), diff, [seen[s] + (k[s],) for s in self.block_starts])
+        With an fd_step the Jacobian's probes ride along, for a later
+        `jacobian(params, fd_step)`.
+        """
+        self.record = (params.copy(), fd_step, *self._chain(params, fd_step))
         self.solves += 1
-        return 2.0 * section_energy(*diff, self.window, self.dx)[0]
+        du, dv = self.record[2:]
+        return float(np.sqrt(2.0 * section_energy(du[:, :1], dv[:, :1], self.window, self.dx)[0]))
 
     def jacobian(self, params: np.ndarray, fd_step: float) -> tuple[np.ndarray, np.ndarray]:
-        """The residuals at params and their forward-difference Jacobian (R, P)."""
-        if self.record is None or not np.array_equal(self.record[0], params):
-            self._section_sq(params)  # counts its own solve
-        else:
-            self.solves += 1  # the base evaluation is the recorded gap solve
-        _, diff, block_starts = self.record
-        base = self.residual_rows(*diff)[:, 0]
-        probes = np.tile(params[:, None], (1, self.nparams))
-        probes[np.arange(self.nparams), np.arange(self.nparams)] += fd_step
-        rates = self.rates(probes)
-        n, _, ncomp = diff[0].shape
-        u, v, k = np.empty((n, 0, ncomp)), np.empty((n, 0, ncomp)), np.empty(0, dtype=int)
-        stops = self.block_starts[1:] + [self.steps]
-        for start, stop, (ub, vb, kb) in zip(self.block_starts, stops, block_starts):
-            # this block's probe columns join the earlier blocks' at its start
-            u = np.concatenate([u, np.repeat(ub, self.dim, axis=1)], axis=1)
-            v = np.concatenate([v, np.repeat(vb, self.dim, axis=1)], axis=1)
-            k = np.concatenate([k, np.repeat(kb, self.dim)])
-            traj, seen = self._solve(rates[:, :u.shape[1]], stop, (start, u, v, k))
-            u, v = seen.pop(stop)
-            k = traj.metadata["k_final"]
-        self.solves += self.nparams
-        jac = (self.residual_rows(*self._minus_target(u, v)) - base[:, None]) / fd_step
+        """The residuals at params and their forward-difference Jacobian (R, P), from the recorded chain if it fits."""
+        old = self.record
+        if old is None or old[1] != fd_step or not np.array_equal(old[0], params):
+            self.record = (params.copy(), fd_step, *self._chain(params, fd_step))
+        self.solves += 1 + self.nparams
+        rows = self.residual_rows(*self.record[2:])
+        base = np.ascontiguousarray(rows[:, 0])  # as a width-1 run's, for the BLAS products
+        jac = np.subtract(rows[:, 1:], base[:, None])
+        jac /= fd_step
         return base, jac
 
-    def _minus_target(self, u, v):
+    def _chain(self, params: np.ndarray, fd_step: float | None) -> tuple:
+        """Terminal differences (du, dv) of params in column 0 and, with an fd_step, of its probes after it.
+
+        Without an fd_step the chain is one width-1 solve.
+        """
+        columns, segments = params[:, None], [(0, self.steps, 1)]
+        if fd_step is not None:
+            columns = np.tile(columns, (1, 1 + self.nparams))
+            columns[np.arange(self.nparams), np.arange(1, 1 + self.nparams)] += fd_step
+            stops = self.block_starts[1:] + [self.steps]
+            segments = [(start, stop, 1 + (j + 1) * self.dim)
+                        for j, (start, stop) in enumerate(zip(self.block_starts, stops))]
+        rates = self.rates(columns)
+        u = v = k = None
+        for start, stop, width in segments:
+            if start > 0:  # this block's probe columns join as copies of column 0 and its level
+                join = width - u.shape[1]
+                u = np.concatenate([u, np.repeat(u[:, :1], join, axis=1)], axis=1)
+                v = np.concatenate([v, np.repeat(v[:, :1], join, axis=1)], axis=1)
+                k = np.concatenate([k, np.repeat(k[:1], join)])
+            k, u, v = self._solve(rates[:, :width], stop, None if start == 0 else (start, u, v, k))
         return u - self.target[0][:, None, :], v - self.target[1][:, None, :]
 
-    def _solve(self, rates, stop, resume=None, keep=()):
-        """Zero-noise solves of the columns of rates up to step stop.
-
-        Returns the trajectory and the states at stop and at each step of keep.
-        """
-        seen = {}
+    def _solve(self, rates, stop, resume):
+        """Zero-noise solves of the columns of rates up to step stop: their taper levels and states there."""
+        seen = []
 
         def observer(m, t, u, v):
-            if m == stop or m in keep:  # the integrator never writes an observed pair again
-                seen[m] = (u, v)
+            if m == stop:  # the integrator never writes an observed pair again
+                seen[:] = [u, v]
 
         traj = solve_batch(
             self.z0, 0.0, stop * self.dx, self.loc,
             manifold=self.manifold, basis=self.basis, diffusion=self.diffusion,
-            control_rates=rates, keep_states=False, observer=observer, _resume=resume,
+            control_rates=rates, keep_states=False, observer=observer, threads=self.threads,
+            _resume=resume, _work=self.work,
         )
-        return traj, seen
+        self.threads_used = max(self.threads_used, traj.metadata["threads"])
+        return traj.metadata["k_final"], *seen
 
 
 def rate_function(
@@ -227,22 +241,28 @@ def rate_function(
     manifold: ManifoldModel,
     basis: NoiseBasis,
     diffusion: DiffusionField,
+    threads: int | None = None,
 ) -> RateResult:
     """Half the squared norm of the cheapest control reaching the target state at the horizon.
 
     Minimizes 0.5*h.squared_norm() + lam*gap(h)^2 over piecewise-constant
     controls by Gauss-Newton on a forward-difference Jacobian of the residuals,
-    whose widest segment has blocks * dim columns, continuing lam upward
-    until the terminal gap passes opts.gap_tol; returns
+    continuing lam upward until the terminal gap passes opts.gap_tol; returns
     the +inf sentinel (converged=False) for unreachable targets or when every
-    control within the budget misses the tolerance.
+    control within the budget misses the tolerance.  A gap solve after a
+    step carries the next Jacobian's probes unless the linear model predicts
+    convergence, |base - jac @ step| <= gap_tol; a wrong guess costs one
+    width-1 solve, and the result is the same either way.  The first gap
+    and the certificate run without probes.  Every solve steps its columns
+    in `threads` blocks (solve_batch's; None: its choice), and
+    metadata["threads"] is the most blocks any of them started.
     """
     if budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
     opts = opts or RateOptions()
     obj = _TerminalObjective(
         target, z0, cone, horizon=horizon, loc=loc,
-        manifold=manifold, basis=basis, diffusion=diffusion, opts=opts,
+        manifold=manifold, basis=basis, diffusion=diffusion, opts=opts, threads=threads,
     )
     dt_block = obj.dx * (obj.steps // opts.blocks)
 
@@ -271,7 +291,8 @@ def rate_function(
                 theta = theta - step
                 if not np.all(np.isfinite(theta)):
                     raise OptimizerDiverged("control parameters became non-finite")
-                gap = obj.gap(theta)
+                predicted = float(np.linalg.norm(base - jac @ step))
+                gap = obj.gap(theta, None if predicted <= opts.gap_tol else _FD_STEP)
             if gap <= opts.gap_tol and float(0.5 * q_diag @ (theta * theta)) > budget:
                 break  # feasible but over budget: larger lam only raises the cost
     except np.linalg.LinAlgError as err:
@@ -287,7 +308,7 @@ def rate_function(
         value = math.inf
     return RateResult(
         value, h, terminal_gap, iterations, converged,
-        {"solves": obj.solves, "blocks": opts.blocks},
+        {"solves": obj.solves, "blocks": opts.blocks, "threads": obj.threads_used},
     )
 
 

@@ -17,10 +17,10 @@ difference probes).  Elementwise kernels and axis-0 reductions keep each
 column bitwise independent of its neighbours, so batching is purely a
 throughput device.
 
-A run takes every work array from one Scratch, sized during its first step,
-and the kernels write into them, so a later step allocates only its new state
-pair (or nothing: with stored states each state is computed in its row of the
-path).
+A run takes every work array from one Scratch, sized during its first step
+(or kept from an earlier run of the same caller), and the kernels write into
+them, so a later step allocates only its new state pair (or nothing: with
+stored states each state is computed in its row of the path).
 The pair an observer receives is never written after the call, so observers
 may keep it without copying.
 
@@ -455,6 +455,7 @@ class _Run:
         observer=None,
         start: int = 0,
         levels: np.ndarray | None = None,
+        work: Scratch | None = None,
     ):
         n, nbatch, ncomp = u0.shape
         steps = lattice_steps(horizon, spacing)
@@ -497,7 +498,8 @@ class _Run:
         # a C-ordered input is not copied, because the integrator never writes it
         self.u = np.ascontiguousarray(u0, dtype=float)
         self.v = np.ascontiguousarray(v0, dtype=float)
-        self.work = Scratch()
+        self.work = Scratch() if work is None else work  # a caller's, kept between its runs
+        self.control_row = None  # the control rows the work array "control.field" holds
         self.offset = 0  # the first column's place in the batch (see block)
 
         # per-column taper levels, set (unless resumed) and checked by the first head
@@ -543,7 +545,7 @@ class _Run:
         if self.noise_log is not None:
             part.noise_log = self.noise_log[:, cols]
         part.fine = (self.fine[0], cols.stop - cols.start, self.fine[2])
-        part.work = Scratch()
+        part.work, part.control_row = Scratch(), None
         return part
 
     def head(self, m: int) -> tuple:
@@ -607,17 +609,30 @@ class _Run:
         rows = section_rows(*window, fine[0], 1)
         fields, weights, sq = _section(uf[rows], vf[rows], window, rows, dxf, work)
         theta_mid = _midpoint_taper(fields, weights, self.k, sq)
-        cfield = None
-        if self.control_rates is not None:
-            cfield = _mode_field(self.control_rates[m], self.modes_fine, work.get("control.field", (fine[1], fine[0])),
-                                 work.get("control.tmp", (fine[1], fine[0]))).T
         # the drift reads u, v and Du on the window's rows
         ue, ux, _, ve, _ = fields
         core = slice(window[0] - rows.start, window[1] + 1 - rows.start)
         force = _core_drift(self.manifold, ue[core], ve[core], ux[core], theta_mid, window, work.get("f1", fine),
-                            diffusion=self.diffusion, control_field=cfield, work=work)
+                            diffusion=self.diffusion, control_field=self.control_field(m), work=work)
         return transport_velocity(force, dxf, out=(work.get("f0", u.shape), work.get("f2", u.shape)),
                                   tmp=work.get("f3", (u.shape[0] - 1,) + u.shape[1:]))
+
+    def control_field(self, m: int) -> np.ndarray | None:
+        """Step m's control rates on the refined lattice, (fine points, B), or None without a control.
+
+        The field is rebuilt only when the rows' values change: rows that
+        compare equal give the same field bitwise, since a zero of either
+        sign adds nothing to _mode_field's sums.
+        """
+        if self.control_rates is None:
+            return None
+        shape = (self.fine[1], self.fine[0])
+        field = self.work.get("control.field", shape)
+        row = self.control_rates[m]
+        if self.control_row is None or not np.array_equal(row, self.control_row):
+            _mode_field(row, self.modes_fine, field, self.work.get("control.tmp", shape))
+            self.control_row = row
+        return field.T
 
     def pair(self, m: int) -> tuple:
         """The arrays the state of step m is computed in: its rows of the stored path, or two new ones.
@@ -815,6 +830,7 @@ def solve_batch(
     observer=None,
     threads: int | None = None,
     _resume: tuple | None = None,
+    _work: Scratch | None = None,
 ) -> Trajectory:
     """Evolve a family of trajectories in lock-step from shared initial data.
 
@@ -827,12 +843,16 @@ def solve_batch(
     threads), one worker thread per block; every split gives the same bits.
     threads=None takes the CPUs available to the process, lowered until every
     block holds at least _MIN_BLOCK_CELLS lattice points times columns (below
-    that, threads cost more than they save).  The observer runs in the calling
-    thread with the whole batch, as in a run of one block.
+    that, threads cost more than they save); metadata["threads"] is the
+    number of blocks.  The observer runs in the calling thread with the
+    whole batch, as in a run of one block.
 
     _resume = (start, u, v, levels) is private to the package: the run
     resumes at step `start` from the batched states (u, v) with per-column
-    taper levels, and returns the tail of the full run from there.
+    taper levels, and returns the tail of the full run from there.  _work,
+    also private, is a Scratch that a one-block run takes its work arrays
+    from: a caller making many solves in turn keeps them from run to run
+    instead of faulting in fresh pages for each.
     """
     if control_rates is None:
         nbatch = len(trial_ids) if trial_ids is not None else 1
@@ -858,12 +878,12 @@ def solve_batch(
                   horizon=horizon, basis=basis, diffusion=diffusion, eps=eps,
                   control_rates=control_rates, master_seed=master_seed, trial_ids=trial_ids,
                   renormalize=renormalize, keep_states=keep_states, observer=observer,
-                  start=start, levels=levels)
+                  start=start, levels=levels, work=_work)
     blocks = _column_blocks(threads, u0.shape[0], nbatch)
     run = _integrate(u0, v0, **kwargs) if len(blocks) <= 1 else _integrate_blocks(u0, v0, blocks, **kwargs)
     meta = {"eps": float(eps), "seed": int(master_seed), "trial_ids": trial_ids,
             "radius": loc.radius, "renormalize": renormalize,
-            "k_init": run.k_init, "k_final": run.k, "nbatch": nbatch}
+            "k_init": run.k_init, "k_final": run.k, "nbatch": nbatch, "threads": len(blocks)}
     return Trajectory(run.times, run.path_u, run.path_v, z0.origin, z0.spacing, run.trace, run.noise_log,
                       None, meta)
 

@@ -173,14 +173,14 @@ def test_lattice_cones_still_load_and_run(tmp_path):
     assert run_command(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
-def test_threads_are_capped_by_the_chunks_and_recorded(tmp_path, monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Column-block pools that run their blocks in this thread; the list of the workers each requested."""
     import concurrent.futures
 
-    assert trial_chunks(range(3), 10**6) == [[0], [1], [2]]
-    assert trial_chunks(range(9), 4) == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]  # 3 threads, not 4
     requested = []
 
-    class SerialPool:  # records the requested workers and runs the chunks in this thread
+    class SerialPool:
         def __init__(self, max_workers):
             requested.append(max_workers)
 
@@ -194,6 +194,13 @@ def test_threads_are_capped_by_the_chunks_and_recorded(tmp_path, monkeypatch):
             return map(fn, chunks)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    return requested
+
+
+def test_threads_are_capped_by_the_chunks_and_recorded(tmp_path, serial_pool):
+    assert trial_chunks(range(3), 10**6) == [[0], [1], [2]]
+    assert trial_chunks(range(9), 4) == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]  # 3 threads, not 4
+    requested = serial_pool
     cfg = _config(tmp_path, _SMALL + "experiment.trials = 3\n")
     for name, threads, used in (("wide", 10**6, 3), ("two", 2, 2), ("one", 1, 1)):
         out = tmp_path / name
@@ -205,6 +212,23 @@ def test_threads_are_capped_by_the_chunks_and_recorded(tmp_path, monkeypatch):
     assert run_command(["skeleton", "--config", str(_config(tmp_path, _SMALL, "s.cfg")),
                         "--out", str(skeleton), "--threads", "8"]) == 0
     assert json.loads((skeleton / "manifest.json").read_text())["threads"] == 1  # no trials to fan out
+
+
+def test_rate_steps_its_solves_in_the_requested_blocks_and_records_them(tmp_path, serial_pool):
+    planted = _config(tmp_path, _SMALL, "planted.cfg")  # 8 steps, 8 blocks: chain segments up to 41 wide
+    uncontrolled = _config(tmp_path, _SMALL + 'experiment.target = "uncontrolled"\n', "zero.cfg")
+    runs = {}
+    for name, cfg, threads in (("one", planted, 1), ("two", planted, 2), ("zero", uncontrolled, 4)):
+        out = tmp_path / name
+        before = len(serial_pool)
+        assert run_command(["rate", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]) == 0
+        runs[name] = (json.loads((out / "manifest.json").read_text())["threads"], serial_pool[before:],
+                      (out / "rate.json").read_bytes())
+    assert runs["one"][:2] == (1, [])
+    assert runs["two"][0] == 2 and runs["two"][1] and set(runs["two"][1]) == {2}
+    assert runs["two"][2] == runs["one"][2]  # the blocks change no byte
+    # the uncontrolled target converges at the first gap: width-1 solves start no block threads
+    assert runs["zero"][:2] == (1, [])
 
 
 _SCALARS = {

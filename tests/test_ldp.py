@@ -1,5 +1,6 @@
 """Tests for the rate functional and the two asymptotic-response probes."""
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from geowave.function_spaces import LightCone, State
 from geowave.geometry import DiffusionField, ManifoldModel
 from geowave import solver
 from geowave.ldp import (
+    _FD_STEP,
     RateOptions,
     _TerminalObjective,
     rate_function,
@@ -135,10 +137,73 @@ def test_segmented_jacobian_equals_the_full_width_one_bitwise(blocks):
     assert (obj.solves, fresh.solves) == (2 + obj.nparams, 1 + obj.nparams)
 
 
+_CHAIN_CASES = {
+    "circle": dict(manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE),
+    "sphere": dict(manifold=ManifoldModel.sphere(), basis=_BASIS, diffusion=DiffusionField.sphere_axis_rotation()),
+}
+
+
+def _chain_problem(kind, points, seed, amplitude=0.6):
+    """Data, a target reached by a constant control on one mode, and the solver keywords; horizon 0.5."""
+    fields = _CHAIN_CASES[kind]
+    geom, loc, cone = _setup(points, 0.5)
+    z0 = random_state(geom, fields["manifold"], np.random.default_rng(seed))
+    steps = round(0.5 / geom.spacing)
+    rows = np.zeros((steps, _BASIS.dim))
+    rows[:, seed % _BASIS.dim] = amplitude
+    target = solve_skeleton(z0, Control(rows, geom.spacing), 0.5, loc, **fields).final_state()
+    return z0, target, cone, dict(fields, loc=loc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(kind=st.sampled_from(sorted(_CHAIN_CASES)), points=st.sampled_from([96, 144, 192]),
+       blocks=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**16))
+def test_the_chain_gives_the_width_one_gap_and_the_full_width_jacobian_bitwise(kind, points, blocks, seed):
+    z0, target, cone, kwargs = _chain_problem(kind, points, seed)
+    obj = _TerminalObjective(target, z0, cone, horizon=0.5, opts=RateOptions(blocks=blocks), **kwargs)
+    rng = np.random.default_rng(seed)
+    theta, other = rng.normal(scale=0.3, size=(2, obj.nparams))
+    redo = solve_skeleton(z0, Control(obj.rates(theta[:, None])[:, 0], obj.dx), 0.5, **kwargs).final_state()
+    du, dv = (redo.u.values - target.u.values)[:, None], (redo.v.values - target.v.values)[:, None]
+    want_gap = float(np.sqrt(2.0 * solver.section_energy(du, dv, obj.window, obj.dx)[0]))
+    want = _full_width_jacobian(obj, theta, _FD_STEP)
+    assert obj.gap(theta, _FD_STEP) == want_gap  # the chain's column 0
+    assert all(np.array_equal(a, b) for a, b in zip(obj.jacobian(theta, _FD_STEP), want))  # its record
+    assert obj.gap(theta) == want_gap  # one width-1 solve
+    assert all(np.array_equal(a, b) for a, b in zip(obj.jacobian(theta, _FD_STEP), want))  # a chain of its own
+    obj.gap(other, _FD_STEP)
+    assert all(np.array_equal(a, b) for a, b in zip(obj.jacobian(theta, _FD_STEP), want))  # another theta's chain
+
+
+def _rate_result(z0, target, cone, kwargs, blocks, probes):
+    """rate_function with every gap solve carrying probes (True), none (False) or the gate deciding (None)."""
+    gap = _TerminalObjective.gap
+
+    def forced(obj, params, fd_step=None):
+        return gap(obj, params, _FD_STEP if probes else None)
+
+    with patch.object(_TerminalObjective, "gap", gap if probes is None else forced):
+        return rate_function(target, z0, 10.0, RateOptions(blocks=blocks), cone=cone, horizon=0.5, **kwargs)
+
+
+@settings(max_examples=6, deadline=None)
+@given(kind=st.sampled_from(sorted(_CHAIN_CASES)), points=st.sampled_from([96, 144]),
+       blocks=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**16), amplitude=st.floats(0.2, 0.9))
+def test_rate_result_does_not_depend_on_which_gaps_carry_the_probes(kind, points, blocks, seed, amplitude):
+    problem = _chain_problem(kind, points, seed, amplitude)
+    want = _rate_result(*problem, blocks, None)
+    for probes in (True, False):
+        got = _rate_result(*problem, blocks, probes)
+        assert (got.value, got.terminal_gap, got.iterations, got.converged) == \
+            (want.value, want.terminal_gap, want.iterations, want.converged), probes
+        assert np.array_equal(got.argmin.coeffs, want.argmin.coeffs), probes
+        assert got.metadata == want.metadata, probes
+
+
 def test_integrator_work_per_gauss_newton_iteration(monkeypatch):
     z0, target, loc, cone, steps = _planted_problem(192, 0.5)
-    col_steps = []
-    integrate = solver._integrate
+    col_steps, probe_steps = [], []
+    integrate, gap = solver._integrate, _TerminalObjective.gap
 
     def counting(*args, **kwargs):
         out = integrate(*args, **kwargs)
@@ -146,14 +211,24 @@ def test_integrator_work_per_gauss_newton_iteration(monkeypatch):
         col_steps.append((len(times) - 1) * trace["k_level"].shape[1])
         return out
 
+    def recording(obj, params, fd_step=None):
+        probe_steps.append(fd_step)
+        return gap(obj, params, fd_step)
+
     monkeypatch.setattr(solver, "_integrate", counting)
+    monkeypatch.setattr(_TerminalObjective, "gap", recording)
     blocks, dim = 4, _BASIS.dim
     res = rate_function(target, z0, 10.0, RateOptions(blocks=blocks), cone=cone, horizon=0.5,
                         **_solve_kwargs(loc))
-    assert res.converged and res.iterations > 0
-    # per iteration: the gap solve, then the probes of block j over steps s_j..steps
+    assert res.converged and res.iterations > 1
+    # plain gap solves at the start, at the predicted convergence and for the certificate;
+    # every other gap carries the probes the next iteration's Jacobian reads
+    assert probe_steps == [None] + [_FD_STEP] * (res.iterations - 1) + [None, None]
+    # per iteration: one chain of `blocks` segments, the base column over every step
+    # and the probes of block j over steps s_j..steps
     per_iteration = steps + dim * steps * (blocks + 1) // 2
-    assert sum(col_steps) == 2 * steps + res.iterations * per_iteration
+    assert len(col_steps) == 3 + res.iterations * blocks
+    assert sum(col_steps) == 3 * steps + res.iterations * per_iteration
     # solves counts control evaluations: base, probes and gap per iteration, plus two gaps
     assert res.metadata["solves"] == 2 + res.iterations * (blocks * dim + 2)
 

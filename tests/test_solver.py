@@ -406,6 +406,42 @@ def test_any_thread_count_gives_the_one_thread_bits(kind, points, width, noisy, 
                 assert (m, t) == (wm, wt) and np.array_equal(u, wu) and np.array_equal(v, wv), (threads, m)
 
 
+def _rebuilt_each_step(run, m):
+    """The control field built afresh at every step: the reference for _Run.control_field's reuse."""
+    shape = (run.fine[1], run.fine[0])
+    return solver._mode_field(run.control_rates[m], run.modes_fine, np.empty(shape), np.empty(shape)).T
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_control_field_reused_while_its_rows_repeat_steps_like_a_per_step_rebuild(threads):
+    steps = 7
+    geom = make_grid(6.0, 96, steps * 6.0 / 96)
+    z = random_state(geom, _SPHERE, stream(3, 7))
+    a, b = np.random.default_rng(5).normal(scale=0.5, size=(2, 3, _BASIS.dim))
+    b[0] = a[0]  # column 0 keeps its row, the others change
+    b[2, 1] = 0.0
+    b_signed = b.copy()
+    b_signed[2, 1] = -0.0  # compares equal to b: the field is reused
+    rates = np.stack([a, a, b, a, b, b, b_signed])
+    kwargs = dict(eps=0.0, horizon=geom.horizon, loc=_loc(geom), manifold=_SPHERE, basis=_BASIS,
+                  diffusion=_Y_SPHERE, control_rates=rates, keep_states=True, threads=threads)
+    builds = []
+    mode_field = solver._mode_field
+
+    def counting(*args):
+        builds.append(1)
+        return mode_field(*args)
+
+    with patch.object(solver, "_mode_field", counting):
+        got = solve_batch(z, **kwargs)
+    with patch.object(solver._Run, "control_field", _rebuilt_each_step):
+        want = solve_batch(z, **kwargs)
+    assert len(builds) == 4 * threads  # at steps 0, 2, 3 and 4, in each block
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+    for key in want.energy_trace:
+        assert np.array_equal(got.energy_trace[key], want.energy_trace[key]), key
+
+
 def test_column_blocks_follow_the_threads_and_the_cell_floor(monkeypatch):
     monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: set(range(4)))
     floor = solver._MIN_BLOCK_CELLS
