@@ -138,7 +138,7 @@ class _TerminalObjective:
         self.block_starts = [j * (self.steps // self.blocks) for j in range(self.blocks)]
         self.solves = 0
         self.threads_used = 1
-        self.work = Scratch()  # every solve's work arrays: fresh ones fault in 40k pages per rate_gn run
+        self.work = Scratch()  # for every solve: fresh work arrays per solve faulted in ~42k pages per rate_gn run
         self.record = None  # (params, fd_step, terminal differences) of the last chain
 
         self.target = (target.u.values, target.v.values)
@@ -177,7 +177,7 @@ class _TerminalObjective:
         return float(np.sqrt(2.0 * section_energy(du[:, :1], dv[:, :1], self.window, self.dx)[0]))
 
     def jacobian(self, params: np.ndarray, fd_step: float) -> tuple[np.ndarray, np.ndarray]:
-        """The residuals at params and their forward-difference Jacobian (R, P), from the recorded chain if it fits."""
+        """The residuals at params and their forward-difference Jacobian (R, P), from a fitting recorded chain."""
         old = self.record
         if old is None or old[1] != fd_step or not np.array_equal(old[0], params):
             self.record = (params.copy(), fd_step, *self._chain(params, fd_step))
