@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .energy import verify_energy_inequality
+from .energy import _PathLedger
 from .errors import ConfigInvalid, GeowaveError, HorizonExceeded, IntervalOutsideGrid, NonLatticeTime
-from .function_spaces import LightCone, State
+from .function_spaces import LightCone, Scratch, State
 from .geometry import DiffusionField, ManifoldModel
 from .ldp import (
     RateOptions,
@@ -37,8 +37,10 @@ from .selfcheck import VERIFY_TRIALS, _fmt, verify_suite
 from .solver import (
     Control,
     LocalizationParams,
+    Trajectory,
     cone_energies,
     cone_window,
+    solve_batch,
     solve_skeleton,
     trial_chunks,
 )
@@ -325,10 +327,22 @@ def _seventeen(obj):
     return obj
 
 
+def _row_format(nfields: int) -> str:
+    """One CSV row of nfields floats, 17 significant digits each."""
+    return ",".join(["%.17g"] * nfields) + "\n"
+
+
+def _write_rows(csv, fmt: str, block: np.ndarray) -> None:
+    """Write the rows of a 2-D block to the open file csv: fmt holds one row format per row, filled by one %."""
+    csv.write(fmt % tuple(block.ravel().tolist()))
+
+
 def _write_csv(path: Path, header: list, *columns) -> None:
     """1-D columns and 2-D column blocks as one CSV; an integer below 2**53 prints as itself."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header),
-               comments="")
+    block = np.column_stack(columns)
+    with open(path, "w") as csv:
+        csv.write(",".join(header) + "\n")
+        _write_rows(csv, _row_format(block.shape[1]) * len(block), block)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -396,36 +410,82 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, li
     return (0 if n_pass == len(checks) else 3), ["verify_report.json"], _trial_threads(VERIFY_TRIALS, threads)
 
 
+# Steps per piece of geowave skeleton's path.  A piece holds 33 states
+# whatever the horizon: an eighth of a default run's 257 (5.7 of 44.2 MB on
+# the default sphere lattice).  Each resume repeats the window norm of the
+# step it starts from, a small part of one step in 32.
+_PIECE_STEPS = 32
+
+
+def _skeleton_pieces(z0: State, horizon: float, loc: LocalizationParams, piece_steps: int, *,
+                     manifold: ManifoldModel, basis: NoiseBasis, diffusion: DiffusionField, renormalize: bool):
+    """The uncontrolled zero-noise path from z0 as stored width-1 Trajectories of piece_steps steps.
+
+    Piece j holds steps j * piece_steps to the next multiple or the horizon,
+    so a piece's last state is the next piece's first.  Each piece after the
+    first is a resumed width-1 solve_batch from the one before it, so its
+    rows are bitwise those of the whole stored path (solve_skeleton with
+    keep_states).  All pieces share one Scratch.  A caller that drops each
+    piece before asking for the next holds one piece's states at a time.
+    """
+    dx, steps = z0.spacing, lattice_steps(horizon, z0.spacing)
+    work, resume = Scratch(), None
+    for start in range(0, steps, piece_steps):
+        stop = min(start + piece_steps, steps)
+        run = solve_batch(z0, 0.0, stop * dx, loc, manifold=manifold, basis=basis, diffusion=diffusion,
+                          renormalize=renormalize, keep_states=True, threads=1, _resume=resume, _work=work)
+        # copies: the next run would keep a C-ordered view as its input, and with it this whole piece
+        resume = (stop, run.u[-1].copy(), run.v[-1].copy(), run.metadata["k_final"])
+        piece = Trajectory(run.times, run.u[:, :, 0], run.v[:, :, 0], z0.origin, dx,
+                           {key: arr[:, 0] for key, arr in run.energy_trace.items()}, None, None, run.metadata)
+        del run
+        yield piece
+        del piece
+
+
 def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list, int]:
     run = _setup(cfg)
     geom, man = run.geom, run.manifold
-    traj = solve_skeleton(run.z0, None, cfg["time.horizon"], run.loc, **run.fields,
-                          renormalize=cfg["solver.renormalize"], keep_states=True)
-
-    # one row per lattice point of every stride-th state, the states stacked
-    snaps = np.arange(0, traj.steps + 1, cfg["experiment.output_stride"] or max(1, traj.steps // 32))
+    cone, horizon = cfg.cone(), cfg["time.horizon"]
+    steps = lattice_steps(horizon, geom.spacing)
+    stride = cfg["experiment.output_stride"] or max(1, steps // 32)
     ncomp = man.ambient_dim
-    u = traj.u[snaps].reshape(-1, ncomp)
-    v = traj.v[snaps].reshape(-1, ncomp)
     header = (["t", "x"] + [f"u_{c + 1}" for c in range(ncomp)]
               + [f"v_{c + 1}" for c in range(ncomp)] + ["constraint_residual"])
-    _write_csv(out / "trajectory.csv", header, np.repeat(traj.times[snaps], geom.npoints),
-               np.tile(geom.x, len(snaps)), u, v, man.constraint_residual(u))
+    # every row of a snapshot but its t, with x formatted once: the snapshot of
+    # time t is t + t.join(tails), each row led by t
+    tails = ["," + _fmt(x) + "," + _row_format(2 * ncomp + 1) for x in geom.x]
+
+    # the path walks in pieces, each dropped before the next is solved; a piece
+    # owns its steps but the last, which starts the next piece
+    ledger, worst_res, first = _PathLedger(cone, **run.fields), 0.0, 0
+    with open(out / "trajectory.csv", "w") as csv:
+        csv.write(",".join(header) + "\n")
+        for piece in _skeleton_pieces(run.z0, horizon, run.loc, _PIECE_STEPS, **run.fields,
+                                      renormalize=cfg["solver.renormalize"]):
+            last = first + piece.steps == steps
+            ledger.add(piece, last)
+            for m in range(piece.steps + last):
+                residual = man.constraint_residual(piece.u[m])
+                worst_res = max(worst_res, float(residual.max()))
+                if (first + m) % stride == 0 or first + m == steps:  # every stride-th step and the last
+                    t = _fmt(piece.times[m])
+                    _write_rows(csv, t + t.join(tails), np.column_stack((piece.u[m], piece.v[m], residual)))
+            first += piece.steps
+            del piece
 
     transform = cfg["experiment.energy_transform"]
-    rep = verify_energy_inequality(traj, cone=cfg.cone(), **run.fields, transform=transform)
+    rep = ledger.reports((transform,))[transform]
     _write_csv(out / "energy_report.csv", ["t", "e", "bound", "gap"],
                rep.times, rep.e_values, rep.bound_values, rep.gaps)
-    # step by step: one whole-path call would allocate temporaries the size of the path
-    worst_res = max(float(man.constraint_residual(um).max()) for um in traj.u)
     _write_json(out / "skeleton.json", {
-        "final_time": traj.times[-1],
+        "final_time": rep.times[-1],
         "max_constraint_residual": worst_res,
         "energy_transform": transform,
         "energy_violations": len(rep.violations),
         "energy_tol": rep.tol,
     })
-    print(f"skeleton: {traj.steps} steps, max constraint residual {_fmt(worst_res)}, "
+    print(f"skeleton: {steps} steps, max constraint residual {_fmt(worst_res)}, "
           f"{len(rep.violations)} energy violations")
     code = 0 if not rep.violations else 4
     return code, ["trajectory.csv", "energy_report.csv", "skeleton.json"], 1

@@ -110,7 +110,36 @@ class _Ledger:
     eps: float
 
 
-def _ledger(traj: Trajectory, cone: LightCone, manifold, basis, diffusion) -> _Ledger:
+class _PathLedger:
+    """One path's ledger, fed the path's stored pieces in step order, and its reports.
+
+    A stored Trajectory is one piece.  A piece of a longer path leaves out
+    its last step, which starts the next piece; every entry reads its own
+    step only, so the pieces' ledgers join into the whole path's bitwise.
+    """
+
+    def __init__(self, cone: LightCone, manifold, basis, diffusion):
+        self.fields = (cone, manifold, basis, diffusion)
+        self.parts, self.times = [], []
+
+    def add(self, piece: Trajectory, last: bool = True) -> None:
+        stop = piece.steps + last
+        self.parts.append(_ledger(piece, *self.fields, stop))
+        self.times.append(piece.times[:stop])
+
+    def ledger(self) -> _Ledger:
+        """The pieces' ledgers joined in step order."""
+        names = ("e", "pairing", "quad", "cross_sq", "dm")
+        return _Ledger(*(np.concatenate([getattr(p, name) for p in self.parts]) for name in names),
+                       self.parts[0].eps)
+
+    def reports(self, transforms) -> dict[str, EnergyReport]:
+        ledger, times = self.ledger(), np.concatenate(self.times)
+        return {t: _report(times, ledger, t) for t in transforms}
+
+
+def _ledger(traj: Trajectory, cone: LightCone, manifold, basis, diffusion, stop: int) -> _Ledger:
+    """The ledger of traj's steps before stop; dm of those of them before traj's last step."""
     eps = float(traj.metadata.get("eps", 0.0))
     if eps > 0.0 and traj.noise_increments is None:
         raise MissingIncrementLog("stochastic verification needs the solver's increment log")
@@ -124,8 +153,8 @@ def _ledger(traj: Trajectory, cone: LightCone, manifold, basis, diffusion) -> _L
     modes = basis.evaluate(origin + dx * np.arange(n)) if basis is not None else None
     sqeps = math.sqrt(eps)
 
-    out = _Ledger(*(np.zeros(steps + 1) for _ in range(4)), np.zeros(steps), eps)
-    for m in range(steps + 1):
+    out = _Ledger(*(np.zeros(stop) for _ in range(4)), np.zeros(min(stop, steps)), eps)
+    for m in range(stop):
         t = float(traj.times[m])
         plan = quadrature(origin, dx, n, *cone.interval(t))
         rows = section_rows(plan.i0, plan.i1, n)
@@ -164,10 +193,10 @@ def _ledger(traj: Trajectory, cone: LightCone, manifold, basis, diffusion) -> _L
     return out
 
 
-def _report(traj: Trajectory, ledger: _Ledger, transform: str) -> EnergyReport:
-    """Apply L, L' and L'' to the ledger: the budget and its gaps under one transform."""
+def _report(times: np.ndarray, ledger: _Ledger, transform: str) -> EnergyReport:
+    """Apply L, L' and L'' to the ledger of the path at `times`: the budget and its gaps under one transform."""
     L, Lp, Lpp = _TRANSFORMS[transform]
-    steps = traj.steps
+    steps = len(times) - 1
     e_vals = ledger.e
     V = np.zeros(steps + 1)
     dM = np.zeros(steps)
@@ -180,10 +209,10 @@ def _report(traj: Trajectory, ledger: _Ledger, transform: str) -> EnergyReport:
     bad = ~(np.isfinite(e_vals) & np.isfinite(V) & np.isfinite(np.append(dM, 0.0)))
     if bad.any():
         m = int(np.argmax(bad))
-        raise BlowupDetected(f"energy budget is not finite at step {m}, t={float(traj.times[m])} "
+        raise BlowupDetected(f"energy budget is not finite at step {m}, t={float(times[m])} "
                              f"(e = {e_vals[m]}, V = {V[m]}, dM = {dM[m] if m < steps else 0.0})")
 
-    dt = float(traj.times[1] - traj.times[0])
+    dt = float(times[1] - times[0])
     drift_int = np.concatenate([[0.0], np.cumsum(0.5 * dt * (V[1:] + V[:-1]))])
     mart = np.concatenate([[0.0], np.cumsum(dM)])
     Le = np.array([L(e) for e in e_vals])
@@ -191,10 +220,10 @@ def _report(traj: Trajectory, ledger: _Ledger, transform: str) -> EnergyReport:
     gaps = Le - bound
     tol = 5.0 * dt * (1.0 + float(e_vals.max()))
     violations = [
-        (float(traj.times[m]), float(gaps[m])) for m in range(steps + 1) if gaps[m] > tol
+        (float(times[m]), float(gaps[m])) for m in range(steps + 1) if gaps[m] > tol
     ]
     return EnergyReport(
-        times=np.asarray(traj.times, dtype=float),
+        times=np.asarray(times, dtype=float),
         e_values=e_vals.copy(),
         bound_values=bound,
         violations=violations,
@@ -242,8 +271,9 @@ def verify_energy_transforms(
         raise ValueError(f"transform must be one of {sorted(_TRANSFORMS)}, got {unknown[0]!r}")
     if traj.u is None:
         raise ValueError("the verifier needs stored states")
-    ledger = _ledger(traj, cone, manifold, basis, diffusion)
-    return {t: _report(traj, ledger, t) for t in transforms}
+    ledger = _PathLedger(cone, manifold, basis, diffusion)
+    ledger.add(traj)
+    return ledger.reports(transforms)
 
 
 def verify_energy_inequality(

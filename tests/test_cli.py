@@ -3,15 +3,19 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from geowave import cli
 from geowave.cli import CONFIG_KEYS, ExperimentConfig, _fmt, _write_csv, load_config, run_command
 from geowave.errors import ConfigInvalid
 from geowave.solver import trial_chunks
+from geowave.states import make_grid
 
 _SMALL = """
 manifold.kind = "circle"
@@ -450,6 +454,60 @@ def test_skeleton_artifacts(tmp_path):
     assert manifest["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
     assert manifest["artifacts"] == sorted(
         ["trajectory.csv", "energy_report.csv", "skeleton.json", "manifest.json"])
+
+
+@pytest.mark.parametrize("stride, steps", [(1, range(9)), (3, [0, 3, 6, 8]), (5, [0, 5, 8]), (8, [0, 8]),
+                                           (1000, [0, 8]), (None, range(9))])
+def test_trajectory_csv_holds_every_stride_th_step_and_the_last(tmp_path, stride, steps):
+    # _SMALL runs 8 steps of 0.0625, so the default stride is 8 // 32 -> 1
+    cfg = _config(tmp_path, _SMALL + ("" if stride is None else f"experiment.output_stride = {stride}\n"))
+    out = tmp_path / "skel"
+    assert run_command(["skeleton", "--config", str(cfg), "--out", str(out)]) == 0
+    table = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    times = np.unique(table[:, 0])
+    assert np.array_equal(times, 0.0625 * np.array(steps))
+    assert len(table) == len(times) * (len(table) // len(times))  # every snapshot holds the whole lattice
+    assert float(json.loads((out / "skeleton.json").read_text())["final_time"]) == times[-1]
+
+
+def _skeleton_bytes(tmp_path, cfg, piece_steps):
+    """The three skeleton artifacts of one run walked in pieces of piece_steps steps."""
+    out = tmp_path / f"pieces_{piece_steps}"
+    with mock.patch.object(cli, "_PIECE_STEPS", piece_steps):
+        assert run_command(["skeleton", "--config", str(cfg), "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in ("trajectory.csv", "energy_report.csv", "skeleton.json")}
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(("circle", "sphere")), points=st.integers(64, 96), steps=st.integers(3, 10),
+       renormalize=st.booleans(), initial=st.sampled_from(("rotating_geodesic", "bump", "random")),
+       stride=st.sampled_from(("default", "one", "no divisor", "past the end")))
+def test_skeleton_artifacts_do_not_depend_on_the_piece_length(tmp_path, kind, points, steps, renormalize,
+                                                               initial, stride):
+    strides = {"default": None, "one": 1, "no divisor": steps - 1, "past the end": steps + 3}
+    body = (f'manifold.kind = "{kind}"\ngrid.points = {points}\ntime.horizon = {steps * (6.0 / points)!r}\n'
+            f'solver.renormalize = {renormalize}\nexperiment.initial = "{initial}"\n')
+    if strides[stride] is not None:
+        body += f"experiment.output_stride = {strides[stride]}\n"
+    cfg = _config(tmp_path, body)
+    whole = _skeleton_bytes(tmp_path, cfg, steps + 5)  # one piece: the whole stored path
+    for piece_steps in (1, 2, 3, 7, steps - 1, steps):
+        assert _skeleton_bytes(tmp_path, cfg, piece_steps) == whole, piece_steps
+
+
+def test_skeleton_peak_memory_stays_below_half_the_stored_path(tmp_path):
+    # 240 steps of a 995-point sphere lattice: 8 pieces, and a stored path of 2 x 241 x 995 x 3 floats
+    cfg = _config(tmp_path, 'manifold.kind = "sphere"\ngrid.points = 256\ntime.horizon = 5.625\n')
+    geom, steps = make_grid(6.0, 256, 5.625), 240
+    assert steps >= 4 * cli._PIECE_STEPS and geom.npoints == 995
+    stored = 2 * (steps + 1) * geom.npoints * 3 * 8
+    tracemalloc.start()
+    try:
+        assert run_command(["skeleton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stored / 2, (peak, stored)
 
 
 # random sphere data, where a batch's step-0 memory order shows in the last digit

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from geowave.cli import _skeleton_pieces
 from geowave.energy import (
+    _PathLedger,
+    _ledger,
     energy,
     perpendicularity_defect,
     verify_energy_inequality,
@@ -300,6 +303,38 @@ def test_sliced_verifier_is_bitwise_the_whole_lattice_one(data, target, points, 
         t = float(traj.times[m])
         for k in (0, 1):
             assert energy(t, traj.state(m), cone, k) == _reference_energy(t, traj.state(m), cone, k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(target=st.sampled_from(sorted(_TARGETS)), points=st.integers(64, 96), steps=st.integers(3, 10),
+       renormalize=st.booleans())
+def test_piece_ledgers_join_into_the_whole_path_ledger(target, points, steps, renormalize):
+    # geowave skeleton's walk: each piece's ledger without its last step, which starts the next piece
+    manifold, diffusion = _TARGETS[target]
+    horizon = steps * (6.0 / points)
+    geom = make_grid(6.0, points, horizon)
+    z0 = random_state(geom, manifold, stream(points, 17))
+    fields = dict(manifold=manifold, basis=_BASIS, diffusion=diffusion)
+    whole = solve_skeleton(z0, None, horizon, _loc(geom), **fields, renormalize=renormalize, keep_states=True)
+    want_ledger = _ledger(whole, _CONE, *fields.values(), steps + 1)
+    want = verify_energy_transforms(whole, ("identity", "log1p"), cone=_CONE, **fields)
+    for piece_steps in (1, 2, 3, 7, steps - 1, steps, steps + 5):
+        ledger, first = _PathLedger(_CONE, **fields), 0
+        for piece in _skeleton_pieces(z0, horizon, _loc(geom), piece_steps, **fields, renormalize=renormalize):
+            rows = slice(first, first + piece.steps + 1)
+            assert np.array_equal(piece.u, whole.u[rows]) and np.array_equal(piece.v, whole.v[rows])
+            for key, trace in whole.energy_trace.items():  # the taper levels carry over too
+                assert np.array_equal(piece.energy_trace[key], trace[rows]), key
+            ledger.add(piece, last=first + piece.steps == steps)
+            first += piece.steps
+        joined = ledger.ledger()
+        for name in ("e", "pairing", "quad", "cross_sq", "dm"):
+            assert np.array_equal(getattr(joined, name), getattr(want_ledger, name)), (piece_steps, name)
+        for transform, got in ledger.reports(want).items():
+            rep = want[transform]
+            for name in ("times", "e_values", "bound_values", "gaps", "drift_integral", "martingale"):
+                assert np.array_equal(getattr(got, name), getattr(rep, name)), (piece_steps, transform, name)
+            assert (got.tol, got.violations) == (rep.tol, rep.violations)
 
 
 def test_verifier_builds_fields_on_the_cone_rows_only(monkeypatch):
