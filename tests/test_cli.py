@@ -456,17 +456,20 @@ def test_skeleton_artifacts(tmp_path):
         ["trajectory.csv", "energy_report.csv", "skeleton.json", "manifest.json"])
 
 
-@pytest.mark.parametrize("stride, steps", [(1, range(9)), (3, [0, 3, 6, 8]), (5, [0, 5, 8]), (8, [0, 8]),
-                                           (1000, [0, 8]), (None, range(9))])
-def test_trajectory_csv_holds_every_stride_th_step_and_the_last(tmp_path, stride, steps):
-    # _SMALL runs 8 steps of 0.0625, so the default stride is 8 // 32 -> 1
-    cfg = _config(tmp_path, _SMALL + ("" if stride is None else f"experiment.output_stride = {stride}\n"))
+@pytest.mark.parametrize("nsteps, stride, steps", [
+    (8, 1, range(9)), (8, 3, [0, 3, 6, 8]), (8, 5, [0, 5, 8]), (8, 8, [0, 8]), (8, 1000, [0, 8]),
+    (8, None, range(9)),                      # the default stride, 8 // 32 -> 1
+    (65, None, [*range(0, 65, 2), 65]),       # the default stride 65 // 32 = 2 does not divide 65
+])
+def test_trajectory_csv_holds_every_stride_th_step_and_the_last(tmp_path, nsteps, stride, steps):
+    body = _small_with(f"time.horizon = {nsteps * 0.0625}")  # steps of 6 / 96
+    cfg = _config(tmp_path, body + ("" if stride is None else f"experiment.output_stride = {stride}\n"))
     out = tmp_path / "skel"
     assert run_command(["skeleton", "--config", str(cfg), "--out", str(out)]) == 0
     table = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
-    times = np.unique(table[:, 0])
+    times, rows = np.unique(table[:, 0], return_counts=True)
     assert np.array_equal(times, 0.0625 * np.array(steps))
-    assert len(table) == len(times) * (len(table) // len(times))  # every snapshot holds the whole lattice
+    assert (rows == rows[0]).all()  # every snapshot holds the whole lattice
     assert float(json.loads((out / "skeleton.json").read_text())["final_time"]) == times[-1]
 
 

@@ -20,7 +20,7 @@ The file holds
 CPU time is user + sys of the pytest process and the children it waited
 for, the change in getrusage(RUSAGE_CHILDREN) across the run.  Runs are
 sequential, so they do not compete for the CPUs.  On a 2-vCPU machine one
-file takes about fifteen minutes.
+file takes about seven minutes.
 """
 from __future__ import annotations
 
