@@ -624,7 +624,7 @@ def run_command(argv: list | None = None) -> int:
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=None, help="override noise.seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for trials")
+    parser.add_argument("--threads", type=int, default=1, help="column blocks of a batch, one worker thread each")
     args = parser.parse_args(argv)
     if args.threads < 1:
         print("error: --threads must be at least 1")

@@ -149,7 +149,6 @@ def _ledger(traj: Trajectory, cone: LightCone, manifold, basis, diffusion, stop:
     dx, origin = traj.spacing, traj.origin
     n = traj.u.shape[1]
     steps = traj.steps
-    taper = np.asarray(traj.energy_trace.get("taper", np.ones(steps + 1)), dtype=float)
     modes = basis.evaluate(origin + dx * np.arange(n)) if basis is not None else None
     sqeps = math.sqrt(eps)
 
@@ -160,10 +159,9 @@ def _ledger(traj: Trajectory, cone: LightCone, manifold, basis, diffusion, stop:
         rows = section_rows(plan.i0, plan.i1, n)
         u, v = traj.u[m, rows], traj.v[m, rows]
         out.e[m] = energy(t, traj.state(m), cone)
-        th = float(taper[m])
 
         cfield = None if traj.control is None else (traj.control.row(m) @ modes)[rows]
-        f = drift_force(manifold, u, v, dx, th, diffusion=diffusion, control_field=cfield)
+        f = drift_force(manifold, u, v, dx, diffusion=diffusion, control_field=cfield)
 
         v_ladder = _derivative_ladder(v, dx)
         f_ladder = _derivative_ladder(f, dx)
@@ -174,7 +172,7 @@ def _ledger(traj: Trajectory, cone: LightCone, manifold, basis, diffusion, stop:
         out.pairing[m] = pairing
 
         if eps > 0.0:
-            y = (sqeps * th) * diffusion(u)  # (rows, nc)
+            y = sqeps * diffusion(u)  # (rows, nc)
             quad = 0.0
             cross = np.zeros(basis.dim)
             for j, mode in enumerate(modes[:, rows]):
@@ -250,14 +248,14 @@ def verify_energy_transforms(
     The energy is the H^2 x H^1 cone energy and the tolerance is
     5 * dt * (1 + max e).  The drift is rebuilt from the stored states
     (curvature force, plus the control forcing of step m's control row when
-    the trajectory carries one), scaled by the taper values recorded at run
-    time; the noise operator is sqrt(eps) * taper * diffusion(u) * mode.  On
-    the verification cone the window extension is the identity, so every
-    field is pointwise in u, v and their stencils.  Each step therefore builds
-    its fields on the section's rows and SECTION_MARGIN rows each side only:
-    D f, with f built from u_x, is exact from the third row in from a cut end
-    and the quadrature reads one row past the section, so every report is
-    bitwise the whole-lattice one.
+    the trajectory carries one); the noise operator is sqrt(eps) *
+    diffusion(u) * mode.  Neither is tapered: at a lattice time every norm is
+    below its taper level (drift_force).  On the verification cone the window
+    extension is the identity, so every field is pointwise in u, v and their
+    stencils.  Each step therefore builds its fields on the section's rows and
+    SECTION_MARGIN rows each side only: D f, with f built from u_x, is exact
+    from the third row in from a cut end and the quadrature reads one row past
+    the section, so every report is bitwise the whole-lattice one.
 
     The array work runs once, into a transform-free ledger (e, the drift
     pairing, the Ito quadratic term, the squared cross vector and its

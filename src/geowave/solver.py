@@ -139,9 +139,10 @@ class Trajectory:
     u and v stack the states by step, shape (steps + 1, npoints, ncomp) on
     the lattice (origin, spacing); batched runs keep the batch axis before the
     components.  Both are None without state storage.  energy_trace carries
-    per-step arrays: "taper_norm" (window norm driving the taper), "taper" and
-    "k_level".  noise_increments holds the raw Wiener coefficient rows (not
-    scaled by sqrt(eps)).  Batched traces and noise logs keep their batch axis.
+    per-step arrays: "taper_norm" (the coarse window norm) and "k_level" (its
+    taper level, always above it).  noise_increments holds the raw Wiener
+    coefficient rows (not scaled by sqrt(eps)).  Batched traces and noise logs
+    keep their batch axis.
     """
 
     times: np.ndarray
@@ -309,8 +310,8 @@ def _window(u: np.ndarray, v: np.ndarray, origin: float, spacing: float, s: floa
 def window_norm(z: State, s: float) -> float:
     """H^2 x H^1 norm of a state over (-s, s), one-sided at the boundary.
 
-    This is the norm driving the taper; it matches the per-step values the
-    integrator records in ``energy_trace["taper_norm"]``.
+    This is the norm driving the taper levels; it matches the per-step values
+    the integrator records in ``energy_trace["taper_norm"]``.
     """
     return float(_window(z.u.values[:, None, :], z.v.values[:, None, :], z.origin, z.spacing, s)[1][0])
 
@@ -320,36 +321,37 @@ def drift_force(
     u: np.ndarray,
     v: np.ndarray,
     spacing: float,
-    theta,
     *,
     diffusion: DiffusionField | None = None,
     control_field: np.ndarray | None = None,
     window: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """The localized drift F = theta * (A_u(v,v) - A_u(u_x,u_x) + Y(u) * control_field).
+    """The drift F = A_u(v,v) - A_u(u_x,u_x) + Y(u) * control_field at a lattice time.
 
-    u and v have shape (npoints, ..., ncomp); theta (the taper) is a scalar
-    or one value per batch column.  control_field is the control rate in
-    physical space, shaped like u without its component axis.  With a window
-    (i_lo, i_hi) both terms are reflection-extended outside it, so only the
-    window's rows are read; without one they are local.
+    At a lattice time the taper is 1: the head lifts each level above the
+    window norm (energy_trace).  u and v have shape (npoints, ..., ncomp).
+    control_field is the control rate in physical space, shaped like u
+    without its component axis.  With a window (i_lo, i_hi) both terms are
+    reflection-extended outside it, so only the window's rows are read;
+    without one they are local.
     """
     out = np.empty(u.shape)
     if window is None:
-        return _core_drift(manifold, u, v, derivative1(u, spacing), theta, None, out,
+        return _core_drift(manifold, u, v, derivative1(u, spacing), 1.0, None, out,
                            diffusion=diffusion, control_field=control_field)
     i_lo, i_hi = window
     rows = section_rows(i_lo, i_hi, u.shape[0], 1)
     ux = derivative1(u[rows], spacing)[i_lo - rows.start:i_hi + 1 - rows.start]
-    return _core_drift(manifold, u[i_lo:i_hi + 1], v[i_lo:i_hi + 1], ux, theta, window, out,
+    return _core_drift(manifold, u[i_lo:i_hi + 1], v[i_lo:i_hi + 1], ux, 1.0, window, out,
                        diffusion=diffusion, control_field=control_field)
 
 
 def _core_drift(manifold: ManifoldModel, u: np.ndarray, v: np.ndarray, ux: np.ndarray, theta,
                 window: tuple[int, int] | None, out: np.ndarray, *, diffusion: DiffusionField | None = None,
                 control_field: np.ndarray | None = None, work: Scratch | None = None) -> np.ndarray:
-    """drift_force written into out, the whole lattice, from u, v and u_x on the window's rows.
+    """theta * drift_force written into out, the whole lattice, from u, v and u_x on the window's rows.
 
+    theta, the midpoint taper, is a scalar or one value per batch column.
     Both reflection extensions overwrite every row outside the window, so
     the window's rows are all the drift reads.  Without a window u, v and ux
     cover the lattice.
@@ -507,16 +509,12 @@ class _Run:
         self.k_init = None
         self.times = spacing * np.arange(start, steps + 1)
         rows = (len(self.times), nbatch)
-        self.trace = {"taper_norm": np.zeros(rows), "taper": np.zeros(rows), "k_level": np.zeros(rows, dtype=int)}
+        self.trace = {"taper_norm": np.zeros(rows), "k_level": np.zeros(rows, dtype=int)}
         self.path_u = self.path_v = None
         if keep_states:  # each later state is computed in its own row
             self.path_u, self.path_v = np.empty((rows[0],) + self.u.shape), np.empty((rows[0],) + self.v.shape)
             self.path_u[0], self.path_v[0] = self.u, self.v
         self.noise_log = np.zeros((steps - start, nbatch, basis.dim)) if needs_noise else None
-
-    def __getitem__(self, i):
-        """The finished run as the tuple (times, path_u, path_v, trace, noise_log, k_init, k), for indexing callers."""
-        return (self.times, self.path_u, self.path_v, self.trace, self.noise_log, self.k_init, self.k)[i]
 
     def block(self, cols: slice) -> "_Run":
         """Columns cols of this run as a run of their own, for one thread.
@@ -548,8 +546,11 @@ class _Run:
         part.work, part.control_row = Scratch(), None
         return part
 
-    def head(self, m: int) -> tuple:
-        """Step m's coarse window norm, levels, taper, traces and observer call: (window, taper)."""
+    def head(self, m: int) -> tuple[int, int]:
+        """Step m's coarse window norm, levels, traces and observer call: the window.
+
+        Each level ends above its column's norm, where the taper is exactly 1.
+        """
         t = m * self.dx
         window, norm = _window(self.u, self.v, self.origin, self.dx, self.loc.radius - t, self.work)
         # a NaN norm fails every level test below and would run on
@@ -566,15 +567,14 @@ class _Run:
         while np.any(crossing := norm >= self.k):
             self.k = np.where(crossing, 2 * self.k, self.k)
             _blowup(self.k > top, lambda b: f"window norm {norm[b]:.3e} exhausted cutoff levels up to {top} at t={t}")
-        theta = taper_factor(norm, self.k)
 
         row = m - self.start
-        self.trace["taper_norm"][row], self.trace["taper"][row], self.trace["k_level"][row] = norm, theta, self.k
+        self.trace["taper_norm"][row], self.trace["k_level"][row] = norm, self.k
         if self.observer is not None:
             self.observer(m, t, self.u, self.v)
-        return window, theta
+        return window
 
-    def kick(self, m: int, window: tuple[int, int], theta: np.ndarray) -> np.ndarray:
+    def kick(self, m: int, window: tuple[int, int]) -> np.ndarray:
         """The velocity after step m's noise kick, evaluated at the left point (v itself without noise)."""
         if self.noise_log is None:
             return self.v
@@ -589,7 +589,7 @@ class _Run:
         y = work.get("f0", u.shape)
         self.diffusion(u[i_lo:i_hi + 1], out=y[i_lo:i_hi + 1], work=work)
         extend_array(y, i_lo, i_hi, 1)
-        scale = math.sqrt(self.eps) * theta
+        scale = math.sqrt(self.eps)
         kick = work.get("noise.kick", (n, nbatch))
         v_star = work.get("v_star", u.shape)
         for c in range(ncomp):  # v + scale * y * wfield, one component column at a time
@@ -676,8 +676,7 @@ def _integrate(u0: np.ndarray, v0: np.ndarray, **kwargs) -> _Run:
     """
     run = _Run(u0, v0, **kwargs)
     for m in range(run.start, run.steps):
-        window, theta = run.head(m)
-        v_star = run.kick(m, window, theta)
+        v_star = run.kick(m, run.head(m))
         run.advance(m, v_star, *run.drift(m))
     run.head(run.steps)
     return run
@@ -702,11 +701,11 @@ def _integrate_blocks(u0: np.ndarray, v0: np.ndarray, blocks: list, **kwargs) ->
     run = _Run(u0, v0, **kwargs)
     parts = [run.block(cols) for cols in blocks]
 
-    def step(m, part, head, new):
+    def step(m, part, window, new):
         if run.observer is not None:
             np.copyto(part.u, run.u[:, part.cols])
             np.copyto(part.v, run.v[:, part.cols])
-        part.advance(m, part.kick(m, *head), *part.drift(m))
+        part.advance(m, part.kick(m, window), *part.drift(m))
         np.copyto(new[0][:, part.cols], part.u)
         np.copyto(new[1][:, part.cols], part.v)
         return part.head(m + 1)
@@ -718,13 +717,13 @@ def _integrate_blocks(u0: np.ndarray, v0: np.ndarray, blocks: list, **kwargs) ->
             rest = pool.map(fn, items[1:])
             return [fn(items[0]), *rest]
 
-        heads = each(lambda part: part.head(run.start), parts)
+        windows = each(lambda part: part.head(run.start), parts)
         for m in range(run.start, run.steps + 1):
             if run.observer is not None:
                 run.observer(m, m * run.dx, run.u, run.v)
             if m < run.steps:
                 new = run.pair(m + 1)
-                heads = each(lambda item: step(m, *item, new), list(zip(parts, heads)))
+                windows = each(lambda item: step(m, *item, new), list(zip(parts, windows)))
                 run.u, run.v = new
     run.k_init = np.concatenate([part.k_init for part in parts])
     run.k = np.concatenate([part.k for part in parts])
@@ -966,7 +965,8 @@ def mild_residual(
     time) + transported realized noise kicks, and returns the H^2 x H^1 window
     norm of the difference from the stored final state.  First-order in the
     step by construction (the solver's midpoint quadrature is re-done here at
-    the lattice times).
+    the lattice times, where the taper is 1, so neither the drift nor the
+    noise kicks are tapered).
     """
     if traj.u is None:
         raise ValueError("mild_residual needs stored states")
@@ -985,16 +985,15 @@ def mild_residual(
     for m in range(steps + 1):
         um, vm = traj.u[m], traj.v[m]
         window = window_indices(origin, dx, n, r - m * dx)
-        theta = float(traj.energy_trace["taper"][m])
         cfield = None if traj.control is None else traj.control.row(m) @ modes
-        force = drift_force(manifold, _extended(um, *window, 2), _extended(vm, *window, 2), dx, theta,
+        force = drift_force(manifold, _extended(um, *window, 2), _extended(vm, *window, 2), dx,
                             diffusion=diffusion, control_field=cfield, window=window)
         kick = dx * (0.5 if m in (0, steps) else 1.0) * force  # trapezoid weights in time
         if m == steps:
             acc_v = acc_v + kick  # the final-time field is not transported
             break
         if eps > 0:
-            yext = theta * _extended(diffusion(um), *window)
+            yext = _extended(diffusion(um), *window)
             wfield = traj.noise_increments[m] @ modes
             kick = kick + math.sqrt(eps) * yext * wfield[:, None]
         acc_u, acc_v = apply_arrays(acc_u, acc_v + kick, dx, 1)

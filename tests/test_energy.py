@@ -197,7 +197,6 @@ def _reference_verify(traj, cone, manifold, basis, diffusion, transform):
     eps = float(traj.metadata.get("eps", 0.0))
     z0 = traj.state(0)
     dx, origin, steps = z0.spacing, z0.origin, traj.steps
-    taper = np.asarray(traj.energy_trace.get("taper", np.ones(steps + 1)), dtype=float)
     modes = basis.evaluate(z0.u.x)
     sqeps = math.sqrt(eps)
 
@@ -212,9 +211,8 @@ def _reference_verify(traj, cone, manifold, basis, diffusion, transform):
         u, v = z.u.values, z.v.values
         e = _reference_energy(t, z, cone)
         e_vals[m] = e
-        th = float(taper[m])
         cfield = None if traj.control is None else traj.control.row(m) @ modes
-        f = drift_force(manifold, u, v, dx, th, diffusion=diffusion, control_field=cfield)
+        f = drift_force(manifold, u, v, dx, diffusion=diffusion, control_field=cfield)
         v_ladder = [v, derivative1(v, dx)]
         f_ladder = [f, derivative1(f, dx)]
         pairing = inner(u, v, interval)
@@ -222,7 +220,7 @@ def _reference_verify(traj, cone, manifold, basis, diffusion, transform):
         quad = 0.0
         cross_sq = 0.0
         if eps > 0.0:
-            y = (sqeps * th) * diffusion(u)
+            y = sqeps * diffusion(u)
             cross = np.zeros(basis.dim)
             for j in range(basis.dim):
                 gj = y * modes[j][:, None]
@@ -357,18 +355,16 @@ def test_verifier_builds_fields_on_the_cone_rows_only(monkeypatch):
         assert step_sizes.max() <= cone_rows + 2 * SECTION_MARGIN < z0.u.npoints, m
 
 
-@pytest.mark.parametrize("where", ["u", "v", "taper", "increment"])
+@pytest.mark.parametrize("where", ["u", "v", "increment"])
 def test_non_finite_budget_is_a_blowup(where):
-    # a NaN state makes e non-finite, a NaN taper the drift V, a NaN increment the martingale
+    # a NaN state makes e non-finite, a NaN increment the martingale
     manifold, diffusion = _TARGETS["sphere"]
     geom = make_grid(6.0, 96, 1.0)
     traj = solve_stochastic(random_state(geom, manifold, stream(2, 3)), 1e-2, None, 0.5, _loc(geom),
                             manifold=manifold, basis=_BASIS, diffusion=diffusion, master_seed=4,
                             keep_states=True)
     row = int(np.argmin(np.abs(geom.x - _CONE.center)))  # in the cone at every step
-    if where == "taper":
-        traj.energy_trace["taper"][3] = np.nan
-    elif where == "increment":
+    if where == "increment":
         traj.noise_increments[3, 0] = np.nan
     else:
         getattr(traj, where)[3, row, 0] = np.nan

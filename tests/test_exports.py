@@ -15,7 +15,7 @@ import geowave
 from geowave.energy import verify_energy_inequality
 from geowave.geometry import ManifoldModel
 from geowave.ldp import RateOptions, statement1_probe, statement2_probe
-from geowave.solver import LocalizationParams, solve_batch
+from geowave.solver import LocalizationParams, drift_force, solve_batch
 from geowave.wave_group import apply_group
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(geowave.__path__))
@@ -80,6 +80,8 @@ def test_deleted_parameters_are_gone():
 
     assert "h" not in params(statement1_probe) | params(statement2_probe)
     assert "control" not in params(solve_batch)
+    # the drift at a lattice time is untapered: the levels keep every norm below them
+    assert "theta" not in params(drift_force)
     assert not {"k", "tol_factor"} & params(verify_energy_inequality)
     # Gauss-Newton is the one optimizer; its schedule and step are module constants
     assert [f.name for f in dataclasses.fields(RateOptions)] == ["blocks", "gap_tol"]

@@ -207,8 +207,7 @@ def test_integrator_work_per_gauss_newton_iteration(monkeypatch):
 
     def counting(*args, **kwargs):
         out = integrate(*args, **kwargs)
-        times, trace = out[0], out[3]
-        col_steps.append((len(times) - 1) * trace["k_level"].shape[1])
+        col_steps.append((len(out.times) - 1) * out.trace["k_level"].shape[1])
         return out
 
     def recording(obj, params, fd_step=None):

@@ -20,6 +20,7 @@ from geowave.function_spaces import (
     LightCone,
     Scratch,
     State,
+    derivative1,
     extend_array,
     section_rows,
     window_indices,
@@ -392,6 +393,8 @@ def test_any_thread_count_gives_the_one_thread_bits(kind, points, width, noisy, 
         start = seed % steps
         kwargs["_resume"] = (start, full.u[start], full.v[start], full.energy_trace["k_level"][start])
     want, want_seen = _blocked_solve(z, 1, **kwargs)
+    # every head lifts each level above its norm, so the left-point taper would be exactly 1
+    assert (want.energy_trace["taper_norm"] < want.energy_trace["k_level"]).all()
     with patch.object(solver, "_MIN_BLOCK_CELLS", 1):  # None: one block per available CPU
         for threads in (2, 3, 4, None):
             got, seen = _blocked_solve(z, threads, **kwargs)
@@ -546,10 +549,11 @@ def test_taper_kills_drift_above_cutoff():
     norm = window_norm(z, geom.half_width)
     assert norm > 2.0  # past the whole ramp [1, 2] of level 1
     u, v = z.u.values, z.v.values
-    dead = drift_force(_CIRCLE, u, v, geom.spacing, taper_factor(norm, 1))
+    ux = derivative1(u, geom.spacing)
+    dead = solver._core_drift(_CIRCLE, u, v, ux, taper_factor(norm, 1), None, np.empty(u.shape))
     assert np.abs(dead).max() == 0.0
-    live = drift_force(_CIRCLE, u, v, geom.spacing, taper_factor(norm, math.ceil(2 * norm)))
-    assert np.abs(live).max() > 0.1
+    live = drift_force(_CIRCLE, u, v, geom.spacing)  # at the starting level the taper is 1
+    assert taper_factor(norm, math.ceil(2 * norm)) == 1.0 and np.abs(live).max() > 0.1
 
 
 def test_twin_data_agree_inside_the_cone():
@@ -646,7 +650,8 @@ def test_resumed_run_is_the_tail_of_the_full_run(kind, points, width, where, see
     assert len(tail.u) == len(tail.v) == steps + 1 - start
     for ut, vt, uf, vf in zip(tail.u, tail.v, full.u[start:], full.v[start:]):
         assert np.array_equal(ut, uf) and np.array_equal(vt, vf)
-    for key in ("taper_norm", "taper", "k_level"):
+    assert set(full.energy_trace) == {"taper_norm", "k_level"}
+    for key in full.energy_trace:
         assert np.array_equal(tail.energy_trace[key], full.energy_trace[key][start:]), key
     assert np.array_equal(tail.metadata["k_final"], full.metadata["k_final"])
 
@@ -756,10 +761,10 @@ def test_core_row_drift_is_the_whole_lattice_drift(kind, width, at_edge, control
     core = slice(lo, hi + 1)
     got = solver._core_drift(manifold, ue[core], ve[core], ux[core], theta, window_f, np.full(fine, np.nan),
                              diffusion=diffusion, control_field=cfield, work=work)
-    public = drift_force(manifold, ufe, vfe, dxf, theta, diffusion=diffusion, control_field=cfield,
-                         window=window_f)
-    for arr in (got, public):
-        assert np.array_equal(arr, want) and np.array_equal(np.signbit(arr), np.signbit(want))
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    public = drift_force(manifold, ufe, vfe, dxf, diffusion=diffusion, control_field=cfield, window=window_f)
+    want = ref.whole_lattice_drift(ufe, vfe, dxf, 1.0, control_field=cfield, window=window_f)
+    assert np.array_equal(public, want) and np.array_equal(np.signbit(public), np.signbit(want))
 
 
 @settings(max_examples=60, deadline=None)
