@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .energy import _PathLedger
 from .errors import ConfigInvalid, GeowaveError, HorizonExceeded, IntervalOutsideGrid, NonLatticeTime
-from .function_spaces import LightCone, Scratch, State
+from .function_spaces import LightCone, State
 from .geometry import DiffusionField, ManifoldModel
 from .ldp import (
     RateOptions,
@@ -37,10 +37,8 @@ from .selfcheck import VERIFY_TRIALS, _fmt, verify_suite
 from .solver import (
     Control,
     LocalizationParams,
-    Trajectory,
     cone_energies,
     cone_window,
-    solve_batch,
     solve_skeleton,
     trial_chunks,
 )
@@ -243,6 +241,9 @@ def _check_across_keys(cfg: ExperimentConfig, command: str) -> None:
             f"key 'time.horizon' must be a whole number of lattice steps of "
             f"grid.domain_radius / grid.points, got {cfg['time.horizon']}"
         ) from None
+    if steps < 1:  # a positive horizon below 1e-9 steps rounds to none
+        raise ConfigInvalid(f"key 'time.horizon' must cover at least one lattice step of "
+                            f"grid.domain_radius / grid.points, got {cfg['time.horizon']}")
     if command == "probe-s2" and steps % 2:  # the probe runs to half the horizon
         raise ConfigInvalid(f"key 'time.horizon' must be an even number of lattice steps for probe-s2, "
                             f"got {cfg['time.horizon']} ({steps} steps)")
@@ -410,39 +411,6 @@ def _cmd_verify(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, li
     return (0 if n_pass == len(checks) else 3), ["verify_report.json"], _trial_threads(VERIFY_TRIALS, threads)
 
 
-# Steps per piece of geowave skeleton's path.  A piece holds 33 states
-# whatever the horizon: an eighth of a default run's 257 (5.7 of 44.2 MB on
-# the default sphere lattice).  Each resume repeats the window norm of the
-# step it starts from, a small part of one step in 32.
-_PIECE_STEPS = 32
-
-
-def _skeleton_pieces(z0: State, horizon: float, loc: LocalizationParams, piece_steps: int, *,
-                     manifold: ManifoldModel, basis: NoiseBasis, diffusion: DiffusionField, renormalize: bool):
-    """The uncontrolled zero-noise path from z0 as stored width-1 Trajectories of piece_steps steps.
-
-    Piece j holds steps j * piece_steps to the next multiple or the horizon,
-    so a piece's last state is the next piece's first.  Each piece after the
-    first is a resumed width-1 solve_batch from the one before it, so its
-    rows are bitwise those of the whole stored path (solve_skeleton with
-    keep_states).  All pieces share one Scratch.  A caller that drops each
-    piece before asking for the next holds one piece's states at a time.
-    """
-    dx, steps = z0.spacing, lattice_steps(horizon, z0.spacing)
-    work, resume = Scratch(), None
-    for start in range(0, steps, piece_steps):
-        stop = min(start + piece_steps, steps)
-        run = solve_batch(z0, 0.0, stop * dx, loc, manifold=manifold, basis=basis, diffusion=diffusion,
-                          renormalize=renormalize, keep_states=True, threads=1, _resume=resume, _work=work)
-        # copies: the next run would keep a C-ordered view as its input, and with it this whole piece
-        resume = (stop, run.u[-1].copy(), run.v[-1].copy(), run.metadata["k_final"])
-        piece = Trajectory(run.times, run.u[:, :, 0], run.v[:, :, 0], z0.origin, dx,
-                           {key: arr[:, 0] for key, arr in run.energy_trace.items()}, None, None, run.metadata)
-        del run
-        yield piece
-        del piece
-
-
 def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list, int]:
     run = _setup(cfg)
     geom, man = run.geom, run.manifold
@@ -456,23 +424,25 @@ def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
     # time t is t + t.join(tails), each row led by t
     tails = ["," + _fmt(x) + "," + _row_format(2 * ncomp + 1) for x in geom.x]
 
-    # the path walks in pieces, each dropped before the next is solved; a piece
-    # owns its steps but the last, which starts the next piece
-    ledger, worst_res, first = _PathLedger(cone, **run.fields), 0.0, 0
+    # a width-1 run on one thread: the observer's pair is the path's state, seen once per step
+    ledger = _PathLedger(cone, **run.fields, origin=run.z0.origin, spacing=run.z0.spacing, npoints=geom.npoints,
+                         eps=0.0)
+    worst_res = 0.0
+
+    def observe(m, t, u, v):
+        nonlocal worst_res
+        u, v = u[:, 0], v[:, 0]
+        ledger.add(t, u, v)
+        residual = man.constraint_residual(u)
+        worst_res = max(worst_res, float(residual.max()))
+        if m % stride == 0 or m == steps:  # every stride-th step and the last
+            t = _fmt(t)
+            _write_rows(csv, t + t.join(tails), np.column_stack((u, v, residual)))
+
     with open(out / "trajectory.csv", "w") as csv:
         csv.write(",".join(header) + "\n")
-        for piece in _skeleton_pieces(run.z0, horizon, run.loc, _PIECE_STEPS, **run.fields,
-                                      renormalize=cfg["solver.renormalize"]):
-            last = first + piece.steps == steps
-            ledger.add(piece, last)
-            for m in range(piece.steps + last):
-                residual = man.constraint_residual(piece.u[m])
-                worst_res = max(worst_res, float(residual.max()))
-                if (first + m) % stride == 0 or first + m == steps:  # every stride-th step and the last
-                    t = _fmt(piece.times[m])
-                    _write_rows(csv, t + t.join(tails), np.column_stack((piece.u[m], piece.v[m], residual)))
-            first += piece.steps
-            del piece
+        solve_skeleton(run.z0, None, horizon, run.loc, **run.fields, renormalize=cfg["solver.renormalize"],
+                       keep_states=False, observer=observe)
 
     transform = cfg["experiment.energy_transform"]
     rep = ledger.reports((transform,))[transform]

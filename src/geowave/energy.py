@@ -111,57 +111,32 @@ class _Ledger:
 
 
 class _PathLedger:
-    """One path's ledger, fed the path's stored pieces in step order, and its reports.
+    """One path's ledger, fed its states one step at a time in step order, and its reports.
 
-    A stored Trajectory is one piece.  A piece of a longer path leaves out
-    its last step, which starts the next piece; every entry reads its own
-    step only, so the pieces' ledgers join into the whole path's bitwise.
+    Every entry reads its own step only, so a ledger fed a width-1 run's
+    states by the run's observer is bitwise the replay of the same run
+    stored (verify_energy_transforms).
     """
 
-    def __init__(self, cone: LightCone, manifold, basis, diffusion):
-        self.fields = (cone, manifold, basis, diffusion)
-        self.parts, self.times = [], []
+    def __init__(self, cone: LightCone, manifold, basis, diffusion, origin: float, spacing: float,
+                 npoints: int, eps: float):
+        self.cone, self.manifold, self.diffusion = cone, manifold, diffusion
+        self.origin, self.dx, self.n, self.eps = origin, spacing, npoints, eps
+        self.modes = basis.evaluate(origin + spacing * np.arange(npoints)) if basis is not None else None
+        self.times, self.e, self.pairing, self.quad, self.cross_sq = [], [], [], [], []
+        self.cross = []  # the cross vectors <v, g_j>_{H^1}, kept for dm when eps > 0
 
-    def add(self, piece: Trajectory, last: bool = True) -> None:
-        stop = piece.steps + last
-        self.parts.append(_ledger(piece, *self.fields, stop))
-        self.times.append(piece.times[:stop])
-
-    def ledger(self) -> _Ledger:
-        """The pieces' ledgers joined in step order."""
-        names = ("e", "pairing", "quad", "cross_sq", "dm")
-        return _Ledger(*(np.concatenate([getattr(p, name) for p in self.parts]) for name in names),
-                       self.parts[0].eps)
-
-    def reports(self, transforms) -> dict[str, EnergyReport]:
-        ledger, times = self.ledger(), np.concatenate(self.times)
-        return {t: _report(times, ledger, t) for t in transforms}
-
-
-def _ledger(traj: Trajectory, cone: LightCone, manifold, basis, diffusion, stop: int) -> _Ledger:
-    """The ledger of traj's steps before stop; dm of those of them before traj's last step."""
-    eps = float(traj.metadata.get("eps", 0.0))
-    if eps > 0.0 and traj.noise_increments is None:
-        raise MissingIncrementLog("stochastic verification needs the solver's increment log")
-    if (eps > 0.0 or traj.control is not None) and (basis is None or diffusion is None):
-        raise ValueError("noise or control verification needs the basis and diffusion field")
-
-    dx, origin = traj.spacing, traj.origin
-    n = traj.u.shape[1]
-    steps = traj.steps
-    modes = basis.evaluate(origin + dx * np.arange(n)) if basis is not None else None
-    sqeps = math.sqrt(eps)
-
-    out = _Ledger(*(np.zeros(stop) for _ in range(4)), np.zeros(min(stop, steps)), eps)
-    for m in range(stop):
-        t = float(traj.times[m])
-        plan = quadrature(origin, dx, n, *cone.interval(t))
+    def add(self, t: float, u: np.ndarray, v: np.ndarray, control_row: np.ndarray | None = None) -> None:
+        """Append the entries of the state (u, v) at time t, driven by control_row."""
+        dx, origin, n, modes = self.dx, self.origin, self.n, self.modes
+        plan = quadrature(origin, dx, n, *self.cone.interval(t))
         rows = section_rows(plan.i0, plan.i1, n)
-        u, v = traj.u[m, rows], traj.v[m, rows]
-        out.e[m] = energy(t, traj.state(m), cone)
+        self.times.append(t)
+        self.e.append(energy(t, State(GridFunction(origin, dx, u), GridFunction(origin, dx, v)), self.cone))
+        u, v = u[rows], v[rows]
 
-        cfield = None if traj.control is None else (traj.control.row(m) @ modes)[rows]
-        f = drift_force(manifold, u, v, dx, diffusion=diffusion, control_field=cfield)
+        cfield = None if control_row is None else (control_row @ modes)[rows]
+        f = drift_force(self.manifold, u, v, dx, diffusion=self.diffusion, control_field=cfield)
 
         v_ladder = _derivative_ladder(v, dx)
         f_ladder = _derivative_ladder(f, dx)
@@ -169,26 +144,45 @@ def _ledger(traj: Trajectory, cone: LightCone, manifold, basis, diffusion, stop:
         pairing += sum(
             _inner(vl, fl, plan, rows.start) for vl, fl in zip(v_ladder, f_ladder)
         )
-        out.pairing[m] = pairing
+        self.pairing.append(pairing)
 
-        if eps > 0.0:
-            y = sqeps * diffusion(u)  # (rows, nc)
-            quad = 0.0
-            cross = np.zeros(basis.dim)
-            for j, mode in enumerate(modes[:, rows]):
-                gj = y * mode[:, None]
-                g_ladder = _derivative_ladder(gj, dx)
-                for gl in g_ladder:
-                    quad += _inner(gl, gl, plan, rows.start)
-                cross[j] = sum(
-                    _inner(vl, gl, plan, rows.start)
-                    for vl, gl in zip(v_ladder, g_ladder)
-                )
-            out.quad[m] = quad
-            out.cross_sq[m] = float((cross ** 2).sum())
-            if m < steps:
-                out.dm[m] = float(cross @ traj.noise_increments[m])
-    return out
+        if self.eps == 0.0:
+            self.quad.append(0.0)
+            self.cross_sq.append(0.0)
+            return
+        y = math.sqrt(self.eps) * self.diffusion(u)  # (rows, nc)
+        quad = 0.0
+        cross = np.zeros(len(modes))
+        for j, mode in enumerate(modes[:, rows]):
+            gj = y * mode[:, None]
+            g_ladder = _derivative_ladder(gj, dx)
+            for gl in g_ladder:
+                quad += _inner(gl, gl, plan, rows.start)
+            cross[j] = sum(
+                _inner(vl, gl, plan, rows.start)
+                for vl, gl in zip(v_ladder, g_ladder)
+            )
+        self.quad.append(quad)
+        self.cross_sq.append(float((cross ** 2).sum()))
+        self.cross.append(cross)
+
+    def ledger(self, increments: np.ndarray | None = None) -> _Ledger:
+        """The entries added so far; dm[m] = cross[m] @ increments[m] for every step but the last.
+
+        increments are the run's noise rows, needed when eps > 0.
+        """
+        steps = len(self.times) - 1
+        if self.eps == 0.0:
+            dm = np.zeros(steps)
+        else:
+            dm = np.array([float(self.cross[m] @ increments[m]) for m in range(steps)])
+        return _Ledger(np.array(self.e), np.array(self.pairing), np.array(self.quad), np.array(self.cross_sq),
+                       dm, self.eps)
+
+    def reports(self, transforms, increments: np.ndarray | None = None) -> dict[str, EnergyReport]:
+        """One report per transform of the path added so far (increments as in ledger)."""
+        ledger, times = self.ledger(increments), np.array(self.times)
+        return {t: _report(times, ledger, t) for t in transforms}
 
 
 def _report(times: np.ndarray, ledger: _Ledger, transform: str) -> EnergyReport:
@@ -257,11 +251,11 @@ def verify_energy_transforms(
     from the third row in from a cut end and the quadrature reads one row past
     the section, so every report is bitwise the whole-lattice one.
 
-    The array work runs once, into a transform-free ledger (e, the drift
-    pairing, the Ito quadratic term, the squared cross vector and its
-    product with each noise increment); each transform is a scalar
-    reduction of it.  A non-finite e, V or martingale increment raises
-    BlowupDetected naming the step.
+    The array work runs once, into a transform-free ledger fed one stored
+    state at a time (e, the drift pairing, the Ito quadratic term, the
+    squared cross vector and its product with each noise increment); each
+    transform is a scalar reduction of it.  A non-finite e, V or martingale
+    increment raises BlowupDetected naming the step.
     """
     transforms = tuple(transforms)
     unknown = [t for t in transforms if t not in _TRANSFORMS]
@@ -269,9 +263,17 @@ def verify_energy_transforms(
         raise ValueError(f"transform must be one of {sorted(_TRANSFORMS)}, got {unknown[0]!r}")
     if traj.u is None:
         raise ValueError("the verifier needs stored states")
-    ledger = _PathLedger(cone, manifold, basis, diffusion)
-    ledger.add(traj)
-    return ledger.reports(transforms)
+    eps = float(traj.metadata.get("eps", 0.0))
+    if eps > 0.0 and traj.noise_increments is None:
+        raise MissingIncrementLog("stochastic verification needs the solver's increment log")
+    if (eps > 0.0 or traj.control is not None) and (basis is None or diffusion is None):
+        raise ValueError("noise or control verification needs the basis and diffusion field")
+    ledger = _PathLedger(cone, manifold, basis, diffusion, traj.origin, traj.spacing, traj.u.shape[1], eps)
+    for m in range(traj.steps + 1):
+        z = traj.state(m)
+        control_row = None if traj.control is None else traj.control.row(m)
+        ledger.add(float(traj.times[m]), z.u.values, z.v.values, control_row)
+    return ledger.reports(transforms, traj.noise_increments)
 
 
 def verify_energy_inequality(

@@ -154,13 +154,14 @@ def noise_groups(checks: list, measure: SpectralMeasure, seed: int) -> None:
     fvar = fields.var(axis=0, ddof=1)
     k0 = float(covariance_kernel(measure, np.zeros(1))[0]) * dt
     fsigma = k0 * math.sqrt(2.0 / (nsamp - 1))
-    fdev = float(np.abs(fvar - k0).max() / fsigma)
+    # a measure of zero weight has the zero field, whose variance is k0 = 0 with no spread
+    fdev = float(np.abs(fvar - k0).max() / fsigma) if fsigma else float(np.abs(fvar - k0).max())
     checks.append(("noise.field_stationarity", fdev < 5.0,
                    f"worst pointwise field variance deviation = {_fmt(fdev)} sigma"))
 
     coarse = hs_embedding_norm(measure, samples=2048)
     fine = hs_embedding_norm(measure, samples=4096)
-    rel = abs(fine - coarse) / fine
+    rel = abs(fine - coarse) / fine if fine else abs(fine - coarse)
     checks.append(("noise.hs_norm_quadrature_stable", rel < 1e-2,
                    f"embedding HS norm at two quadrature levels, rel diff = {_fmt(rel)}"))
 

@@ -108,8 +108,8 @@ class Control:
         object.__setattr__(self, "coeffs", coeffs)
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("control coefficients must be finite")
-        if self.dt <= 0:
-            raise ValueError("control step must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"control step must be positive and finite, got {self.dt}")
 
     @property
     def dim(self) -> int:

@@ -13,8 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from geowave import cli
 from geowave.cli import CONFIG_KEYS, ExperimentConfig, _fmt, _write_csv, load_config, run_command
+from geowave.energy import verify_energy_transforms
 from geowave.errors import ConfigInvalid
-from geowave.solver import trial_chunks
+from geowave.solver import solve_skeleton, trial_chunks
 from geowave.states import make_grid
 
 _SMALL = """
@@ -125,6 +126,7 @@ _BAD_VALUES = [
     ("rate", "experiment.budget = -1.0"),
     ("tail", "experiment.delta = -1.0"),
     ("tail", 'experiment.eps_list = (1e-2, "x")'),
+    ("simulate", "time.horizon = 5e-324"),  # no lattice step
     # each failed at run time (exit 4)
     ("probe-s2", "experiment.trials = 5"),
     ("skeleton", "noise.atoms = ()"),
@@ -280,6 +282,80 @@ def test_every_key_rejects_wrong_types_and_out_of_range_values(tmp_path, data):
     cfg = _config(tmp_path, _small_with(f"{key} = {value!r}"))
     with pytest.raises(ConfigInvalid, match=f"key '{re.escape(key)}'"):
         load_config(cfg, command)
+
+
+def _good_item(spec):
+    """A small allowed value for one item of the key: the runs it feeds stay short."""
+    if spec.choices:
+        return st.sampled_from(spec.choices)
+    if spec.kind is bool:
+        return st.booleans()
+    op, low = spec.bound or (">=", -4)
+    if spec.kind is int:
+        return st.integers(low + (op == ">"), low + 4)
+    return st.floats(low, low + 4, exclude_min=op == ">")
+
+
+def _good_value(spec):
+    item = _good_item(spec)
+    if spec.seq == 2:
+        item = st.tuples(item, item)
+    return st.lists(item, min_size=1, max_size=3).map(tuple) if spec.seq else item
+
+
+# keys whose generic small values would not make a short run on a small lattice
+_FUZZ_VALUES = {"grid.points": st.integers(64, 96), "solver.k_max": st.integers(1, 2048)}
+
+
+@st.composite
+def _key_by_key_valid_configs(draw, command):
+    """Config lines for command: each drawn key valid alone, the lattice keys most often valid together."""
+    table = CONFIG_KEYS[command]
+    keys = draw(st.lists(st.sampled_from(sorted(table)), unique=True), label="keys")
+    values = {key: draw(_FUZZ_VALUES.get(key, _good_value(table[key])), label=key) for key in keys}
+    values.setdefault("grid.points", draw(_FUZZ_VALUES["grid.points"], label="grid.points"))
+    # a short horizon of whole lattice steps, and a cone of lattice windows, unless the draw says otherwise
+    spacing = values.get("grid.domain_radius", 6.0) / values["grid.points"]
+    steps = draw(st.integers(1, 8), label="steps")
+    on_lattice = {"time.horizon": st.just(steps * spacing),
+                  "experiment.cone_center": st.integers(-4, 4).map(lambda cells: cells * spacing),
+                  "experiment.cone_radius": st.integers(steps + 2, steps + 8).map(lambda cells: cells * spacing)}
+    for key, lattice in on_lattice.items():
+        if key in values or key == "time.horizon":
+            values[key] = draw(st.one_of(lattice, st.just(values[key])) if key in values else lattice, label=key)
+    return "".join(f"{key} = {value!r}\n" for key, value in values.items())
+
+
+# exit 4 without a runtime error: the command's own documented failure, read from its JSON
+_FAILED_OUTCOMES = {
+    "skeleton": ("skeleton.json", lambda report: report["energy_violations"] > 0),
+    "rate": ("rate.json", lambda report: report["converged"] is False),
+    "probe-s1": ("probe_s1.json", lambda report: report["passed"] is False),
+    "probe-s2": ("probe_s2.json", lambda report: report["passed"] is False),
+}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_key_by_key_valid_config_exits_at_load_or_runs_to_a_documented_exit(tmp_path, capsys, data):
+    command = data.draw(st.sampled_from(sorted(CONFIG_KEYS)), label="command")
+    table = CONFIG_KEYS[command]
+    cfg = _config(tmp_path, data.draw(_key_by_key_valid_configs(command), label="config"))
+    out = tmp_path / f"out_{len(list(tmp_path.iterdir()))}"
+    code = run_command([command, "--config", str(cfg), "--out", str(out)])
+    text = capsys.readouterr().out
+    if code == 2:  # at load, naming one of the command's keys, before any artifact
+        named = re.match(r"config error: key '([^']+)'", text)
+        assert named and named.group(1) in table and not out.exists(), text
+        return
+    assert code in (0, 3, 4), (code, text)
+    if code == 3:
+        assert command == "verify", text
+    if code == 4 and not re.match(r"runtime error: (BlowupDetected|AllZeroCounts|OptimizerDiverged): ", text):
+        name, failed = _FAILED_OUTCOMES[command]
+        assert failed(json.loads((out / name).read_text())), text
+    if code != 4 or not text.startswith("runtime error"):
+        assert (out / "manifest.json").exists()
 
 
 def _documented_keys():
@@ -473,36 +549,54 @@ def test_trajectory_csv_holds_every_stride_th_step_and_the_last(tmp_path, nsteps
     assert float(json.loads((out / "skeleton.json").read_text())["final_time"]) == times[-1]
 
 
-def _skeleton_bytes(tmp_path, cfg, piece_steps):
-    """The three skeleton artifacts of one run walked in pieces of piece_steps steps."""
-    out = tmp_path / f"pieces_{piece_steps}"
-    with mock.patch.object(cli, "_PIECE_STEPS", piece_steps):
-        assert run_command(["skeleton", "--config", str(cfg), "--out", str(out)]) == 0
-    return {name: (out / name).read_bytes() for name in ("trajectory.csv", "energy_report.csv", "skeleton.json")}
-
-
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(("circle", "sphere")), points=st.integers(64, 96), steps=st.integers(3, 10),
        renormalize=st.booleans(), initial=st.sampled_from(("rotating_geodesic", "bump", "random")),
-       stride=st.sampled_from(("default", "one", "no divisor", "past the end")))
-def test_skeleton_artifacts_do_not_depend_on_the_piece_length(tmp_path, kind, points, steps, renormalize,
-                                                               initial, stride):
-    strides = {"default": None, "one": 1, "no divisor": steps - 1, "past the end": steps + 3}
+       stride=st.sampled_from(("default", "one", "no divisor", "past the end")),
+       transform=st.sampled_from(("identity", "log1p")))
+def test_skeleton_artifacts_equal_the_stored_path_reference(tmp_path, kind, points, steps, renormalize, initial,
+                                                            stride, transform):
+    # the command keeps no states: its observer feeds the ledger and the snapshots as the run makes them
+    strides = {"default": max(1, steps // 32), "one": 1, "no divisor": steps - 1, "past the end": steps + 3}
     body = (f'manifold.kind = "{kind}"\ngrid.points = {points}\ntime.horizon = {steps * (6.0 / points)!r}\n'
-            f'solver.renormalize = {renormalize}\nexperiment.initial = "{initial}"\n')
-    if strides[stride] is not None:
+            f'solver.renormalize = {renormalize}\nexperiment.initial = "{initial}"\n'
+            f'experiment.energy_transform = "{transform}"\n')
+    if stride != "default":
         body += f"experiment.output_stride = {strides[stride]}\n"
     cfg = _config(tmp_path, body)
-    whole = _skeleton_bytes(tmp_path, cfg, steps + 5)  # one piece: the whole stored path
-    for piece_steps in (1, 2, 3, 7, steps - 1, steps):
-        assert _skeleton_bytes(tmp_path, cfg, piece_steps) == whole, piece_steps
+    out = tmp_path / "skel"
+    with mock.patch.object(cli, "solve_skeleton", wraps=cli.solve_skeleton) as solve:
+        assert run_command(["skeleton", "--config", str(cfg), "--out", str(out)]) == 0
+    assert solve.call_count == 1 and solve.call_args.kwargs["keep_states"] is False
+
+    config = load_config(cfg, "skeleton")
+    run = cli._setup(config)
+    stored = solve_skeleton(run.z0, None, config["time.horizon"], run.loc, **run.fields, renormalize=renormalize,
+                            keep_states=True)
+    rep = verify_energy_transforms(stored, (transform,), cone=config.cone(), **run.fields)[transform]
+    _write_csv(tmp_path / "energy_report.csv", ["t", "e", "bound", "gap"],
+               rep.times, rep.e_values, rep.bound_values, rep.gaps)
+    assert (out / "energy_report.csv").read_bytes() == (tmp_path / "energy_report.csv").read_bytes()
+
+    snaps = sorted({*range(0, steps + 1, strides[stride]), steps})  # every stride-th step and the last
+    n, ncomp = run.geom.npoints, run.manifold.ambient_dim
+    residual = run.manifold.constraint_residual(stored.u)  # (steps + 1, n)
+    header = (["t", "x"] + [f"u_{c + 1}" for c in range(ncomp)] + [f"v_{c + 1}" for c in range(ncomp)]
+              + ["constraint_residual"])
+    _write_csv(tmp_path / "trajectory.csv", header, np.repeat(stored.times[snaps], n),
+               np.tile(run.geom.x, len(snaps)), stored.u[snaps].reshape(-1, ncomp), stored.v[snaps].reshape(-1, ncomp),
+               residual[snaps].ravel())
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "trajectory.csv").read_bytes()
+    assert json.loads((out / "skeleton.json").read_text()) == {
+        "final_time": _fmt(stored.times[-1]), "max_constraint_residual": _fmt(residual.max()),
+        "energy_transform": transform, "energy_violations": len(rep.violations), "energy_tol": _fmt(rep.tol)}
 
 
 def test_skeleton_peak_memory_stays_below_half_the_stored_path(tmp_path):
-    # 240 steps of a 995-point sphere lattice: 8 pieces, and a stored path of 2 x 241 x 995 x 3 floats
+    # 240 steps of a 995-point sphere lattice: a stored path of 2 x 241 x 995 x 3 floats
     cfg = _config(tmp_path, 'manifold.kind = "sphere"\ngrid.points = 256\ntime.horizon = 5.625\n')
     geom, steps = make_grid(6.0, 256, 5.625), 240
-    assert steps >= 4 * cli._PIECE_STEPS and geom.npoints == 995
+    assert geom.npoints == 995
     stored = 2 * (steps + 1) * geom.npoints * 3 * 8
     tracemalloc.start()
     try:
@@ -610,3 +704,11 @@ def test_verify_runs_all_invariant_groups(tmp_path, capsys):
     assert report["passed"] == report["total"]
     lines = capsys.readouterr().out.splitlines()
     assert sum(1 for ln in lines if ln.startswith("PASS")) == report["total"]
+
+
+def test_verify_of_a_zero_weight_measure_fails_only_the_groups_that_need_noise(tmp_path, capsys):
+    # the zero field: its variance and embedding norm are exactly 0, which once divided by zero
+    cfg = _config(tmp_path, "noise.atoms = ((0.0, 0.0), (3.0, 0.0))\n")
+    assert run_command(["verify", "--config", str(cfg), "--out", str(tmp_path / "verify")]) == 3
+    failed = [ln.split(":")[0] for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+    assert failed == ["FAIL  ldp.weak_perturbation_decay", "FAIL  ldp.noise_energy_linear_in_eps"]

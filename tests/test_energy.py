@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geowave.cli import _skeleton_pieces
 from geowave.energy import (
     _PathLedger,
-    _ledger,
     energy,
     perpendicularity_defect,
     verify_energy_inequality,
@@ -305,34 +303,46 @@ def test_sliced_verifier_is_bitwise_the_whole_lattice_one(data, target, points, 
 
 @settings(max_examples=15, deadline=None)
 @given(target=st.sampled_from(sorted(_TARGETS)), points=st.integers(64, 96), steps=st.integers(3, 10),
-       renormalize=st.booleans())
-def test_piece_ledgers_join_into_the_whole_path_ledger(target, points, steps, renormalize):
-    # geowave skeleton's walk: each piece's ledger without its last step, which starts the next piece
+       eps=st.sampled_from((0.0, 1e-2)), controlled=st.booleans(), renormalize=st.booleans())
+def test_ledger_fed_by_the_observer_is_bitwise_the_stored_replay(target, points, steps, eps, controlled,
+                                                                  renormalize):
+    # geowave skeleton's form: a width-1 run's observer feeds each state to the ledger as the run makes it
     manifold, diffusion = _TARGETS[target]
     horizon = steps * (6.0 / points)
     geom = make_grid(6.0, points, horizon)
     z0 = random_state(geom, manifold, stream(points, 17))
     fields = dict(manifold=manifold, basis=_BASIS, diffusion=diffusion)
-    whole = solve_skeleton(z0, None, horizon, _loc(geom), **fields, renormalize=renormalize, keep_states=True)
-    want_ledger = _ledger(whole, _CONE, *fields.values(), steps + 1)
-    want = verify_energy_transforms(whole, ("identity", "log1p"), cone=_CONE, **fields)
-    for piece_steps in (1, 2, 3, 7, steps - 1, steps, steps + 5):
-        ledger, first = _PathLedger(_CONE, **fields), 0
-        for piece in _skeleton_pieces(z0, horizon, _loc(geom), piece_steps, **fields, renormalize=renormalize):
-            rows = slice(first, first + piece.steps + 1)
-            assert np.array_equal(piece.u, whole.u[rows]) and np.array_equal(piece.v, whole.v[rows])
-            for key, trace in whole.energy_trace.items():  # the taper levels carry over too
-                assert np.array_equal(piece.energy_trace[key], trace[rows]), key
-            ledger.add(piece, last=first + piece.steps == steps)
-            first += piece.steps
-        joined = ledger.ledger()
-        for name in ("e", "pairing", "quad", "cross_sq", "dm"):
-            assert np.array_equal(getattr(joined, name), getattr(want_ledger, name)), (piece_steps, name)
-        for transform, got in ledger.reports(want).items():
-            rep = want[transform]
-            for name in ("times", "e_values", "bound_values", "gaps", "drift_integral", "martingale"):
-                assert np.array_equal(getattr(got, name), getattr(rep, name)), (piece_steps, transform, name)
-            assert (got.tol, got.violations) == (rep.tol, rep.violations)
+    control = None
+    if controlled:
+        control = Control(np.random.default_rng(points).normal(scale=0.6, size=(steps, _BASIS.dim)), geom.spacing)
+    ledger = _PathLedger(_CONE, **fields, origin=z0.origin, spacing=z0.spacing, npoints=geom.npoints, eps=eps)
+
+    def observe(m, t, u, v):
+        ledger.add(t, u[:, 0], v[:, 0], None if control is None else control.row(m))
+
+    def solve(**kwargs):
+        return solve_stochastic(z0, eps, control, horizon, _loc(geom), **fields, master_seed=5, trial_id=1,
+                                renormalize=renormalize, **kwargs)
+
+    run = solve(keep_states=False, observer=observe)
+    stored = solve(keep_states=True)
+    assert run.u is None and np.array_equal(run.times, stored.times)
+    replay = _PathLedger(_CONE, **fields, origin=z0.origin, spacing=z0.spacing, npoints=geom.npoints, eps=eps)
+    for m in range(stored.steps + 1):
+        replay.add(float(stored.times[m]), stored.u[m], stored.v[m], None if control is None else control.row(m))
+    got, want_ledger = ledger.ledger(run.noise_increments), replay.ledger(stored.noise_increments)
+    for name in ("e", "pairing", "quad", "cross_sq", "dm"):
+        assert np.array_equal(getattr(got, name), getattr(want_ledger, name)), name
+    assert (eps > 0.0) == bool(np.any(got.dm != 0.0))
+
+    want = verify_energy_transforms(stored, ("identity", "log1p"), cone=_CONE, **fields)
+    for transform, rep in ledger.reports(want, run.noise_increments).items():
+        for name in ("times", "e_values", "bound_values", "gaps", "drift_integral", "martingale"):
+            assert np.array_equal(getattr(rep, name), getattr(want[transform], name)), (transform, name)
+        assert (rep.tol, rep.violations) == (want[transform].tol, want[transform].violations)
+        reference = _reference_verify(stored, _CONE, manifold, _BASIS, diffusion, transform)
+        for name, value in reference.items():
+            assert np.array_equal(getattr(rep, name), value), (transform, name)
 
 
 def test_verifier_builds_fields_on_the_cone_rows_only(monkeypatch):

@@ -280,8 +280,9 @@ def test_control_rate_lookup_and_norm():
     assert zero.squared_norm() == 0.0
     with pytest.raises(ValueError):
         Control(np.array([[np.nan]]), 0.5)
-    with pytest.raises(ValueError):
-        Control(np.array([[1.0]]), 0.0)
+    for dt in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="control step must be positive and finite"):
+            Control(np.array([[1.0]]), dt)
 
 
 def test_control_requires_noise_operators():
