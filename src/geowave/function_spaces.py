@@ -393,6 +393,8 @@ def window_indices(origin: float, spacing: float, npoints: int, s: float) -> tup
     """Lattice indices of -s and +s; both must be lattice points at least 4 cells apart."""
     lo = (-s - origin) / spacing
     hi = (s - origin) / spacing
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # a subnormal spacing overflows the quotient
+        raise IntervalOutsideGrid(f"window (+-{s}) does not fit the lattice")
     i_lo, i_hi = round(lo), round(hi)
     if abs(lo - i_lo) > 1e-6 or abs(hi - i_hi) > 1e-6:
         raise IntervalOutsideGrid(f"window (+-{s}) is not lattice-aligned")

@@ -108,15 +108,10 @@ class _TerminalObjective:
     bitwise column 0 (batch columns are independent).  The chain runs as
     `blocks` resumed segments s_j -> s_{j+1}; block j's dim probe columns
     join at s_j as copies of column 0's state and taper level, so the widths
-    are 1 + dim, 1 + 2 dim, ..., 1 + blocks * dim.  `gap(params, fd_step)`
-    runs the chain and records its terminal differences, and
-    `jacobian(params, fd_step)` reads them; at other parameters, or after a
-    plain `gap(params)` (one width-1 solve), it runs its own chain.  Column
-    0 is bitwise that width-1 solve, so neither the gap nor the Jacobian
-    depends on where the probes ran.  `solves` counts control evaluations
-    (one per gap, one per Jacobian base and one per probe), not integrator
-    calls; probes that no Jacobian reads are not counted.  `threads_used`
-    is the most column blocks any solve started.
+    are 1 + dim, 1 + 2 dim, ..., 1 + blocks * dim.  Without probes the
+    chain is one width-1 solve, and column 0 is bitwise that solve, so the
+    gap does not depend on whether the probes ran.  `threads_used` is the
+    most column blocks any solve started.
     """
 
     def __init__(self, target, z0, cone, *, horizon, loc, manifold, basis, diffusion, opts, threads=None):
@@ -136,10 +131,8 @@ class _TerminalObjective:
             )
         self.nparams = self.blocks * self.dim
         self.block_starts = [j * (self.steps // self.blocks) for j in range(self.blocks)]
-        self.solves = 0
         self.threads_used = 1
         self.work = Scratch()  # for every solve: fresh work arrays per solve faulted in ~42k pages per rate_gn run
-        self.record = None  # (params, fd_step, terminal differences) of the last chain
 
         self.target = (target.u.values, target.v.values)
         self.window = cone_window(cone, z0.origin, self.dx, z0.u.npoints, self.steps)
@@ -165,28 +158,18 @@ class _TerminalObjective:
             np.multiply(self.sqrt_weights, f.transpose(0, 2, 1), out=out)
         return rows.reshape(-1, nbatch)
 
-    def gap(self, params: np.ndarray, fd_step: float | None = None) -> float:
-        """Terminal cone-section distance for a single parameter vector.
-
-        With an fd_step the Jacobian's probes ride along, for a later
-        `jacobian(params, fd_step)`.
-        """
-        self.record = (params.copy(), fd_step, *self._chain(params, fd_step))
-        self.solves += 1
-        du, dv = self.record[2:]
-        return float(np.sqrt(2.0 * section_energy(du[:, :1], dv[:, :1], self.window, self.dx)[0]))
-
-    def jacobian(self, params: np.ndarray, fd_step: float) -> tuple[np.ndarray, np.ndarray]:
-        """The residuals at params and their forward-difference Jacobian (R, P), from a fitting recorded chain."""
-        old = self.record
-        if old is None or old[1] != fd_step or not np.array_equal(old[0], params):
-            self.record = (params.copy(), fd_step, *self._chain(params, fd_step))
-        self.solves += 1 + self.nparams
-        rows = self.residual_rows(*self.record[2:])
+    def evaluate(self, params: np.ndarray, probes: bool = False) -> tuple:
+        """(gap, base, jac): the terminal cone-section distance at params and, with probes,
+        the residuals there and their forward-difference Jacobian (R, P); else None, None."""
+        du, dv = self._chain(params, _FD_STEP if probes else None)
+        gap = float(np.sqrt(2.0 * section_energy(du[:, :1], dv[:, :1], self.window, self.dx)[0]))
+        if not probes:
+            return gap, None, None
+        rows = self.residual_rows(du, dv)
         base = np.ascontiguousarray(rows[:, 0])  # as a width-1 run's, for the BLAS products
         jac = np.subtract(rows[:, 1:], base[:, None])
-        jac /= fd_step
-        return base, jac
+        jac /= _FD_STEP
+        return gap, base, jac
 
     def _chain(self, params: np.ndarray, fd_step: float | None) -> tuple:
         """Terminal differences (du, dv) of params in column 0 and, with an fd_step, of its probes after it.
@@ -249,12 +232,17 @@ def rate_function(
     controls by Gauss-Newton on a forward-difference Jacobian of the residuals,
     continuing lam upward until the terminal gap passes opts.gap_tol; returns
     the +inf sentinel (converged=False) for unreachable targets or when every
-    control within the budget misses the tolerance.  A gap solve after a
+    control within the budget misses the tolerance.  An evaluation after a
     step carries the next Jacobian's probes unless the linear model predicts
     convergence, |base - jac @ step| <= gap_tol; a wrong guess costs one
-    width-1 solve, and the result is the same either way.  The first gap
-    and the certificate run without probes.  Every solve steps its columns
-    in `threads` blocks (solve_batch's; None: its choice), and
+    width-1 solve, and the result is the same either way.  The first
+    evaluation runs without probes.  The certificate is the last
+    evaluation's gap, which is always at the returned control and bitwise a
+    fresh solve of it, so no solve follows the loop.  metadata["solves"]
+    counts control evaluations, not integrator calls: one per gap, the
+    certificate's included, and 1 + blocks * dim per Jacobian read; probes
+    no Jacobian reads are not counted.  Every solve steps its columns in
+    `threads` blocks (solve_batch's; None: its choice), and
     metadata["threads"] is the most blocks any of them started.
     """
     if budget <= 0:
@@ -274,14 +262,17 @@ def rate_function(
     q_diag = np.full(P, dt_block)  # 0.5*h.squared_norm() = 0.5 * theta^T diag(dt_block) theta
     theta = np.zeros(P)
     iterations = 0
-    gap = obj.gap(theta)
+    gap, base, jac = obj.evaluate(theta)
+    solves = 2  # the first gap and the certificate
     try:
         for lam in _LAMBDAS:
             for _ in range(_MAX_ITER):
                 if gap <= opts.gap_tol:
                     break
                 iterations += 1
-                base, jac = obj.jacobian(theta, _FD_STEP)
+                if jac is None:
+                    gap, base, jac = obj.evaluate(theta, probes=True)
+                solves += 1 + P
                 grad = q_diag * theta + 2.0 * lam * (jac.T @ base)
                 hess = np.diag(q_diag) + 2.0 * lam * (jac.T @ jac)
                 hess[np.diag_indices_from(hess)] += 1e-12 * (1.0 + np.trace(hess) / P)
@@ -292,7 +283,8 @@ def rate_function(
                 if not np.all(np.isfinite(theta)):
                     raise OptimizerDiverged("control parameters became non-finite")
                 predicted = float(np.linalg.norm(base - jac @ step))
-                gap = obj.gap(theta, None if predicted <= opts.gap_tol else _FD_STEP)
+                gap, base, jac = obj.evaluate(theta, probes=predicted > opts.gap_tol)
+                solves += 1
             if gap <= opts.gap_tol and float(0.5 * q_diag @ (theta * theta)) > budget:
                 break  # feasible but over budget: larger lam only raises the cost
     except np.linalg.LinAlgError as err:
@@ -301,14 +293,12 @@ def rate_function(
     rows = _expand_rows(theta.reshape(opts.blocks, obj.dim), obj.steps, opts.blocks)
     h = Control(rows, obj.dx)
     value = 0.5 * h.squared_norm()
-    # certificate: re-simulate the returned control and measure the gap afresh
-    terminal_gap = obj.gap(theta)
-    converged = terminal_gap <= opts.gap_tol and value <= budget
+    converged = gap <= opts.gap_tol and value <= budget  # gap, the certificate, is theta's own solve's
     if not converged:
         value = math.inf
     return RateResult(
-        value, h, terminal_gap, iterations, converged,
-        {"solves": obj.solves, "blocks": opts.blocks, "threads": obj.threads_used},
+        value, h, gap, iterations, converged,
+        {"solves": solves, "blocks": opts.blocks, "threads": obj.threads_used},
     )
 
 

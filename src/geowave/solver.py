@@ -558,11 +558,13 @@ class _Run:
         _blowup(~np.isfinite(norm), lambda b: f"window norm of column {col + b} is {norm[b]} at t={t}")
         top = self.loc.k_max
         if self.k_init is None:
-            if self.k is None:
-                self.k = np.maximum(1, np.ceil(2.0 * norm)).astype(int)
-            k = self.k_init = self.k.copy()  # doubling never lifts a level below 1 past a crossing
-            _blowup(k < 1, lambda b: f"starting taper level {k[b]} of column {col + b} is below 1")
-            _blowup(k > top, lambda b: f"starting taper level {k[b]} of column {col + b} exceeds the top level {top}")
+            # a computed level is checked as a float, since past int64 its cast wraps;
+            # doubling never lifts a level below 1 past a crossing
+            k = np.maximum(1.0, np.ceil(2.0 * norm)) if self.k is None else self.k
+            _blowup(k < 1, lambda b: f"starting taper level {k[b]:.0f} of column {col + b} is below 1")
+            _blowup(k > top, lambda b: f"starting taper level {k[b]:.0f} of column {col + b} exceeds the top level {top}")
+            self.k = k.astype(int)
+            self.k_init = self.k.copy()
 
         while np.any(crossing := norm >= self.k):
             self.k = np.where(crossing, 2 * self.k, self.k)

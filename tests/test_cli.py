@@ -169,6 +169,14 @@ def test_cones_off_the_lattice_exit_2_naming_the_key(tmp_path, capsys, command, 
         assert f"config error: key '{key}'" in capsys.readouterr().out
 
 
+def test_a_cone_on_a_subnormal_lattice_exits_2_naming_the_radius(tmp_path, capsys):
+    # the section ends divided by a subnormal spacing overflow to infinity
+    cfg = _config(tmp_path, "manifold.kind = 'circle'\ngrid.points = 64\ngrid.domain_radius = 2.2250738585e-313\n"
+                            "time.horizon = 3.476677905e-315\nexperiment.cone_radius = 1.0\n")
+    assert run_command(["probe-s1", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: key 'experiment.cone_radius'" in capsys.readouterr().out
+
+
 def test_lattice_cones_still_load_and_run(tmp_path):
     for line in ("experiment.cone_radius = 1.125", "experiment.cone_radius = 0.625",
                  "experiment.cone_center = 0.03125\nexperiment.cone_radius = 0.96875"):

@@ -1,5 +1,9 @@
 """Tests for the rate functional and the two asymptotic-response probes."""
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -123,18 +127,11 @@ def test_segmented_jacobian_equals_the_full_width_one_bitwise(blocks):
     obj = _TerminalObjective(target, z0, cone, horizon=0.5, loc=loc, manifold=_CIRCLE,
                              basis=_BASIS, diffusion=_Y_CIRCLE, opts=RateOptions(blocks=blocks))
     theta = np.random.default_rng(blocks).normal(scale=0.3, size=obj.nparams)
-    want_base, want_jac = _full_width_jacobian(obj, theta, 1e-5)
-    obj.gap(theta)  # the Jacobian's base and probe starts come from this solve
-    base, jac = obj.jacobian(theta, 1e-5)
+    want_base, want_jac = _full_width_jacobian(obj, theta, _FD_STEP)
+    _, base, jac = obj.evaluate(theta, probes=True)
     assert np.array_equal(base, want_base)
     assert np.array_equal(jac, want_jac)
     assert np.any(jac != 0.0)
-    # without a gap solve at theta, the Jacobian runs its own base solve
-    fresh = _TerminalObjective(target, z0, cone, horizon=0.5, loc=loc, manifold=_CIRCLE,
-                               basis=_BASIS, diffusion=_Y_CIRCLE, opts=RateOptions(blocks=blocks))
-    assert all(np.array_equal(a, b) for a, b in zip(fresh.jacobian(theta, 1e-5), (want_base, want_jac)))
-    # one solve per control evaluation: the gap, the base (recorded or run) and each probe
-    assert (obj.solves, fresh.solves) == (2 + obj.nparams, 1 + obj.nparams)
 
 
 _CHAIN_CASES = {
@@ -155,34 +152,49 @@ def _chain_problem(kind, points, seed, amplitude=0.6):
     return z0, target, cone, dict(fields, loc=loc)
 
 
+def _width_one_gap(z0, target, control, window, kwargs):
+    """The terminal cone-section distance of a fresh width-1 solve of control; horizon 0.5."""
+    redo = solve_skeleton(z0, control, 0.5, **kwargs).final_state()
+    du, dv = (redo.u.values - target.u.values)[:, None], (redo.v.values - target.v.values)[:, None]
+    return float(np.sqrt(2.0 * solver.section_energy(du, dv, window, z0.spacing)[0]))
+
+
 @settings(max_examples=10, deadline=None)
 @given(kind=st.sampled_from(sorted(_CHAIN_CASES)), points=st.sampled_from([96, 144, 192]),
        blocks=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**16))
 def test_the_chain_gives_the_width_one_gap_and_the_full_width_jacobian_bitwise(kind, points, blocks, seed):
     z0, target, cone, kwargs = _chain_problem(kind, points, seed)
     obj = _TerminalObjective(target, z0, cone, horizon=0.5, opts=RateOptions(blocks=blocks), **kwargs)
-    rng = np.random.default_rng(seed)
-    theta, other = rng.normal(scale=0.3, size=(2, obj.nparams))
-    redo = solve_skeleton(z0, Control(obj.rates(theta[:, None])[:, 0], obj.dx), 0.5, **kwargs).final_state()
-    du, dv = (redo.u.values - target.u.values)[:, None], (redo.v.values - target.v.values)[:, None]
-    want_gap = float(np.sqrt(2.0 * solver.section_energy(du, dv, obj.window, obj.dx)[0]))
-    want = _full_width_jacobian(obj, theta, _FD_STEP)
-    assert obj.gap(theta, _FD_STEP) == want_gap  # the chain's column 0
-    assert all(np.array_equal(a, b) for a, b in zip(obj.jacobian(theta, _FD_STEP), want))  # its record
-    assert obj.gap(theta) == want_gap  # one width-1 solve
-    assert all(np.array_equal(a, b) for a, b in zip(obj.jacobian(theta, _FD_STEP), want))  # a chain of its own
-    obj.gap(other, _FD_STEP)
-    assert all(np.array_equal(a, b) for a, b in zip(obj.jacobian(theta, _FD_STEP), want))  # another theta's chain
+    theta = np.random.default_rng(seed).normal(scale=0.3, size=obj.nparams)
+    want_gap = _width_one_gap(z0, target, Control(obj.rates(theta[:, None])[:, 0], obj.dx), obj.window, kwargs)
+    want_base, want_jac = _full_width_jacobian(obj, theta, _FD_STEP)
+    gap, base, jac = obj.evaluate(theta, probes=True)
+    assert gap == want_gap  # the chain's column 0
+    assert np.array_equal(base, want_base) and np.array_equal(jac, want_jac)
+    assert obj.evaluate(theta) == (want_gap, None, None)  # one width-1 solve
 
 
-def _rate_result(z0, target, cone, kwargs, blocks, probes):
-    """rate_function with every gap solve carrying probes (True), none (False) or the gate deciding (None)."""
-    gap = _TerminalObjective.gap
+@settings(max_examples=4, deadline=None)
+@given(kind=st.sampled_from(sorted(_CHAIN_CASES)), points=st.sampled_from([96, 144]),
+       blocks=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**16), amplitude=st.floats(0.2, 0.9))
+def test_the_terminal_gap_is_bitwise_a_fresh_solve_of_the_returned_control(kind, points, blocks, seed, amplitude):
+    # no solve follows the Gauss-Newton loop: its last gap is the certificate
+    z0, target, cone, kwargs = _chain_problem(kind, points, seed, amplitude)
+    res = rate_function(target, z0, 10.0, RateOptions(blocks=blocks), cone=cone, horizon=0.5, **kwargs)
+    window = cone_window(cone, z0.origin, z0.spacing, z0.u.npoints, res.argmin.coeffs.shape[0])
+    assert res.terminal_gap == _width_one_gap(z0, target, res.argmin, window, kwargs)
 
-    def forced(obj, params, fd_step=None):
-        return gap(obj, params, _FD_STEP if probes else None)
 
-    with patch.object(_TerminalObjective, "gap", gap if probes is None else forced):
+def _rate_result(z0, target, cone, kwargs, blocks, carry):
+    """rate_function with every evaluation carrying probes (True), only the Jacobians' own (False) or the gate deciding (None)."""
+    evaluate, seen = _TerminalObjective.evaluate, []
+
+    def forced(obj, params, probes=False):
+        own = bool(seen) and np.array_equal(params, seen[-1])  # a Jacobian's own evaluation repeats the last params
+        seen.append(params.copy())
+        return evaluate(obj, params, probes if own else carry)
+
+    with patch.object(_TerminalObjective, "evaluate", evaluate if carry is None else forced):
         return rate_function(target, z0, 10.0, RateOptions(blocks=blocks), cone=cone, horizon=0.5, **kwargs)
 
 
@@ -192,44 +204,58 @@ def _rate_result(z0, target, cone, kwargs, blocks, probes):
 def test_rate_result_does_not_depend_on_which_gaps_carry_the_probes(kind, points, blocks, seed, amplitude):
     problem = _chain_problem(kind, points, seed, amplitude)
     want = _rate_result(*problem, blocks, None)
-    for probes in (True, False):
-        got = _rate_result(*problem, blocks, probes)
+    for carry in (True, False):
+        got = _rate_result(*problem, blocks, carry)
         assert (got.value, got.terminal_gap, got.iterations, got.converged) == \
-            (want.value, want.terminal_gap, want.iterations, want.converged), probes
-        assert np.array_equal(got.argmin.coeffs, want.argmin.coeffs), probes
-        assert got.metadata == want.metadata, probes
+            (want.value, want.terminal_gap, want.iterations, want.converged), carry
+        assert np.array_equal(got.argmin.coeffs, want.argmin.coeffs), carry
+        assert got.metadata == want.metadata, carry
 
 
 def test_integrator_work_per_gauss_newton_iteration(monkeypatch):
     z0, target, loc, cone, steps = _planted_problem(192, 0.5)
     col_steps, probe_steps = [], []
-    integrate, gap = solver._integrate, _TerminalObjective.gap
+    integrate, chain = solver._integrate, _TerminalObjective._chain
 
     def counting(*args, **kwargs):
         out = integrate(*args, **kwargs)
         col_steps.append((len(out.times) - 1) * out.trace["k_level"].shape[1])
         return out
 
-    def recording(obj, params, fd_step=None):
+    def recording(obj, params, fd_step):
         probe_steps.append(fd_step)
-        return gap(obj, params, fd_step)
+        return chain(obj, params, fd_step)
 
     monkeypatch.setattr(solver, "_integrate", counting)
-    monkeypatch.setattr(_TerminalObjective, "gap", recording)
+    monkeypatch.setattr(_TerminalObjective, "_chain", recording)
     blocks, dim = 4, _BASIS.dim
     res = rate_function(target, z0, 10.0, RateOptions(blocks=blocks), cone=cone, horizon=0.5,
                         **_solve_kwargs(loc))
     assert res.converged and res.iterations > 1
-    # plain gap solves at the start, at the predicted convergence and for the certificate;
-    # every other gap carries the probes the next iteration's Jacobian reads
-    assert probe_steps == [None] + [_FD_STEP] * (res.iterations - 1) + [None, None]
+    # plain width-1 solves at the start and at the predicted convergence, which is the
+    # certificate; the first iteration runs its own chain, and every other evaluation
+    # carries the probes the next iteration's Jacobian reads
+    assert probe_steps == [None] + [_FD_STEP] * res.iterations + [None]
     # per iteration: one chain of `blocks` segments, the base column over every step
     # and the probes of block j over steps s_j..steps
     per_iteration = steps + dim * steps * (blocks + 1) // 2
-    assert len(col_steps) == 3 + res.iterations * blocks
-    assert sum(col_steps) == 3 * steps + res.iterations * per_iteration
-    # solves counts control evaluations: base, probes and gap per iteration, plus two gaps
+    assert len(col_steps) == 2 + res.iterations * blocks
+    assert sum(col_steps) == 2 * steps + res.iterations * per_iteration
+    # solves counts control evaluations: base, probes and gap per iteration, plus the
+    # first gap and the certificate, although the certificate runs no solve of its own
     assert res.metadata["solves"] == 2 + res.iterations * (blocks * dim + 2)
+
+
+def test_rate_benchmark_smoke_run_is_correct():
+    # the benchmark's own check of rate_gn: the smoke reference's solves, value and gap,
+    # and the certificate re-simulated from the written control
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "rate_gn", "--smoke",
+           "--seed", "0", "--seconds", "0", "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
+                          timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), proc.stdout
 
 
 def test_off_manifold_target_is_unreachable():

@@ -1,6 +1,7 @@
 """Tests for the localized cone solver: exactness, convergence, determinism."""
 import math
 import threading
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -529,6 +530,16 @@ def test_exhausted_cutoff_levels_raise():
         solve_batch(z, 0.0, 0.5, small, manifold=_CIRCLE, _resume=(0, u, v, np.array([8])))
     at_top = LocalizationParams(radius=geom.half_width, k_max=11)
     assert solve_skeleton(z, None, 0.5, at_top, manifold=_CIRCLE).metadata["k_init"] == 11
+
+
+def test_a_starting_level_past_int64_names_the_top_level():
+    # a window norm of 4.6e18 or more gives a level the int64 cast would wrap below 1
+    geom = make_grid(1e-12, 64, 4 * 1e-12 / 64)
+    z = random_state(geom, _CIRCLE, stream(0, 9000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupDetected, match=r"starting taper level \d{19,} of column 0 exceeds the top level 1024"):
+            solve_skeleton(z, None, 4 * geom.spacing, LocalizationParams(geom.half_width), manifold=_CIRCLE)
 
 
 @pytest.mark.parametrize("level", [0, -1])
