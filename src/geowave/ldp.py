@@ -102,14 +102,14 @@ class _TerminalObjective:
     squared residual norm equals the cone energy of the difference (doubled),
     so the penalty term is lam * |rho|^2.
 
-    The forward-difference probes of the Jacobian ride in one chain with the
+    The forward-difference probes of the Jacobian ride in one solve with the
     path at the parameters: column 0 is that path, and a probe of block j
     has its control before s_j = j * steps / blocks, so up to s_j it is
-    bitwise column 0 (batch columns are independent).  The chain runs as
-    `blocks` resumed segments s_j -> s_{j+1}; block j's dim probe columns
-    join at s_j as copies of column 0's state and taper level, so the widths
-    are 1 + dim, 1 + 2 dim, ..., 1 + blocks * dim.  Without probes the
-    chain is one width-1 solve, and column 0 is bitwise that solve, so the
+    bitwise column 0 (batch columns are independent).  The solve's batch
+    grows at the block starts (solve_batch's _joins): block j's dim probe
+    columns join at s_j as copies of column 0's state and taper level, so
+    the widths are 1 + dim, 1 + 2 dim, ..., 1 + blocks * dim.  Without
+    probes the solve is width 1, and column 0 is bitwise that solve, so the
     gap does not depend on whether the probes ran.  `threads_used` is the
     most column blocks any solve started.
     """
@@ -130,7 +130,6 @@ class _TerminalObjective:
                 f"{self.blocks} control blocks do not divide {self.steps} steps"
             )
         self.nparams = self.blocks * self.dim
-        self.block_starts = [j * (self.steps // self.blocks) for j in range(self.blocks)]
         self.threads_used = 1
         self.work = Scratch()  # for every solve: fresh work arrays per solve faulted in ~42k pages per rate_gn run
 
@@ -172,44 +171,26 @@ class _TerminalObjective:
         return gap, base, jac
 
     def _chain(self, params: np.ndarray, fd_step: float | None) -> tuple:
-        """Terminal differences (du, dv) of params in column 0 and, with an fd_step, of its probes after it.
-
-        Without an fd_step the chain is one width-1 solve.
-        """
-        columns, segments = params[:, None], [(0, self.steps, 1)]
+        """Terminal differences (du, dv) of params in column 0 and, with an fd_step, of its probes after it."""
+        columns, joins = params[:, None], None
         if fd_step is not None:
             columns = np.tile(columns, (1, 1 + self.nparams))
             columns[np.arange(self.nparams), np.arange(1, 1 + self.nparams)] += fd_step
-            stops = self.block_starts[1:] + [self.steps]
-            segments = [(start, stop, 1 + (j + 1) * self.dim)
-                        for j, (start, stop) in enumerate(zip(self.block_starts, stops))]
-        rates = self.rates(columns)
-        u = v = k = None
-        for start, stop, width in segments:
-            if start > 0:  # this block's probe columns join as copies of column 0 and its level
-                join = width - u.shape[1]
-                u = np.concatenate([u, np.repeat(u[:, :1], join, axis=1)], axis=1)
-                v = np.concatenate([v, np.repeat(v[:, :1], join, axis=1)], axis=1)
-                k = np.concatenate([k, np.repeat(k[:1], join)])
-            k, u, v = self._solve(rates[:, :width], stop, None if start == 0 else (start, u, v, k))
-        return u - self.target[0][:, None, :], v - self.target[1][:, None, :]
-
-    def _solve(self, rates, stop, resume):
-        """Zero-noise solves of the columns of rates up to step stop: their taper levels and states there."""
+            joins = {j * (self.steps // self.blocks): self.dim for j in range(1, self.blocks)}
         seen = []
 
         def observer(m, t, u, v):
-            if m == stop:  # the integrator never writes an observed pair again
-                seen[:] = [u, v]
+            if m == self.steps:
+                seen[:] = [u - self.target[0][:, None, :], v - self.target[1][:, None, :]]
 
         traj = solve_batch(
-            self.z0, 0.0, stop * self.dx, self.loc,
+            self.z0, 0.0, self.steps * self.dx, self.loc,
             manifold=self.manifold, basis=self.basis, diffusion=self.diffusion,
-            control_rates=rates, keep_states=False, observer=observer, threads=self.threads,
-            _resume=resume, _work=self.work,
+            control_rates=self.rates(columns), keep_states=False, observer=observer, threads=self.threads,
+            _joins=joins, _work=self.work,
         )
         self.threads_used = max(self.threads_used, traj.metadata["threads"])
-        return traj.metadata["k_final"], *seen
+        return seen
 
 
 def rate_function(

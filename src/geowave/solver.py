@@ -422,7 +422,7 @@ def _blowup(bad: np.ndarray, message) -> None:
 
 
 class _Run:
-    """One integrator run from the states (u0, v0) of step `start`, one method per step phase.
+    """One integrator run from the states (u0, v0) of step 0, one method per step phase.
 
     Six refined-lattice work arrays carry a step in turns, a coarse-lattice
     array being the leading elements of one.  The plan:
@@ -455,8 +455,6 @@ class _Run:
         renormalize: bool = True,
         keep_states: bool = True,
         observer=None,
-        start: int = 0,
-        levels: np.ndarray | None = None,
         work: Scratch | None = None,
     ):
         n, nbatch, ncomp = u0.shape
@@ -465,9 +463,7 @@ class _Run:
             raise ValueError(f"horizon {horizon} must cover at least one step of {spacing}")
         if horizon >= loc.radius:
             raise ConeExhausted(f"horizon {horizon} reaches the localization radius {loc.radius}")
-        if not 0 <= start <= steps:
-            raise ValueError(f"start step {start} is outside 0..{steps}")
-        if start == 0 and (defect := state_defect(manifold, u0, v0)) is not None:
+        if (defect := state_defect(manifold, u0, v0)) is not None:
             raise OffManifoldInitialData(f"initial {defect}")
         if eps < 0:
             raise ValueError(f"noise level must be nonnegative, got {eps}")
@@ -490,7 +486,7 @@ class _Run:
         self.origin, self.dx, self.manifold, self.loc = origin, spacing, manifold, loc
         self.basis, self.diffusion, self.eps, self.control_rates = basis, diffusion, eps, control_rates
         self.master_seed, self.trial_ids = master_seed, range(nbatch) if trial_ids is None else trial_ids
-        self.renormalize, self.observer, self.start, self.steps = renormalize, observer, start, steps
+        self.renormalize, self.observer, self.steps = renormalize, observer, steps
         self.fine = (2 * n - 1, nbatch, ncomp)
         self.modes_coarse = basis.evaluate(origin + spacing * np.arange(n)) if needs_noise else None
         if control_rates is not None:
@@ -504,47 +500,56 @@ class _Run:
         self.control_row = None  # the control rows the work array "control.field" holds
         self.offset = 0  # the first column's place in the batch (see block)
 
-        # per-column taper levels, set (unless resumed) and checked by the first head
-        self.k = None if levels is None else np.array(levels, dtype=int)
-        self.k_init = None
-        self.times = spacing * np.arange(start, steps + 1)
+        self.k = self.k_init = None  # per-column taper levels, set and checked by the first head
+        self.times = spacing * np.arange(steps + 1)
         rows = (len(self.times), nbatch)
         self.trace = {"taper_norm": np.zeros(rows), "k_level": np.zeros(rows, dtype=int)}
         self.path_u = self.path_v = None
         if keep_states:  # each later state is computed in its own row
             self.path_u, self.path_v = np.empty((rows[0],) + self.u.shape), np.empty((rows[0],) + self.v.shape)
             self.path_u[0], self.path_v[0] = self.u, self.v
-        self.noise_log = np.zeros((steps - start, nbatch, basis.dim)) if needs_noise else None
+        self.noise_log = np.zeros((steps, nbatch, basis.dim)) if needs_noise else None
 
-    def block(self, cols: slice) -> "_Run":
-        """Columns cols of this run as a run of their own, for one thread.
+    def block(self, cols: slice, m: int) -> "_Run":
+        """Columns cols of this run at step m as a run of their own, for one thread.
 
         Its state is a C-ordered copy of this run's columns, so its kernels
         walk contiguous rows (on strided column views of the wider array, a
         two-block run at mc_batch's size stepped 10-40% slower).  Its path
-        is two rows that hold its states in turn (pair), since no observer
-        sees them.  Its rows of the traces and noise log are column views of
-        this run's, so it writes those results in place.  It takes its trial
-        ids, control rates and levels from this run's, has a Scratch of its
-        own and no observer, and names columns by their place in this run.
+        is two rows that hold its states by step parity (pair), since no
+        observer sees them.  Its rows of the traces and noise log are column
+        views of this run's, so it writes those results in place.  It takes
+        its trial ids, control rates and levels from this run's, has a
+        Scratch of its own and no observer, and names columns by their place
+        in this run.
         """
         part = copy.copy(self)
         part.offset, part.cols, part.observer = cols.start, cols, None
         shape = (2, self.u.shape[0], cols.stop - cols.start, self.u.shape[2])
         part.path_u, part.path_v = np.empty(shape), np.empty(shape)
-        part.path_u[0], part.path_v[0] = self.u[:, cols], self.v[:, cols]
-        part.u, part.v = part.path_u[0], part.path_v[0]
+        part.path_u[m % 2], part.path_v[m % 2] = self.u[:, cols], self.v[:, cols]
+        part.u, part.v = part.path_u[m % 2], part.path_v[m % 2]
         part.trial_ids = self.trial_ids[cols]
         if self.control_rates is not None:
             part.control_rates = self.control_rates[:, cols]
         if self.k is not None:
-            part.k = self.k[cols]
+            part.k, part.k_init = self.k[cols], self.k_init[cols]
         part.trace = {key: arr[:, cols] for key, arr in self.trace.items()}
         if self.noise_log is not None:
             part.noise_log = self.noise_log[:, cols]
         part.fine = (self.fine[0], cols.stop - cols.start, self.fine[2])
         part.work, part.control_row = Scratch(), None
         return part
+
+    def widen(self, count: int) -> None:
+        """Add count columns that copy column 0's state, levels and trace rows so far (solve_batch's _joins)."""
+        def grow(arr, axis):
+            return np.concatenate([arr, np.repeat(arr.take([0], axis), count, axis)], axis)
+
+        self.u, self.v = grow(self.u, 1), grow(self.v, 1)
+        self.k, self.k_init = grow(self.k, 0), grow(self.k_init, 0)
+        self.trace = {key: grow(arr, 1) for key, arr in self.trace.items()}
+        self.fine = (self.fine[0], self.u.shape[1], self.fine[2])
 
     def head(self, m: int) -> tuple[int, int]:
         """Step m's coarse window norm, levels, traces and observer call: the window.
@@ -558,10 +563,7 @@ class _Run:
         _blowup(~np.isfinite(norm), lambda b: f"window norm of column {col + b} is {norm[b]} at t={t}")
         top = self.loc.k_max
         if self.k_init is None:
-            # a computed level is checked as a float, since past int64 its cast wraps;
-            # doubling never lifts a level below 1 past a crossing
-            k = np.maximum(1.0, np.ceil(2.0 * norm)) if self.k is None else self.k
-            _blowup(k < 1, lambda b: f"starting taper level {k[b]:.0f} of column {col + b} is below 1")
+            k = np.maximum(1.0, np.ceil(2.0 * norm))  # checked as a float, since past int64 its cast wraps
             _blowup(k > top, lambda b: f"starting taper level {k[b]:.0f} of column {col + b} exceeds the top level {top}")
             self.k = k.astype(int)
             self.k_init = self.k.copy()
@@ -570,8 +572,7 @@ class _Run:
             self.k = np.where(crossing, 2 * self.k, self.k)
             _blowup(self.k > top, lambda b: f"window norm {norm[b]:.3e} exhausted cutoff levels up to {top} at t={t}")
 
-        row = m - self.start
-        self.trace["taper_norm"][row], self.trace["k_level"][row] = norm, self.k
+        self.trace["taper_norm"][m], self.trace["k_level"][m] = norm, self.k
         if self.observer is not None:
             self.observer(m, t, self.u, self.v)
         return window
@@ -582,7 +583,7 @@ class _Run:
             return self.v
         u, work = self.u, self.work
         n, nbatch, ncomp = u.shape
-        increments = self.noise_log[m - self.start]
+        increments = self.noise_log[m]
         for b in range(nbatch):
             increments[b] = sample_increment(self.basis, self.dx, stream(self.master_seed, self.trial_ids[b], m))
         wfield = _mode_field(increments, self.modes_coarse, work.get("noise.field", (nbatch, n)),
@@ -620,7 +621,7 @@ class _Run:
                                   tmp=work.get("f3", (u.shape[0] - 1,) + u.shape[1:]))
 
     def control_field(self, m: int) -> np.ndarray | None:
-        """Step m's control rates on the refined lattice, (fine points, B), or None without a control.
+        """Step m's control rates of the columns run so far on the refined lattice, (fine points, B), or None.
 
         The field is rebuilt only when the rows' values change: rows that
         compare equal give the same field bitwise, since a zero of either
@@ -630,7 +631,7 @@ class _Run:
             return None
         shape = (self.fine[1], self.fine[0])
         field = self.work.get("control.field", shape)
-        row = self.control_rates[m]
+        row = self.control_rates[m, :shape[0]]
         if self.control_row is None or not np.array_equal(row, self.control_row):
             _mode_field(row, self.modes_fine, field, self.work.get("control.tmp", shape))
             self.control_row = row
@@ -643,7 +644,7 @@ class _Run:
         """
         if self.path_u is None:
             return np.empty(self.u.shape), np.empty(self.u.shape)
-        row = (m - self.start) % len(self.path_u)
+        row = m % len(self.path_u)
         return self.path_u[row], self.path_v[row]
 
     def advance(self, m: int, v_star: np.ndarray, fu: np.ndarray, fv: np.ndarray) -> None:
@@ -666,42 +667,43 @@ class _Run:
                 self.manifold.tangent_project_at(u[:, b], v[:, b], out=v[:, b], work=work)
 
 
-def _integrate(u0: np.ndarray, v0: np.ndarray, **kwargs) -> _Run:
-    """Steps start..horizon/spacing from (u0, v0), the states at step `start`; kwargs go to _Run.
+def _integrate(u0: np.ndarray, v0: np.ndarray, joins: dict, **kwargs) -> _Run:
+    """Steps 0..horizon/spacing from (u0, v0), widened by joins[m] columns before step m's head; kwargs go to _Run.
 
-    A resumed run (start > 0) takes `levels`, the per-column taper levels its
-    full run had at that step, and returns the tail of the full run bitwise:
-    times, states, traces and noise rows from `start` on.  Its states come
-    from an earlier run, so they are not checked as initial data.  Kept
-    states fill one preallocated pair of (steps + 1 - start, n, B, ncomp)
+    Kept states fill one preallocated pair of (steps + 1, n, B, ncomp)
     arrays: stacking copies at the end would double the peak.
     """
     run = _Run(u0, v0, **kwargs)
-    for m in range(run.start, run.steps):
-        v_star = run.kick(m, run.head(m))
-        run.advance(m, v_star, *run.drift(m))
-    run.head(run.steps)
-    return run
+    for m in range(run.steps + 1):
+        if m in joins:
+            run.widen(joins[m])
+        window = run.head(m)
+        if m == run.steps:
+            return run
+        run.advance(m, run.kick(m, window), *run.drift(m))
 
 
-def _integrate_blocks(u0: np.ndarray, v0: np.ndarray, blocks: list, **kwargs) -> _Run:
-    """_integrate with the columns stepped as the contiguous `blocks` (slices), one thread each.
+def _integrate_blocks(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict, **kwargs) -> _Run:
+    """_integrate with the columns stepped as the contiguous blocks of _column_blocks, one thread each.
 
     The first block runs in the calling thread, the others on a pool's
-    workers.  Each block is a _Run.block of one full-width run: it steps its
-    own copy of its columns and copies each new state into its columns of
-    the run's next pair (the stored path's row, or a new one).  The observer
-    runs in the calling thread between steps with the run's pair of step m,
-    as in _integrate: every block has passed its head of step m and none has
-    begun its kick, and the blocks read their columns back from the pair
-    after it, so they step from whatever the observer left there.  A block's
-    error is raised once every block has finished that step; when several
-    blocks fail in one step, the lowest block's error wins.
+    workers.  Each block is a _Run.block of one run: it steps its own copy
+    of its columns and copies each new state into its columns of the run's
+    next pair (the stored path's row, or a new one).  At a join the run
+    widens and splits afresh, and the new blocks head that step again.  The
+    observer runs in the calling thread between steps with the run's pair
+    of step m, as in _integrate: every block has passed its head of step m
+    and none has begun its kick, and the blocks read their columns back
+    from the pair after it, so they step from whatever the observer left
+    there.  A block's error is raised once every block has finished that
+    step; when several blocks fail in one step, the lowest block's error wins.
     """
     import concurrent.futures  # imported here, so only threaded runs pay for it
 
     run = _Run(u0, v0, **kwargs)
-    parts = [run.block(cols) for cols in blocks]
+
+    def split(m):
+        return [run.block(cols, m) for cols in _column_blocks(threads, *run.u.shape[:2])]
 
     def step(m, part, window, new):
         if run.observer is not None:
@@ -712,22 +714,29 @@ def _integrate_blocks(u0: np.ndarray, v0: np.ndarray, blocks: list, **kwargs) ->
         np.copyto(new[1][:, part.cols], part.v)
         return part.head(m + 1)
 
-    with concurrent.futures.ThreadPoolExecutor(len(parts)) as pool:
+    width = u0.shape[1] + sum(joins.values())
+    with concurrent.futures.ThreadPoolExecutor(len(_column_blocks(threads, u0.shape[0], width))) as pool:
 
         def each(fn, items):
             """[fn(item) for item in items]: the first in this thread, the others on the pool's workers."""
             rest = pool.map(fn, items[1:])
             return [fn(items[0]), *rest]
 
-        windows = each(lambda part: part.head(run.start), parts)
-        for m in range(run.start, run.steps + 1):
+        parts = split(0)
+        windows = each(lambda part: part.head(0), parts)
+        run.k_init = np.concatenate([part.k_init for part in parts])
+        for m in range(run.steps + 1):
+            if m in joins:
+                run.k = np.concatenate([part.k for part in parts])
+                run.widen(joins[m])
+                parts = split(m)
+                windows = each(lambda part: part.head(m), parts)
             if run.observer is not None:
                 run.observer(m, m * run.dx, run.u, run.v)
             if m < run.steps:
                 new = run.pair(m + 1)
                 windows = each(lambda item: step(m, *item, new), list(zip(parts, windows)))
                 run.u, run.v = new
-    run.k_init = np.concatenate([part.k_init for part in parts])
     run.k = np.concatenate([part.k for part in parts])
     return run
 
@@ -745,7 +754,7 @@ def _single_trajectory(z0: State, control, horizon: float, loc: LocalizationPara
     """One trajectory, solved as a batch of width one; kwargs go to _integrate."""
     u0, v0 = _as_batch(z0)
     run = _integrate(
-        u0, v0, origin=z0.origin, spacing=z0.spacing, loc=loc, horizon=horizon,
+        u0, v0, {}, origin=z0.origin, spacing=z0.spacing, loc=loc, horizon=horizon,
         control_rates=_control_rates(control, z0.spacing), **kwargs,
     )
     u, v = (None, None) if run.path_u is None else (run.path_u[:, :, 0], run.path_v[:, :, 0])
@@ -830,7 +839,7 @@ def solve_batch(
     keep_states: bool = False,
     observer=None,
     threads: int | None = None,
-    _resume: tuple | None = None,
+    _joins: dict | None = None,
     _work: Scratch | None = None,
 ) -> Trajectory:
     """Evolve a family of trajectories in lock-step from shared initial data.
@@ -848,12 +857,17 @@ def solve_batch(
     number of blocks.  The observer runs in the calling thread with the
     whole batch, as in a run of one block.
 
-    _resume = (start, u, v, levels) is private to the package: the run
-    resumes at step `start` from the batched states (u, v) with per-column
-    taper levels, and returns the tail of the full run from there.  _work,
-    also private, is a Scratch that a one-block run takes its work arrays
-    from: a caller making many solves in turn keeps them from run to run
-    instead of faulting in fresh pages for each.
+    _joins = {step: count}, private to the package, is for zero-noise runs
+    without stored states (the noise log and a kept path have the start
+    width): the run starts with B - sum(count) columns, and before the head
+    of each step (1..steps) it adds that step's count columns as copies of
+    column 0's state and taper level.  A joined column whose control rows
+    equal column 0's before its step is, from there on, bitwise that column
+    of the full-width run; the observer sees each step's width, and
+    metadata["threads"] counts the blocks of the final width.  _work, also
+    private, is a Scratch that a one-block run takes its work arrays from:
+    a caller making many solves in turn keeps them from run to run instead
+    of faulting in fresh pages for each.
     """
     if control_rates is None:
         nbatch = len(trial_ids) if trial_ids is not None else 1
@@ -866,22 +880,19 @@ def solve_batch(
             raise DimensionMismatch(
                 f"{len(trial_ids)} trial ids for {nbatch} columns of control rates"
             )
-    if _resume is None:
-        start, levels = 0, None
-        u0, v0 = _as_batch(z0)
-        u0 = np.broadcast_to(u0, (u0.shape[0], nbatch, u0.shape[2]))
-        v0 = np.broadcast_to(v0, (v0.shape[0], nbatch, v0.shape[2]))
-    else:
-        start, u0, v0, levels = _resume
-        if u0.shape[1] != nbatch:
-            raise DimensionMismatch(f"{u0.shape[1]} resumed columns for a batch of {nbatch}")
+    if nbatch < 1:
+        raise ValueError(f"{'trial_ids' if control_rates is None else 'control_rates'} gives no batch columns")
+    joins = _joins or {}
+    u0, v0 = _as_batch(z0)
+    u0 = np.broadcast_to(u0, (u0.shape[0], nbatch - sum(joins.values()), u0.shape[2]))
+    v0 = np.broadcast_to(v0, u0.shape)
     kwargs = dict(origin=z0.origin, spacing=z0.spacing, manifold=manifold, loc=loc,
                   horizon=horizon, basis=basis, diffusion=diffusion, eps=eps,
                   control_rates=control_rates, master_seed=master_seed, trial_ids=trial_ids,
-                  renormalize=renormalize, keep_states=keep_states, observer=observer,
-                  start=start, levels=levels, work=_work)
+                  renormalize=renormalize, keep_states=keep_states, observer=observer, work=_work)
     blocks = _column_blocks(threads, u0.shape[0], nbatch)
-    run = _integrate(u0, v0, **kwargs) if len(blocks) <= 1 else _integrate_blocks(u0, v0, blocks, **kwargs)
+    run = (_integrate(u0, v0, joins, **kwargs) if len(blocks) <= 1
+           else _integrate_blocks(u0, v0, threads, joins, **kwargs))
     meta = {"eps": float(eps), "seed": int(master_seed), "trial_ids": trial_ids,
             "radius": loc.radius, "renormalize": renormalize,
             "k_init": run.k_init, "k_final": run.k, "nbatch": nbatch, "threads": len(blocks)}
@@ -923,6 +934,12 @@ def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams
     run is one column, trial 0, as in solve_batch.
     """
     steps = lattice_steps(horizon, z0.spacing)
+    if len(windows) < steps + 1:
+        raise ValueError(f"windows gives {len(windows)} sections, not the {steps + 1} of steps 0..{steps}")
+    for i, ref in enumerate(references):
+        if ref is not None and (ref.u is None or len(ref.u) < steps + 1):
+            raise ValueError(f"references[{i}] stores {0 if ref.u is None else len(ref.u)} states, "
+                             f"not the {steps + 1} of steps 0..{steps}")
     if control_rates is None:
         nbatch = 1 if trial_ids is None else len(trial_ids)
     else:

@@ -82,6 +82,8 @@ def test_deleted_parameters_are_gone():
 
     assert "h" not in params(statement1_probe) | params(statement2_probe)
     assert "control" not in params(solve_batch)
+    # every run starts at step 0; a rate evaluation grows its batch instead (_joins)
+    assert "_resume" not in params(solve_batch)
     # the drift at a lattice time is untapered: the levels keep every norm below them
     assert "theta" not in params(drift_force)
     assert not {"k", "tol_factor"} & params(verify_energy_inequality)

@@ -213,43 +213,49 @@ def test_rate_result_does_not_depend_on_which_gaps_carry_the_probes(kind, points
 
 
 def test_integrator_work_per_gauss_newton_iteration(monkeypatch):
-    z0, target, loc, cone, steps = _planted_problem(192, 0.5)
-    col_steps, probe_steps = [], []
-    integrate, chain = solver._integrate, _TerminalObjective._chain
-
-    def counting(*args, **kwargs):
-        out = integrate(*args, **kwargs)
-        col_steps.append((len(out.times) - 1) * out.trace["k_level"].shape[1])
-        return out
+    # rate_gn's size: 192 points, 32 steps, 4 blocks
+    z0, target, loc, cone, steps = _planted_problem(192, 1.0, mode=1, amplitude=0.9)
+    probe_steps, runs, col_steps, windows = [], [], [], []
+    integrate, chain, drift, window = solver._integrate, _TerminalObjective._chain, solver._Run.drift, solver._window
 
     def recording(obj, params, fd_step):
         probe_steps.append(fd_step)
         return chain(obj, params, fd_step)
 
-    monkeypatch.setattr(solver, "_integrate", counting)
+    def stepping(run, m):
+        col_steps.append(run.u.shape[1])
+        return drift(run, m)
+
     monkeypatch.setattr(_TerminalObjective, "_chain", recording)
+    monkeypatch.setattr(solver, "_integrate", lambda *args, **kwargs: runs.append(1) or integrate(*args, **kwargs))
+    monkeypatch.setattr(solver._Run, "drift", stepping)
+    monkeypatch.setattr(solver, "_window", lambda *args: windows.append(1) or window(*args))
     blocks, dim = 4, _BASIS.dim
-    res = rate_function(target, z0, 10.0, RateOptions(blocks=blocks), cone=cone, horizon=0.5,
-                        **_solve_kwargs(loc))
+    res = rate_function(target, z0, 10.0, RateOptions(blocks=blocks), cone=cone, horizon=1.0,
+                        **_solve_kwargs(loc), threads=1)
     assert res.converged and res.iterations > 1
     # plain width-1 solves at the start and at the predicted convergence, which is the
     # certificate; the first iteration runs its own chain, and every other evaluation
     # carries the probes the next iteration's Jacobian reads
     assert probe_steps == [None] + [_FD_STEP] * res.iterations + [None]
-    # per iteration: one chain of `blocks` segments, the base column over every step
-    # and the probes of block j over steps s_j..steps
+    # each evaluation is one integrator run, which heads each step once: its batch grows
+    # by block j's probes at s_j, so no head is computed again at a block start
+    assert len(windows) == (steps + 1) * len(probe_steps) == 33 * len(probe_steps)
+    assert len(runs) == len(probe_steps)
+    # per iteration: the base column over every step and the probes of block j over steps s_j..steps
     per_iteration = steps + dim * steps * (blocks + 1) // 2
-    assert len(col_steps) == 2 + res.iterations * blocks
     assert sum(col_steps) == 2 * steps + res.iterations * per_iteration
     # solves counts control evaluations: base, probes and gap per iteration, plus the
     # first gap and the certificate, although the certificate runs no solve of its own
     assert res.metadata["solves"] == 2 + res.iterations * (blocks * dim + 2)
 
 
-def test_rate_benchmark_smoke_run_is_correct():
-    # the benchmark's own check of rate_gn: the smoke reference's solves, value and gap,
-    # and the certificate re-simulated from the written control
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "rate_gn", "--smoke",
+@pytest.mark.parametrize("workload", ["rate_gn", "mc_batch"])
+def test_rate_benchmark_smoke_run_is_correct(workload):
+    # the benchmark's own checks at smoke size: for rate_gn the reference's solves, value
+    # and gap and the certificate re-simulated from the written control; for mc_batch the
+    # full-width observer's final pair and every column against its width-1 solve
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--smoke",
            "--seed", "0", "--seconds", "0", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
                           timeout=170)

@@ -1,5 +1,6 @@
 """Tests for the localized cone solver: exactness, convergence, determinism."""
 import math
+import re
 import threading
 import warnings
 from unittest.mock import patch
@@ -222,27 +223,14 @@ def test_solves_leave_their_input_arrays_unchanged():
     fields = dict(manifold=_SPHERE, basis=_BASIS, diffusion=_Y_SPHERE)
     solve_skeleton(z0, None, 0.5, _loc(_LANE_GEOM), **fields)
     solve_stochastic(z0, 1e-2, None, 0.5, _loc(_LANE_GEOM), **fields)
-    full = solve_batch(z0, 1e-2, 0.5, _loc(_LANE_GEOM), **fields, trial_ids=[0, 1, 2], keep_states=True)
+    solve_batch(z0, 1e-2, 0.5, _loc(_LANE_GEOM), **fields, trial_ids=[0, 1, 2], keep_states=True)
     assert np.array_equal(z0.u.values, kept[0]) and np.array_equal(z0.v.values, kept[1])
-    u, v = full.u[1], full.v[1]
-    resumed = u.copy(), v.copy()
-    solve_batch(z0, 1e-2, 0.5, _loc(_LANE_GEOM), **fields, trial_ids=[0, 1, 2],
-                _resume=(1, u, v, full.energy_trace["k_level"][1]))
-    assert np.array_equal(u, resumed[0]) and np.array_equal(v, resumed[1])
-    # a resumed run reads its C-ordered start arrays in place: read-only ones must do
-    for arr in (u, v):
-        arr.setflags(write=False)
-    tail = solve_batch(z0, 1e-2, 0.5, _loc(_LANE_GEOM), **fields, trial_ids=[0, 1, 2], keep_states=True,
-                       _resume=(1, u, v, full.energy_trace["k_level"][1]))
-    assert np.array_equal(u, resumed[0]) and np.array_equal(v, resumed[1])
-    assert np.array_equal(tail.u, full.u[1:]) and np.array_equal(tail.v, full.v[1:])
 
 
 @pytest.mark.parametrize("keep_states", [False, True])
 @pytest.mark.parametrize("drive", ["noise", "control"])
 def test_observed_states_are_never_written_afterwards(keep_states, drive):
-    # cone_energies keeps the last step's u and _TerminalObjective._solve its
-    # stop step's (u, v) without copying them
+    # cone_energies keeps the last step's u without copying it
     z0 = random_state(_LANE_GEOM, _SPHERE, stream(6, 3))
     steps = round(0.25 / _LANE_GEOM.spacing)
     if drive == "noise":
@@ -374,12 +362,10 @@ def _blocked_solve(z, threads, **kwargs):
     noisy=st.booleans(),
     controlled=st.booleans(),
     keep_states=st.booleans(),
-    resume=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-@example(kind="sphere", points=64, width=5, noisy=True, controlled=True, keep_states=True, resume=True, seed=0)
-def test_any_thread_count_gives_the_one_thread_bits(kind, points, width, noisy, controlled, keep_states,
-                                                    resume, seed):
+@example(kind="sphere", points=64, width=5, noisy=True, controlled=True, keep_states=True, seed=0)
+def test_any_thread_count_gives_the_one_thread_bits(kind, points, width, noisy, controlled, keep_states, seed):
     # batch columns are bitwise independent, so every split into column blocks is the one-block run
     manifold, diffusion = _BLOCK_CASES[kind]
     steps = 6
@@ -390,10 +376,6 @@ def test_any_thread_count_gives_the_one_thread_bits(kind, points, width, noisy, 
                   keep_states=keep_states)
     if controlled:
         kwargs["control_rates"] = np.random.default_rng(seed).normal(scale=0.5, size=(steps, width, _BASIS.dim))
-    if resume:
-        full = solve_batch(z, **{**kwargs, "keep_states": True})
-        start = seed % steps
-        kwargs["_resume"] = (start, full.u[start], full.v[start], full.energy_trace["k_level"][start])
     want, want_seen = _blocked_solve(z, 1, **kwargs)
     # every head lifts each level above its norm, so the left-point taper would be exactly 1
     assert (want.energy_trace["taper_norm"] < want.energy_trace["k_level"]).all()
@@ -518,16 +500,18 @@ def test_horizon_must_be_lattice_and_inside_cone():
 def test_exhausted_cutoff_levels_raise():
     geom = make_grid(6.0, 96, 1.0)
     z = rotating_state(geom, _CIRCLE)  # starting level ceil(2 * window norm) = 11
-    u, v = z.u.values[:, None, :], z.v.values[:, None, :]
-    small = LocalizationParams(radius=geom.half_width, k_max=4)
-    with pytest.raises(BlowupDetected, match="exhausted cutoff levels up to 4"):
-        solve_batch(z, 0.0, 0.25, small, manifold=_CIRCLE, _resume=(0, u, v, np.array([1])))
+    top = LocalizationParams(radius=geom.half_width, k_max=64)
+
+    def huge_at_step_1(m, t, u, v):  # lifts the norm of step 2 past every level up to the top
+        if m == 1:
+            u[u.shape[0] // 2, 0, 0] = 1e3
+
+    with pytest.raises(BlowupDetected, match=rf"exhausted cutoff levels up to 64 at t={2 * geom.spacing}"):
+        solve_skeleton(z, None, 0.25, top, manifold=_CIRCLE, observer=huge_at_step_1)
     # a starting level above the top level is exhausted before the first step
     low_top = LocalizationParams(radius=geom.half_width, k_max=1)
     with pytest.raises(BlowupDetected, match="starting taper level 11 of column 0 exceeds the top level 1"):
         solve_skeleton(z, None, 0.5, low_top, manifold=_CIRCLE)
-    with pytest.raises(BlowupDetected, match="starting taper level 8"):  # 8 is never crossed
-        solve_batch(z, 0.0, 0.5, small, manifold=_CIRCLE, _resume=(0, u, v, np.array([8])))
     at_top = LocalizationParams(radius=geom.half_width, k_max=11)
     assert solve_skeleton(z, None, 0.5, at_top, manifold=_CIRCLE).metadata["k_init"] == 11
 
@@ -540,19 +524,6 @@ def test_a_starting_level_past_int64_names_the_top_level():
         warnings.simplefilter("error")
         with pytest.raises(BlowupDetected, match=r"starting taper level \d{19,} of column 0 exceeds the top level 1024"):
             solve_skeleton(z, None, 4 * geom.spacing, LocalizationParams(geom.half_width), manifold=_CIRCLE)
-
-
-@pytest.mark.parametrize("level", [0, -1])
-def test_starting_taper_level_below_one_raises(level):
-    # doubling never lifts a level below 1 past a crossing, so the run would never end
-    geom = make_grid(6.0, 96, 1.0)
-    z = constant_state(geom, _CIRCLE)
-    u, v = z.u.values[:, None, :], z.v.values[:, None, :]
-    with pytest.raises(BlowupDetected, match=f"starting taper level {level} of column 0 is below 1"):
-        solve_batch(z, 0.0, 0.5, _loc(geom), manifold=_CIRCLE, _resume=(0, u, v, np.array([level])))
-    # a run resumed later checks the levels it is handed the same way
-    with pytest.raises(BlowupDetected, match="below 1"):
-        solve_batch(z, 0.0, 0.5, _loc(geom), manifold=_CIRCLE, _resume=(1, u, v, np.array([level])))
 
 
 def test_taper_kills_drift_above_cutoff():
@@ -629,49 +600,90 @@ def test_non_finite_window_norm_is_a_blowup():
 
 
 
-_RESUME_CASES = {
-    "circle": (_CIRCLE, _Y_CIRCLE),
-    "sphere": (_SPHERE, _Y_SPHERE),
+def _cone_energy_args(case):
+    """cone_energies arguments on a 96-point circle at horizon 0.5 (8 steps), one of them bad by case."""
+    geom = make_grid(6.0, 96, 1.0)
+    z0 = bump_state(geom, _CIRCLE)
+    cone = LightCone(0.0, 1.0)
+    windows = [cone_window(cone, geom.origin, geom.spacing, geom.npoints, m) for m in range(9)]
+    fields = dict(manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE)
+    references, batch = [None], dict(trial_ids=[0, 1])
+    if case == "unstored reference":
+        references = [None, solve_skeleton(z0, None, 0.5, _loc(geom), **fields, keep_states=False)]
+    elif case == "short reference":
+        references = [solve_skeleton(z0, None, 0.25, _loc(geom), **fields)]
+    elif case == "short windows":
+        windows = windows[:-1]
+    elif case == "no trial ids":
+        batch = dict(trial_ids=[])
+    elif case == "no control columns":
+        batch = dict(control_rates=np.zeros((8, 0, _BASIS.dim)))
+    return (z0, 1e-2, 0.5, _loc(geom), windows, references), dict(fields, **batch)
+
+
+_BAD_ARGUMENTS = {
+    "unstored reference": "references[1] stores 0 states, not the 9 of steps 0..8",
+    "short reference": "references[0] stores 5 states, not the 9 of steps 0..8",
+    "short windows": "windows gives 8 sections, not the 9 of steps 0..8",
+    "no trial ids": "trial_ids gives no batch columns",
+    "no control columns": "control_rates gives no batch columns",
 }
 
 
-@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))
+def test_cone_energies_name_a_bad_argument_before_any_step(case):
+    message = _BAD_ARGUMENTS[case]
+    args, kwargs = _cone_energy_args(case)
+    with patch.object(solver, "_Run", side_effect=AssertionError("a run started")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cone_energies(*args, **kwargs)
+    if case.startswith("no "):  # solve_batch's own check
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_batch(args[0], 1e-2, 0.5, args[3], **kwargs)
+    args, kwargs = _cone_energy_args("good")
+    assert cone_energies(*args, **kwargs)[0][0].shape == (2, 9)
+
+
+@settings(max_examples=15, deadline=None)
 @given(
-    kind=st.sampled_from(sorted(_RESUME_CASES)),
-    points=st.sampled_from([96, 192]),
-    width=st.integers(1, 6),
-    where=st.floats(0.0, 1.0),
+    kind=st.sampled_from(sorted(_BLOCK_CASES)),
+    points=st.integers(64, 96),
+    start=st.integers(1, 3),
+    joins=st.dictionaries(st.integers(1, 6), st.integers(1, 3), min_size=1, max_size=4),
     seed=st.integers(0, 2**16),
 )
-@example(kind="sphere", points=192, width=6, where=0.0, seed=1)  # start 0
-@example(kind="circle", points=192, width=1, where=1.0, seed=2)  # start steps - 1
-def test_resumed_run_is_the_tail_of_the_full_run(kind, points, width, where, seed):
-    manifold, diffusion = _RESUME_CASES[kind]
-    geom = make_grid(6.0, points, 1.0)
+@example(kind="sphere", points=64, start=1, joins={1: 2, 2: 1, 3: 2}, seed=0)  # step 1, consecutive steps
+def test_a_batch_grown_at_its_join_steps_is_the_full_width_run(kind, points, start, joins, seed):
+    # a column joined at step s with column 0's control rows before s is column 0 up to s, so the
+    # grown run is the full-width run from step 0, whatever its column blocks
+    manifold, diffusion = _BLOCK_CASES[kind]
+    steps = 6
+    geom = make_grid(6.0, points, steps * 6.0 / points)
     z = random_state(geom, manifold, stream(seed, 1))
-    steps = round(0.5 / geom.spacing)
-    start = min(int(where * steps), steps - 1)  # 0 .. steps - 1
-    rates = np.random.default_rng(seed).normal(scale=0.5, size=(steps, width, _BASIS.dim))
-    kwargs = dict(manifold=manifold, basis=_BASIS, diffusion=diffusion, control_rates=rates,
-                  keep_states=True)
-    full = solve_batch(z, 0.0, 0.5, _loc(geom), **kwargs)
-    u, v = full.u[start], full.v[start]
-    levels = full.energy_trace["k_level"][start]
-    tail = solve_batch(z, 0.0, 0.5, _loc(geom), **kwargs, _resume=(start, u, v, levels))
-    assert np.array_equal(tail.times, full.times[start:])
-    assert len(tail.u) == len(tail.v) == steps + 1 - start
-    for ut, vt, uf, vf in zip(tail.u, tail.v, full.u[start:], full.v[start:]):
-        assert np.array_equal(ut, uf) and np.array_equal(vt, vf)
-    assert set(full.energy_trace) == {"taper_norm", "k_level"}
-    for key in full.energy_trace:
-        assert np.array_equal(tail.energy_trace[key], full.energy_trace[key][start:]), key
-    assert np.array_equal(tail.metadata["k_final"], full.metadata["k_final"])
+    first = [0] * start + [s for s in sorted(joins) for _ in range(joins[s])]  # each column's first step
+    rates = np.random.default_rng(seed).normal(scale=0.5, size=(steps, len(first), _BASIS.dim))
+    for col, s in enumerate(first):
+        rates[:s, col] = rates[:s, 0]
+    kwargs = dict(eps=0.0, horizon=geom.horizon, loc=_loc(geom), manifold=manifold, basis=_BASIS,
+                  diffusion=diffusion, control_rates=rates)
+    want, want_seen = _blocked_solve(z, 1, **kwargs)
+    with patch.object(solver, "_MIN_BLOCK_CELLS", 1):  # None: one block per available CPU
+        for threads in (1, 2, 3, None):
+            got, seen = _blocked_solve(z, threads, _joins=joins, **kwargs)
+            assert [m for m, *_ in seen] == list(range(steps + 1))
+            for (m, t, u, v), (_, _, wu, wv) in zip(seen, want_seen):  # the columns joined by step m
+                width = sum(s <= m for s in first)
+                assert np.array_equal(u, wu[:, :width]) and np.array_equal(v, wv[:, :width]), (threads, m)
+            for key in want.energy_trace:
+                assert np.array_equal(got.energy_trace[key], want.energy_trace[key]), (threads, key)
+            for key in ("k_init", "k_final"):
+                assert np.array_equal(got.metadata[key], want.metadata[key]), (threads, key)
 
 
 @settings(max_examples=20, deadline=None)
 @given(
     data=st.data(),
-    target=st.sampled_from(sorted(_RESUME_CASES)),
+    target=st.sampled_from(sorted(_BLOCK_CASES)),
     points=st.sampled_from([96, 192]),
     controlled=st.booleans(),
     seed=st.integers(0, 2**16),
@@ -679,7 +691,7 @@ def test_resumed_run_is_the_tail_of_the_full_run(kind, points, width, where, see
 def test_cone_energies_on_section_rows_are_the_whole_lattice_ones(data, target, points, controlled, seed):
     # the sweep reads each section's weighted rows and one row each side; the
     # reference observer takes the dense form over the whole lattice
-    manifold, diffusion = _RESUME_CASES[target]
+    manifold, diffusion = _BLOCK_CASES[target]
     geom = make_grid(6.0, points, 1.0)
     n, dx, horizon = geom.npoints, geom.spacing, 0.25
     steps = round(horizon / dx)
@@ -733,7 +745,7 @@ def test_section_energy_on_window_rows_is_the_dense_form(data, npoints, width, n
 
 @settings(max_examples=25, deadline=None)
 @given(
-    kind=st.sampled_from(sorted(_RESUME_CASES)),
+    kind=st.sampled_from(sorted(_BLOCK_CASES)),
     width=st.integers(1, 6),
     at_edge=st.booleans(),
     controlled=st.booleans(),
@@ -742,7 +754,7 @@ def test_section_energy_on_window_rows_is_the_dense_form(data, npoints, width, n
 def test_core_row_drift_is_the_whole_lattice_drift(kind, width, at_edge, controlled, seed):
     # the integrator's refined step: the window reflects the section rows of
     # the stepped state in place, and the drift reads the core rows only
-    manifold, diffusion = _RESUME_CASES[kind]
+    manifold, diffusion = _BLOCK_CASES[kind]
     geom = make_grid(6.0, 96, 1.0)
     n, dx = geom.npoints, geom.spacing
     rng = np.random.default_rng(seed)
@@ -803,11 +815,11 @@ def test_midpoint_taper_is_the_exact_one(rows, width, ncomp, offset, seed):
     assert np.array_equal(got, exact)
 
 
-@pytest.mark.parametrize("kind", sorted(_RESUME_CASES))
+@pytest.mark.parametrize("kind", sorted(_BLOCK_CASES))
 def test_columns_renormalized_alone_match_their_width_one_runs(kind):
     # columns at rest never trigger renormalization, so the batch projects
     # the moving columns one at a time
-    manifold, diffusion = _RESUME_CASES[kind]
+    manifold, diffusion = _BLOCK_CASES[kind]
     geom = make_grid(6.0, 96, 1.0)
     z = constant_state(geom, manifold)
     steps = round(0.5 / geom.spacing)
