@@ -388,10 +388,13 @@ def ldp_groups(checks: list, basis, seed: int, threads: int) -> None:
     rep2 = statement2_probe([1e-2, 1e-3], VERIFY_TRIALS, 10.0, zs, cone, seed,
                             horizon=1.0, loc=loc, manifold=man_s, basis=basis,
                             diffusion=y_s, threads=threads)
-    ratio = rep2.metrics[0] / rep2.metrics[1]
-    ok = 5.0 < ratio < 20.0
-    checks.append(("ldp.noise_energy_linear_in_eps", ok,
-                   f"mean peak cone energy ratio across a decade = {_fmt(ratio)}"))
+    if not rep2.metrics.any():  # a measure of zero weight drives no noise, and 0 / 0 is no ratio
+        checks.append(("ldp.noise_energy_linear_in_eps", False,
+                       "both mean peak cone energies are 0: the measure has no weight"))
+    else:
+        ratio = rep2.metrics[0] / rep2.metrics[1]
+        checks.append(("ldp.noise_energy_linear_in_eps", 5.0 < ratio < 20.0,
+                       f"mean peak cone energy ratio across a decade = {_fmt(ratio)}"))
 
     target = solve_skeleton(z0, None, 1.0, loc, manifold=man, basis=basis,
                             diffusion=yf).final_state()

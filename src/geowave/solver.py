@@ -21,15 +21,16 @@ A run takes every work array from one Scratch, sized during its first step
 (or kept from an earlier run of the same caller), and the kernels write into
 them, so a later step allocates only its new state pair (or nothing: with
 stored states each state is computed in its row of the path).
-The pair an observer receives is never written after the call, so observers
-may keep it without copying.
+The pair an observer receives is read-only and never written after the
+call, so observers may keep it without copying.
 
-solve_batch steps a wide batch as contiguous column blocks, one worker
-thread each (_integrate_blocks); any split gives the same bits, because the
-columns are independent.  This is the package's one trial fan-out.
+Every solve steps its batch as contiguous column blocks, one worker thread
+each (_integrate); any split gives the same bits, because the columns are
+independent.  This is the package's one trial fan-out.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
 import os
@@ -454,7 +455,6 @@ class _Run:
         trial_ids=None,
         renormalize: bool = True,
         keep_states: bool = True,
-        observer=None,
         work: Scratch | None = None,
     ):
         n, nbatch, ncomp = u0.shape
@@ -486,19 +486,19 @@ class _Run:
         self.origin, self.dx, self.manifold, self.loc = origin, spacing, manifold, loc
         self.basis, self.diffusion, self.eps, self.control_rates = basis, diffusion, eps, control_rates
         self.master_seed, self.trial_ids = master_seed, range(nbatch) if trial_ids is None else trial_ids
-        self.renormalize, self.observer, self.steps = renormalize, observer, steps
+        self.renormalize, self.steps = renormalize, steps
         self.fine = (2 * n - 1, nbatch, ncomp)
         self.modes_coarse = basis.evaluate(origin + spacing * np.arange(n)) if needs_noise else None
         if control_rates is not None:
             self.modes_fine = basis.evaluate(origin + 0.5 * spacing * np.arange(2 * n - 1))
 
         # C order, as in a width-1 run, since section energies add in memory order;
-        # a C-ordered input is not copied, because the integrator never writes it
-        self.u = np.ascontiguousarray(u0, dtype=float)
-        self.v = np.ascontiguousarray(v0, dtype=float)
+        # a C-ordered input is not copied, so step 0 is a view, which _integrate makes read-only
+        self.u = np.ascontiguousarray(u0, dtype=float).view()
+        self.v = np.ascontiguousarray(v0, dtype=float).view()
         self.work = Scratch() if work is None else work  # a caller's, kept between its runs
         self.control_row = None  # the control rows the work array "control.field" holds
-        self.offset = 0  # the first column's place in the batch (see block)
+        self.offset, self.ring = 0, None  # the first column's place in the batch and a block's ring (see block)
 
         self.k = self.k_init = None  # per-column taper levels, set and checked by the first head
         self.times = spacing * np.arange(steps + 1)
@@ -510,25 +510,28 @@ class _Run:
             self.path_u[0], self.path_v[0] = self.u, self.v
         self.noise_log = np.zeros((steps, nbatch, basis.dim)) if needs_noise else None
 
-    def block(self, cols: slice, m: int) -> "_Run":
-        """Columns cols of this run at step m as a run of their own, for one thread.
+    def block(self, cols: slice, m: int, work: Scratch) -> "_Run":
+        """Columns cols of this run at step m as a run of their own, for one thread, with work arrays from work.
 
-        Its state is a C-ordered copy of this run's columns, so its kernels
-        walk contiguous rows (on strided column views of the wider array, a
-        two-block run at mc_batch's size stepped 10-40% slower).  Its path
-        is two rows that hold its states by step parity (pair), since no
-        observer sees them.  Its rows of the traces and noise log are column
-        views of this run's, so it writes those results in place.  It takes
-        its trial ids, control rates and levels from this run's, has a
-        Scratch of its own and no observer, and names columns by their place
-        in this run.
+        A block of every column is this run, which has no ring: _integrate
+        has it compute each state in this run's pair.  Any other block's
+        state is a C-ordered copy of its columns, so its kernels walk
+        contiguous rows (on strided column views of the wider array, a
+        two-block run at mc_batch's size stepped 10-40% slower), and its ring
+        is two pairs that hold its states by step parity.  Its rows of the
+        traces and noise log are column views of this run's, so it writes
+        those results in place.  It takes its trial ids, control rates and
+        levels from this run's and names columns by their place in this run.
         """
+        if cols.stop - cols.start == self.u.shape[1]:
+            return self
         part = copy.copy(self)
-        part.offset, part.cols, part.observer = cols.start, cols, None
-        shape = (2, self.u.shape[0], cols.stop - cols.start, self.u.shape[2])
-        part.path_u, part.path_v = np.empty(shape), np.empty(shape)
-        part.path_u[m % 2], part.path_v[m % 2] = self.u[:, cols], self.v[:, cols]
-        part.u, part.v = part.path_u[m % 2], part.path_v[m % 2]
+        part.offset, part.cols, part.work, part.control_row = cols.start, cols, work, None
+        shape = (self.u.shape[0], cols.stop - cols.start, self.u.shape[2])
+        part.ring = [(np.empty(shape), np.empty(shape)) for _ in range(2)]
+        part.u, part.v = part.ring[m % 2]
+        np.copyto(part.u, self.u[:, cols])
+        np.copyto(part.v, self.v[:, cols])
         part.trial_ids = self.trial_ids[cols]
         if self.control_rates is not None:
             part.control_rates = self.control_rates[:, cols]
@@ -538,7 +541,6 @@ class _Run:
         if self.noise_log is not None:
             part.noise_log = self.noise_log[:, cols]
         part.fine = (self.fine[0], cols.stop - cols.start, self.fine[2])
-        part.work, part.control_row = Scratch(), None
         return part
 
     def widen(self, count: int) -> None:
@@ -552,7 +554,7 @@ class _Run:
         self.fine = (self.fine[0], self.u.shape[1], self.fine[2])
 
     def head(self, m: int) -> tuple[int, int]:
-        """Step m's coarse window norm, levels, traces and observer call: the window.
+        """Step m's coarse window norm, levels and traces: the window.
 
         Each level ends above its column's norm, where the taper is exactly 1.
         """
@@ -573,8 +575,6 @@ class _Run:
             _blowup(self.k > top, lambda b: f"window norm {norm[b]:.3e} exhausted cutoff levels up to {top} at t={t}")
 
         self.trace["taper_norm"][m], self.trace["k_level"][m] = norm, self.k
-        if self.observer is not None:
-            self.observer(m, t, self.u, self.v)
         return window
 
     def kick(self, m: int, window: tuple[int, int]) -> np.ndarray:
@@ -638,19 +638,15 @@ class _Run:
         return field.T
 
     def pair(self, m: int) -> tuple:
-        """The arrays the state of step m is computed in: its rows of the stored path, or two new ones.
-
-        A block's path has two rows, which its steps take in turn.
-        """
+        """The arrays the state of step m is computed in: its rows of the stored path, or two new ones."""
         if self.path_u is None:
             return np.empty(self.u.shape), np.empty(self.u.shape)
-        row = m % len(self.path_u)
-        return self.path_u[row], self.path_v[row]
+        return self.path_u[m], self.path_v[m]
 
-    def advance(self, m: int, v_star: np.ndarray, fu: np.ndarray, fv: np.ndarray) -> None:
-        """The state of step m + 1: the coarse group step of (u, v_star) plus dt * (fu, fv), renormalized."""
+    def advance(self, m: int, v_star: np.ndarray, fu: np.ndarray, fv: np.ndarray, out: tuple) -> None:
+        """The state of step m + 1 in the pair out: the coarse group step of (u, v_star) plus dt * (fu, fv), renormalized."""
         work, shape = self.work, self.u.shape
-        u, v = apply_arrays(self.u, v_star, self.dx, 1, out=self.pair(m + 1), work=(work.get("f3", shape), work.get("f4", shape)))
+        u, v = apply_arrays(self.u, v_star, self.dx, 1, out=out, work=(work.get("f3", shape), work.get("f4", shape)))
         fu *= self.dx
         u += fu
         fv *= self.dx
@@ -667,75 +663,61 @@ class _Run:
                 self.manifold.tangent_project_at(u[:, b], v[:, b], out=v[:, b], work=work)
 
 
-def _integrate(u0: np.ndarray, v0: np.ndarray, joins: dict, **kwargs) -> _Run:
-    """Steps 0..horizon/spacing from (u0, v0), widened by joins[m] columns before step m's head; kwargs go to _Run.
+def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict, observer=None, **kwargs) -> _Run:
+    """Steps 0..horizon/spacing from (u0, v0) in the column blocks of _column_blocks, one thread each; kwargs go to _Run.
 
-    Kept states fill one preallocated pair of (steps + 1, n, B, ncomp)
-    arrays: stacking copies at the end would double the peak.
+    Each block is a _Run.block of one run, stepped phase by phase; the first
+    runs in the calling thread, the others on a pool's workers, which exist
+    only when the batch splits (a width that does not split has no narrower
+    width that does).  A block of every column is the run itself and
+    computes each state in the run's next pair (the stored path's row, or a
+    new one); any other block computes it in its ring and copies it into
+    its columns of that pair.  After step m's heads the run widens by
+    joins[m] columns (_Run.widen) and splits afresh, and the new blocks take
+    that step's window, so no head is computed twice.  The observer runs in
+    the calling thread between steps with the run's pair of step m, made
+    read-only: no block reads it back.  A block's error is raised once every
+    block has finished that step; when several blocks fail in one step, the
+    lowest block's error wins.
     """
     run = _Run(u0, v0, **kwargs)
-    for m in range(run.steps + 1):
-        if m in joins:
-            run.widen(joins[m])
-        window = run.head(m)
-        if m == run.steps:
-            return run
-        run.advance(m, run.kick(m, window), *run.drift(m))
+    nblocks = len(_column_blocks(threads, u0.shape[0], u0.shape[1] + sum(joins.values())))
+    pool = contextlib.nullcontext()
+    if nblocks > 1:
+        import concurrent.futures  # imported here, so only threaded runs pay for it
+        pool = concurrent.futures.ThreadPoolExecutor(nblocks)
 
-
-def _integrate_blocks(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict, **kwargs) -> _Run:
-    """_integrate with the columns stepped as the contiguous blocks of _column_blocks, one thread each.
-
-    The first block runs in the calling thread, the others on a pool's
-    workers.  Each block is a _Run.block of one run: it steps its own copy
-    of its columns and copies each new state into its columns of the run's
-    next pair (the stored path's row, or a new one).  At a join the run
-    widens and splits afresh, and the new blocks head that step again.  The
-    observer runs in the calling thread between steps with the run's pair
-    of step m, as in _integrate: every block has passed its head of step m
-    and none has begun its kick, and the blocks read their columns back
-    from the pair after it, so they step from whatever the observer left
-    there.  A block's error is raised once every block has finished that
-    step; when several blocks fail in one step, the lowest block's error wins.
-    """
-    import concurrent.futures  # imported here, so only threaded runs pay for it
-
-    run = _Run(u0, v0, **kwargs)
+    def each(fn, items):
+        """[fn(item) for item in items]: the first in this thread, the others on the pool's workers."""
+        rest = pool.map(fn, items[1:]) if len(items) > 1 else ()
+        return [fn(items[0]), *rest]
 
     def split(m):
-        return [run.block(cols, m) for cols in _column_blocks(threads, *run.u.shape[:2])]
+        blocks = _column_blocks(threads, *run.u.shape[:2])
+        return [run.block(cols, m, run.work if cols.start == 0 else Scratch()) for cols in blocks]
 
     def step(m, part, window, new):
-        if run.observer is not None:
-            np.copyto(part.u, run.u[:, part.cols])
-            np.copyto(part.v, run.v[:, part.cols])
-        part.advance(m, part.kick(m, window), *part.drift(m))
-        np.copyto(new[0][:, part.cols], part.u)
-        np.copyto(new[1][:, part.cols], part.v)
+        part.advance(m, part.kick(m, window), *part.drift(m), new if part.ring is None else part.ring[(m + 1) % 2])
+        if part.ring is not None:
+            np.copyto(new[0][:, part.cols], part.u)
+            np.copyto(new[1][:, part.cols], part.v)
         return part.head(m + 1)
 
-    width = u0.shape[1] + sum(joins.values())
-    with concurrent.futures.ThreadPoolExecutor(len(_column_blocks(threads, u0.shape[0], width))) as pool:
-
-        def each(fn, items):
-            """[fn(item) for item in items]: the first in this thread, the others on the pool's workers."""
-            rest = pool.map(fn, items[1:])
-            return [fn(items[0]), *rest]
-
+    with pool:
         parts = split(0)
-        windows = each(lambda part: part.head(0), parts)
+        window = each(lambda part: part.head(0), parts)[0]  # a step's window is every column's
         run.k_init = np.concatenate([part.k_init for part in parts])
         for m in range(run.steps + 1):
             if m in joins:
                 run.k = np.concatenate([part.k for part in parts])
                 run.widen(joins[m])
                 parts = split(m)
-                windows = each(lambda part: part.head(m), parts)
-            if run.observer is not None:
-                run.observer(m, m * run.dx, run.u, run.v)
+            run.u.flags.writeable = run.v.flags.writeable = False
+            if observer is not None:
+                observer(m, m * run.dx, run.u, run.v)
             if m < run.steps:
                 new = run.pair(m + 1)
-                windows = each(lambda item: step(m, *item, new), list(zip(parts, windows)))
+                window = each(lambda part: step(m, part, window, new), parts)[0]
                 run.u, run.v = new
     run.k = np.concatenate([part.k for part in parts])
     return run
@@ -751,10 +733,10 @@ def _as_batch(z0: State) -> tuple[np.ndarray, np.ndarray]:
 
 def _single_trajectory(z0: State, control, horizon: float, loc: LocalizationParams, metadata: dict,
                        **kwargs) -> Trajectory:
-    """One trajectory, solved as a batch of width one; kwargs go to _integrate."""
+    """One trajectory, solved as a batch of width one in one block; kwargs go to _integrate."""
     u0, v0 = _as_batch(z0)
     run = _integrate(
-        u0, v0, {}, origin=z0.origin, spacing=z0.spacing, loc=loc, horizon=horizon,
+        u0, v0, 1, {}, origin=z0.origin, spacing=z0.spacing, loc=loc, horizon=horizon,
         control_rates=_control_rates(control, z0.spacing), **kwargs,
     )
     u, v = (None, None) if run.path_u is None else (run.path_u[:, :, 0], run.path_v[:, :, 0])
@@ -855,19 +837,19 @@ def solve_batch(
     block holds at least _MIN_BLOCK_CELLS lattice points times columns (below
     that, threads cost more than they save); metadata["threads"] is the
     number of blocks.  The observer runs in the calling thread with the
-    whole batch, as in a run of one block.
+    whole batch's pair of each step, read-only.
 
     _joins = {step: count}, private to the package, is for zero-noise runs
     without stored states (the noise log and a kept path have the start
-    width): the run starts with B - sum(count) columns, and before the head
+    width): the run starts with B - sum(count) columns, and after the head
     of each step (1..steps) it adds that step's count columns as copies of
-    column 0's state and taper level.  A joined column whose control rows
-    equal column 0's before its step is, from there on, bitwise that column
-    of the full-width run; the observer sees each step's width, and
-    metadata["threads"] counts the blocks of the final width.  _work, also
-    private, is a Scratch that a one-block run takes its work arrays from:
-    a caller making many solves in turn keeps them from run to run instead
-    of faulting in fresh pages for each.
+    column 0's state, taper levels and trace rows.  A joined column whose
+    control rows equal column 0's before its step is, from there on, bitwise
+    that column of the full-width run; the observer sees each step's width,
+    and metadata["threads"] counts the blocks of the final width.  _work,
+    also private, is a Scratch that the first column block takes its work
+    arrays from: a caller making many solves in turn keeps them from run to
+    run instead of faulting in fresh pages for each.
     """
     if control_rates is None:
         nbatch = len(trial_ids) if trial_ids is not None else 1
@@ -889,13 +871,12 @@ def solve_batch(
     kwargs = dict(origin=z0.origin, spacing=z0.spacing, manifold=manifold, loc=loc,
                   horizon=horizon, basis=basis, diffusion=diffusion, eps=eps,
                   control_rates=control_rates, master_seed=master_seed, trial_ids=trial_ids,
-                  renormalize=renormalize, keep_states=keep_states, observer=observer, work=_work)
-    blocks = _column_blocks(threads, u0.shape[0], nbatch)
-    run = (_integrate(u0, v0, joins, **kwargs) if len(blocks) <= 1
-           else _integrate_blocks(u0, v0, threads, joins, **kwargs))
+                  renormalize=renormalize, keep_states=keep_states, work=_work)
+    run = _integrate(u0, v0, threads, joins, observer, **kwargs)
     meta = {"eps": float(eps), "seed": int(master_seed), "trial_ids": trial_ids,
             "radius": loc.radius, "renormalize": renormalize,
-            "k_init": run.k_init, "k_final": run.k, "nbatch": nbatch, "threads": len(blocks)}
+            "k_init": run.k_init, "k_final": run.k, "nbatch": nbatch,
+            "threads": len(_column_blocks(threads, u0.shape[0], nbatch))}
     return Trajectory(run.times, run.path_u, run.path_v, z0.origin, z0.spacing, run.trace, run.noise_log,
                       None, meta)
 

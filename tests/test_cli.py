@@ -718,5 +718,8 @@ def test_verify_of_a_zero_weight_measure_fails_only_the_groups_that_need_noise(t
     # the zero field: its variance and embedding norm are exactly 0, which once divided by zero
     cfg = _config(tmp_path, "noise.atoms = ((0.0, 0.0), (3.0, 0.0))\n")
     assert run_command(["verify", "--config", str(cfg), "--out", str(tmp_path / "verify")]) == 3
-    failed = [ln.split(":")[0] for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
-    assert failed == ["FAIL  ldp.weak_perturbation_decay", "FAIL  ldp.noise_energy_linear_in_eps"]
+    failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+    assert [ln.split(":")[0] for ln in failed] == ["FAIL  ldp.weak_perturbation_decay",
+                                                   "FAIL  ldp.noise_energy_linear_in_eps"]
+    assert failed[1] == ("FAIL  ldp.noise_energy_linear_in_eps: "
+                         "both mean peak cone energies are 0: the measure has no weight")

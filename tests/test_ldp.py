@@ -212,36 +212,46 @@ def test_rate_result_does_not_depend_on_which_gaps_carry_the_probes(kind, points
         assert got.metadata == want.metadata, carry
 
 
-def test_integrator_work_per_gauss_newton_iteration(monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_integrator_work_per_gauss_newton_iteration(monkeypatch, threads):
     # rate_gn's size: 192 points, 32 steps, 4 blocks
     z0, target, loc, cone, steps = _planted_problem(192, 1.0, mode=1, amplitude=0.9)
-    probe_steps, runs, col_steps, windows = [], [], [], []
-    integrate, chain, drift, window = solver._integrate, _TerminalObjective._chain, solver._Run.drift, solver._window
+    probe_steps, runs, col_steps, col_heads, chain_heads = [], [], [], [], []
+    integrate, chain, drift, head = solver._integrate, _TerminalObjective._chain, solver._Run.drift, solver._Run.head
 
     def recording(obj, params, fd_step):
         probe_steps.append(fd_step)
-        return chain(obj, params, fd_step)
+        before = sum(col_heads)
+        out = chain(obj, params, fd_step)
+        chain_heads.append(sum(col_heads) - before)
+        return out
 
     def stepping(run, m):
         col_steps.append(run.u.shape[1])
         return drift(run, m)
 
+    def heading(run, m):
+        col_heads.append(run.u.shape[1])
+        return head(run, m)
+
     monkeypatch.setattr(_TerminalObjective, "_chain", recording)
     monkeypatch.setattr(solver, "_integrate", lambda *args, **kwargs: runs.append(1) or integrate(*args, **kwargs))
     monkeypatch.setattr(solver._Run, "drift", stepping)
-    monkeypatch.setattr(solver, "_window", lambda *args: windows.append(1) or window(*args))
+    monkeypatch.setattr(solver._Run, "head", heading)
     blocks, dim = 4, _BASIS.dim
     res = rate_function(target, z0, 10.0, RateOptions(blocks=blocks), cone=cone, horizon=1.0,
-                        **_solve_kwargs(loc), threads=1)
+                        **_solve_kwargs(loc), threads=threads)
     assert res.converged and res.iterations > 1
     # plain width-1 solves at the start and at the predicted convergence, which is the
     # certificate; the first iteration runs its own chain, and every other evaluation
     # carries the probes the next iteration's Jacobian reads
     assert probe_steps == [None] + [_FD_STEP] * res.iterations + [None]
-    # each evaluation is one integrator run, which heads each step once: its batch grows
-    # by block j's probes at s_j, so no head is computed again at a block start
-    assert len(windows) == (steps + 1) * len(probe_steps) == 33 * len(probe_steps)
     assert len(runs) == len(probe_steps)
+    # each evaluation is one integrator run, which heads each column at each step once, at any
+    # thread count: its batch grows by block j's probes after the heads of s_j = 8 j, and they take
+    # column 0's head there, so a probe chain makes 33 column-heads for column 0 and block 0's probes
+    # and 32 - s_j for block j's: 33 * 6 + 5 * (24 + 16 + 8) = 438
+    assert chain_heads == [steps + 1] + [438] * res.iterations + [steps + 1]
     # per iteration: the base column over every step and the probes of block j over steps s_j..steps
     per_iteration = steps + dim * steps * (blocks + 1) // 2
     assert sum(col_steps) == 2 * steps + res.iterations * per_iteration

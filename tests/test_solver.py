@@ -249,6 +249,26 @@ def test_observed_states_are_never_written_afterwards(keep_states, drive):
         assert np.array_equal(u, u_copy) and np.array_equal(v, v_copy)
 
 
+@pytest.mark.parametrize("keep_states", [False, True])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_observer_cannot_write_the_pair_it_sees(threads, keep_states):
+    z0 = random_state(_LANE_GEOM, _SPHERE, stream(6, 3))
+    refused = []
+
+    def observer(m, t, u, v):
+        for arr in (u, v):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, -1, 0] = 0.0
+        refused.append(m)
+
+    fields = dict(manifold=_SPHERE, basis=_BASIS, diffusion=_Y_SPHERE, keep_states=keep_states, observer=observer)
+    traj = solve_batch(z0, 1e-2, 0.25, _loc(_LANE_GEOM), trial_ids=[0, 1, 2], threads=threads, **fields)
+    assert traj.metadata["threads"] == threads and refused == list(range(traj.steps + 1))
+    refused.clear()
+    solve_skeleton(z0, None, 0.25, _loc(_LANE_GEOM), **fields)  # step 0 is a view of the caller's data
+    assert refused == list(range(traj.steps + 1)) and z0.u.values.flags.writeable
+
+
 def test_batched_trajectory_has_no_single_state():
     geom = make_grid(6.0, 96, 1.0)
     traj = solve_batch(bump_state(geom, _CIRCLE), 1e-2, 0.25, _loc(geom), manifold=_CIRCLE, basis=_BASIS,
@@ -354,6 +374,26 @@ def _blocked_solve(z, threads, **kwargs):
     return traj, seen
 
 
+def _reference_run(z, joins=None, **kwargs):
+    """solve_batch's run as one block stepped phase by phase, widened before each join step's head.
+
+    Returns the _Run and the (m, t, U, V) sequence it observed: the reference for solver._integrate.
+    """
+    joins, seen = joins or {}, []
+    width = len(kwargs["trial_ids"]) if "trial_ids" in kwargs else kwargs["control_rates"].shape[1]
+    u0 = np.broadcast_to(z.u.values[:, None], (z.u.npoints, width - sum(joins.values()), z.u.values.shape[1]))
+    run = solver._Run(u0, np.broadcast_to(z.v.values[:, None], u0.shape), origin=z.origin, spacing=z.spacing,
+                      **{"keep_states": False, **kwargs})  # solve_batch's default
+    for m in range(run.steps + 1):
+        if m in joins:
+            run.widen(joins[m])
+        window = run.head(m)
+        seen.append((m, m * run.dx, run.u.copy(), run.v.copy()))
+        if m < run.steps:
+            run.advance(m, run.kick(m, window), *run.drift(m), run.pair(m + 1))
+    return run, seen
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     kind=st.sampled_from(sorted(_BLOCK_CASES)),
@@ -376,18 +416,18 @@ def test_any_thread_count_gives_the_one_thread_bits(kind, points, width, noisy, 
                   keep_states=keep_states)
     if controlled:
         kwargs["control_rates"] = np.random.default_rng(seed).normal(scale=0.5, size=(steps, width, _BASIS.dim))
-    want, want_seen = _blocked_solve(z, 1, **kwargs)
+    want, want_seen = _reference_run(z, **kwargs)
     # every head lifts each level above its norm, so the left-point taper would be exactly 1
-    assert (want.energy_trace["taper_norm"] < want.energy_trace["k_level"]).all()
+    assert (want.trace["taper_norm"] < want.trace["k_level"]).all()
     with patch.object(solver, "_MIN_BLOCK_CELLS", 1):  # None: one block per available CPU
-        for threads in (2, 3, 4, None):
+        for threads in (1, 2, 3, None):
             got, seen = _blocked_solve(z, threads, **kwargs)
-            for a, b in ((got.u, want.u), (got.v, want.v), (got.noise_increments, want.noise_increments)):
+            for a, b in ((got.u, want.path_u), (got.v, want.path_v), (got.noise_increments, want.noise_log)):
                 assert (a is None and b is None) or np.array_equal(a, b), threads
-            for key in want.energy_trace:
-                assert np.array_equal(got.energy_trace[key], want.energy_trace[key]), (threads, key)
-            for key in ("k_init", "k_final"):
-                assert np.array_equal(got.metadata[key], want.metadata[key]), (threads, key)
+            for key in want.trace:
+                assert np.array_equal(got.energy_trace[key], want.trace[key]), (threads, key)
+            assert np.array_equal(got.metadata["k_init"], want.k_init), threads
+            assert np.array_equal(got.metadata["k_final"], want.k), threads
             assert len(seen) == len(want_seen)
             for (m, t, u, v), (wm, wt, wu, wv) in zip(seen, want_seen):
                 assert (m, t) == (wm, wt) and np.array_equal(u, wu) and np.array_equal(v, wv), (threads, m)
@@ -446,17 +486,28 @@ def test_column_blocks_follow_the_threads_and_the_cell_floor(monkeypatch):
         solver._column_blocks(0, 10, 5)
 
 
-def _poisoned_solve(threads, poison):
+def _poisoning(step, values):
+    """_Run.advance patched to set column b's new state of step + 1 to values[b] mid-lattice, before its head.
+
+    Columns are numbered in the whole batch; each block writes its own.
+    """
+    advance = solver._Run.advance
+
+    def poisoned(run, m, *args):
+        advance(run, m, *args)
+        for b, value in values.items():
+            if m == step and 0 <= b - run.offset < run.u.shape[1]:
+                run.u[run.u.shape[0] // 2, b - run.offset, 0] = value
+
+    return patch.object(solver._Run, "advance", poisoned)
+
+
+def _poisoned_solve(threads, values):
     geom = make_grid(6.0, 96, 1.0)
     z = bump_state(geom, _CIRCLE)
-
-    def observer(m, t, u, v):
-        if m == 2:
-            poison(u)
-
-    with pytest.raises(BlowupDetected) as err:
+    with _poisoning(2, values), pytest.raises(BlowupDetected) as err:
         solve_batch(z, 1e-2, 0.5, _loc(geom), manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE,
-                    trial_ids=[0, 1, 2, 3], observer=observer, threads=threads)
+                    trial_ids=[0, 1, 2, 3], threads=threads)
     return str(err.value)
 
 
@@ -464,23 +515,16 @@ def test_a_blowup_in_one_block_is_the_serial_one_and_joins_every_worker():
     baseline = threading.active_count()
     dx = make_grid(6.0, 96, 1.0).spacing
 
-    def nan_in_column_3(u):  # the second of two blocks
-        u[u.shape[0] // 2, 3, 0] = np.nan
-
+    nan_in_column_3 = {3: np.nan}  # the second of two blocks
     serial = _poisoned_solve(1, nan_in_column_3)
     assert serial == f"window norm of column 3 is nan at t={3 * dx}"
     assert _poisoned_solve(2, nan_in_column_3) == serial
     assert threading.active_count() == baseline
 
-    def nan_in_columns_1_and_3(u):  # both blocks fail at one step: the lowest block's column is named
-        u[u.shape[0] // 2, [1, 3], 0] = np.nan
-
+    nan_in_columns_1_and_3 = {1: np.nan, 3: np.nan}  # both blocks fail at one step: the lowest block's column is named
     assert _poisoned_solve(2, nan_in_columns_1_and_3) == _poisoned_solve(1, nan_in_columns_1_and_3)
 
-    def huge_in_column_0_nan_in_column_3(u):
-        u[u.shape[0] // 2, 0, 0] = 1e30
-        u[u.shape[0] // 2, 3, 0] = np.nan
-
+    huge_in_column_0_nan_in_column_3 = {0: 1e30, 3: np.nan}
     # different checks in two blocks at one step: serial raises the first check that any column fails,
     # blocks raise the lowest block's
     assert "column 3 is nan" in _poisoned_solve(1, huge_in_column_0_nan_in_column_3)
@@ -502,12 +546,10 @@ def test_exhausted_cutoff_levels_raise():
     z = rotating_state(geom, _CIRCLE)  # starting level ceil(2 * window norm) = 11
     top = LocalizationParams(radius=geom.half_width, k_max=64)
 
-    def huge_at_step_1(m, t, u, v):  # lifts the norm of step 2 past every level up to the top
-        if m == 1:
-            u[u.shape[0] // 2, 0, 0] = 1e3
-
-    with pytest.raises(BlowupDetected, match=rf"exhausted cutoff levels up to 64 at t={2 * geom.spacing}"):
-        solve_skeleton(z, None, 0.25, top, manifold=_CIRCLE, observer=huge_at_step_1)
+    # a huge value in step 2's state lifts its norm past every level up to the top
+    with _poisoning(1, {0: 1e3}), pytest.raises(BlowupDetected,
+                                                match=rf"exhausted cutoff levels up to 64 at t={2 * geom.spacing}"):
+        solve_skeleton(z, None, 0.25, top, manifold=_CIRCLE)
     # a starting level above the top level is exhausted before the first step
     low_top = LocalizationParams(radius=geom.half_width, k_max=1)
     with pytest.raises(BlowupDetected, match="starting taper level 11 of column 0 exceeds the top level 1"):
@@ -590,13 +632,9 @@ def test_non_finite_window_norm_is_a_blowup():
     geom = make_grid(6.0, 96, 1.0)
     z = bump_state(geom, _CIRCLE)
 
-    def poison(m, t, u, v):
-        if m == 2:
-            u[u.shape[0] // 2, 1, 0] = np.nan  # the live state of column 1, mid-lattice
-
-    with pytest.raises(BlowupDetected, match=rf"column 1 is nan at t={3 * geom.spacing}"):
+    with _poisoning(2, {1: np.nan}), pytest.raises(BlowupDetected, match=rf"column 1 is nan at t={3 * geom.spacing}"):
         solve_batch(z, 1e-2, 0.5, _loc(geom), manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE,
-                    trial_ids=[0, 1], observer=poison)
+                    trial_ids=[0, 1])
 
 
 
@@ -666,18 +704,23 @@ def test_a_batch_grown_at_its_join_steps_is_the_full_width_run(kind, points, sta
         rates[:s, col] = rates[:s, 0]
     kwargs = dict(eps=0.0, horizon=geom.horizon, loc=_loc(geom), manifold=manifold, basis=_BASIS,
                   diffusion=diffusion, control_rates=rates)
-    want, want_seen = _blocked_solve(z, 1, **kwargs)
+    full, full_seen = _reference_run(z, **kwargs)
+    want, want_seen = _reference_run(z, joins, **kwargs)
+    for (m, t, u, v), (_, _, wu, wv) in zip(want_seen, full_seen):  # the columns joined by step m
+        width = sum(s <= m for s in first)
+        assert np.array_equal(u, wu[:, :width]) and np.array_equal(v, wv[:, :width]), m
+    for key in want.trace:
+        assert np.array_equal(want.trace[key], full.trace[key]), key
     with patch.object(solver, "_MIN_BLOCK_CELLS", 1):  # None: one block per available CPU
         for threads in (1, 2, 3, None):
             got, seen = _blocked_solve(z, threads, _joins=joins, **kwargs)
             assert [m for m, *_ in seen] == list(range(steps + 1))
-            for (m, t, u, v), (_, _, wu, wv) in zip(seen, want_seen):  # the columns joined by step m
-                width = sum(s <= m for s in first)
-                assert np.array_equal(u, wu[:, :width]) and np.array_equal(v, wv[:, :width]), (threads, m)
-            for key in want.energy_trace:
-                assert np.array_equal(got.energy_trace[key], want.energy_trace[key]), (threads, key)
-            for key in ("k_init", "k_final"):
-                assert np.array_equal(got.metadata[key], want.metadata[key]), (threads, key)
+            for (m, t, u, v), (_, _, wu, wv) in zip(seen, want_seen):
+                assert np.array_equal(u, wu) and np.array_equal(v, wv), (threads, m)
+            for key in want.trace:
+                assert np.array_equal(got.energy_trace[key], want.trace[key]), (threads, key)
+            assert np.array_equal(got.metadata["k_init"], want.k_init), threads
+            assert np.array_equal(got.metadata["k_final"], want.k), threads
 
 
 @settings(max_examples=20, deadline=None)
