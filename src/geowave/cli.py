@@ -229,9 +229,14 @@ class ExperimentConfig:
                          self["experiment.cone_radius"] or 2.0 * self["time.horizon"])
 
 
+# below the square root of the unit roundoff a second difference of unit-size data is all roundoff, and far
+# below it the H^2 norm's squared second differences overflow, or the squared spacing underflows to 0
+MIN_SPACING = float(np.sqrt(np.finfo(float).eps))
+
+
 def _check_across_keys(cfg: ExperimentConfig, command: str) -> None:
     """The rules that tie keys together: the lattice horizon and its half in probe-s2, probe-s2's noise
-    levels, rate blocks, noise mode."""
+    levels, rate blocks, noise mode, the cone, the lattice spacing."""
     if cfg["time.horizon"] >= cfg["grid.domain_radius"]:
         raise ConfigInvalid("key 'time.horizon' must lie strictly between 0 and grid.domain_radius")
     try:
@@ -260,6 +265,9 @@ def _check_across_keys(cfg: ExperimentConfig, command: str) -> None:
                             f"got {mode}")
     if "experiment.cone_radius" in cfg.values:
         _check_cone(cfg, steps)
+    if (spacing := cfg.grid().spacing) < MIN_SPACING:
+        raise ConfigInvalid(f"key 'grid.domain_radius' must make a lattice spacing grid.domain_radius / "
+                            f"grid.points of at least {MIN_SPACING:.3g}, got {spacing!r}")
 
 
 def _cone_sections(cone: LightCone, geom, steps: int) -> None:

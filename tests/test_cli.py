@@ -177,6 +177,21 @@ def test_a_cone_on_a_subnormal_lattice_exits_2_naming_the_radius(tmp_path, capsy
     assert "config error: key 'experiment.cone_radius'" in capsys.readouterr().out
 
 
+def test_a_lattice_finer_than_the_spacing_floor_exits_2_naming_the_radius(tmp_path, capsys):
+    def lattice(radius):  # 64 points, 8 steps: rate's default blocks divide them
+        return (f"grid.points = 64\nmanifold.kind = 'circle'\n"
+                f"grid.domain_radius = {radius!r}\ntime.horizon = {radius / 8!r}\n")
+
+    # at spacing 1.4e-120 the window norm's squared second differences overflowed mid-run
+    cfg = _config(tmp_path, lattice(9.004507584122993e-119))
+    for command in sorted(CONFIG_KEYS):
+        assert run_command([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: key 'grid.domain_radius'" in capsys.readouterr().out
+    assert not (tmp_path / "o").exists()
+    for command in sorted(CONFIG_KEYS):
+        assert load_config(_config(tmp_path, lattice(64 * cli.MIN_SPACING)), command).grid().spacing == cli.MIN_SPACING
+
+
 def test_lattice_cones_still_load_and_run(tmp_path):
     for line in ("experiment.cone_radius = 1.125", "experiment.cone_radius = 0.625",
                  "experiment.cone_center = 0.03125\nexperiment.cone_radius = 0.96875"):
