@@ -141,9 +141,10 @@ class Trajectory:
     the lattice (origin, spacing); batched runs keep the batch axis before the
     components.  Both are None without state storage.  energy_trace carries
     per-step arrays: "taper_norm" (the coarse window norm) and "k_level" (its
-    taper level, always above it).  noise_increments holds the raw Wiener
-    coefficient rows (not scaled by sqrt(eps)).  Batched traces and noise logs
-    keep their batch axis.
+    taper level, always above it); metadata's "k_init" and "k_final" are
+    copies of the first and last "k_level" rows.  noise_increments holds the
+    raw Wiener coefficient rows (not scaled by sqrt(eps)).  Batched traces
+    and noise logs keep their batch axis.
     """
 
     times: np.ndarray
@@ -457,7 +458,7 @@ class _Run:
         keep_states: bool = True,
         work: Scratch | None = None,
     ):
-        n, nbatch, ncomp = u0.shape
+        n, nbatch = u0.shape[:2]
         steps = lattice_steps(horizon, spacing)
         if steps <= 0:
             raise ValueError(f"horizon {horizon} must cover at least one step of {spacing}")
@@ -487,7 +488,6 @@ class _Run:
         self.basis, self.diffusion, self.eps, self.control_rates = basis, diffusion, eps, control_rates
         self.master_seed, self.trial_ids = master_seed, range(nbatch) if trial_ids is None else trial_ids
         self.renormalize, self.steps = renormalize, steps
-        self.fine = (2 * n - 1, nbatch, ncomp)
         self.modes_coarse = basis.evaluate(origin + spacing * np.arange(n)) if needs_noise else None
         if control_rates is not None:
             self.modes_fine = basis.evaluate(origin + 0.5 * spacing * np.arange(2 * n - 1))
@@ -500,7 +500,6 @@ class _Run:
         self.control_row = None  # the control rows the work array "control.field" holds
         self.offset, self.ring = 0, None  # the first column's place in the batch and a block's ring (see block)
 
-        self.k = self.k_init = None  # per-column taper levels, set and checked by the first head
         self.times = spacing * np.arange(steps + 1)
         rows = (len(self.times), nbatch)
         self.trace = {"taper_norm": np.zeros(rows), "k_level": np.zeros(rows, dtype=int)}
@@ -520,8 +519,9 @@ class _Run:
         two-block run at mc_batch's size stepped 10-40% slower), and its ring
         is two pairs that hold its states by step parity.  Its rows of the
         traces and noise log are column views of this run's, so it writes
-        those results in place.  It takes its trial ids, control rates and
-        levels from this run's and names columns by their place in this run.
+        those results, its taper levels among them, in place.  It takes its
+        trial ids and control rates from this run's and names columns by
+        their place in this run.
         """
         if cols.stop - cols.start == self.u.shape[1]:
             return self
@@ -535,46 +535,44 @@ class _Run:
         part.trial_ids = self.trial_ids[cols]
         if self.control_rates is not None:
             part.control_rates = self.control_rates[:, cols]
-        if self.k is not None:
-            part.k, part.k_init = self.k[cols], self.k_init[cols]
         part.trace = {key: arr[:, cols] for key, arr in self.trace.items()}
         if self.noise_log is not None:
             part.noise_log = self.noise_log[:, cols]
-        part.fine = (self.fine[0], cols.stop - cols.start, self.fine[2])
         return part
 
     def widen(self, count: int) -> None:
-        """Add count columns that copy column 0's state, levels and trace rows so far (solve_batch's _joins)."""
+        """Add count columns copying column 0's state and trace rows so far, levels included (solve_batch's _joins)."""
         def grow(arr, axis):
             return np.concatenate([arr, np.repeat(arr.take([0], axis), count, axis)], axis)
 
         self.u, self.v = grow(self.u, 1), grow(self.v, 1)
-        self.k, self.k_init = grow(self.k, 0), grow(self.k_init, 0)
         self.trace = {key: grow(arr, 1) for key, arr in self.trace.items()}
-        self.fine = (self.fine[0], self.u.shape[1], self.fine[2])
 
     def head(self, m: int) -> tuple[int, int]:
-        """Step m's coarse window norm, levels and traces: the window.
+        """Step m's coarse window norm and taper levels, written in row m of the traces: the window.
 
-        Each level ends above its column's norm, where the taper is exactly 1.
+        Row m of the levels starts as row m - 1 (step 0's as twice the norm,
+        rounded up) and doubles in place where the norm reaches it, so each
+        level ends above its column's norm, where the taper is exactly 1.
         """
         t = m * self.dx
         window, norm = _window(self.u, self.v, self.origin, self.dx, self.loc.radius - t, self.work)
         # a NaN norm fails every level test below and would run on
         col = self.offset  # messages number the columns in the whole batch (see block)
         _blowup(~np.isfinite(norm), lambda b: f"window norm of column {col + b} is {norm[b]} at t={t}")
-        top = self.loc.k_max
-        if self.k_init is None:
+        top, row = self.loc.k_max, self.trace["k_level"][m]
+        if m == 0:
             k = np.maximum(1.0, np.ceil(2.0 * norm))  # checked as a float, since past int64 its cast wraps
             _blowup(k > top, lambda b: f"starting taper level {k[b]:.0f} of column {col + b} exceeds the top level {top}")
-            self.k = k.astype(int)
-            self.k_init = self.k.copy()
+            row[:] = k
+        else:
+            row[:] = self.trace["k_level"][m - 1]
 
-        while np.any(crossing := norm >= self.k):
-            self.k = np.where(crossing, 2 * self.k, self.k)
-            _blowup(self.k > top, lambda b: f"window norm {norm[b]:.3e} exhausted cutoff levels up to {top} at t={t}")
+        while np.any(crossing := norm >= row):
+            np.multiply(row, 2, out=row, where=crossing)
+            _blowup(row > top, lambda b: f"window norm {norm[b]:.3e} exhausted cutoff levels up to {top} at t={t}")
 
-        self.trace["taper_norm"][m], self.trace["k_level"][m] = norm, self.k
+        self.trace["taper_norm"][m] = norm
         return window
 
     def kick(self, m: int, window: tuple[int, int]) -> np.ndarray:
@@ -603,7 +601,7 @@ class _Run:
 
     def drift(self, m: int) -> tuple:
         """Step m's midpoint drift and control on the refined lattice, transported: (fu, fv), not yet times dt."""
-        u, work, fine = self.u, self.work, self.fine
+        u, work, fine = self.u, self.work, (2 * self.u.shape[0] - 1,) + self.u.shape[1:]
         dxf = 0.5 * self.dx
         uf, vf = apply_arrays(_upsample(u, work.get("f0", fine)), _upsample(self.v, work.get("f1", fine)), dxf, 1,
                               out=(work.get("f4", fine), work.get("f5", fine)),
@@ -611,7 +609,7 @@ class _Run:
         window = window_indices(self.origin, dxf, fine[0], self.loc.radius - m * self.dx - dxf)
         rows = section_rows(*window, fine[0], 1)
         fields, weights, sq = _section(uf[rows], vf[rows], window, rows, dxf, work)
-        theta_mid = _midpoint_taper(fields, weights, self.k, sq)
+        theta_mid = _midpoint_taper(fields, weights, self.trace["k_level"][m], sq)
         # the drift reads u, v and Du on the window's rows
         ue, ux, _, ve, _ = fields
         core = slice(window[0] - rows.start, window[1] + 1 - rows.start)
@@ -629,7 +627,7 @@ class _Run:
         """
         if self.control_rates is None:
             return None
-        shape = (self.fine[1], self.fine[0])
+        shape = (self.u.shape[1], 2 * self.u.shape[0] - 1)
         field = self.work.get("control.field", shape)
         row = self.control_rates[m, :shape[0]]
         if self.control_row is None or not np.array_equal(row, self.control_row):
@@ -681,11 +679,11 @@ def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict,
     lowest block's error wins.
     """
     run = _Run(u0, v0, **kwargs)
-    nblocks = len(_column_blocks(threads, u0.shape[0], u0.shape[1] + sum(joins.values())))
+    run.nblocks = len(_column_blocks(threads, u0.shape[0], u0.shape[1] + sum(joins.values())))
     pool = contextlib.nullcontext()
-    if nblocks > 1:
+    if run.nblocks > 1:
         import concurrent.futures  # imported here, so only threaded runs pay for it
-        pool = concurrent.futures.ThreadPoolExecutor(nblocks)
+        pool = concurrent.futures.ThreadPoolExecutor(run.nblocks)
 
     def each(fn, items):
         """[fn(item) for item in items]: the first in this thread, the others on the pool's workers."""
@@ -706,10 +704,8 @@ def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict,
     with pool:
         parts = split(0)
         window = each(lambda part: part.head(0), parts)[0]  # a step's window is every column's
-        run.k_init = np.concatenate([part.k_init for part in parts])
         for m in range(run.steps + 1):
             if m in joins:
-                run.k = np.concatenate([part.k for part in parts])
                 run.widen(joins[m])
                 parts = split(m)
             run.u.flags.writeable = run.v.flags.writeable = False
@@ -719,7 +715,6 @@ def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict,
                 new = run.pair(m + 1)
                 window = each(lambda part: step(m, part, window, new), parts)[0]
                 run.u, run.v = new
-    run.k = np.concatenate([part.k for part in parts])
     return run
 
 
@@ -742,7 +737,7 @@ def _single_trajectory(z0: State, control, horizon: float, loc: LocalizationPara
     u, v = (None, None) if run.path_u is None else (run.path_u[:, :, 0], run.path_v[:, :, 0])
     energy_trace = {key: arr[:, 0] for key, arr in run.trace.items()}
     metadata = dict(metadata, radius=loc.radius, renormalize=kwargs["renormalize"],
-                    k_init=int(run.k_init[0]), k_final=int(run.k[0]))
+                    k_init=int(energy_trace["k_level"][0]), k_final=int(energy_trace["k_level"][-1]))
     increments = None if run.noise_log is None else run.noise_log[:, 0, :]
     return Trajectory(run.times, u, v, z0.origin, z0.spacing, energy_trace, increments, control, metadata)
 
@@ -843,13 +838,13 @@ def solve_batch(
     without stored states (the noise log and a kept path have the start
     width): the run starts with B - sum(count) columns, and after the head
     of each step (1..steps) it adds that step's count columns as copies of
-    column 0's state, taper levels and trace rows.  A joined column whose
-    control rows equal column 0's before its step is, from there on, bitwise
-    that column of the full-width run; the observer sees each step's width,
-    and metadata["threads"] counts the blocks of the final width.  _work,
-    also private, is a Scratch that the first column block takes its work
-    arrays from: a caller making many solves in turn keeps them from run to
-    run instead of faulting in fresh pages for each.
+    column 0's state and trace rows, taper levels included.  A joined column
+    whose control rows equal column 0's before its step is, from there on,
+    bitwise that column of the full-width run; the observer sees each step's
+    width, and metadata["threads"] counts the blocks of the final width.
+    _work, also private, is a Scratch that the first column block takes its
+    work arrays from: a caller making many solves in turn keeps them from
+    run to run instead of faulting in fresh pages for each.
     """
     if control_rates is None:
         nbatch = len(trial_ids) if trial_ids is not None else 1
@@ -875,8 +870,8 @@ def solve_batch(
     run = _integrate(u0, v0, threads, joins, observer, **kwargs)
     meta = {"eps": float(eps), "seed": int(master_seed), "trial_ids": trial_ids,
             "radius": loc.radius, "renormalize": renormalize,
-            "k_init": run.k_init, "k_final": run.k, "nbatch": nbatch,
-            "threads": len(_column_blocks(threads, u0.shape[0], nbatch))}
+            "k_init": run.trace["k_level"][0].copy(), "k_final": run.trace["k_level"][-1].copy(),
+            "nbatch": nbatch, "threads": run.nblocks}
     return Trajectory(run.times, run.path_u, run.path_v, z0.origin, z0.spacing, run.trace, run.noise_log,
                       None, meta)
 
@@ -921,6 +916,8 @@ def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams
         if ref is not None and (ref.u is None or len(ref.u) < steps + 1):
             raise ValueError(f"references[{i}] stores {0 if ref.u is None else len(ref.u)} states, "
                              f"not the {steps + 1} of steps 0..{steps}")
+        if ref is not None and ref.u.ndim == 4:  # section_energy would broadcast it against the batch
+            raise ValueError(f"references[{i}] is a batch of {ref.u.shape[2]} paths, not a single Trajectory")
     if control_rates is None:
         nbatch = 1 if trial_ids is None else len(trial_ids)
     else:
@@ -970,6 +967,7 @@ def mild_residual(
     """
     if traj.u is None:
         raise ValueError("mild_residual needs stored states")
+    z0 = traj.state(0)  # a batched path has none and raises
     dx, origin = traj.spacing, traj.origin
     n = traj.u.shape[1]
     steps = traj.steps
@@ -979,9 +977,8 @@ def mild_residual(
         raise ValueError("stochastic residual needs the noise increment log")
 
     modes = basis.evaluate(origin + dx * np.arange(n)) if basis is not None else None
-    acc_u = np.zeros_like(traj.u[0])
-    acc_v = np.zeros_like(traj.v[0])
-    uu, vv = traj.u[0], traj.v[0]
+    uu, vv = z0.u.values, z0.v.values
+    acc_u, acc_v = np.zeros_like(uu), np.zeros_like(vv)
     for m in range(steps + 1):
         um, vm = traj.u[m], traj.v[m]
         window = window_indices(origin, dx, n, r - m * dx)

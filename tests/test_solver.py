@@ -426,8 +426,8 @@ def test_any_thread_count_gives_the_one_thread_bits(kind, points, width, noisy, 
                 assert (a is None and b is None) or np.array_equal(a, b), threads
             for key in want.trace:
                 assert np.array_equal(got.energy_trace[key], want.trace[key]), (threads, key)
-            assert np.array_equal(got.metadata["k_init"], want.k_init), threads
-            assert np.array_equal(got.metadata["k_final"], want.k), threads
+            assert np.array_equal(got.metadata["k_init"], want.trace["k_level"][0]), threads
+            assert np.array_equal(got.metadata["k_final"], want.trace["k_level"][-1]), threads
             assert len(seen) == len(want_seen)
             for (m, t, u, v), (wm, wt, wu, wv) in zip(seen, want_seen):
                 assert (m, t) == (wm, wt) and np.array_equal(u, wu) and np.array_equal(v, wv), (threads, m)
@@ -435,7 +435,7 @@ def test_any_thread_count_gives_the_one_thread_bits(kind, points, width, noisy, 
 
 def _rebuilt_each_step(run, m):
     """The control field built afresh at every step: the reference for _Run.control_field's reuse."""
-    shape = (run.fine[1], run.fine[0])
+    shape = (run.u.shape[1], 2 * run.u.shape[0] - 1)
     return solver._mode_field(run.control_rates[m], run.modes_fine, np.empty(shape), np.empty(shape)).T
 
 
@@ -558,6 +558,34 @@ def test_exhausted_cutoff_levels_raise():
     assert solve_skeleton(z, None, 0.5, at_top, manifold=_CIRCLE).metadata["k_init"] == 11
 
 
+def test_a_level_doubled_mid_run_is_the_one_block_level_in_every_split():
+    # a bump in column 3's state of step 2 lifts its norm past two doublings; the run goes on to
+    # the horizon, and each block's heads write that column's levels in the run's trace
+    geom = make_grid(6.0, 96, 1.0)
+    z = bump_state(geom, _CIRCLE)
+    kwargs = dict(eps=1e-2, horizon=0.5, loc=_loc(geom), manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE,
+                  trial_ids=[0, 1, 2, 3], keep_states=True)
+    with _poisoning(1, {3: 1.5}):
+        want, want_seen = _reference_run(z, **kwargs)
+        # the levels live in the trace alone
+        assert not {"k", "k_init", "fine"} & set(vars(want))
+        levels = want.trace["k_level"]
+        assert (levels[:, :3] == levels[0, :3]).all()  # no other column's level moves
+        assert (levels[0, 3], levels[-1, 3]) == (9, 144)
+        with patch.object(solver, "_MIN_BLOCK_CELLS", 1):  # None: one block per available CPU
+            for threads in (1, 2, 3, None):
+                got, seen = _blocked_solve(z, threads, **kwargs)
+                for a, b in ((got.u, want.path_u), (got.v, want.path_v), (got.noise_increments, want.noise_log)):
+                    assert np.array_equal(a, b), threads
+                for key in want.trace:
+                    assert np.array_equal(got.energy_trace[key], want.trace[key]), (threads, key)
+                assert np.array_equal(got.metadata["k_init"], levels[0]), threads
+                assert np.array_equal(got.metadata["k_final"], levels[-1]), threads
+                assert len(seen) == len(want_seen)
+                for (m, t, u, v), (_, _, wu, wv) in zip(seen, want_seen):
+                    assert np.array_equal(u, wu) and np.array_equal(v, wv), (threads, m)
+
+
 def test_a_starting_level_past_int64_names_the_top_level():
     # a window norm of 4.6e18 or more gives a level the int64 cast would wrap below 1
     geom = make_grid(1e-12, 64, 4 * 1e-12 / 64)
@@ -628,6 +656,15 @@ def test_mild_residual_shrinks_with_the_step():
     assert res[1] / res[0] < 0.75
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_mild_residual_of_a_batched_path_names_the_batch(width):
+    geom = make_grid(6.0, 96, 1.0)
+    traj = solve_batch(bump_state(geom, _CIRCLE), 0.0, 0.25, _loc(geom), manifold=_CIRCLE, basis=_BASIS,
+                       diffusion=_Y_CIRCLE, trial_ids=list(range(width)), keep_states=True)
+    with pytest.raises(ValueError, match=f"trajectory is a batch of {width} paths"):
+        mild_residual(traj, _loc(geom), manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE)
+
+
 def test_non_finite_window_norm_is_a_blowup():
     geom = make_grid(6.0, 96, 1.0)
     z = bump_state(geom, _CIRCLE)
@@ -650,6 +687,8 @@ def _cone_energy_args(case):
         references = [None, solve_skeleton(z0, None, 0.5, _loc(geom), **fields, keep_states=False)]
     elif case == "short reference":
         references = [solve_skeleton(z0, None, 0.25, _loc(geom), **fields)]
+    elif case == "batched reference":
+        references = [None, solve_batch(z0, 0.0, 0.5, _loc(geom), **fields, trial_ids=[0, 1, 2], keep_states=True)]
     elif case == "short windows":
         windows = windows[:-1]
     elif case == "no trial ids":
@@ -662,6 +701,7 @@ def _cone_energy_args(case):
 _BAD_ARGUMENTS = {
     "unstored reference": "references[1] stores 0 states, not the 9 of steps 0..8",
     "short reference": "references[0] stores 5 states, not the 9 of steps 0..8",
+    "batched reference": "references[1] is a batch of 3 paths, not a single Trajectory",
     "short windows": "windows gives 8 sections, not the 9 of steps 0..8",
     "no trial ids": "trial_ids gives no batch columns",
     "no control columns": "control_rates gives no batch columns",
@@ -719,8 +759,8 @@ def test_a_batch_grown_at_its_join_steps_is_the_full_width_run(kind, points, sta
                 assert np.array_equal(u, wu) and np.array_equal(v, wv), (threads, m)
             for key in want.trace:
                 assert np.array_equal(got.energy_trace[key], want.trace[key]), (threads, key)
-            assert np.array_equal(got.metadata["k_init"], want.k_init), threads
-            assert np.array_equal(got.metadata["k_final"], want.k), threads
+            assert np.array_equal(got.metadata["k_init"], want.trace["k_level"][0]), threads
+            assert np.array_equal(got.metadata["k_final"], want.trace["k_level"][-1]), threads
 
 
 @settings(max_examples=20, deadline=None)
