@@ -502,16 +502,14 @@ def _cmd_rate(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list
     steps = lattice_steps(horizon, geom.spacing)
 
     kind = cfg["experiment.target"]
-    planted_cost = None
+    planted_cost = hstar = None  # the unplanted target is the uncontrolled run's end
     if kind == "planted":
         mode = cfg["experiment.mode"]
         rates = np.zeros((steps, basis.dim))
         rates[:, min(1, basis.dim - 1) if mode is None else mode] = cfg["experiment.amplitude"]
         hstar = Control(rates, geom.spacing)
         planted_cost = 0.5 * hstar.squared_norm()
-        target = solve_skeleton(run.z0, hstar, horizon, run.loc, **run.fields).final_state()
-    else:
-        target = solve_skeleton(run.z0, None, horizon, run.loc, **run.fields).final_state()
+    target = solve_skeleton(run.z0, hstar, horizon, run.loc, **run.fields, keep_states=False).final_state()
 
     res = rate_function(target, run.z0, cfg["experiment.budget"], opts, cone=cfg.cone(), horizon=horizon,
                         loc=run.loc, **run.fields, threads=threads)

@@ -97,10 +97,11 @@ def _expand_rows(coeffs: np.ndarray, steps: int, blocks: int) -> np.ndarray:
 class _TerminalObjective:
     """Map from flat control parameters to terminal cone-section residuals.
 
-    A control evaluation runs zero-noise solves and samples the weighted
-    difference to the target state on the cone section at the horizon; the
-    squared residual norm equals the cone energy of the difference (doubled),
-    so the penalty term is lam * |rho|^2.
+    A control evaluation runs one zero-noise solve, stores no path and takes
+    its last pair (Trajectory.final) minus the target state; the residuals
+    sample that difference, weighted, on the cone section at the horizon.
+    The squared residual norm equals the cone energy of the difference
+    (doubled), so the penalty term is lam * |rho|^2.
 
     The forward-difference probes of the Jacobian ride in one solve with the
     path at the parameters: column 0 is that path, and a probe of block j
@@ -177,20 +178,15 @@ class _TerminalObjective:
             columns = np.tile(columns, (1, 1 + self.nparams))
             columns[np.arange(self.nparams), np.arange(1, 1 + self.nparams)] += fd_step
             joins = {j * (self.steps // self.blocks): self.dim for j in range(1, self.blocks)}
-        seen = []
-
-        def observer(m, t, u, v):
-            if m == self.steps:
-                seen[:] = [u - self.target[0][:, None, :], v - self.target[1][:, None, :]]
-
         traj = solve_batch(
             self.z0, 0.0, self.steps * self.dx, self.loc,
             manifold=self.manifold, basis=self.basis, diffusion=self.diffusion,
-            control_rates=self.rates(columns), keep_states=False, observer=observer, threads=self.threads,
+            control_rates=self.rates(columns), keep_states=False, threads=self.threads,
             _joins=joins, _work=self.work,
         )
         self.threads_used = max(self.threads_used, traj.metadata["threads"])
-        return seen
+        u, v = traj.final
+        return u - self.target[0][:, None, :], v - self.target[1][:, None, :]
 
 
 def rate_function(
@@ -288,10 +284,13 @@ def rate_function(
 # ---------------------------------------------------------------------------
 
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float | None:
+    """The log-log slope of y over x on the points where both are positive; None with
+    fewer than three such points, or abscissae all equal or numerically so (rank 1)."""
     good = (np.asarray(x) > 0) & (np.asarray(y) > 0)
-    if good.sum() < 3:
+    if good.sum() < 3 or len(np.unique(np.asarray(x)[good])) < 2:
         return None
-    return float(np.polyfit(np.log(np.asarray(x)[good]), np.log(np.asarray(y)[good]), 1)[0])
+    coeffs, _, rank, _, _ = np.polyfit(np.log(np.asarray(x)[good]), np.log(np.asarray(y)[good]), 1, full=True)
+    return float(coeffs[0]) if rank == 2 else None
 
 
 def statement1_probe(

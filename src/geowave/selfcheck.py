@@ -210,9 +210,8 @@ def solver_groups(checks: list, basis, seed: int) -> None:
     geom = make_grid(6.0, 192, 1.0)
     loc = LocalizationParams(radius=geom.half_width)
     zc = constant_state(geom, man_c)
-    traj = solve_skeleton(zc, None, 0.5, loc, manifold=man_c, basis=basis, diffusion=y_c)
-    zf = traj.final_state()
-    err = max(float(np.abs(zf.u.values - zc.u.values).max()), float(np.abs(zf.v.values).max()))
+    uf, vf = solve_skeleton(zc, None, 0.5, loc, manifold=man_c, basis=basis, diffusion=y_c, keep_states=False).final
+    err = max(float(np.abs(uf - zc.u.values).max()), float(np.abs(vf).max()))
     checks.append(("solver.rest_state_exact", err < 1e-12,
                    f"drift of the rest state over T=0.5, max err = {_fmt(err)}"))
 
@@ -256,11 +255,10 @@ def solver_groups(checks: list, basis, seed: int) -> None:
                    f"max in-cone disagreement of twin data = {_fmt(worst)}"))
 
     z0 = random_state(geom, man_c, stream(seed, 203))
-    det = solve_skeleton(z0, None, 0.5, loc, manifold=man_c, basis=basis, diffusion=y_c)
+    det = solve_skeleton(z0, None, 0.5, loc, manifold=man_c, basis=basis, diffusion=y_c, keep_states=False)
     sto = solve_stochastic(z0, 0.0, None, 0.5, loc, manifold=man_c, basis=basis,
-                           diffusion=y_c, master_seed=seed)
-    same = (np.array_equal(det.final_state().u.values, sto.final_state().u.values)
-            and np.array_equal(det.final_state().v.values, sto.final_state().v.values))
+                           diffusion=y_c, master_seed=seed, keep_states=False)
+    same = all(np.array_equal(a, b) for a, b in zip(det.final, sto.final))
     checks.append(("solver.zero_noise_reduction", same,
                    "eps = 0 stochastic path reproduces the skeleton bitwise"
                    if same else "eps = 0 path deviates from the skeleton"))
@@ -268,25 +266,13 @@ def solver_groups(checks: list, basis, seed: int) -> None:
     man_s = ManifoldModel.sphere()
     y_s = DiffusionField.sphere_axis_rotation()
     zs = random_state(geom, man_s, stream(seed, 204))
-
-    def grab(store):
-        def obs(m, t, u, v):
-            store[m] = (u.copy(), v.copy())
-        return obs
-
-    batch_store = {}
-    solve_batch(zs, 1e-2, 0.5, loc, manifold=man_s, basis=basis, diffusion=y_s,
-                master_seed=seed, trial_ids=list(range(5)), keep_states=False,
-                observer=grab(batch_store))
-    mlast = max(batch_store)
+    batch = solve_batch(zs, 1e-2, 0.5, loc, manifold=man_s, basis=basis, diffusion=y_s,
+                        master_seed=seed, trial_ids=list(range(5))).final
     pure = True
     for tid in range(5):
-        single_store = {}
-        solve_batch(zs, 1e-2, 0.5, loc, manifold=man_s, basis=basis, diffusion=y_s,
-                    master_seed=seed, trial_ids=[tid], keep_states=False,
-                    observer=grab(single_store))
-        pure = pure and np.array_equal(batch_store[mlast][0][:, tid], single_store[mlast][0][:, 0])
-        pure = pure and np.array_equal(batch_store[mlast][1][:, tid], single_store[mlast][1][:, 0])
+        single = solve_batch(zs, 1e-2, 0.5, loc, manifold=man_s, basis=basis, diffusion=y_s,
+                             master_seed=seed, trial_ids=[tid]).final
+        pure = pure and all(np.array_equal(b[:, tid], s[:, 0]) for b, s in zip(batch, single))
     checks.append(("solver.batch_lane_purity", pure,
                    "every batched trial column matches its standalone run bitwise"
                    if pure else "a batched trial column deviates from its standalone run"))
@@ -295,8 +281,8 @@ def solver_groups(checks: list, basis, seed: int) -> None:
     rates[:, 0] = 0.8
     ctl = Control(rates, g384.spacing)
     ztr = solve_skeleton(random_state(g384, man_s, stream(seed, 205)), ctl, 1.0, loc384,
-                         manifold=man_s, basis=basis, diffusion=y_s)
-    res = float(man_s.constraint_residual(ztr.final_state().u.values).max())
+                         manifold=man_s, basis=basis, diffusion=y_s, keep_states=False)
+    res = float(man_s.constraint_residual(ztr.final[0]).max())
     checks.append(("solver.renormalized_constraint", res < 1e-9,
                    f"final constraint residual of a controlled run = {_fmt(res)}"))
 
@@ -397,7 +383,7 @@ def ldp_groups(checks: list, basis, seed: int, threads: int) -> None:
                        f"mean peak cone energy ratio across a decade = {_fmt(ratio)}"))
 
     target = solve_skeleton(z0, None, 1.0, loc, manifold=man, basis=basis,
-                            diffusion=yf).final_state()
+                            diffusion=yf, keep_states=False).final_state()
     res = rate_function(target, z0, 10.0, RateOptions(blocks=4), cone=cone, horizon=1.0,
                         loc=loc, manifold=man, basis=basis, diffusion=yf)
     ok = res.converged and res.value < 1e-6

@@ -21,8 +21,10 @@ A run takes every work array from one Scratch, sized during its first step
 (or kept from an earlier run of the same caller), and the kernels write into
 them, so a later step allocates only its new state pair (or nothing: with
 stored states each state is computed in its row of the path).
-The pair an observer receives is read-only and never written after the
-call, so observers may keep it without copying.
+Every run returns its last pair as Trajectory.final, stored path or not, so
+an observer is for values of every step.  The pair an observer receives is
+read-only and never written after the call, so observers may keep it
+without copying.
 
 Every solve steps its batch as contiguous column blocks, one worker thread
 each (_integrate); any split gives the same bits, because the columns are
@@ -139,7 +141,10 @@ class Trajectory:
 
     u and v stack the states by step, shape (steps + 1, npoints, ncomp) on
     the lattice (origin, spacing); batched runs keep the batch axis before the
-    components.  Both are None without state storage.  energy_trace carries
+    components.  Both are None without state storage.  final is the (u, v)
+    pair of the last step, stored path or not: a view of the last stored
+    rows, or else the run's last pair, read-only like every observed pair;
+    a batch keeps its batch axis there too.  energy_trace carries
     per-step arrays: "taper_norm" (the coarse window norm) and "k_level" (its
     taper level, always above it); metadata's "k_init" and "k_final" are
     copies of the first and last "k_level" rows.  noise_increments holds the
@@ -150,6 +155,7 @@ class Trajectory:
     times: np.ndarray
     u: np.ndarray | None
     v: np.ndarray | None
+    final: tuple
     origin: float
     spacing: float
     energy_trace: dict
@@ -165,14 +171,17 @@ class Trajectory:
         """The state of step m, a view of the stored rows; a batched path has no single state."""
         if self.u is None:
             raise ValueError("trajectory was run without state storage")
-        if self.u.ndim == 4:
-            raise ValueError(f"trajectory is a batch of {self.u.shape[2]} paths: read column b of step m "
-                             f"as traj.u[m][:, b] and traj.v[m][:, b]")
-        return State(GridFunction(self.origin, self.spacing, self.u[m]),
-                     GridFunction(self.origin, self.spacing, self.v[m]))
+        return self._state(self.u[m], self.v[m])
 
     def final_state(self) -> State:
-        return self.state(self.steps)
+        """The state of the last step, read from final, so it needs no stored path."""
+        return self._state(*self.final)
+
+    def _state(self, u: np.ndarray, v: np.ndarray) -> State:
+        if u.ndim == 3:
+            raise ValueError(f"trajectory is a batch of {u.shape[1]} paths: read column b of step m "
+                             f"as traj.u[m][:, b] and traj.v[m][:, b]")
+        return State(GridFunction(self.origin, self.spacing, u), GridFunction(self.origin, self.spacing, v))
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +683,8 @@ def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict,
     joins[m] columns (_Run.widen) and splits afresh, and the new blocks take
     that step's window, so no head is computed twice.  The observer runs in
     the calling thread between steps with the run's pair of step m, made
-    read-only: no block reads it back.  A block's error is raised once every
+    read-only: no block reads it back.  The returned run's pair is that of
+    the last step (Trajectory.final).  A block's error is raised once every
     block has finished that step; when several blocks fail in one step, the
     lowest block's error wins.
     """
@@ -739,7 +749,8 @@ def _single_trajectory(z0: State, control, horizon: float, loc: LocalizationPara
     metadata = dict(metadata, radius=loc.radius, renormalize=kwargs["renormalize"],
                     k_init=int(energy_trace["k_level"][0]), k_final=int(energy_trace["k_level"][-1]))
     increments = None if run.noise_log is None else run.noise_log[:, 0, :]
-    return Trajectory(run.times, u, v, z0.origin, z0.spacing, energy_trace, increments, control, metadata)
+    return Trajectory(run.times, u, v, (run.u[:, 0], run.v[:, 0]), z0.origin, z0.spacing, energy_trace,
+                      increments, control, metadata)
 
 
 def _control_rates(control: Control | None, spacing: float):
@@ -824,7 +835,7 @@ def solve_batch(
     The family may differ in noise streams (trial_ids) or in per-column
     control rates (control_rates of shape (steps, B, dim)); each column is
     bitwise identical to the corresponding single-trajectory solve.  Batched
-    results keep the batch axis in the traces and noise log.
+    results keep the batch axis in final, the traces and the noise log.
 
     The B columns are stepped as the contiguous blocks trial_chunks(range(B),
     threads), one worker thread per block; every split gives the same bits.
@@ -872,8 +883,8 @@ def solve_batch(
             "radius": loc.radius, "renormalize": renormalize,
             "k_init": run.trace["k_level"][0].copy(), "k_final": run.trace["k_level"][-1].copy(),
             "nbatch": nbatch, "threads": run.nblocks}
-    return Trajectory(run.times, run.path_u, run.path_v, z0.origin, z0.spacing, run.trace, run.noise_log,
-                      None, meta)
+    return Trajectory(run.times, run.path_u, run.path_v, (run.u, run.v), z0.origin, z0.spacing, run.trace,
+                      run.noise_log, None, meta)
 
 
 # The fewest lattice points x columns per block at which threads=None splits a
@@ -923,18 +934,16 @@ def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams
     else:
         nbatch = np.shape(control_rates)[1]
     energies = np.zeros((len(references), nbatch, steps + 1))
-    final = []
 
     def observer(m, t, u, v):
         for e, ref in zip(energies, references):
             minus = None if ref is None else (ref.u[m], ref.v[m])
             e[:, m] = section_energy(u, v, windows[m], z0.spacing, minus)
-        final[:] = [u]  # the integrator never writes an observed array again
 
-    solve_batch(z0, eps, horizon, loc, manifold=manifold, basis=basis, diffusion=diffusion,
-                control_rates=control_rates, master_seed=master_seed, trial_ids=trial_ids,
-                renormalize=renormalize, keep_states=False, observer=observer, threads=threads)
-    return list(energies), final[0].transpose(1, 0, 2)
+    traj = solve_batch(z0, eps, horizon, loc, manifold=manifold, basis=basis, diffusion=diffusion,
+                       control_rates=control_rates, master_seed=master_seed, trial_ids=trial_ids,
+                       renormalize=renormalize, keep_states=False, observer=observer, threads=threads)
+    return list(energies), traj.final[0].transpose(1, 0, 2)
 
 
 def trial_chunks(ids, threads: int) -> list:

@@ -4,12 +4,13 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from geowave import cli
 from geowave.cli import CONFIG_KEYS, ExperimentConfig, _fmt, _write_csv, load_config, run_command
@@ -358,12 +359,25 @@ _FAILED_OUTCOMES = {
 }
 
 
+@st.composite
+def _key_by_key_valid_runs(draw):
+    """(command, config lines) for a drawn command."""
+    command = draw(st.sampled_from(sorted(CONFIG_KEYS)), label="command")
+    return command, draw(_key_by_key_valid_configs(command), label="config")
+
+
+# probe-s1 runs whose usable abscissae are all equal: a log-log fit through them once warned or raised
+_ONE_ABSCISSA = "grid.points = 64\ntime.horizon = 0.1875\nexperiment.n_list = "
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_every_key_by_key_valid_config_exits_at_load_or_runs_to_a_documented_exit(tmp_path, capsys, data):
-    command = data.draw(st.sampled_from(sorted(CONFIG_KEYS)), label="command")
+@given(case=_key_by_key_valid_runs())
+@example(case=("probe-s1", _ONE_ABSCISSA + "(2, 2, 2)\n"))
+@example(case=("probe-s1", _ONE_ABSCISSA + "(1, 1, 1)\n"))
+def test_every_key_by_key_valid_config_exits_at_load_or_runs_to_a_documented_exit(tmp_path, capsys, case):
+    command, body = case
     table = CONFIG_KEYS[command]
-    cfg = _config(tmp_path, data.draw(_key_by_key_valid_configs(command), label="config"))
+    cfg = _config(tmp_path, body)
     out = tmp_path / f"out_{len(list(tmp_path.iterdir()))}"
     code = run_command([command, "--config", str(cfg), "--out", str(out)])
     text = capsys.readouterr().out
@@ -716,6 +730,21 @@ def test_probe_s1_and_tail_artifacts(tmp_path):
     assert run_command(["tail", "--config", str(tail_cfg), "--out", str(tout)]) == 0
     report = json.loads((tout / "tail.json").read_text())
     assert [float(p) for p in report["eps_log_p"]] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("probe-s1", "experiment.n_list = (2, 2, 2)\n"),
+    ("probe-s1", "experiment.n_list = (1, 1, 1)\nexperiment.tol = 0.1\n"),  # n = 1 stays above 1e-2
+    ("tail", "experiment.eps_list = (1e-2, 1e-2, 1e-2)\n"),
+], ids=["probe-s1-twos", "probe-s1-ones", "tail-one-level"])
+def test_a_fit_through_one_abscissa_has_no_slope(tmp_path, capsys, command, lines):
+    cfg = _config(tmp_path, "grid.points = 64\ntime.horizon = 0.1875\n" + lines)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_command([command, "--config", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().out
+    assert caught == []
+    assert json.loads((out / f"{command.replace('-', '_')}.json").read_text())["slope"] is None
 
 
 def test_verify_runs_all_invariant_groups(tmp_path, capsys):

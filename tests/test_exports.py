@@ -73,7 +73,7 @@ def test_import_leaves_the_thread_pool_unloaded():
 def test_trajectory_has_one_stored_path_type():
     fields = [f.name for f in dataclasses.fields(geowave.Trajectory)]
     assert "states" not in fields and not hasattr(geowave.Trajectory, "states")
-    assert {"u", "v", "origin", "spacing"} <= set(fields)
+    assert {"u", "v", "final", "origin", "spacing"} <= set(fields)
 
 
 def test_deleted_parameters_are_gone():

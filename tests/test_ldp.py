@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest.mock import patch
 
@@ -20,6 +21,7 @@ from geowave.ldp import (
     _FD_STEP,
     RateOptions,
     _TerminalObjective,
+    _fit_slope,
     rate_function,
     statement1_probe,
     statement2_probe,
@@ -440,6 +442,15 @@ def test_statement2_freeze_matches_its_reference_observer(seed, where):
     assert np.array_equal(rep.extra["tau_fraction"], want_tau)
     assert want_tau[0] > 0.0  # the trial with the peak norm crosses, so the freeze acts
     assert rep.slope is None and not rep.passed  # two levels fit no slope
+
+
+def test_abscissae_too_close_for_a_line_fit_no_slope():
+    # distinct, but one unit roundoff apart: polyfit's matrix is numerically of rank 1
+    y = np.array([1.0, 2.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _fit_slope(np.array([2.0, 2.0, np.nextafter(2.0, 3.0)]), y) is None
+        assert _fit_slope(np.array([1.0, 2.0, 4.0]), np.array([3.0, 6.0, 12.0])) == pytest.approx(1.0)
 
 
 @settings(max_examples=8, deadline=None)

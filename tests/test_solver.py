@@ -230,7 +230,7 @@ def test_solves_leave_their_input_arrays_unchanged():
 @pytest.mark.parametrize("keep_states", [False, True])
 @pytest.mark.parametrize("drive", ["noise", "control"])
 def test_observed_states_are_never_written_afterwards(keep_states, drive):
-    # cone_energies keeps the last step's u without copying it
+    # an observer may keep the pair it sees without copying it
     z0 = random_state(_LANE_GEOM, _SPHERE, stream(6, 3))
     steps = round(0.25 / _LANE_GEOM.spacing)
     if drive == "noise":
@@ -277,6 +277,43 @@ def test_batched_trajectory_has_no_single_state():
     for read in (lambda: traj.state(2), traj.final_state):
         with pytest.raises(ValueError, match=r"batch of 1 paths.*traj\.u\[m\]\[:, b\]"):
             read()
+
+
+@pytest.mark.parametrize("case, threads", [("skeleton", 1), ("stochastic", 1), ("batch", 1), ("batch", 2),
+                                           ("joins", 1), ("joins", 2)])
+def test_every_solve_returns_its_last_pair_stored_path_or_not(case, threads):
+    z0 = random_state(_LANE_GEOM, _SPHERE, stream(8, 3))
+    horizon, dx = 0.25, _LANE_GEOM.spacing
+    fields = dict(manifold=_SPHERE, basis=_BASIS, diffusion=_Y_SPHERE)
+    rates = np.random.default_rng(8).normal(scale=0.5, size=(round(horizon / dx), 5, _BASIS.dim))
+    joins = {2: 2, 4: 1} if case == "joins" else None
+    for col, start in enumerate([0, 0, 2, 2, 4]):  # a joined column has column 0's rows before its step
+        rates[:start, col] = rates[:start, 0]
+
+    def solve(keep_states):
+        if case == "skeleton":
+            return solve_skeleton(z0, Control(rates[:, 0], dx), horizon, _loc(_LANE_GEOM), **fields,
+                                  keep_states=keep_states)
+        if case == "stochastic":
+            return solve_stochastic(z0, 1e-2, None, horizon, _loc(_LANE_GEOM), **fields, trial_id=3,
+                                    keep_states=keep_states)
+        batch = dict(trial_ids=list(range(5))) if case == "batch" else dict(control_rates=rates)
+        with patch.object(solver, "_MIN_BLOCK_CELLS", 1):
+            # a kept path has the start width, so only the unstored run grows at the joins
+            traj = solve_batch(z0, 1e-2 if case == "batch" else 0.0, horizon, _loc(_LANE_GEOM), **fields, **batch,
+                               keep_states=keep_states, threads=threads, _joins=None if keep_states else joins)
+        assert traj.metadata["threads"] == threads
+        return traj
+
+    stored, unstored = solve(True), solve(False)
+    assert unstored.u is None and unstored.v is None
+    for traj in (stored, unstored):
+        for end, path in zip(traj.final, (stored.u, stored.v)):
+            assert np.array_equal(end, path[-1]) and not end.flags.writeable
+    assert all(np.shares_memory(end, path) for end, path in zip(stored.final, (stored.u, stored.v)))
+    if case in ("skeleton", "stochastic"):
+        z = unstored.final_state()
+        assert np.array_equal(z.u.values, stored.u[-1]) and np.array_equal(z.v.values, stored.v[-1])
 
 
 def test_control_rate_lookup_and_norm():
