@@ -545,12 +545,13 @@ def _cmd_probe_s1(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
         cfg["experiment.n_list"], run.z0, cfg.cone(),
         horizon=cfg["time.horizon"], loc=run.loc, **run.fields,
         amplitude=cfg["experiment.amplitude"], mode_index=cfg["experiment.mode"],
-        tol=cfg["experiment.tol"], perturbation=cfg["experiment.perturbation"],
+        tol=cfg["experiment.tol"], perturbation=cfg["experiment.perturbation"], threads=threads,
     )
     arts = _report_artifacts(out, "probe_s1", rep, {"tol": rep.extra["tol"],
                                                     "perturbation": rep.extra["perturbation"]})
     print(f"probe-s1: final sup distance {_fmt(rep.metrics[-1])}, passed {rep.passed}")
-    return (0 if rep.passed or rep.extra["perturbation"] == "constant" else 4), arts, 1
+    return ((0 if rep.passed or rep.extra["perturbation"] == "constant" else 4), arts,
+            _trial_threads(len(cfg["experiment.n_list"]), threads))
 
 
 def _cmd_probe_s2(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list, int]:

@@ -307,6 +307,7 @@ def statement1_probe(
     mode_index: int = 0,
     tol: float = 1e-2,
     perturbation: str = "oscillation",
+    threads: int | None = None,
 ) -> ConvergenceReport:
     """Continuity of the zero-noise solution map under weak-null perturbations.
 
@@ -315,7 +316,8 @@ def statement1_probe(
     d_n = sup_{t<=T} of the product Sobolev distance between the perturbed and
     uncontrolled trajectories on the fixed ball of the supplied cone.  The "constant"
     perturbation (same energy, no oscillation) is the negative control: it
-    must not decay.
+    must not decay.  The perturbed paths are one cone_energies sweep in
+    `threads` column blocks (None, the default: solve_batch's choice).
     """
     dx = z0.spacing
     steps = lattice_steps(horizon, dx)
@@ -340,7 +342,8 @@ def statement1_probe(
     )
     ball = cone_window(cone, z0.origin, dx, z0.u.npoints, 0)  # B(center, horizon)
     (e_diff,), _ = cone_energies(z0, 0.0, horizon, loc, [ball] * (steps + 1), [base_traj],
-                                 manifold=manifold, basis=basis, diffusion=diffusion, control_rates=rates)
+                                 manifold=manifold, basis=basis, diffusion=diffusion, control_rates=rates,
+                                 threads=threads)
     sup_d = np.sqrt(2.0 * e_diff).max(axis=1, initial=0.0)
     decreasing = all(sup_d[i + 1] <= 1.05 * sup_d[i] for i in range(nbatch - 1))
     passed = decreasing and sup_d[-1] < tol
@@ -367,7 +370,7 @@ def statement2_probe(
     manifold: ManifoldModel,
     basis: NoiseBasis,
     diffusion: DiffusionField,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> ConvergenceReport:
     """Mean peak cone energy of the noise-driven deviation, per noise level.
 
@@ -376,7 +379,9 @@ def statement2_probe(
     the first step where the noisy path's own cone norm sqrt(2 e) reaches the
     threshold: the crossing step still counts, later steps do not.
     extra["tau_fraction"] is the fraction of trials that cross.  Fits the
-    log-log slope of the means (linear response means slope near 1).
+    log-log slope of the means (linear response means slope near 1).  Each
+    noise level's trials are one cone_energies sweep in `threads` column
+    blocks (None, the default: solve_batch's choice).
     """
     if trials < 30:
         raise InsufficientTrials(f"need at least 30 trials, got {trials}")
@@ -436,7 +441,7 @@ def tail_estimate(
     basis: NoiseBasis,
     diffusion: DiffusionField,
     rate_value: float | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> ConvergenceReport:
     """Monte Carlo exceedance probabilities of the sup-cone deviation.
 
@@ -445,6 +450,8 @@ def tail_estimate(
     sequence is the finite-noise analogue of the exponential decay rate.  With
     a rate_value, extra["gap_to_rate"] is eps*log(P-hat) + rate_value at the
     smallest eps whose P-hat is positive, whatever the order of eps_list.
+    Each noise level's trials are one cone_energies sweep in `threads`
+    column blocks (None, the default: solve_batch's choice).
     """
     if delta < 0:
         raise ValueError(f"event radius must be nonnegative, got {delta}")

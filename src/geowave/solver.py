@@ -283,13 +283,16 @@ def _midpoint_taper(fields: tuple, weights: np.ndarray, k: np.ndarray, sq: np.nd
 
     The taper is exactly 1 below the level.  Any two sums of the same
     nonnegative terms differ relatively by at most about the term count
-    times the unit roundoff, far below 1e-9, so where a BLAS sum puts every
-    column's norm below (1 - 1e-9) * k, einsum's exact sum is not needed.
+    times the unit roundoff, far below 1e-9, so where a quick sum, field by
+    field, puts every column's norm below (1 - 1e-9) * k, the exact
+    grouping of _weighted_sum is not needed.  The quick sum is an einsum,
+    not a matmul: the step makes no BLAS call, so its CPU use does not
+    depend on how many threads BLAS may start.
     """
     nbatch = fields[0].shape[1]
     fast = np.zeros(fields[0][0].size)
     for arr in fields:
-        fast += weights @ np.multiply(arr, arr, out=sq).reshape(len(weights), -1)
+        fast += np.einsum("i,ij->j", weights, np.multiply(arr, arr, out=sq).reshape(len(weights), -1))
     if np.all(np.sqrt(fast.reshape(nbatch, -1).sum(axis=1)) < (1.0 - 1e-9) * k):
         return np.ones(nbatch)
     return taper_factor(np.sqrt(2.0 * _weighted_sum(fields, weights, sq)), k)
@@ -888,8 +891,7 @@ def solve_batch(
 
 
 # The fewest lattice points x columns per block at which threads=None splits a
-# batch: above where two blocks break even, with a margin that keeps the rate
-# objective's Jacobian blocks on one thread, where they lost (README's table).
+# batch: above where two blocks break even, pinned BLAS or not (README's table).
 _MIN_BLOCK_CELLS = 12_000
 
 
@@ -908,7 +910,7 @@ def _column_blocks(threads: int | None, npoints: int, nbatch: int) -> list:
 def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams, windows, references, *,
                   manifold: ManifoldModel, basis: NoiseBasis, diffusion: DiffusionField, trial_ids=None,
                   control_rates: np.ndarray | None = None, master_seed: int = 0, renormalize: bool = True,
-                  threads: int | None = 1) -> tuple[list, np.ndarray]:
+                  threads: int | None = None) -> tuple[list, np.ndarray]:
     """Cone-section energies of every batch column at every step, and the final positions.
 
     windows[m] is the section (i_lo, i_hi) of step m.  A reference is None
@@ -917,8 +919,8 @@ def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams
     section_energy values per reference and the final positions (B, npoints,
     ncomp).  The columns are noise trials (trial_ids) or control columns
     (control_rates of shape (steps, B, dim)), run as one solve_batch call in
-    `threads` column blocks (None: solve_batch's choice); without either the
-    run is one column, trial 0, as in solve_batch.
+    `threads` column blocks (None, the default: solve_batch's choice); without
+    either the run is one column, trial 0, as in solve_batch.
     """
     steps = lattice_steps(horizon, z0.spacing)
     if len(windows) < steps + 1:

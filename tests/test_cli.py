@@ -242,6 +242,12 @@ def test_threads_are_capped_by_the_chunks_and_recorded(tmp_path, serial_pool):
     assert run_command(["skeleton", "--config", str(_config(tmp_path, _SMALL, "s.cfg")),
                         "--out", str(skeleton), "--threads", "8"]) == 0
     assert json.loads((skeleton / "manifest.json").read_text())["threads"] == 1  # no trials to fan out
+    s1 = tmp_path / "s1"  # probe-s1 fans out its perturbed paths: (2, 4, 8) in two blocks
+    assert run_command(["probe-s1", "--config", str(_config(tmp_path, _SMALL + "experiment.n_list = (2, 4, 8)\n"
+                                                            'experiment.perturbation = "constant"\n', "s1.cfg")),
+                        "--out", str(s1), "--threads", "2"]) == 0
+    assert json.loads((s1 / "manifest.json").read_text())["threads"] == 2
+    assert requested == [3, 2, 2]
 
 
 def test_rate_steps_its_solves_in_the_requested_blocks_and_records_them(tmp_path, serial_pool):

@@ -337,6 +337,48 @@ def test_noise_response_is_linear_in_eps():
     assert np.array_equal(rep.stderr, rep4.stderr)
 
 
+def test_the_probes_take_solve_batchs_block_choice_by_default(monkeypatch):
+    # called without threads, every fan-out splits as _column_blocks(None, ...) does: here two blocks
+    monkeypatch.setattr(solver, "_MIN_BLOCK_CELLS", 1)
+    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1})
+    integrate, blocks = solver._integrate, []
+
+    def counting(u0, *args, **kwargs):
+        run = integrate(u0, *args, **kwargs)
+        if u0.shape[1] > 1:  # the probes' zero-noise reference paths are single columns
+            blocks.append(run.nblocks)
+        return run
+
+    monkeypatch.setattr(solver, "_integrate", counting)
+    geom, loc, cone = _setup()
+    z0 = bump_state(geom, _CIRCLE)
+    steps = round(0.5 / geom.spacing)
+    windows = [cone_window(cone, geom.origin, geom.spacing, z0.u.npoints, m) for m in range(steps + 1)]
+    calls = {
+        "cone_energies": lambda **kw: solver.cone_energies(z0, 1e-2, 0.5, loc, windows, [None], manifold=_CIRCLE,
+                                                           basis=_BASIS, diffusion=_Y_CIRCLE, trial_ids=range(4),
+                                                           **kw),
+        "statement1_probe": lambda **kw: statement1_probe([2, 4, 8], z0, cone, horizon=0.5, **_solve_kwargs(loc),
+                                                          tol=1e-1, **kw),
+        "statement2_probe": lambda **kw: statement2_probe([1e-2, 1e-3], 30, 1e6, z0, cone, 17, horizon=0.5,
+                                                          **_solve_kwargs(loc), **kw),
+        "tail_estimate": lambda **kw: tail_estimate(0.0, [1e-3, 1e-2], 30, z0, cone, 23, horizon=0.5,
+                                                    **_solve_kwargs(loc), **kw),
+    }
+    for name, call in calls.items():
+        blocks.clear()
+        got = call()
+        assert blocks and set(blocks) == {2}, name
+        blocks.clear()
+        want = call(threads=1)
+        assert blocks and set(blocks) == {1}, name
+        if name == "cone_energies":
+            assert all(np.array_equal(a, b) for a, b in zip(got[0] + [got[1]], want[0] + [want[1]])), name
+        else:
+            for a, b in ((got.metrics, want.metrics), (got.stderr, want.stderr), (got.slope, want.slope)):
+                assert np.array_equal(a, b), name
+
+
 def test_statement2_requires_enough_trials():
     geom, loc, cone = _setup()
     z0 = bump_state(geom, _CIRCLE)

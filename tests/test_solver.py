@@ -519,6 +519,11 @@ def test_column_blocks_follow_the_threads_and_the_cell_floor(monkeypatch):
     assert len(solver._column_blocks(None, half - 1, 8)) == 2  # blocks of 2 columns fall short, of 4 do not
     assert len(solver._column_blocks(None, floor - 1, 1)) == 1
     assert solver._column_blocks(None, 10**6, 0) == []
+    # the benchmark's shapes at two CPUs: rate_gn's widest chain would split 11/10 and stays one block,
+    # mc_batch splits 4/4; so the floor lies in (4 510, 14 348]
+    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert len(solver._column_blocks(None, 451, 21)) == 1
+    assert len(solver._column_blocks(None, 3587, 8)) == 2
     with pytest.raises(ValueError, match="threads must be at least 1"):
         solver._column_blocks(0, 10, 5)
 
