@@ -402,7 +402,7 @@ def _setup(cfg: ExperimentConfig) -> _Setup:
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns its exit code, its artifacts and the most
-# worker threads it started, which manifest.json records
+# column blocks it stepped, which manifest.json records
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, list, int]:
@@ -601,7 +601,7 @@ def run_command(argv: list | None = None) -> int:
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument("--seed", type=int, default=None, help="override noise.seed")
-    parser.add_argument("--threads", type=int, default=1, help="column blocks of a batch, one worker thread each")
+    parser.add_argument("--threads", type=int, default=1, help="column blocks of a batch, one process each")
     args = parser.parse_args(argv)
     if args.threads < 1:
         print("error: --threads must be at least 1")
@@ -627,7 +627,7 @@ def run_command(argv: list | None = None) -> int:
 
 
 def _trial_threads(trials: int, threads: int) -> int:
-    """Threads a trial fan-out starts: one per chunk of trials."""
+    """Column blocks a trial fan-out steps: one per chunk of trials."""
     return len(trial_chunks(range(trials), threads))
 
 

@@ -26,16 +26,20 @@ an observer is for values of every step.  The pair an observer receives is
 read-only and never written after the call, so observers may keep it
 without copying.
 
-Every solve steps its batch as contiguous column blocks, one worker thread
-each (_integrate); any split gives the same bits, because the columns are
+Every solve steps its batch as contiguous column blocks (_integrate): the
+first in the calling process, each other one in a forked child process that
+steps its columns as one whole run and hands each state back through shared
+memory.  Any split gives the same bits, because the columns are
 independent.  This is the package's one trial fan-out.
 """
 from __future__ import annotations
 
-import contextlib
 import copy
 import math
+import mmap
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -521,15 +525,16 @@ class _Run:
             self.path_u[0], self.path_v[0] = self.u, self.v
         self.noise_log = np.zeros((steps, nbatch, basis.dim)) if needs_noise else None
 
-    def block(self, cols: slice, m: int, work: Scratch) -> "_Run":
-        """Columns cols of this run at step m as a run of their own, for one thread, with work arrays from work.
+    def block(self, cols: slice, m: int, work: Scratch, ring: list | None = None) -> "_Run":
+        """Columns cols of this run at step m as a run of their own, with work arrays from work.
 
         A block of every column is this run, which has no ring: _integrate
         has it compute each state in this run's pair.  Any other block's
         state is a C-ordered copy of its columns, so its kernels walk
         contiguous rows (on strided column views of the wider array, a
         two-block run at mc_batch's size stepped 10-40% slower), and its ring
-        is two pairs that hold its states by step parity.  Its rows of the
+        is two pairs that hold its states by step parity: ring, when given
+        (a forked block's shared memory), or two new pairs.  Its rows of the
         traces and noise log are column views of this run's, so it writes
         those results, its taper levels among them, in place.  It takes its
         trial ids and control rates from this run's and names columns by
@@ -540,7 +545,7 @@ class _Run:
         part = copy.copy(self)
         part.offset, part.cols, part.work, part.control_row = cols.start, cols, work, None
         shape = (self.u.shape[0], cols.stop - cols.start, self.u.shape[2])
-        part.ring = [(np.empty(shape), np.empty(shape)) for _ in range(2)]
+        part.ring = [(np.empty(shape), np.empty(shape)) for _ in range(2)] if ring is None else ring
         part.u, part.v = part.ring[m % 2]
         np.copyto(part.u, self.u[:, cols])
         np.copyto(part.v, self.v[:, cols])
@@ -673,61 +678,171 @@ class _Run:
                 self.manifold.tangent_project_at(u[:, b], v[:, b], out=v[:, b], work=work)
 
 
-def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict, observer=None, **kwargs) -> _Run:
-    """Steps 0..horizon/spacing from (u0, v0) in the column blocks of _column_blocks, one thread each; kwargs go to _Run.
+def _step(part: _Run, m: int, window: tuple[int, int], out: tuple) -> tuple[int, int]:
+    """Step m of one block: its state of step m + 1 in the pair out, then that step's head, whose window it returns."""
+    part.advance(m, part.kick(m, window), *part.drift(m), out)
+    return part.head(m + 1)
 
-    Each block is a _Run.block of one run, stepped phase by phase; the first
-    runs in the calling thread, the others on a pool's workers, which exist
-    only when the batch splits (a width that does not split has no narrower
-    width that does).  A block of every column is the run itself and
-    computes each state in the run's next pair (the stored path's row, or a
-    new one); any other block computes it in its ring and copies it into
-    its columns of that pair.  After step m's heads the run widens by
-    joins[m] columns (_Run.widen) and splits afresh, and the new blocks take
-    that step's window, so no head is computed twice.  The observer runs in
-    the calling thread between steps with the run's pair of step m, made
-    read-only: no block reads it back.  The returned run's pair is that of
-    the last step (Trajectory.final).  A block's error is raised once every
-    block has finished that step; when several blocks fail in one step, the
-    lowest block's error wins.
+
+class _Fork:
+    """A column block stepped in a forked process from step start to step end (see _integrate).
+
+    The child computes the state of step m in slot m % 2 of a two-slot ring
+    of anonymous shared memory and writes one status byte per step, after
+    that step's head, on a pipe: 0 when the step went well, 1 followed by
+    its pickled exception when it did not.  Before it overwrites a slot it
+    reads the parent's acknowledgement that the slot's state was copied;
+    the state of step start is the parent's already and needs none.  After
+    the status of step end it sends its rows of the traces and the noise
+    log and exits.
+    """
+
+    def __init__(self, run: _Run, cols: slice, start: int, end: int, window, others: list):
+        self.cols, self.start, self.end = cols, start, end
+        shape = (2, 2, run.u.shape[0], cols.stop - cols.start, run.u.shape[2])  # slot, u or v, block shape
+        self.ring = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8), dtype=float).reshape(shape)
+        status_r, status_w = os.pipe()
+        ack_r, ack_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:  # the child: never the observer, never a flush of an inherited buffer
+                for fd in [status_r, ack_w] + [fd for other in others for fd in (other.status.fileno(), other.ack)]:
+                    os.close(fd)
+                self._child(run, window, open(status_w, "wb"), ack_r)
+            finally:
+                os._exit(0)
+        os.close(status_w)
+        os.close(ack_r)
+        self.status, self.ack = open(status_r, "rb"), ack_w
+
+    def _child(self, run: _Run, window, status, ack: int) -> None:
+        try:
+            part = run.block(self.cols, self.start, Scratch(), [tuple(slot) for slot in self.ring])
+            if self.start == 0:
+                window = part.head(0)
+                status.write(b"\0")
+                status.flush()
+            for m in range(self.start, self.end):
+                if m >= self.start + 2 and not os.read(ack, 1):  # the state of step m - 1 is copied
+                    return  # the parent is gone
+                window = _step(part, m, window, part.ring[(m + 1) % 2])
+                status.write(b"\0")
+                status.flush()
+            pickle.dump(({key: arr[self.start:self.end + 1] for key, arr in part.trace.items()},
+                         None if part.noise_log is None else part.noise_log[self.start:self.end]), status)
+        except Exception as exc:
+            try:
+                message = pickle.dumps(exc)
+            except Exception:  # an exception that does not pickle goes as its class name and message
+                message = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            status.write(b"\1" + message)
+        status.flush()
+
+    def report(self, run: _Run, m: int, new: tuple | None = None) -> Exception | None:
+        """The block's outcome of step m: None after copying its state into its columns of new, or its error.
+
+        After step end its rows of the traces and the noise log go into
+        run's, and the child is reaped.
+        """
+        if self.status.read(1) != b"\0":
+            try:
+                return pickle.load(self.status)
+            except (EOFError, pickle.UnpicklingError):
+                return RuntimeError(f"the column block {self.cols.start}..{self.cols.stop - 1} "
+                                    f"ended without reporting step {m}")
+        if new is not None:
+            slot = self.ring[m % 2]
+            np.copyto(new[0][:, self.cols], slot[0])
+            np.copyto(new[1][:, self.cols], slot[1])
+            if m <= self.end - 2:  # the child overwrites this slot with the state of step m + 2
+                os.write(self.ack, b"\0")
+        if m == self.end:
+            trace, noise = pickle.load(self.status)
+            for key, arr in trace.items():
+                run.trace[key][self.start:self.end + 1, self.cols] = arr
+            if noise is not None:
+                run.noise_log[self.start:self.end, self.cols] = noise
+            self.reap()
+        return None
+
+    def reap(self, kill: bool = False) -> None:
+        if self.pid is None:
+            return
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.status.close()
+        os.close(self.ack)
+        self.pid = None
+
+
+def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict, observer=None, **kwargs) -> _Run:
+    """Steps 0..horizon/spacing from (u0, v0) in the column blocks of _column_blocks; kwargs go to _Run.
+
+    Each block is a _Run.block of one run.  The first is stepped in the
+    calling process; each other block is a forked child process (_Fork)
+    that steps its columns as one whole run to the horizon or to the next
+    join.  A block of every column is the run itself
+    and computes each state in the run's next pair (the stored path's row,
+    or a new one); the first block of several computes it in its ring and
+    copies it into its columns of that pair, and after each step the parent
+    copies every child's state from its shared ring into the child's
+    columns.  At a join step m the children end after their heads of step
+    m, send their rows of the traces and the noise log and are reaped; the
+    run widens by joins[m] columns (_Run.widen) and forks afresh, and the
+    new blocks take that step's window, so no head is computed twice.  The
+    observer runs in the calling process between steps with the run's pair
+    of step m, made read-only: no block reads it back.  The returned run's
+    pair is that of the last step (Trajectory.final).  A block's error is
+    raised once every block has finished that step; when several blocks
+    fail in one step, the lowest block's error wins.  Every child is
+    reaped before the call returns or raises, killed first if it has not
+    ended.  Without os.fork every run is one block.
     """
     run = _Run(u0, v0, **kwargs)
+    if not hasattr(os, "fork"):
+        threads = 1
     run.nblocks = len(_column_blocks(threads, u0.shape[0], u0.shape[1] + sum(joins.values())))
-    pool = contextlib.nullcontext()
-    if run.nblocks > 1:
-        import concurrent.futures  # imported here, so only threaded runs pay for it
-        pool = concurrent.futures.ThreadPoolExecutor(run.nblocks)
+    forks, window = [], None
 
-    def each(fn, items):
-        """[fn(item) for item in items]: the first in this thread, the others on the pool's workers."""
-        rest = pool.map(fn, items[1:]) if len(items) > 1 else ()
-        return [fn(items[0]), *rest]
+    def gather(fn, m, new=None):
+        """fn() in the first block, then every child's outcome of step m; the lowest block's error is raised."""
+        try:
+            result, errors = fn(), []
+        except Exception as exc:
+            result, errors = None, [exc]
+        errors += [err for child in forks if (err := child.report(run, m, new)) is not None]
+        if errors:
+            raise errors[0]
+        return result
 
-    def split(m):
-        blocks = _column_blocks(threads, *run.u.shape[:2])
-        return [run.block(cols, m, run.work if cols.start == 0 else Scratch()) for cols in blocks]
-
-    def step(m, part, window, new):
-        part.advance(m, part.kick(m, window), *part.drift(m), new if part.ring is None else part.ring[(m + 1) % 2])
-        if part.ring is not None:
-            np.copyto(new[0][:, part.cols], part.u)
-            np.copyto(new[1][:, part.cols], part.v)
-        return part.head(m + 1)
-
-    with pool:
-        parts = split(0)
-        window = each(lambda part: part.head(0), parts)[0]  # a step's window is every column's
+    try:
         for m in range(run.steps + 1):
             if m in joins:
                 run.widen(joins[m])
-                parts = split(m)
+            if m == 0 or m in joins:
+                blocks = _column_blocks(threads, *run.u.shape[:2])
+                end = min((j for j in joins if j > m), default=run.steps)
+                forks = []
+                for cols in blocks[1:]:
+                    forks.append(_Fork(run, cols, m, end, window, forks))
+                part = run.block(blocks[0], m, run.work)
+                if m == 0:
+                    window = gather(lambda: part.head(0), 0)  # a step's window is every column's
             run.u.flags.writeable = run.v.flags.writeable = False
             if observer is not None:
                 observer(m, m * run.dx, run.u, run.v)
             if m < run.steps:
                 new = run.pair(m + 1)
-                window = each(lambda part: step(m, part, window, new), parts)[0]
+                window = gather(lambda: _step(part, m, window, new if part.ring is None else part.ring[(m + 1) % 2]),
+                                m + 1, new)
+                if part.ring is not None:
+                    np.copyto(new[0][:, part.cols], part.u)
+                    np.copyto(new[1][:, part.cols], part.v)
                 run.u, run.v = new
+    finally:
+        for child in forks:
+            child.reap(kill=True)
     return run
 
 
@@ -841,12 +956,13 @@ def solve_batch(
     results keep the batch axis in final, the traces and the noise log.
 
     The B columns are stepped as the contiguous blocks trial_chunks(range(B),
-    threads), one worker thread per block; every split gives the same bits.
-    threads=None takes the CPUs available to the process, lowered until every
-    block holds at least _MIN_BLOCK_CELLS lattice points times columns (below
-    that, threads cost more than they save); metadata["threads"] is the
-    number of blocks.  The observer runs in the calling thread with the
-    whole batch's pair of each step, read-only.
+    threads): the first in the calling process and each other one in a
+    forked child process (one block without os.fork); every split gives the
+    same bits.  threads=None takes the CPUs available to the process,
+    lowered until every block holds at least _MIN_BLOCK_CELLS lattice points
+    times columns (below that, blocks cost more than they save);
+    metadata["threads"] is the number of blocks.  The observer runs in the
+    calling process with the whole batch's pair of each step, read-only.
 
     _joins = {step: count}, private to the package, is for zero-noise runs
     without stored states (the noise log and a kept path have the start
@@ -949,7 +1065,7 @@ def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams
 
 
 def trial_chunks(ids, threads: int) -> list:
-    """The contiguous chunks of ids that solve_batch steps as column blocks: at most `threads`, one worker each."""
+    """The contiguous chunks of ids that solve_batch steps as column blocks: at most `threads`, one process each."""
     ids = list(ids)
     size = max(1, -(-len(ids) // threads))
     return [ids[i:i + size] for i in range(0, len(ids), size)]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from geowave import cli
+from geowave import cli, solver
 from geowave.cli import CONFIG_KEYS, ExperimentConfig, _fmt, _write_csv, load_config, run_command
 from geowave.energy import verify_energy_transforms
 from geowave.errors import ConfigInvalid
@@ -204,33 +204,24 @@ def test_lattice_cones_still_load_and_run(tmp_path):
 
 
 @pytest.fixture
-def serial_pool(monkeypatch):
-    """Column-block pools that run their blocks in this thread; the list of the workers each requested."""
-    import concurrent.futures
+def forked_splits(monkeypatch):
+    """The column blocks each split of a run started, one entry per split that forked: its first block and one per child."""
+    splits, init = [], solver._Fork.__init__
 
-    requested = []
+    def recording(child, run, cols, start, end, window, others):
+        init(child, run, cols, start, end, window, others)  # returns in this process only, after the fork
+        if not others:  # the split's first child
+            splits.append(1)
+        splits[-1] += 1
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, chunks):
-            return map(fn, chunks)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-    return requested
+    monkeypatch.setattr(solver._Fork, "__init__", recording)
+    return splits
 
 
-def test_threads_are_capped_by_the_chunks_and_recorded(tmp_path, serial_pool):
+def test_threads_are_capped_by_the_chunks_and_recorded(tmp_path, forked_splits):
     assert trial_chunks(range(3), 10**6) == [[0], [1], [2]]
     assert trial_chunks(range(9), 4) == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]  # 3 threads, not 4
-    requested = serial_pool
+    requested = forked_splits  # so the wide run forks 2 children for its 3 columns, not 10**6 - 1
     cfg = _config(tmp_path, _SMALL + "experiment.trials = 3\n")
     for name, threads, used in (("wide", 10**6, 3), ("two", 2, 2), ("one", 1, 1)):
         out = tmp_path / name
@@ -250,20 +241,20 @@ def test_threads_are_capped_by_the_chunks_and_recorded(tmp_path, serial_pool):
     assert requested == [3, 2, 2]
 
 
-def test_rate_steps_its_solves_in_the_requested_blocks_and_records_them(tmp_path, serial_pool):
+def test_rate_steps_its_solves_in_the_requested_blocks_and_records_them(tmp_path, forked_splits):
     planted = _config(tmp_path, _SMALL, "planted.cfg")  # 8 steps, 8 blocks: chain segments up to 41 wide
     uncontrolled = _config(tmp_path, _SMALL + 'experiment.target = "uncontrolled"\n', "zero.cfg")
     runs = {}
     for name, cfg, threads in (("one", planted, 1), ("two", planted, 2), ("zero", uncontrolled, 4)):
         out = tmp_path / name
-        before = len(serial_pool)
+        before = len(forked_splits)
         assert run_command(["rate", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]) == 0
-        runs[name] = (json.loads((out / "manifest.json").read_text())["threads"], serial_pool[before:],
+        runs[name] = (json.loads((out / "manifest.json").read_text())["threads"], forked_splits[before:],
                       (out / "rate.json").read_bytes())
     assert runs["one"][:2] == (1, [])
     assert runs["two"][0] == 2 and runs["two"][1] and set(runs["two"][1]) == {2}
     assert runs["two"][2] == runs["one"][2]  # the blocks change no byte
-    # the uncontrolled target converges at the first gap: width-1 solves start no block threads
+    # the uncontrolled target converges at the first gap: width-1 solves fork no block
     assert runs["zero"][:2] == (1, [])
 
 

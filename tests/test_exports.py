@@ -62,12 +62,22 @@ def test_deleted_names_are_not_exported():
     assert not hasattr(geowave.Control, "rate_at")
 
 
-def test_import_leaves_the_thread_pool_unloaded():
-    # only a run of several column blocks imports concurrent.futures, so set-up never pays for it
-    code = "import sys, geowave; print('concurrent.futures' in sys.modules)"
+def test_neither_import_nor_a_split_run_loads_a_pool_module():
+    # column blocks are forked with os.fork, so no run pays for a pool module's import
+    code = ("import sys, geowave\n"
+            "pools = ('concurrent.futures', 'multiprocessing')\n"
+            "print(any(name in sys.modules for name in pools))\n"
+            "geom = geowave.make_grid(6.0, 96, 1.0)\n"
+            "man = geowave.ManifoldModel.circle()\n"
+            "traj = geowave.solve_batch(geowave.bump_state(geom, man), 1e-2, 0.25,\n"
+            "                           geowave.LocalizationParams(radius=geom.half_width), manifold=man,\n"
+            "                           basis=geowave.build_basis(geowave.SpectralMeasure.default_three_atoms()),\n"
+            "                           diffusion=geowave.DiffusionField.for_manifold(man), trial_ids=range(4),\n"
+            "                           threads=2)\n"
+            "print(traj.metadata['threads'], any(name in sys.modules for name in pools))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(Path(geowave.__file__).parents[1])})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "2", "False"]
 
 
 def test_trajectory_has_one_stored_path_type():

@@ -38,6 +38,7 @@ from geowave.solver import (
 from geowave.states import bump_state, constant_state, make_grid, random_state
 
 from dense_section import dense_section_energy
+from forked_tally import Tally
 
 _BASIS = build_basis(SpectralMeasure.default_three_atoms())
 _CIRCLE = ManifoldModel.circle()
@@ -215,17 +216,18 @@ def test_rate_result_does_not_depend_on_which_gaps_carry_the_probes(kind, points
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_integrator_work_per_gauss_newton_iteration(monkeypatch, threads):
+def test_integrator_work_per_gauss_newton_iteration(monkeypatch, tmp_path, threads):
     # rate_gn's size: 192 points, 32 steps, 4 blocks
     z0, target, loc, cone, steps = _planted_problem(192, 1.0, mode=1, amplitude=0.9)
-    probe_steps, runs, col_steps, col_heads, chain_heads = [], [], [], [], []
+    probe_steps, runs, chain_heads = [], [], []
+    col_steps, col_heads = Tally(tmp_path / "steps"), Tally(tmp_path / "heads")  # forked blocks count too
     integrate, chain, drift, head = solver._integrate, _TerminalObjective._chain, solver._Run.drift, solver._Run.head
 
     def recording(obj, params, fd_step):
         probe_steps.append(fd_step)
-        before = sum(col_heads)
+        before = sum(col_heads.values())
         out = chain(obj, params, fd_step)
-        chain_heads.append(sum(col_heads) - before)
+        chain_heads.append(sum(col_heads.values()) - before)
         return out
 
     def stepping(run, m):
@@ -256,7 +258,7 @@ def test_integrator_work_per_gauss_newton_iteration(monkeypatch, threads):
     assert chain_heads == [steps + 1] + [438] * res.iterations + [steps + 1]
     # per iteration: the base column over every step and the probes of block j over steps s_j..steps
     per_iteration = steps + dim * steps * (blocks + 1) // 2
-    assert sum(col_steps) == 2 * steps + res.iterations * per_iteration
+    assert sum(col_steps.values()) == 2 * steps + res.iterations * per_iteration
     # solves counts control evaluations: base, probes and gap per iteration, plus the
     # first gap and the certificate, although the certificate runs no solve of its own
     assert res.metadata["solves"] == 2 + res.iterations * (blocks * dim + 2)

@@ -1,7 +1,7 @@
 """Tests for the localized cone solver: exactness, convergence, determinism."""
 import math
+import os
 import re
-import threading
 import warnings
 from unittest.mock import patch
 
@@ -59,6 +59,7 @@ from geowave.wave_group import apply_arrays
 
 import broadcast_kernels as ref
 from dense_section import dense_section_energy
+from forked_tally import Tally
 
 _BASIS = build_basis(SpectralMeasure.default_three_atoms())
 _CIRCLE = ManifoldModel.circle()
@@ -477,7 +478,7 @@ def _rebuilt_each_step(run, m):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_control_field_reused_while_its_rows_repeat_steps_like_a_per_step_rebuild(threads):
+def test_a_control_field_reused_while_its_rows_repeat_steps_like_a_per_step_rebuild(threads, tmp_path):
     steps = 7
     geom = make_grid(6.0, 96, steps * 6.0 / 96)
     z = random_state(geom, _SPHERE, stream(3, 7))
@@ -489,7 +490,7 @@ def test_a_control_field_reused_while_its_rows_repeat_steps_like_a_per_step_rebu
     rates = np.stack([a, a, b, a, b, b, b_signed])
     kwargs = dict(eps=0.0, horizon=geom.horizon, loc=_loc(geom), manifold=_SPHERE, basis=_BASIS,
                   diffusion=_Y_SPHERE, control_rates=rates, keep_states=True, threads=threads)
-    builds = []
+    builds = Tally(tmp_path / "builds")  # the forked blocks build their fields too
     mode_field = solver._mode_field
 
     def counting(*args):
@@ -500,7 +501,7 @@ def test_a_control_field_reused_while_its_rows_repeat_steps_like_a_per_step_rebu
         got = solve_batch(z, **kwargs)
     with patch.object(solver._Run, "control_field", _rebuilt_each_step):
         want = solve_batch(z, **kwargs)
-    assert len(builds) == 4 * threads  # at steps 0, 2, 3 and 4, in each block
+    assert len(builds.values()) == 4 * threads  # at steps 0, 2, 3 and 4, in each block
     assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
     for key in want.energy_trace:
         assert np.array_equal(got.energy_trace[key], want.energy_trace[key]), key
@@ -553,15 +554,20 @@ def _poisoned_solve(threads, values):
     return str(err.value)
 
 
+def _no_child_left():
+    """No process forked by a solve outlives it: nothing is left to reap."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_a_blowup_in_one_block_is_the_serial_one_and_joins_every_worker():
-    baseline = threading.active_count()
     dx = make_grid(6.0, 96, 1.0).spacing
 
     nan_in_column_3 = {3: np.nan}  # the second of two blocks
     serial = _poisoned_solve(1, nan_in_column_3)
     assert serial == f"window norm of column 3 is nan at t={3 * dx}"
     assert _poisoned_solve(2, nan_in_column_3) == serial
-    assert threading.active_count() == baseline
+    _no_child_left()
 
     nan_in_columns_1_and_3 = {1: np.nan, 3: np.nan}  # both blocks fail at one step: the lowest block's column is named
     assert _poisoned_solve(2, nan_in_columns_1_and_3) == _poisoned_solve(1, nan_in_columns_1_and_3)
@@ -571,7 +577,54 @@ def test_a_blowup_in_one_block_is_the_serial_one_and_joins_every_worker():
     # blocks raise the lowest block's
     assert "column 3 is nan" in _poisoned_solve(1, huge_in_column_0_nan_in_column_3)
     assert "exhausted cutoff levels" in _poisoned_solve(2, huge_in_column_0_nan_in_column_3)
-    assert threading.active_count() == baseline
+    _no_child_left()
+
+
+def test_no_forked_block_outlives_its_solve():
+    geom = make_grid(6.0, 96, 1.0)
+    z = bump_state(geom, _CIRCLE)
+    kwargs = dict(manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE, trial_ids=[0, 1, 2, 3])
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with patch.object(os, "fork", counting):
+        # a clean run that splits at its joins: one child per segment
+        solve_batch(z, 0.0, 0.5, _loc(geom), threads=2, _joins={2: 1, 4: 1}, **kwargs)
+        assert len(forks) == 3
+        _no_child_left()
+        # a blow-up in the child's block, then in the first block, at step 2 of 8
+        for column in (3, 0):
+            with _poisoning(2, {column: np.nan}), pytest.raises(BlowupDetected, match=f"column {column} is nan"):
+                solve_batch(z, 1e-2, 0.5, _loc(geom), threads=2, **kwargs)
+            _no_child_left()
+
+        def failing(m, t, u, v):
+            if m == 3:
+                raise KeyError("observer")
+
+        with pytest.raises(KeyError, match="observer"):  # an observer that raises mid-run
+            solve_batch(z, 1e-2, 0.5, _loc(geom), threads=2, observer=failing, **kwargs)
+        _no_child_left()
+    assert len(forks) == 6
+
+
+def test_without_fork_a_batch_is_one_block(monkeypatch):
+    geom = make_grid(6.0, 96, 1.0)
+    z = bump_state(geom, _CIRCLE)
+    kwargs = dict(manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE, trial_ids=[0, 1, 2, 3], keep_states=True)
+    want = solve_batch(z, 1e-2, 0.5, _loc(geom), threads=1, **kwargs)
+    monkeypatch.delattr(os, "fork")
+    got = solve_batch(z, 1e-2, 0.5, _loc(geom), threads=2, **kwargs)
+    assert got.metadata["threads"] == 1
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+    assert np.array_equal(got.noise_increments, want.noise_increments)
+    for key in want.energy_trace:
+        assert np.array_equal(got.energy_trace[key], want.energy_trace[key]), key
 
 
 def test_horizon_must_be_lattice_and_inside_cone():
