@@ -432,7 +432,8 @@ def _cmd_skeleton(cfg: ExperimentConfig, out: Path, threads: int) -> tuple[int, 
     # time t is t + t.join(tails), each row led by t
     tails = ["," + _fmt(x) + "," + _row_format(2 * ncomp + 1) for x in geom.x]
 
-    # a width-1 run on one thread: the observer's pair is the path's state, seen once per step
+    # a width-1 run in one block, which a forked child steps while this process observes it: the
+    # observer's pair is the path's state, seen once per step and in step order
     ledger = _PathLedger(cone, **run.fields, origin=run.z0.origin, spacing=run.z0.spacing, npoints=geom.npoints,
                          eps=0.0)
     worst_res = 0.0

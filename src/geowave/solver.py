@@ -29,8 +29,10 @@ without copying.
 Every solve steps its batch as contiguous column blocks (_integrate): the
 first in the calling process, each other one in a forked child process that
 steps its columns as one whole run and hands each state back through shared
-memory.  Any split gives the same bits, because the columns are
-independent.  This is the package's one trial fan-out.
+memory.  A run of one column with an observer is stepped in a child
+whole, so the calling process only copies out states and observes them
+while the child steps on.  Any split gives the same bits, because the
+columns are independent.  This is the package's one trial fan-out.
 """
 from __future__ import annotations
 
@@ -528,25 +530,25 @@ class _Run:
     def block(self, cols: slice, m: int, work: Scratch, ring: list | None = None) -> "_Run":
         """Columns cols of this run at step m as a run of their own, with work arrays from work.
 
-        A block of every column is this run, which has no ring: _integrate
-        has it compute each state in this run's pair.  Any other block's
-        state is a C-ordered copy of its columns, so its kernels walk
-        contiguous rows (on strided column views of the wider array, a
-        two-block run at mc_batch's size stepped 10-40% slower), and its ring
-        is two pairs that hold its states by step parity: ring, when given
-        (a forked block's shared memory), or two new pairs.  Its rows of the
+        A block of every column asked for without a ring is this run:
+        _integrate has it compute each state in this run's pair.  Any other
+        block's state is a C-ordered copy of its columns, so its
+        kernels walk contiguous rows (on strided column views of the wider
+        array, a two-block run at mc_batch's size stepped 10-40% slower), and
+        its ring holds its state of step m in pair m % len(ring): ring, when
+        given (a forked block's shared memory), or two new pairs.  Its rows of the
         traces and noise log are column views of this run's, so it writes
         those results, its taper levels among them, in place.  It takes its
         trial ids and control rates from this run's and names columns by
         their place in this run.
         """
-        if cols.stop - cols.start == self.u.shape[1]:
+        if ring is None and cols.stop - cols.start == self.u.shape[1]:
             return self
         part = copy.copy(self)
         part.offset, part.cols, part.work, part.control_row = cols.start, cols, work, None
         shape = (self.u.shape[0], cols.stop - cols.start, self.u.shape[2])
         part.ring = [(np.empty(shape), np.empty(shape)) for _ in range(2)] if ring is None else ring
-        part.u, part.v = part.ring[m % 2]
+        part.u, part.v = part.ring[m % len(part.ring)]
         np.copyto(part.u, self.u[:, cols])
         np.copyto(part.v, self.v[:, cols])
         part.trial_ids = self.trial_ids[cols]
@@ -684,26 +686,45 @@ def _step(part: _Run, m: int, window: tuple[int, int], out: tuple) -> tuple[int,
     return part.head(m + 1)
 
 
+# The bytes a forked block's ring may take before it is cut to two slots: a
+# narrow block gets up to 8 slots, so its child can run that many steps ahead
+# of a slow observer (a skeleton solve's CSV snapshot comes every 8th step).
+_RING_BYTES = 3 << 19  # 1.5 MiB
+
+
+def _ring_slots(block: tuple) -> int:
+    """The slots of a forked block's ring for states of shape block = (npoints, columns, ncomp)."""
+    return max(2, min(8, _RING_BYTES // (2 * 8 * math.prod(block))))
+
+
 class _Fork:
     """A column block stepped in a forked process from step start to step end (see _integrate).
 
-    The child computes the state of step m in slot m % 2 of a two-slot ring
-    of anonymous shared memory and writes one status byte per step, after
-    that step's head, on a pipe: 0 when the step went well, 1 followed by
-    its pickled exception when it did not.  Before it overwrites a slot it
-    reads the parent's acknowledgement that the slot's state was copied;
-    the state of step start is the parent's already and needs none.  After
-    the status of step end it sends its rows of the traces and the noise
-    log and exits.
+    The child computes the state of step m in slot m % slots of a ring of
+    _ring_slots slots in anonymous shared memory and writes one status byte
+    per step, after that step's head, on a pipe: 0 when the step went well,
+    1 followed by its pickled exception when it did not.  Before it
+    overwrites a slot it reads the parent's acknowledgement that the slot's
+    state was copied, so it runs at most slots steps past the last state
+    the parent copied; the state of step start is the parent's already and needs none.
+    After the status of step end it sends its rows of the traces and the
+    noise log and exits.
     """
 
     def __init__(self, run: _Run, cols: slice, start: int, end: int, window, others: list):
         self.cols, self.start, self.end = cols, start, end
-        shape = (2, 2, run.u.shape[0], cols.stop - cols.start, run.u.shape[2])  # slot, u or v, block shape
+        block = (run.u.shape[0], cols.stop - cols.start, run.u.shape[2])
+        shape = (_ring_slots(block), 2) + block  # slot, u or v, block shape
         self.ring = np.frombuffer(mmap.mmap(-1, math.prod(shape) * 8), dtype=float).reshape(shape)
-        status_r, status_w = os.pipe()
-        ack_r, ack_w = os.pipe()
-        self.pid = os.fork()
+        fds = os.pipe()
+        try:
+            fds += os.pipe()
+            self.pid = os.fork()
+        except BaseException:  # no child: close the pipes, which nothing else will
+            for fd in fds:
+                os.close(fd)
+            raise
+        status_r, status_w, ack_r, ack_w = fds
         if self.pid == 0:
             try:  # the child: never the observer, never a flush of an inherited buffer
                 for fd in [status_r, ack_w] + [fd for other in others for fd in (other.status.fileno(), other.ack)]:
@@ -722,10 +743,11 @@ class _Fork:
                 window = part.head(0)
                 status.write(b"\0")
                 status.flush()
+            slots = len(self.ring)
             for m in range(self.start, self.end):
-                if m >= self.start + 2 and not os.read(ack, 1):  # the state of step m - 1 is copied
+                if m >= self.start + slots and not os.read(ack, 1):  # the state of step m + 1 - slots is copied
                     return  # the parent is gone
-                window = _step(part, m, window, part.ring[(m + 1) % 2])
+                window = _step(part, m, window, part.ring[(m + 1) % slots])
                 status.write(b"\0")
                 status.flush()
             pickle.dump(({key: arr[self.start:self.end + 1] for key, arr in part.trace.items()},
@@ -751,10 +773,10 @@ class _Fork:
                 return RuntimeError(f"the column block {self.cols.start}..{self.cols.stop - 1} "
                                     f"ended without reporting step {m}")
         if new is not None:
-            slot = self.ring[m % 2]
+            slot = self.ring[m % len(self.ring)]
             np.copyto(new[0][:, self.cols], slot[0])
             np.copyto(new[1][:, self.cols], slot[1])
-            if m <= self.end - 2:  # the child overwrites this slot with the state of step m + 2
+            if m <= self.end - len(self.ring):  # the child overwrites this slot with the state of step m + slots
                 os.write(self.ack, b"\0")
         if m == self.end:
             trace, noise = pickle.load(self.status)
@@ -782,7 +804,13 @@ def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict,
     Each block is a _Run.block of one run.  The first is stepped in the
     calling process; each other block is a forked child process (_Fork)
     that steps its columns as one whole run to the horizon or to the next
-    join.  A block of every column is the run itself
+    join.  A run of one column (a final width of 1, so no joins) with an
+    observer has no block in the calling process: its one block is a child,
+    which steps on while the observer of an earlier step runs, up to its
+    ring's slot count past that step.  Without an observer nothing would overlap the
+    child's steps, and a wider run's first block stays in the calling
+    process (where a traced run sees its steps).  A block of every column
+    in the calling process is the run itself
     and computes each state in the run's next pair (the stored path's row,
     or a new one); the first block of several computes it in its ring and
     copies it into its columns of that pair, and after each step the parent
@@ -802,15 +830,22 @@ def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict,
     run = _Run(u0, v0, **kwargs)
     if not hasattr(os, "fork"):
         threads = 1
-    run.nblocks = len(_column_blocks(threads, u0.shape[0], u0.shape[1] + sum(joins.values())))
-    forks, window = [], None
+    width = u0.shape[1] + sum(joins.values())
+    run.nblocks = len(_column_blocks(threads, u0.shape[0], width))
+    first = 0 if width == 1 and observer is not None and hasattr(os, "fork") else 1  # the first forked block's index
+    forks, window, part = [], None, None
 
     def gather(fn, m, new=None):
-        """fn() in the first block, then every child's outcome of step m; the lowest block's error is raised."""
+        """fn() in the calling process's block, if it has one, then every child's outcome of step m.
+
+        The lowest block's error is raised.
+        """
+        result, errors = None, []
         try:
-            result, errors = fn(), []
+            if part is not None:
+                result = fn()
         except Exception as exc:
-            result, errors = None, [exc]
+            errors.append(exc)
         errors += [err for child in forks if (err := child.report(run, m, new)) is not None]
         if errors:
             raise errors[0]
@@ -824,9 +859,9 @@ def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict,
                 blocks = _column_blocks(threads, *run.u.shape[:2])
                 end = min((j for j in joins if j > m), default=run.steps)
                 forks = []
-                for cols in blocks[1:]:
+                for cols in blocks[first:]:
                     forks.append(_Fork(run, cols, m, end, window, forks))
-                part = run.block(blocks[0], m, run.work)
+                part = run.block(blocks[0], m, run.work) if first else None
                 if m == 0:
                     window = gather(lambda: part.head(0), 0)  # a step's window is every column's
             run.u.flags.writeable = run.v.flags.writeable = False
@@ -834,9 +869,9 @@ def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict,
                 observer(m, m * run.dx, run.u, run.v)
             if m < run.steps:
                 new = run.pair(m + 1)
-                window = gather(lambda: _step(part, m, window, new if part.ring is None else part.ring[(m + 1) % 2]),
-                                m + 1, new)
-                if part.ring is not None:
+                window = gather(lambda: _step(part, m, window, new if part.ring is None
+                                              else part.ring[(m + 1) % len(part.ring)]), m + 1, new)
+                if part is not None and part.ring is not None:
                     np.copyto(new[0][:, part.cols], part.u)
                     np.copyto(new[1][:, part.cols], part.v)
                 run.u, run.v = new

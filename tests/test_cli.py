@@ -205,13 +205,17 @@ def test_lattice_cones_still_load_and_run(tmp_path):
 
 @pytest.fixture
 def forked_splits(monkeypatch):
-    """The column blocks each split of a run started, one entry per split that forked: its first block and one per child."""
+    """The column blocks each split of a run started, one entry per split that forked.
+
+    An entry counts the split's first block, when the calling process steps
+    it, and one block per child; a lone observed column is a child's alone.
+    """
     splits, init = [], solver._Fork.__init__
 
     def recording(child, run, cols, start, end, window, others):
         init(child, run, cols, start, end, window, others)  # returns in this process only, after the fork
-        if not others:  # the split's first child
-            splits.append(1)
+        if not others:  # the split's first child: column 0 is a child's when the calling process has no block
+            splits.append(int(cols.start > 0))
         splits[-1] += 1
 
     monkeypatch.setattr(solver._Fork, "__init__", recording)
@@ -232,13 +236,15 @@ def test_threads_are_capped_by_the_chunks_and_recorded(tmp_path, forked_splits):
     skeleton = tmp_path / "skeleton"
     assert run_command(["skeleton", "--config", str(_config(tmp_path, _SMALL, "s.cfg")),
                         "--out", str(skeleton), "--threads", "8"]) == 0
-    assert json.loads((skeleton / "manifest.json").read_text())["threads"] == 1  # no trials to fan out
+    # no trials to fan out: one block, stepped by one child while the command observes it
+    assert json.loads((skeleton / "manifest.json").read_text())["threads"] == 1
+    assert requested == [3, 2, 1]  # a split of one block that forked: exactly one child
     s1 = tmp_path / "s1"  # probe-s1 fans out its perturbed paths: (2, 4, 8) in two blocks
     assert run_command(["probe-s1", "--config", str(_config(tmp_path, _SMALL + "experiment.n_list = (2, 4, 8)\n"
                                                             'experiment.perturbation = "constant"\n', "s1.cfg")),
                         "--out", str(s1), "--threads", "2"]) == 0
     assert json.loads((s1 / "manifest.json").read_text())["threads"] == 2
-    assert requested == [3, 2, 2]
+    assert requested == [3, 2, 1, 2]
 
 
 def test_rate_steps_its_solves_in_the_requested_blocks_and_records_them(tmp_path, forked_splits):

@@ -1,7 +1,9 @@
 """Tests for the localized cone solver: exactness, convergence, determinism."""
+import contextlib
 import math
 import os
 import re
+import time
 import warnings
 from unittest.mock import patch
 
@@ -625,6 +627,136 @@ def test_without_fork_a_batch_is_one_block(monkeypatch):
     assert np.array_equal(got.noise_increments, want.noise_increments)
     for key in want.energy_trace:
         assert np.array_equal(got.energy_trace[key], want.energy_trace[key]), key
+
+
+def test_a_failed_fork_closes_its_pipes():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no per-process descriptor listing on this platform")
+    geom = make_grid(6.0, 96, 1.0)
+    z = bump_state(geom, _CIRCLE)
+    fields = dict(manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE)
+
+    def failing():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    before = len(os.listdir("/proc/self/fd"))
+    with patch.object(os, "fork", failing):
+        for _ in range(3):
+            with pytest.raises(BlockingIOError):
+                solve_batch(z, 1e-2, 0.25, _loc(geom), **fields, trial_ids=[0, 1, 2, 3], threads=2)
+            with pytest.raises(BlockingIOError):  # a lone observed column forks too
+                solve_skeleton(z, None, 0.25, _loc(geom), **fields, observer=lambda m, t, u, v: None)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_a_forked_rings_slots_follow_its_block_size():
+    # geowave skeleton's default sphere lattice, one column: 172 KB a slot, 8 slots, so the
+    # child can step through the 8 steps between two CSV snapshots while the observer writes one
+    points = make_grid(6.0, 1536, 1.0).npoints
+    assert points == 3587
+    assert solver._ring_slots((points, 1, 3)) == 8
+    # mc_batch's block at two CPUs, 4 of 8 columns: 688 KB a slot, 2 slots
+    assert solver._ring_slots((points, 4, 3)) == 2
+    assert solver._ring_slots((10**6, 8, 3)) == 2 and solver._ring_slots((4, 1, 2)) == 8
+
+
+def _counting_forks():
+    """os.fork patched to record the pid of each child it makes, and that list."""
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    return patch.object(os, "fork", counting), forks
+
+
+def _lone_column_solve(kind, geom, eps, control, keep_states, observer):
+    manifold, diffusion = _BLOCK_CASES[kind]
+    z = random_state(geom, manifold, stream(3, 9))
+    fields = dict(manifold=manifold, basis=_BASIS, diffusion=diffusion, keep_states=keep_states,
+                  observer=observer)
+    if eps is None:
+        return solve_skeleton(z, control, geom.horizon, _loc(geom), **fields)
+    return solve_stochastic(z, eps, control, geom.horizon, _loc(geom), **fields, master_seed=5, trial_id=2)
+
+
+def _observed_lone_column(forked, *args, sleep=0.0, fail_at=None):
+    """_lone_column_solve with an observer, forked or with os.fork deleted: (trajectory or error, forks, seen)."""
+    seen = []
+
+    def observer(m, t, u, v):
+        if sleep and m % 3 == 0:
+            time.sleep(sleep)
+        if m == fail_at:
+            raise KeyError(f"observer at step {m}")
+        seen.append((m, t, u.copy(), v.copy()))
+
+    counting, forks = _counting_forks()
+    with counting, pytest.MonkeyPatch.context() as mp:
+        if not forked:
+            mp.delattr(os, "fork")
+        try:
+            result = _lone_column_solve(*args, observer=observer)
+        except Exception as exc:
+            result = exc
+    _no_child_left()
+    return result, forks, seen
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_BLOCK_CASES)),
+    noisy=st.booleans(),
+    controlled=st.booleans(),
+    keep_states=st.booleans(),
+    length=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),  # (a, b): a * slots + b steps
+    sleep=st.sampled_from([0.0, 2e-3]),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="sphere", noisy=True, controlled=True, keep_states=True, length=(2, 1), sleep=2e-3, seed=0)
+def test_a_lone_observed_column_stepped_in_a_child_is_the_in_process_run(kind, noisy, controlled, keep_states,
+                                                                          length, sleep, seed):
+    # one column with an observer is stepped in a forked child and observed while the child steps on
+    slots = 8  # every lattice here is far below the ring's byte budget
+    steps = length[0] * slots + length[1]  # 1, slots - 1, slots, slots + 1 or 2 slots + 1
+    geom = make_grid(6.0, 64, steps * 6.0 / 64)
+    assert solver._ring_slots((geom.npoints, 1, _BLOCK_CASES[kind][0].ambient_dim)) == slots
+    control = (Control(np.random.default_rng(seed).normal(scale=0.5, size=(steps, _BASIS.dim)), geom.spacing)
+               if controlled else None)
+    args = (kind, geom, 1e-2 if noisy else None, control, keep_states)
+    got, forks, seen = _observed_lone_column(True, *args, sleep=sleep)
+    want, no_forks, want_seen = _observed_lone_column(False, *args)
+    assert len(forks) == 1 and no_forks == []
+    assert got.steps == steps and got.metadata == want.metadata
+    assert len(seen) == len(want_seen) == steps + 1
+    for (m, t, u, v), (wm, wt, wu, wv) in zip(seen, want_seen):
+        assert (m, t) == (wm, wt) and np.array_equal(u, wu) and np.array_equal(v, wv), m
+    for a, b in zip(got.final, want.final):
+        assert np.array_equal(a, b) and not a.flags.writeable
+    for a, b in ((got.u, want.u), (got.v, want.v), (got.noise_increments, want.noise_increments)):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    assert (got.u is None) == (not keep_states) and (got.noise_increments is None) == (not noisy)
+    for key in want.energy_trace:
+        assert np.array_equal(got.energy_trace[key], want.energy_trace[key]), key
+
+
+@pytest.mark.parametrize("failure", ["observer", "nan in the child"])
+def test_a_lone_observed_columns_failure_is_the_in_process_one(failure):
+    geom = make_grid(6.0, 96, 1.0)
+    args = ("circle", geom, 1e-2, None, False)
+    with _poisoning(2, {0: np.nan}) if failure == "nan in the child" else contextlib.nullcontext():
+        got, forks, seen = _observed_lone_column(True, *args, fail_at=3)
+        want, _, want_seen = _observed_lone_column(False, *args, fail_at=3)
+    assert len(forks) == 1
+    assert type(got) is type(want) and str(got) == str(want)
+    if failure == "observer":
+        assert isinstance(got, KeyError) and str(got) == "'observer at step 3'"
+    else:
+        assert isinstance(got, BlowupDetected) and str(got) == f"window norm of column 0 is nan at t={3 * geom.spacing}"
+    assert [m for m, *_ in seen] == [m for m, *_ in want_seen] == [0, 1, 2]
 
 
 def test_horizon_must_be_lattice_and_inside_cone():
