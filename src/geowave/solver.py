@@ -532,11 +532,11 @@ class _Run:
 
         A block of every column asked for without a ring is this run:
         _integrate has it compute each state in this run's pair.  Any other
-        block's state is a C-ordered copy of its columns, so its
-        kernels walk contiguous rows (on strided column views of the wider
-        array, a two-block run at mc_batch's size stepped 10-40% slower), and
-        its ring holds its state of step m in pair m % len(ring): ring, when
-        given (a forked block's shared memory), or two new pairs.  Its rows of the
+        block's state is a C-ordered copy of its columns, so its kernels walk
+        contiguous rows (on strided column views of the wider array, a
+        two-block run at mc_batch's size stepped 10-40% slower), and its ring
+        holds its state of step m in pair m % len(ring): ring, when given (a
+        forked block's shared memory), or two new pairs.  Its rows of the
         traces and noise log are column views of this run's, so it writes
         those results, its taper levels among them, in place.  It takes its
         trial ids and control rates from this run's and names columns by
@@ -706,9 +706,9 @@ class _Fork:
     1 followed by its pickled exception when it did not.  Before it
     overwrites a slot it reads the parent's acknowledgement that the slot's
     state was copied, so it runs at most slots steps past the last state
-    the parent copied; the state of step start is the parent's already and needs none.
-    After the status of step end it sends its rows of the traces and the
-    noise log and exits.
+    the parent copied; the state of step start is the parent's already and
+    needs none.  After the status of step end it sends its rows of the
+    traces and the noise log and exits.
     """
 
     def __init__(self, run: _Run, cols: slice, start: int, end: int, window, others: list):
@@ -807,11 +807,10 @@ def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict,
     join.  A run of one column (a final width of 1, so no joins) with an
     observer has no block in the calling process: its one block is a child,
     which steps on while the observer of an earlier step runs, up to its
-    ring's slot count past that step.  Without an observer nothing would overlap the
-    child's steps, and a wider run's first block stays in the calling
-    process (where a traced run sees its steps).  A block of every column
-    in the calling process is the run itself
-    and computes each state in the run's next pair (the stored path's row,
+    ring's slot count past that step.  Without an observer nothing would
+    overlap the child's steps, and a wider run's first block stays in the
+    calling process (where a traced run sees its steps).  A block of every
+    column in the calling process is the run itself and computes each state in the run's next pair (the stored path's row,
     or a new one); the first block of several computes it in its ring and
     copies it into its columns of that pair, and after each step the parent
     copies every child's state from its shared ring into the child's

@@ -582,10 +582,8 @@ def test_a_blowup_in_one_block_is_the_serial_one_and_joins_every_worker():
     _no_child_left()
 
 
-def test_no_forked_block_outlives_its_solve():
-    geom = make_grid(6.0, 96, 1.0)
-    z = bump_state(geom, _CIRCLE)
-    kwargs = dict(manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE, trial_ids=[0, 1, 2, 3])
+def _counting_forks():
+    """os.fork patched to record the pid of each child it makes, and that list."""
     forks, fork = [], os.fork
 
     def counting():
@@ -594,7 +592,15 @@ def test_no_forked_block_outlives_its_solve():
             forks.append(pid)
         return pid
 
-    with patch.object(os, "fork", counting):
+    return patch.object(os, "fork", counting), forks
+
+
+def test_no_forked_block_outlives_its_solve():
+    geom = make_grid(6.0, 96, 1.0)
+    z = bump_state(geom, _CIRCLE)
+    kwargs = dict(manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE, trial_ids=[0, 1, 2, 3])
+    counting, forks = _counting_forks()
+    with counting:
         # a clean run that splits at its joins: one child per segment
         solve_batch(z, 0.0, 0.5, _loc(geom), threads=2, _joins={2: 1, 4: 1}, **kwargs)
         assert len(forks) == 3
@@ -658,19 +664,6 @@ def test_a_forked_rings_slots_follow_its_block_size():
     # mc_batch's block at two CPUs, 4 of 8 columns: 688 KB a slot, 2 slots
     assert solver._ring_slots((points, 4, 3)) == 2
     assert solver._ring_slots((10**6, 8, 3)) == 2 and solver._ring_slots((4, 1, 2)) == 8
-
-
-def _counting_forks():
-    """os.fork patched to record the pid of each child it makes, and that list."""
-    forks, fork = [], os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    return patch.object(os, "fork", counting), forks
 
 
 def _lone_column_solve(kind, geom, eps, control, keep_states, observer):
