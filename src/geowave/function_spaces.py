@@ -129,7 +129,7 @@ class Scratch:
     get(key, shape) returns a C-ordered float array of that shape: the
     leading elements of one flat buffer per key, which only grows.  Arrays
     under one key share memory, so a kernel keeps to its own keys, and one
-    Scratch serves one run on one thread.
+    Scratch serves one run in one process.
     """
 
     def __init__(self):

@@ -26,13 +26,13 @@ an observer is for values of every step.  The pair an observer receives is
 read-only and never written after the call, so observers may keep it
 without copying.
 
-Every solve steps its batch as contiguous column blocks (_integrate): the
-first in the calling process, each other one in a forked child process that
-steps its columns as one whole run and hands each state back through shared
-memory.  A run of one column with an observer is stepped in a child
-whole, so the calling process only copies out states and observes them
-while the child steps on.  Any split gives the same bits, because the
-columns are independent.  This is the package's one trial fan-out.
+Every solve steps its batch as contiguous column blocks (_integrate): one
+block steps in the calling process, and a split (or a lone column with an
+observer) steps every block in a forked child process that runs its columns
+as one whole run and hands each state back through shared memory, while
+the calling process copies out the states and observes them.  Any split
+gives the same bits, because the columns are independent.  This is the
+package's one trial fan-out.
 """
 from __future__ import annotations
 
@@ -516,7 +516,7 @@ class _Run:
         self.v = np.ascontiguousarray(v0, dtype=float).view()
         self.work = Scratch() if work is None else work  # a caller's, kept between its runs
         self.control_row = None  # the control rows the work array "control.field" holds
-        self.offset, self.ring = 0, None  # the first column's place in the batch and a block's ring (see block)
+        self.offset = 0  # the first column's place in the batch (see block)
 
         self.times = spacing * np.arange(steps + 1)
         rows = (len(self.times), nbatch)
@@ -527,28 +527,21 @@ class _Run:
             self.path_u[0], self.path_v[0] = self.u, self.v
         self.noise_log = np.zeros((steps, nbatch, basis.dim)) if needs_noise else None
 
-    def block(self, cols: slice, m: int, work: Scratch, ring: list | None = None) -> "_Run":
-        """Columns cols of this run at step m as a run of their own, with work arrays from work.
+    def block(self, cols: slice, m: int, ring: list) -> "_Run":
+        """Columns cols of this run at step m as a run of their own, with a fresh Scratch (a forked block's).
 
-        A block of every column asked for without a ring is this run:
-        _integrate has it compute each state in this run's pair.  Any other
-        block's state is a C-ordered copy of its columns, so its kernels walk
+        Its state is a C-ordered copy of its columns, so its kernels walk
         contiguous rows (on strided column views of the wider array, a
-        two-block run at mc_batch's size stepped 10-40% slower), and its ring
-        holds its state of step m in pair m % len(ring): ring, when given (a
-        forked block's shared memory), or two new pairs.  Its rows of the
-        traces and noise log are column views of this run's, so it writes
-        those results, its taper levels among them, in place.  It takes its
-        trial ids and control rates from this run's and names columns by
-        their place in this run.
+        two-block run at mc_batch's size stepped 10-40% slower); the ring (a
+        forked block's shared memory) holds its state of step m in pair
+        m % len(ring).  Its rows of the traces and noise log are column views
+        of this run's, so it writes those results, its taper levels among
+        them, in place.  It takes its trial ids and control rates from this
+        run's and names columns by their place in this run.
         """
-        if ring is None and cols.stop - cols.start == self.u.shape[1]:
-            return self
         part = copy.copy(self)
-        part.offset, part.cols, part.work, part.control_row = cols.start, cols, work, None
-        shape = (self.u.shape[0], cols.stop - cols.start, self.u.shape[2])
-        part.ring = [(np.empty(shape), np.empty(shape)) for _ in range(2)] if ring is None else ring
-        part.u, part.v = part.ring[m % len(part.ring)]
+        part.offset, part.work, part.control_row = cols.start, Scratch(), None
+        part.u, part.v = ring[m % len(ring)]
         np.copyto(part.u, self.u[:, cols])
         np.copyto(part.v, self.v[:, cols])
         part.trial_ids = self.trial_ids[cols]
@@ -567,15 +560,15 @@ class _Run:
         self.u, self.v = grow(self.u, 1), grow(self.v, 1)
         self.trace = {key: grow(arr, 1) for key, arr in self.trace.items()}
 
-    def head(self, m: int) -> tuple[int, int]:
-        """Step m's coarse window norm and taper levels, written in row m of the traces: the window.
+    def head(self, m: int) -> None:
+        """Step m's coarse window norm and taper levels, written in row m of the traces.
 
         Row m of the levels starts as row m - 1 (step 0's as twice the norm,
         rounded up) and doubles in place where the norm reaches it, so each
         level ends above its column's norm, where the taper is exactly 1.
         """
         t = m * self.dx
-        window, norm = _window(self.u, self.v, self.origin, self.dx, self.loc.radius - t, self.work)
+        norm = _window(self.u, self.v, self.origin, self.dx, self.loc.radius - t, self.work)[1]
         # a NaN norm fails every level test below and would run on
         col = self.offset  # messages number the columns in the whole batch (see block)
         _blowup(~np.isfinite(norm), lambda b: f"window norm of column {col + b} is {norm[b]} at t={t}")
@@ -592,10 +585,12 @@ class _Run:
             _blowup(row > top, lambda b: f"window norm {norm[b]:.3e} exhausted cutoff levels up to {top} at t={t}")
 
         self.trace["taper_norm"][m] = norm
-        return window
 
-    def kick(self, m: int, window: tuple[int, int]) -> np.ndarray:
-        """The velocity after step m's noise kick, evaluated at the left point (v itself without noise)."""
+    def kick(self, m: int) -> np.ndarray:
+        """The velocity after step m's noise kick, evaluated at the left point (v itself without noise).
+
+        The kick is extended outside the window of step m's head, (-s, s) for s = radius - m * dx.
+        """
         if self.noise_log is None:
             return self.v
         u, work = self.u, self.work
@@ -605,7 +600,7 @@ class _Run:
             increments[b] = sample_increment(self.basis, self.dx, stream(self.master_seed, self.trial_ids[b], m))
         wfield = _mode_field(increments, self.modes_coarse, work.get("noise.field", (nbatch, n)),
                              work.get("noise.tmp", (nbatch, n))).T
-        i_lo, i_hi = window
+        i_lo, i_hi = window_indices(self.origin, self.dx, n, self.loc.radius - m * self.dx)
         y = work.get("f0", u.shape)
         self.diffusion(u[i_lo:i_hi + 1], out=y[i_lo:i_hi + 1], work=work)
         extend_array(y, i_lo, i_hi, 1)
@@ -680,10 +675,10 @@ class _Run:
                 self.manifold.tangent_project_at(u[:, b], v[:, b], out=v[:, b], work=work)
 
 
-def _step(part: _Run, m: int, window: tuple[int, int], out: tuple) -> tuple[int, int]:
-    """Step m of one block: its state of step m + 1 in the pair out, then that step's head, whose window it returns."""
-    part.advance(m, part.kick(m, window), *part.drift(m), out)
-    return part.head(m + 1)
+def _step(part: _Run, m: int, out: tuple) -> None:
+    """Step m of one block: its state of step m + 1 in the pair out, then that step's head."""
+    part.advance(m, part.kick(m), *part.drift(m), out)
+    part.head(m + 1)
 
 
 # The bytes a forked block's ring may take before it is cut to two slots: a
@@ -711,7 +706,7 @@ class _Fork:
     traces and the noise log and exits.
     """
 
-    def __init__(self, run: _Run, cols: slice, start: int, end: int, window, others: list):
+    def __init__(self, run: _Run, cols: slice, start: int, end: int, others: list):
         self.cols, self.start, self.end = cols, start, end
         block = (run.u.shape[0], cols.stop - cols.start, run.u.shape[2])
         shape = (_ring_slots(block), 2) + block  # slot, u or v, block shape
@@ -729,25 +724,25 @@ class _Fork:
             try:  # the child: never the observer, never a flush of an inherited buffer
                 for fd in [status_r, ack_w] + [fd for other in others for fd in (other.status.fileno(), other.ack)]:
                     os.close(fd)
-                self._child(run, window, open(status_w, "wb"), ack_r)
+                self._child(run, open(status_w, "wb"), ack_r)
             finally:
                 os._exit(0)
         os.close(status_w)
         os.close(ack_r)
         self.status, self.ack = open(status_r, "rb"), ack_w
 
-    def _child(self, run: _Run, window, status, ack: int) -> None:
+    def _child(self, run: _Run, status, ack: int) -> None:
         try:
-            part = run.block(self.cols, self.start, Scratch(), [tuple(slot) for slot in self.ring])
+            ring = [tuple(slot) for slot in self.ring]
+            part = run.block(self.cols, self.start, ring)
             if self.start == 0:
-                window = part.head(0)
+                part.head(0)
                 status.write(b"\0")
                 status.flush()
-            slots = len(self.ring)
             for m in range(self.start, self.end):
-                if m >= self.start + slots and not os.read(ack, 1):  # the state of step m + 1 - slots is copied
+                if m >= self.start + len(ring) and not os.read(ack, 1):  # the state of step m + 1 - slots is copied
                     return  # the parent is gone
-                window = _step(part, m, window, part.ring[(m + 1) % slots])
+                _step(part, m, ring[(m + 1) % len(ring)])
                 status.write(b"\0")
                 status.flush()
             pickle.dump(({key: arr[self.start:self.end + 1] for key, arr in part.trace.items()},
@@ -801,54 +796,44 @@ class _Fork:
 def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict, observer=None, **kwargs) -> _Run:
     """Steps 0..horizon/spacing from (u0, v0) in the column blocks of _column_blocks; kwargs go to _Run.
 
-    Each block is a _Run.block of one run.  The first is stepped in the
-    calling process; each other block is a forked child process (_Fork)
-    that steps its columns as one whole run to the horizon or to the next
-    join.  A run of one column (a final width of 1, so no joins) with an
-    observer has no block in the calling process: its one block is a child,
-    which steps on while the observer of an earlier step runs, up to its
-    ring's slot count past that step.  Without an observer nothing would
-    overlap the child's steps, and a wider run's first block stays in the
-    calling process (where a traced run sees its steps).  A block of every
-    column in the calling process is the run itself and computes each state in the run's next pair (the stored path's row,
-    or a new one); the first block of several computes it in its ring and
-    copies it into its columns of that pair, and after each step the parent
-    copies every child's state from its shared ring into the child's
-    columns.  At a join step m the children end after their heads of step
-    m, send their rows of the traces and the noise log and are reaped; the
-    run widens by joins[m] columns (_Run.widen) and forks afresh, and the
-    new blocks take that step's window, so no head is computed twice.  The
-    observer runs in the calling process between steps with the run's pair
-    of step m, made read-only: no block reads it back.  The returned run's
-    pair is that of the last step (Trajectory.final).  A block's error is
-    raised once every block has finished that step; when several blocks
-    fail in one step, the lowest block's error wins.  Every child is
-    reaped before the call returns or raises, killed first if it has not
-    ended.  Without os.fork every run is one block.
+    The run takes one of two layouts at step 0 and at each join.  One block
+    (and no lone observed column) is the run itself, stepped in the calling
+    process: each state is computed in the run's next pair (the stored
+    path's row, or a new one), and nothing is copied or forked.  Otherwise,
+    when the split gives several blocks, or the run is one column (a final
+    width of 1, so no joins) with an observer, every block is a forked child
+    process (_Fork) that steps its _Run.block as one whole run to the
+    horizon or to the next join, and the calling process steps nothing: after
+    each step it copies every child's state from its shared ring into the
+    child's columns of the run's next pair, and a child steps on while the
+    observer of an earlier step runs, up to its ring's slot count past that
+    step.  A wider run that is one block stays in the calling process, where
+    a traced run sees its steps.  At a join step m the children end after
+    their heads of step m, send their rows of the traces and the noise log
+    and are reaped; the run widens by joins[m] columns (_Run.widen) and
+    takes its layout afresh, so a run may start in the calling process and
+    fork at a join, and no head is computed twice.  The observer runs in the
+    calling process between steps with the run's pair of step m, made
+    read-only: no block reads it back.  The returned run's pair is that of
+    the last step (Trajectory.final).  A block's error is raised once every
+    block has finished that step; when several blocks fail in one step, the
+    lowest block's error wins.  Every child is reaped before the call
+    returns or raises, killed first if it has not ended.  Without os.fork
+    every run is one block.
     """
     run = _Run(u0, v0, **kwargs)
     if not hasattr(os, "fork"):
         threads = 1
     width = u0.shape[1] + sum(joins.values())
     run.nblocks = len(_column_blocks(threads, u0.shape[0], width))
-    first = 0 if width == 1 and observer is not None and hasattr(os, "fork") else 1  # the first forked block's index
-    forks, window, part = [], None, None
+    lone = width == 1 and observer is not None and hasattr(os, "fork")
+    forks = []
 
-    def gather(fn, m, new=None):
-        """fn() in the calling process's block, if it has one, then every child's outcome of step m.
-
-        The lowest block's error is raised.
-        """
-        result, errors = None, []
-        try:
-            if part is not None:
-                result = fn()
-        except Exception as exc:
-            errors.append(exc)
-        errors += [err for child in forks if (err := child.report(run, m, new)) is not None]
+    def gather(m, new=None):
+        """Every child's outcome of step m, in block order: the lowest block's error is raised."""
+        errors = [err for child in forks if (err := child.report(run, m, new)) is not None]
         if errors:
             raise errors[0]
-        return result
 
     try:
         for m in range(run.steps + 1):
@@ -858,21 +843,22 @@ def _integrate(u0: np.ndarray, v0: np.ndarray, threads: int | None, joins: dict,
                 blocks = _column_blocks(threads, *run.u.shape[:2])
                 end = min((j for j in joins if j > m), default=run.steps)
                 forks = []
-                for cols in blocks[first:]:
-                    forks.append(_Fork(run, cols, m, end, window, forks))
-                part = run.block(blocks[0], m, run.work) if first else None
-                if m == 0:
-                    window = gather(lambda: part.head(0), 0)  # a step's window is every column's
+                if len(blocks) > 1 or lone:
+                    for cols in blocks:
+                        forks.append(_Fork(run, cols, m, end, forks))
+                    if m == 0:
+                        gather(0)
+                elif m == 0:
+                    run.head(0)
             run.u.flags.writeable = run.v.flags.writeable = False
             if observer is not None:
                 observer(m, m * run.dx, run.u, run.v)
             if m < run.steps:
                 new = run.pair(m + 1)
-                window = gather(lambda: _step(part, m, window, new if part.ring is None
-                                              else part.ring[(m + 1) % len(part.ring)]), m + 1, new)
-                if part is not None and part.ring is not None:
-                    np.copyto(new[0][:, part.cols], part.u)
-                    np.copyto(new[1][:, part.cols], part.v)
+                if forks:
+                    gather(m + 1, new)
+                else:
+                    _step(run, m, new)
                 run.u, run.v = new
     finally:
         for child in forks:
@@ -990,9 +976,9 @@ def solve_batch(
     results keep the batch axis in final, the traces and the noise log.
 
     The B columns are stepped as the contiguous blocks trial_chunks(range(B),
-    threads): the first in the calling process and each other one in a
-    forked child process (one block without os.fork); every split gives the
-    same bits.  threads=None takes the CPUs available to the process,
+    threads): one block in the calling process, several (or a lone column
+    with an observer) each in a forked child process, see _integrate (one
+    block without os.fork); every split gives the same bits.  threads=None takes the CPUs available to the process,
     lowered until every block holds at least _MIN_BLOCK_CELLS lattice points
     times columns (below that, blocks cost more than they save);
     metadata["threads"] is the number of blocks.  The observer runs in the
@@ -1006,9 +992,10 @@ def solve_batch(
     whose control rows equal column 0's before its step is, from there on,
     bitwise that column of the full-width run; the observer sees each step's
     width, and metadata["threads"] counts the blocks of the final width.
-    _work, also private, is a Scratch that the first column block takes its
-    work arrays from: a caller making many solves in turn keeps them from
-    run to run instead of faulting in fresh pages for each.
+    _work, also private, is a Scratch that a run stepped in the calling
+    process takes its work arrays from: a caller making many solves in turn
+    keeps them from run to run instead of faulting in fresh pages for each
+    (a forked block faults in its own).
     """
     if control_rates is None:
         nbatch = len(trial_ids) if trial_ids is not None else 1
@@ -1052,8 +1039,6 @@ def _column_blocks(threads: int | None, npoints: int, nbatch: int) -> list:
         while threads > 1 and (npoints * min(map(len, trial_chunks(range(nbatch), threads)), default=0)
                                < _MIN_BLOCK_CELLS):
             threads -= 1
-    elif threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     return [slice(chunk[0], chunk[-1] + 1) for chunk in trial_chunks(range(nbatch), threads)]
 
 
@@ -1100,6 +1085,8 @@ def cone_energies(z0: State, eps: float, horizon: float, loc: LocalizationParams
 
 def trial_chunks(ids, threads: int) -> list:
     """The contiguous chunks of ids that solve_batch steps as column blocks: at most `threads`, one process each."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     ids = list(ids)
     size = max(1, -(-len(ids) // threads))
     return [ids[i:i + size] for i in range(0, len(ids), size)]

@@ -1,8 +1,9 @@
 """A tally that forked column blocks add to as well.
 
-solve_batch steps every column block but the first in a child process, so
-a test that counts calls inside the integrator (a patched _Run method, say)
-must collect the children's counts too.  Each value is one line appended
+solve_batch steps every column block of a split (and a lone column with an
+observer) in a child process, so a test that counts calls inside the
+integrator (a patched _Run method, say) must collect the children's counts
+too.  Each value is one line appended
 to a file, which every process forked during the count writes to.
 """
 

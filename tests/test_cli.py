@@ -205,17 +205,18 @@ def test_lattice_cones_still_load_and_run(tmp_path):
 
 @pytest.fixture
 def forked_splits(monkeypatch):
-    """The column blocks each split of a run started, one entry per split that forked.
+    """The children each split of a run forked, one entry per split that forked.
 
-    An entry counts the split's first block, when the calling process steps
-    it, and one block per child; a lone observed column is a child's alone.
+    A split that forks makes one child per block, and a lone observed
+    column is one child; a run of one block steps in the calling process
+    and has no entry.
     """
     splits, init = [], solver._Fork.__init__
 
-    def recording(child, run, cols, start, end, window, others):
-        init(child, run, cols, start, end, window, others)  # returns in this process only, after the fork
-        if not others:  # the split's first child: column 0 is a child's when the calling process has no block
-            splits.append(int(cols.start > 0))
+    def recording(child, run, cols, start, end, others):
+        init(child, run, cols, start, end, others)  # returns in this process only, after the fork
+        if not others:  # the split's first child
+            splits.append(0)
         splits[-1] += 1
 
     monkeypatch.setattr(solver._Fork, "__init__", recording)
@@ -225,7 +226,7 @@ def forked_splits(monkeypatch):
 def test_threads_are_capped_by_the_chunks_and_recorded(tmp_path, forked_splits):
     assert trial_chunks(range(3), 10**6) == [[0], [1], [2]]
     assert trial_chunks(range(9), 4) == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]  # 3 threads, not 4
-    requested = forked_splits  # so the wide run forks 2 children for its 3 columns, not 10**6 - 1
+    requested = forked_splits  # so the wide run forks 3 children for its 3 columns, not 10**6
     cfg = _config(tmp_path, _SMALL + "experiment.trials = 3\n")
     for name, threads, used in (("wide", 10**6, 3), ("two", 2, 2), ("one", 1, 1)):
         out = tmp_path / name
@@ -238,7 +239,7 @@ def test_threads_are_capped_by_the_chunks_and_recorded(tmp_path, forked_splits):
                         "--out", str(skeleton), "--threads", "8"]) == 0
     # no trials to fan out: one block, stepped by one child while the command observes it
     assert json.loads((skeleton / "manifest.json").read_text())["threads"] == 1
-    assert requested == [3, 2, 1]  # a split of one block that forked: exactly one child
+    assert requested == [3, 2, 1]  # a lone observed column: exactly one child
     s1 = tmp_path / "s1"  # probe-s1 fans out its perturbed paths: (2, 4, 8) in two blocks
     assert run_command(["probe-s1", "--config", str(_config(tmp_path, _SMALL + "experiment.n_list = (2, 4, 8)\n"
                                                             'experiment.perturbation = "constant"\n', "s1.cfg")),

@@ -427,10 +427,10 @@ def _reference_run(z, joins=None, **kwargs):
     for m in range(run.steps + 1):
         if m in joins:
             run.widen(joins[m])
-        window = run.head(m)
+        run.head(m)
         seen.append((m, m * run.dx, run.u.copy(), run.v.copy()))
         if m < run.steps:
-            run.advance(m, run.kick(m, window), *run.drift(m), run.pair(m + 1))
+            run.advance(m, run.kick(m), *run.drift(m), run.pair(m + 1))
     return run, seen
 
 
@@ -527,8 +527,11 @@ def test_column_blocks_follow_the_threads_and_the_cell_floor(monkeypatch):
     monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 1})
     assert len(solver._column_blocks(None, 451, 21)) == 1
     assert len(solver._column_blocks(None, 3587, 8)) == 2
-    with pytest.raises(ValueError, match="threads must be at least 1"):
-        solver._column_blocks(0, 10, 5)
+    for threads in (0, -1):  # trial_chunks' check, which an explicit count reaches
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            solver._column_blocks(threads, 10, 5)
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            solver.trial_chunks(range(4), threads)
 
 
 def _poisoning(step, values):
@@ -601,11 +604,11 @@ def test_no_forked_block_outlives_its_solve():
     kwargs = dict(manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE, trial_ids=[0, 1, 2, 3])
     counting, forks = _counting_forks()
     with counting:
-        # a clean run that splits at its joins: one child per segment
+        # a clean run that splits at its joins: one child per block of each of its three segments
         solve_batch(z, 0.0, 0.5, _loc(geom), threads=2, _joins={2: 1, 4: 1}, **kwargs)
-        assert len(forks) == 3
+        assert len(forks) == 6
         _no_child_left()
-        # a blow-up in the child's block, then in the first block, at step 2 of 8
+        # a blow-up in the second block, then in the first, at step 2 of 8
         for column in (3, 0):
             with _poisoning(2, {column: np.nan}), pytest.raises(BlowupDetected, match=f"column {column} is nan"):
                 solve_batch(z, 1e-2, 0.5, _loc(geom), threads=2, **kwargs)
@@ -618,7 +621,40 @@ def test_no_forked_block_outlives_its_solve():
         with pytest.raises(KeyError, match="observer"):  # an observer that raises mid-run
             solve_batch(z, 1e-2, 0.5, _loc(geom), threads=2, observer=failing, **kwargs)
         _no_child_left()
-    assert len(forks) == 6
+    assert len(forks) == 12  # two children for each of the three failing runs
+
+
+def _stepping_pids(tmp_path, z, threads, **kwargs):
+    """The pid of the process that made each _Run.advance call of one solve_batch call, in call order per process."""
+    pids, advance = Tally(tmp_path / "pids"), solver._Run.advance
+
+    def recording(run, *args):
+        pids.append(os.getpid())
+        advance(run, *args)
+
+    with patch.object(solver._Run, "advance", recording):
+        solve_batch(z, threads=threads, **kwargs)
+    return pids.values()
+
+
+def test_a_split_steps_every_block_in_a_child_and_one_block_steps_in_the_calling_process(tmp_path):
+    geom = make_grid(6.0, 96, 1.0)
+    z = bump_state(geom, _CIRCLE)
+    kwargs = dict(eps=1e-2, horizon=0.5, loc=_loc(geom), manifold=_CIRCLE, basis=_BASIS, diffusion=_Y_CIRCLE,
+                  trial_ids=[0, 1, 2, 3])  # 8 steps
+    me = os.getpid()
+    # one block without an observer: every step in the calling process
+    assert _stepping_pids(tmp_path, z, 1, **kwargs) == [me] * 8
+    # two blocks: the calling process steps nothing, and each child steps its block to the horizon
+    split = _stepping_pids(tmp_path, z, 2, **kwargs)
+    assert me not in split and len(split) == 16
+    assert sorted(split.count(pid) for pid in set(split)) == [8, 8]
+    # a run that is one block until its first join steps in the calling process until then, and in
+    # two children per segment after it: the layout switches once, at the join, and never back
+    kwargs.update(eps=0.0, trial_ids=[0, 1, 2])
+    joined = _stepping_pids(tmp_path, z, 2, _joins={2: 1, 4: 1}, **kwargs)
+    assert joined[:2] == [me, me] and me not in joined[2:] and len(joined) == 2 + 2 * 2 + 2 * 4
+    assert len(set(joined[2:])) == 4
 
 
 def test_without_fork_a_batch_is_one_block(monkeypatch):
